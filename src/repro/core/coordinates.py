@@ -198,6 +198,9 @@ class CoordinateSystem:
         self._positions: list[dict[int, int]] = [
             {node: idx for idx, node in enumerate(ring)} for ring in self._rings
         ]
+        # Coordinates never move once drawn, so each node's vector is
+        # built once here rather than on every table build.
+        self._vectors: list[tuple[float, ...]] = list(zip(*self._coords))
 
     @staticmethod
     def _balanced_draw(
@@ -254,7 +257,7 @@ class CoordinateSystem:
 
     def vector(self, node: int) -> tuple[float, ...]:
         """Coordinate vector of *node* across all spaces."""
-        return tuple(self._coords[space][node] for space in range(self.num_spaces))
+        return self._vectors[node]
 
     def ring(self, space: int) -> list[int]:
         """Node ids in ring (ascending-coordinate) order for *space*."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.core.routing import GreediestRouting
-from repro.core.topology import LinkDirection, LinkKind, StringFigureTopology
+from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.core.topology_switch import TopologySwitch
 
 __all__ = ["ReconfigEvent", "ReconfigurationManager"]
@@ -259,19 +259,16 @@ class ReconfigurationManager:
     def cleanly_gateable(self, node: int) -> bool:
         """Whether gating *node* leaves the space-0 ring patchable.
 
-        Requires both active ring neighbors present and a physical
-        shortcut wire spanning them (the offset-2 wire exists only when
-        the successor has the larger node id, per the generation rule).
+        Requires *node* active, two distinct active ring neighbors
+        around it, and a physical wire of any kind (base link or
+        shortcut) between those two neighbors.
         """
         if not self.topology.is_active(node):
             return False
         pred, succ = self._active_ring_neighbors(node)
         if pred == node or succ == node or pred == succ:
             return False
-        return (
-            self.topology.link_kind(pred, succ) in (LinkKind.SHORTCUT,)
-            or self.topology.link_kind(pred, succ) is not None
-        )
+        return self.topology.link_kind(pred, succ) is not None
 
     def gate_candidates(self, count: int, min_spacing: int = 3) -> list[int]:
         """Select up to *count* well-spaced cleanly-gateable victims.

@@ -105,18 +105,19 @@ class _NodeView:
     window lists one-hop entries first) — so a forwarding decision
     costs a single vectorized MD kernel instead of three separate
     array builds.  ``via_idx``/``inf_mask`` are the per-target via
-    lists and the masked-min penalty matrix, precomputed once per
-    (re)build rather than per packet.
+    positions and the masked-min penalty matrix, precomputed once per
+    (re)build rather than per packet.  ``window`` is the
+    :meth:`RoutingTable.usable_window` the view was built from: it
+    determines every array, so an equal window means an equal view.
     """
 
     __slots__ = (
+        "window",
         "k",
         "nbr_ids",
         "nbr_coords",
         "win_ids",
-        "win_coords",
         "win_hop",
-        "via_mask",
         "via_idx",
         "inf_mask",
         "all_coords",
@@ -124,63 +125,37 @@ class _NodeView:
         "scratch2",
         "md_out",
         "id_to_nbr_index",
-        "id_to_win_index",
     )
 
-    def __init__(self, table: RoutingTable, owner_coords) -> None:
-        one_hop = table.one_hop()
-        usable_vias = {e.node for e in one_hop}
-        # A two-hop entry is only a window target while at least one of
-        # its vias is usable; with every via blocked (mid-
-        # reconfiguration) the entry must drop out of the window, or
-        # greedy selection could pick a target it cannot reach.
-        window = one_hop + [
-            e for e in table.two_hop() if e.vias & usable_vias
-        ]
-        # Width is pinned explicitly: a router may transiently have an
-        # *empty* usable window (every neighbor blocked mid-
-        # reconfiguration), and reshape(0, -1) is not defined.
-        width = len(one_hop[0].coords) if one_hop else 1
-        self.k = len(one_hop)
-        self.nbr_ids = np.array([e.node for e in one_hop], dtype=np.int64)
-        self.nbr_coords = np.array(
-            [e.coords for e in one_hop], dtype=np.float64
-        ).reshape(len(one_hop), width)
-        self.win_ids = np.array([e.node for e in window], dtype=np.int64)
-        self.win_coords = np.array(
-            [e.coords for e in window], dtype=np.float64
-        ).reshape(len(window), width)
-        self.win_hop = np.array([e.hop for e in window], dtype=np.int64)
-        # via_mask[i, j] is True when window node j is reachable through
-        # one-hop neighbor i.
-        k, m = len(one_hop), len(window)
-        mask = np.zeros((k, m), dtype=bool)
-        nbr_index = {e.node: i for i, e in enumerate(one_hop)}
-        for j, entry in enumerate(window):
-            for via in entry.vias:
-                i = nbr_index.get(via)
-                if i is not None:
-                    mask[i, j] = True
-        self.via_mask = mask
-        self.via_idx = [np.flatnonzero(mask[:, j]) for j in range(m)]
+    def __init__(self, window, coord_matrix: np.ndarray, owner: int) -> None:
+        self.window = window
+        ids, hops, self.via_idx = zip(*window) if window else ((), (), ())
+        k = self.k = hops.count(1)
+        m = len(window)
+        # Row 0 is the owner; indexing with an id array copies every row
+        # out of the shared coordinate matrix, so the result is contiguous.
+        all_ids = np.array((owner, *ids), dtype=np.int64)
+        self.win_ids = all_ids[1:]
+        self.nbr_ids = all_ids[1 : k + 1]
+        self.win_hop = np.array(hops, dtype=np.int64)
+        self.all_coords = coord_matrix[all_ids]
+        self.nbr_coords = self.all_coords[1 : k + 1]
         # Adding this to a broadcast win_md row reproduces
         # np.where(mask, win_md, inf) without building the where() per
-        # decision (x + 0.0 == x exactly; x + inf == inf).
-        self.inf_mask = np.where(mask, 0.0, np.inf)
-        owner_row = np.asarray(owner_coords, dtype=np.float64).reshape(1, -1)
-        if owner_row.shape[1] != width:
-            owner_row = np.zeros((1, width), dtype=np.float64)
-        self.all_coords = np.ascontiguousarray(
-            np.concatenate([owner_row, self.win_coords], axis=0)
-        )
+        # decision (x + 0.0 == x exactly; x + inf == inf).  It is filled
+        # in one assignment from the window's via positions.
+        self.inf_mask = np.full((k, m), np.inf)
+        self.inf_mask[
+            [i for vias in self.via_idx for i in vias],
+            [j for j, vias in enumerate(self.via_idx) for _ in vias],
+        ] = 0.0
         # Per-decision scratch space for the fused MD kernel: the
         # result buffer is valid only until the next call on this view,
         # which every caller satisfies (consume-before-recompute).
         self.scratch = np.empty_like(self.all_coords)
         self.scratch2 = np.empty_like(self.all_coords)
         self.md_out = np.empty(self.all_coords.shape[0], dtype=np.float64)
-        self.id_to_nbr_index = nbr_index
-        self.id_to_win_index = {int(n): j for j, n in enumerate(self.win_ids)}
+        self.id_to_nbr_index = {node: i for i, node in enumerate(ids[:k])}
 
 
 class GreediestRouting:
@@ -238,24 +213,44 @@ class GreediestRouting:
     # -- table management -----------------------------------------------------
 
     def rebuild(self, nodes: Sequence[int] | None = None) -> None:
-        """(Re)build routing tables for *nodes* (default: every active node)."""
+        """(Re)build routing tables for *nodes* (default: every active node).
+
+        Afterwards every listed active router's table equals a fresh
+        :meth:`RoutingTable.build` with every bit clear, and inactive
+        routers are dropped.  A table whose neighborhood is unchanged
+        since its last build, and which carries no repair mutation, is
+        kept with its blocking bits cleared instead of being rebuilt.
+        """
         self.version += 1
-        targets = self.topology.active_nodes if nodes is None else nodes
+        topo = self.topology
+        targets = topo.active_nodes if nodes is None else nodes
+        active_out: dict[int, tuple[int, ...]] = {}
         for v in targets:
-            if self.topology.is_active(v):
-                self.tables[v] = RoutingTable.build(self.topology, v)
-                self._views[v] = _NodeView(self.tables[v], self._coord_matrix[v])
-            else:
+            if not topo.is_active(v):
                 self.tables.pop(v, None)
                 self._views.pop(v, None)
+                continue
+            neighborhood = RoutingTable.neighborhood(topo, v, active_out)
+            table = self.tables.get(v)
+            if table is None or table.mutated or table.built_from != neighborhood:
+                table = self.tables[v] = RoutingTable.build(topo, v, neighborhood)
+            else:
+                table.unblock_all()
+            self._snapshot(v, table.fresh_window)
 
     def refresh_views(self, nodes: Sequence[int] | None = None) -> None:
         """Re-snapshot vectorized views after manual table bit flips."""
         self.version += 1
-        targets = self.tables.keys() if nodes is None else nodes
-        for v in list(targets):
-            if v in self.tables:
-                self._views[v] = _NodeView(self.tables[v], self._coord_matrix[v])
+        for v in list(self.tables if nodes is None else nodes):
+            table = self.tables.get(v)
+            if table is not None:
+                self._snapshot(v, table.usable_window())
+
+    def _snapshot(self, node: int, window: tuple) -> None:
+        """Rebuild *node*'s view only if its usable *window* changed."""
+        view = self._views.get(node)
+        if view is None or view.window != window:
+            self._views[node] = _NodeView(window, self._coord_matrix, node)
 
     def table(self, node: int) -> RoutingTable:
         """Routing table of *node*."""
@@ -475,8 +470,8 @@ class GreediestRouting:
         target = int(win_md.argmin())
         if win_md[target] >= my_md:
             return None
-        vias = view.via_idx[target]
-        via = int(vias[nbr_md[vias].argmin()])
+        # First minimum over ascending via positions, as argmin would.
+        via = min(view.via_idx[target], key=nbr_md.__getitem__)
         via_id = int(view.nbr_ids[via])
         if view.win_hop[target] == 1:
             return via_id, None

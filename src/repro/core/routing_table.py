@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 __all__ = ["TableEntry", "RoutingTable", "entry_bits", "table_bits"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TableEntry:
     """One neighbor record in a router's table.
 
@@ -53,35 +53,85 @@ class TableEntry:
 
 
 class RoutingTable:
-    """The one- and two-hop neighbor table of a single router."""
+    """The one- and two-hop neighbor table of a single router.
+
+    A table made by :meth:`build` remembers the :meth:`neighborhood` it
+    was built from (``built_from``) and its :meth:`usable_window` as
+    built (``fresh_window``); both are ``None`` for a hand-assembled
+    table.  ``mutated`` is set by the repair primitives
+    (:meth:`invalidate`, :meth:`drop_via`, :meth:`set_hop`) whose effect
+    clearing the blocking bits cannot undo.  While it is clear, the
+    table equals a fresh build of ``built_from`` up to blocking bits.
+    """
 
     def __init__(self, owner: int, num_ports: int) -> None:
         self.owner = owner
         self.num_ports = num_ports
         self._entries: dict[int, TableEntry] = {}
+        self.built_from: tuple | None = None
+        self.fresh_window: tuple | None = None
+        self.mutated = False
 
     # -- construction --------------------------------------------------------
 
+    @staticmethod
+    def neighborhood(topology, owner: int, cache: dict | None = None) -> tuple:
+        """Everything a table for *owner* is built from: its active
+        out-neighbors, and the active out-neighbors of each of them, in
+        ascending order.
+
+        *cache* memoizes each node's active out-neighbors across calls
+        made while the topology does not change.
+        """
+        if cache is None:
+            cache = {}
+
+        def active_out(v: int) -> tuple[int, ...]:
+            nbrs = cache.get(v)
+            if nbrs is None:
+                nbrs = cache[v] = tuple(
+                    sorted(w for w in topology.neighbors(v) if topology.is_active(w))
+                )
+            return nbrs
+
+        one_hop = active_out(owner)
+        return one_hop, tuple(active_out(w) for w in one_hop)
+
     @classmethod
-    def build(cls, topology, owner: int) -> "RoutingTable":
-        """Populate a table from a topology's current active neighborhood."""
+    def build(
+        cls, topology, owner: int, neighborhood: tuple | None = None
+    ) -> "RoutingTable":
+        """Populate a table from a topology's current active neighborhood.
+
+        *neighborhood* is :meth:`neighborhood` of *owner*, when the
+        caller has already computed it.
+        """
+        if neighborhood is None:
+            neighborhood = cls.neighborhood(topology, owner)
         table = cls(owner, topology.num_ports)
-        one_hop = [v for v in topology.neighbors(owner) if topology.is_active(v)]
+        table.built_from = neighborhood
+        vector = topology.coords.vector
+        entries = table._entries
+        one_hop, two_hop = neighborhood
         for w in one_hop:
-            table._entries[w] = TableEntry(
-                node=w, hop=1, coords=topology.coords.vector(w), vias={w}
-            )
-        for w in one_hop:
-            for x in topology.neighbors(w):
-                if x == owner or not topology.is_active(x):
-                    continue
-                existing = table._entries.get(x)
-                if existing is None:
-                    table._entries[x] = TableEntry(
-                        node=x, hop=2, coords=topology.coords.vector(x), vias={w}
-                    )
-                elif existing.hop == 2:
-                    existing.vias.add(w)
+            entries[w] = TableEntry(w, 1, vector(w), {w})
+        # Two-hop node -> positions in one_hop of its vias, ascending.
+        via_pos: dict[int, list[int]] = {}
+        for i, nbrs in enumerate(two_hop):
+            for x in nbrs:
+                if x != owner and x not in entries:
+                    pos = via_pos.get(x)
+                    if pos is None:
+                        via_pos[x] = [i]
+                    else:
+                        pos.append(i)
+        for x, pos in via_pos.items():
+            entries[x] = TableEntry(x, 2, vector(x), {one_hop[i] for i in pos})
+        # What usable_window() returns while every bit is clear.
+        table.fresh_window = tuple(
+            [(w, 1, (i,)) for i, w in enumerate(one_hop)]
+            + [(x, 2, tuple(via_pos[x])) for x in sorted(via_pos)]
+        )
         return table
 
     # -- queries ---------------------------------------------------------------
@@ -115,6 +165,38 @@ class RoutingTable:
             for e in self.entries()
             if e.hop == 2 and (e.usable or not usable_only)
         ]
+
+    def usable_window(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The part of the table forwarding reads, as ``(node, hop, vias)``.
+
+        Usable one-hop entries come first, then usable two-hop entries,
+        each in node-id order.  ``vias`` holds the positions, ascending,
+        of the entry's usable vias among the one-hop rows.  A two-hop
+        entry is only a window target while at least one of its vias is
+        usable; with every via blocked (mid-reconfiguration) it drops
+        out, or greedy selection could pick a target it cannot reach.
+        """
+        entries = self._entries
+        one_hop: list[TableEntry] = []
+        two_hop: list[TableEntry] = []
+        for node in sorted(entries):
+            e = entries[node]
+            if e.valid and not e.blocked:
+                if e.hop == 1:
+                    one_hop.append(e)
+                elif e.hop == 2:
+                    two_hop.append(e)
+        pos = {e.node: i for i, e in enumerate(one_hop)}
+        usable = set(pos)
+        index = pos.__getitem__
+        rows = [
+            (e.node, 1, tuple(sorted(map(index, e.vias & usable)))) for e in one_hop
+        ]
+        for e in two_hop:
+            vias = e.vias & usable
+            if vias:
+                rows.append((e.node, 2, tuple(sorted(map(index, vias)))))
+        return tuple(rows)
 
     @property
     def max_entries(self) -> int:
@@ -157,6 +239,7 @@ class RoutingTable:
         entry = self._entries.get(node)
         if entry is not None:
             entry.valid = False
+            self.mutated = True
 
     def validate(self, node: int) -> None:
         """Set the valid bit on the entry for *node* (step 3/4, reverse)."""
@@ -169,6 +252,7 @@ class RoutingTable:
         entry = self._entries.get(node)
         if entry is None:
             raise KeyError(f"router {self.owner} has no entry for node {node}")
+        self.mutated = True
         entry.hop = hop
         if vias is not None:
             entry.vias = set(vias)
@@ -178,6 +262,7 @@ class RoutingTable:
         entry = self._entries.get(node)
         if entry is None:
             return
+        self.mutated = True
         entry.vias.discard(via)
         if not entry.vias:
             entry.valid = False

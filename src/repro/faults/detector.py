@@ -72,22 +72,15 @@ class TableRepair:
         self.policy = policy
         self.failed_links: set[tuple[int, int]] = set()
 
-    def _refresh(self, routers) -> None:
-        tables = self.routing.tables
-        self.routing.refresh_views(sorted(r for r in routers if r in tables))
-        self.policy.on_reconfigure()
-
-    def _apply_link(self, u: int, v: int) -> set[int]:
-        """Impose one failed wire on the current tables; return touched."""
+    def _apply_link(self, u: int, v: int) -> None:
+        """Impose one failed wire on the current tables."""
         tables = self.routing.tables
         topo = self.routing.topology
         in_nbrs = getattr(topo, "in_neighbors", None)
-        touched = set()
         for a, b in ((u, v), (v, u)):
             table = tables.get(a)
             if table is not None and b in table:
                 table.block(b)
-                touched.add(a)
             # Prune r -- a -- b look-ahead: only routers adjacent to a
             # can hold a as a via, so the scan is O(radix), not O(n).
             holders = set(topo.neighbors(a))
@@ -102,13 +95,12 @@ class TableRepair:
                 entry = rtable.lookup(b)
                 if entry is not None and entry.hop == 2 and a in entry.vias:
                     rtable.drop_via(b, a)
-                    touched.add(r)
-        return touched
 
     def route_around_link(self, u: int, v: int) -> None:
         """Drop the failed wire from every router's window."""
         self.failed_links.add((min(u, v), max(u, v)))
-        self._refresh(self._apply_link(u, v))
+        self._apply_link(u, v)
+        self.policy.on_reconfigure()
 
     def restore_link(self, u: int, v: int) -> None:
         """Re-admit a flapped wire after it proves healthy again.
@@ -130,10 +122,9 @@ class TableRepair:
 
     def reapply(self) -> None:
         """Re-impose every live failure (call after any table rebuild)."""
-        touched: set[int] = set()
         for u, v in self.failed_links:
-            touched |= self._apply_link(u, v)
-        self._refresh(touched)
+            self._apply_link(u, v)
+        self.policy.on_reconfigure()
 
 
 class GraphRepair:

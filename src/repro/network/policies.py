@@ -247,10 +247,9 @@ class GreedyPolicy(RoutingPolicy):
         return self.routing.select_vc(src, dst)
 
     def on_reconfigure(self) -> None:
+        # The refresh bumps ``routing.version``, so the next forward
+        # drops every decision cache.
         self.routing.refresh_views()
-        self._cache.clear()
-        self._cand_cache.clear()
-        self._probes.clear()
 
 
 class TablePolicy(RoutingPolicy):

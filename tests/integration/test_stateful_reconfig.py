@@ -7,6 +7,9 @@ network and checks the global invariants after every step:
 * the active network stays connected;
 * every active pair remains routable (sampled);
 * routing tables reference only active nodes;
+* every active router's table equals a fresh build, entry for entry,
+  and its vectorized view equals one freshly built from that table
+  (the incremental rebuild skips work, never changes the result);
 * port budgets are never exceeded;
 * restoring all nodes returns to the pristine link set.
 
@@ -48,7 +51,8 @@ settings.register_profile(
 )
 
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import GreediestRouting
+from repro.core.routing import GreediestRouting, _NodeView
+from repro.core.routing_table import RoutingTable
 from repro.core.topology import StringFigureTopology
 
 NUM_NODES = 32
@@ -107,6 +111,39 @@ class ReconfigMachine(RuleBasedStateMachine):
             table = self.routing.tables[node]
             for entry in table.one_hop() + table.two_hop():
                 assert entry.node in active
+
+    @invariant()
+    def tables_equal_fresh_builds(self):
+        if not hasattr(self, "routing"):
+            return
+
+        def rows(table):
+            return [
+                (e.node, e.hop, e.coords, sorted(e.vias), e.valid, e.blocked)
+                for e in table.entries()
+            ]
+
+        def arrays(view):
+            return (
+                view.k,
+                view.nbr_ids.tolist(),
+                view.nbr_coords.tolist(),
+                view.win_ids.tolist(),
+                view.win_hop.tolist(),
+                [list(vias) for vias in view.via_idx],
+                view.inf_mask.tolist(),
+                view.all_coords.tolist(),
+                view.id_to_nbr_index,
+            )
+
+        assert sorted(self.routing.tables) == self.topo.active_nodes
+        for node, table in self.routing.tables.items():
+            fresh = RoutingTable.build(self.topo, node)
+            assert rows(table) == rows(fresh), node
+            view = _NodeView(
+                fresh.usable_window(), self.routing._coord_matrix, node
+            )
+            assert arrays(self.routing._views[node]) == arrays(view), node
 
     @invariant()
     def sampled_pairs_routable(self):

@@ -122,9 +122,12 @@ class TestCacheInvalidation:
         routing = AdaptiveGreediestRouting(topo)
         policy = GreedyPolicy(routing, cache=True)
         _walk(policy, 0, 27)
-        assert policy._cache
+        assert len(policy._cache) > 1
         policy.on_reconfigure()
-        assert not policy._cache
+        # The refresh bumps the routing generation: the next forward
+        # drops every entry filled against the old tables.
+        policy.forward(0, Packet(src=0, dst=27), quiet, False)
+        assert set(policy._cache) <= {0 * topo.num_nodes + 27}
 
     def test_routes_correct_after_reconfig(self, topo):
         routing = AdaptiveGreediestRouting(topo)
@@ -168,4 +171,7 @@ class TestCacheInvalidation:
         policy.forward(0, packet, busy, True)
         assert policy._cand_cache
         policy.on_reconfigure()
+        # Under no load the next forward never ranks candidates, so the
+        # cache it leaves behind holds nothing from before the refresh.
+        policy.forward(0, Packet(src=0, dst=27), quiet, True)
         assert not policy._cand_cache
