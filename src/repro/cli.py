@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--trace-seed", type=int, default=0)
     trace.add_argument(
         "--ring", type=int, default=256,
-        help="post-mortem ring: last N heap events kept",
+        help="post-mortem ring: last N events kept",
     )
     trace.add_argument(
         "--max-trace-records", type=int, default=250_000,

@@ -34,14 +34,15 @@ class PacketKind(str, Enum):
     MIG_DATA = "mig_data"  # migrated page chunk (old owner -> new owner)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet.
 
     ``route_state`` carries the greedy protocol's per-packet state (the
     two-hop commit and fallback-mode fields); ``context`` is an opaque
     slot for higher layers (e.g. the trace-driven runner ties responses
-    back to requests through it).
+    back to requests through it).  Slotted: the simulator reads and
+    writes a few fields of every packet at every hop.
     """
 
     src: int

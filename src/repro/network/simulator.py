@@ -15,9 +15,21 @@ granularity with flit-accurate link serialization:
 * per-port packet counters expose queue occupancy to adaptive routing
   policies, as in the paper's §IV-B hardware counters.
 
-Events are kept in a binary heap, so simulation cost scales with
+Events live in a calendar queue (Brown, CACM 1988): a dict from cycle
+to a ``deque`` of ``(seq, code, a, b)`` entries, plus a binary heap of
+the distinct pending cycles.  Simulation cost therefore scales with
 traffic, not with network size times cycles — which is what makes
-1296-node sweeps tractable in Python.
+1296-node sweeps tractable in Python — and almost every event costs a
+dict lookup and a deque append instead of a heap sift, because events
+land a few cycles ahead and share their cycle with many others.  The
+processing order is the total order on ``(time, seq)``: each cycle's
+deque is kept sorted by ``seq``.  A fresh push carries the largest
+sequence number allocated so far, so it simply appends; only a
+reserved-seq ``LINK_FREE`` retry (below) is inserted in order, which
+may land in the cycle currently being drained.  :meth:`run` drains a
+cycle with ``popleft`` and retires it only once empty, so a
+``run(until)`` stop or an exception leaves every unprocessed event
+queued.
 
 Hot-path layout (the "fast path"): directed links are keyed by the
 packed integer ``u * num_nodes + v`` instead of an ``(u, v)`` tuple;
@@ -26,13 +38,13 @@ on the :class:`_OutPort` itself so one dictionary lookup reaches all
 link state; and per-node counter arrays (packets destined to a node,
 arrival events targeting it, packets queued on its incident links)
 make :meth:`inflight_to` and :meth:`node_quiescent` cheap instead of
-scanning the event heap — the scans the live-reconfiguration drain
+scanning the event queue — the scans the live-reconfiguration drain
 loop used to pay on every poll.  ``_node_quiescent_scan`` keeps a
 scanning implementation as the reference for the differential test.
 
 Lazy link bookkeeping: each channel records when it frees as a
-``(free_at, free_seq)`` pair instead of scheduling a LINK_FREE heap
-event per transmission.  ``free_seq`` is a *reserved* sequence number
+``(free_at, free_seq)`` pair instead of scheduling a LINK_FREE event
+per transmission.  ``free_seq`` is a *reserved* sequence number
 — allocated exactly where the eager implementation allocated its
 LINK_FREE event's — so "is this channel free at the current processing
 point?" is the total-order test ``(free_at, free_seq) <= (now,
@@ -41,12 +53,23 @@ have been processed.  A LINK_FREE event is pushed (with the reserved
 sequence number, so it sorts exactly where the eager event would) only
 when a send attempt actually finds every channel busy and needs a
 retry.  On uncongested links the event is elided entirely, cutting
-heap traffic per hop by a third; ``eager_link_events=True`` restores
+queue traffic per hop by a third; ``eager_link_events=True`` restores
 the always-push behaviour for differential testing.
+
+Fused wake-to-wire hop: most ``WAKE`` events of a classless run (92%
+of them in an SF-1296 uniform-random episode, 83% in the elastic
+migration one) find a single-channel port holding exactly one
+head-ready packet, a free wire and a credit.  On the classless,
+unprobed, lazy path :meth:`run` dequeues that packet
+straight from the dispatch and hands it to :meth:`_transmit` — the one
+transmit tail, shared with :meth:`_try_send` and
+:meth:`_qos_try_send` — instead of paying the full arbitration
+prologue; every other case falls through to :meth:`_try_send`.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import deque
@@ -60,11 +83,11 @@ from repro.network.stats import SimStats
 
 __all__ = ["NetworkSimulator"]
 
-# Event codes (heap entries are (time, seq, code, a, b) tuples; tuples
-# beat closures by a wide margin in CPython).  Link events carry the
-# _OutPort object itself in slot ``a`` — sequence numbers are unique,
-# so heap ordering never compares past (time, seq).  LINK_FREE events
-# carry the channel index in slot ``b``.
+# Event codes (queue entries are (seq, code, a, b) tuples filed under
+# their cycle; tuples beat closures by a wide margin in CPython).  Link
+# events carry the _OutPort object itself in slot ``a`` — sequence
+# numbers are unique, so an ordered insert never compares past seq.
+# LINK_FREE events carry the channel index in slot ``b``.
 _ARRIVE = 0
 _LINK_FREE = 1
 _CALL = 2
@@ -85,7 +108,7 @@ class _OutPort:
     channels (the bandwidth-matched ODM baseline); each channel can
     carry one packet at a time.  A channel is busy exactly while its
     ``(free_at, free_seq)`` pair sorts after the simulator's current
-    processing point ``(now, cur_seq)`` — no per-transmission heap
+    processing point ``(now, cur_seq)`` — no per-transmission queued
     event needed.  ``free_armed`` marks channels with a LINK_FREE
     retry event outstanding (every busy channel, in eager mode).  The
     port also owns the link's credit counters, queued-packet count,
@@ -189,7 +212,7 @@ class NetworkSimulator:
         (:meth:`SimStats.sample_free`) — identical statistics, O(1)
         memory per delivered packet; opt-in for 1296-node sweeps.
     eager_link_events:
-        Schedule a LINK_FREE heap event for *every* transmission (the
+        Schedule a LINK_FREE event for *every* transmission (the
         pre-lazy behaviour) instead of only when a send attempt blocks
         on a busy channel.  Results are bit-identical either way — the
         flag exists for differential testing and event accounting
@@ -211,7 +234,13 @@ class NetworkSimulator:
         self.stats = SimStats.sample_free() if sample_free else SimStats()
         self.stats.num_nodes = len(topology.active_nodes)
         self.now = 0
-        self._heap: list[tuple] = []
+        #: calendar event queue: cycle -> deque of (seq, code, a, b),
+        #: sorted by seq; ``_times`` is a heap of exactly its keys.
+        self._cal: dict[int, deque] = {}
+        self._times: list[int] = []
+        #: last sequence number allocated.  Every allocated number is
+        #: queued, processed, or an elided LINK_FREE reservation, which
+        #: is what keeps :attr:`pending_events` O(1).
         self._seq = 0
         #: sequence number of the event being processed; together with
         #: ``now`` it defines the total-order point the lazy channel
@@ -250,7 +279,7 @@ class NetworkSimulator:
         n = self._n
         #: packets in the network destined to each node (O(1) inflight_to).
         self._dst_inflight: list[int] = [0] * n
-        #: _ARRIVE events in the heap targeting each node.
+        #: queued _ARRIVE events targeting each node.
         self._pending_arrive: list[int] = [0] * n
         #: packets *queued* on links incident to each node; mid-wire
         #: packets are covered by the incident-port channel scan in
@@ -567,13 +596,13 @@ class NetworkSimulator:
         the packets currently mid-wire on them.
 
         The mid-wire packets' arrival events cannot be pulled out of
-        the heap, so their pids are recorded on their port and the
+        the queue, so their pids are recorded on their port and the
         fault layer drops them when they fire — exactly the packets
         that were in flight across the failed links, no more.  Returns
         how many were doomed.  Queued packets are left for the detector
         to sweep (:meth:`take_queued`) once the failure is noticed.
-        The heap is scanned *once* for the whole batch, so a node crash
-        (2 x degree directed links) costs one pass, not 2 x degree.
+        The event queue is scanned *once* for the whole batch, so a node
+        crash (2 x degree directed links) costs one pass, not 2 x degree.
         """
         ports = set()
         n = self._n
@@ -584,7 +613,7 @@ class NetworkSimulator:
                 port.drop_pids = set()
             ports.add(port)
         count = 0
-        for _time, _seq, code, _a, b in self._heap:
+        for _time, _seq, code, _a, b in self._queued_events():
             if code == _ARRIVE and b is not None and b[1] in ports:
                 b[1].drop_pids.add(b[0].pid)
                 count += 1
@@ -659,7 +688,7 @@ class NetworkSimulator:
         this before powering the node's links down.  Counter checks
         are O(1); the mid-wire check scans the node's incident ports
         (O(degree), with small constants — channel release times live
-        on the port, no heap access).
+        on the port, no event-queue access).
         """
         if (
             self._dst_inflight[node]
@@ -679,7 +708,7 @@ class NetworkSimulator:
     def _node_quiescent_scan(self, node: int) -> bool:
         """Reference implementation of :meth:`node_quiescent`.
 
-        Scans every port and the whole event heap (the pre-fast-path
+        Scans every port and the whole event queue (the pre-fast-path
         behaviour).  Kept for the counter-vs-scan differential test;
         never called on the hot path.
         """
@@ -690,7 +719,7 @@ class NetworkSimulator:
                 continue
             if port.count or self._busy_channels(port):
                 return False
-        for _time, _seq, code, a, _b in self._heap:
+        for _time, _seq, code, a, _b in self._queued_events():
             if code == _ARRIVE and a == node:
                 return False
         return True
@@ -698,8 +727,50 @@ class NetworkSimulator:
     # -- scheduling --------------------------------------------------------------
 
     def _push(self, time: int, code: int, a, b) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, code, a, b))
+        """Queue an event under a fresh sequence number.
+
+        The fresh number is the largest allocated so far, so the entry
+        appends to its cycle's deque and the deque stays seq-sorted.
+        """
+        seq = self._seq + 1
+        self._seq = seq
+        queue = self._cal.get(time)
+        if queue is None:
+            self._open_cycle(time, (seq, code, a, b))
+        else:
+            queue.append((seq, code, a, b))
+
+    def _push_reserved(self, time: int, seq: int, code: int, a, b) -> None:
+        """Queue an event under a sequence number reserved earlier.
+
+        Used for the lazy core's LINK_FREE retries (and the eager
+        core's LINK_FREE events).  The number may predate entries
+        already filed under *time* — including those of the cycle being
+        drained, whose deque stays live until empty — so the entry is
+        inserted in seq order.  Sequence numbers are unique, so the
+        tuple comparison never looks past ``seq``.
+        """
+        queue = self._cal.get(time)
+        if queue is None:
+            self._open_cycle(time, (seq, code, a, b))
+        else:
+            bisect.insort(queue, (seq, code, a, b))
+
+    def _open_cycle(self, time: int, entry: tuple) -> None:
+        """File *entry* as the first event of the not-yet-pending *time*."""
+        self._cal[time] = deque((entry,))
+        heapq.heappush(self._times, time)
+
+    def _queued_events(self):
+        """Yield every queued event as ``(time, seq, code, a, b)``.
+
+        Cycles come in no particular order (seq order within a cycle).
+        For the rare whole-queue scans of the fault and reconfiguration
+        paths; never used on the hot path.
+        """
+        for time, queue in self._cal.items():
+            for seq, code, a, b in queue:
+                yield time, seq, code, a, b
 
     def schedule(self, time: int, callback: Callable[[int], None]) -> None:
         """Run ``callback(now)`` at *time* (for traffic drivers, memory
@@ -815,15 +886,11 @@ class NetworkSimulator:
                 ready = now + rc
                 if port.wake_at is None or port.wake_at > ready:
                     port.wake_at = ready
-                    seq = self._seq + 1
-                    self._seq = seq
-                    heapq.heappush(self._heap, (ready, seq, _WAKE, port, None))
+                    self._push(ready, _WAKE, port, None)
             elif not port.free_armed[0]:
                 port.free_armed[0] = True
                 self._link_events_elided -= 1
-                heapq.heappush(
-                    self._heap, (fa, port.free_seq[0], _LINK_FREE, port, 0)
-                )
+                self._push_reserved(fa, port.free_seq[0], _LINK_FREE, port, 0)
             return
         self._try_send(port)
 
@@ -882,13 +949,7 @@ class NetworkSimulator:
         credits = port.credits
         num_vcs = len(queues)
         probes = self._probes
-        heap = self._heap
-        heappush = heapq.heappush
-        eager = self._eager
-        traffic = self._node_traffic
-        pending_arrive = self._pending_arrive
-        bits_cache = self._bits_cache
-        stats = self.stats
+        transmit = self._transmit
         while True:
             if not port.count:
                 return  # nothing queued on any VC: skip every scan
@@ -930,7 +991,7 @@ class NetworkSimulator:
                 if not armed[best]:
                     armed[best] = True
                     self._link_events_elided -= 1
-                    heappush(heap, (bfa, bfs, _LINK_FREE, port, best))
+                    self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
                 return
             rr = port.rr
             chosen_vc = -1
@@ -983,7 +1044,7 @@ class NetworkSimulator:
                     if best >= 0 and not armed[best]:
                         armed[best] = True
                         self._link_events_elided -= 1
-                        heappush(heap, (bfa, bfs, _LINK_FREE, port, best))
+                        self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
                 if credit_blocked and not port.stall_armed:
                     port.stall_armed = True
                     self._push(
@@ -999,60 +1060,69 @@ class NetworkSimulator:
             port.count -= 1
             port.rr = chosen_vc + 1 if chosen_vc + 1 < num_vcs else 0
             credits[chosen_vc] -= 1
-            tail = now + packet.size_flits
-            # Claim the channel *before* releasing the inbound credit:
-            # the release can cascade through a blocked cycle back into
-            # this port, and a re-entrant _try_send seeing a stale-free
-            # channel would drive a second packet onto a single-channel
-            # wire.  The real release sequence number is reserved only
-            # *after* the cascade (where the eager implementation
-            # allocated its LINK_FREE event's); until then the
-            # placeholder keeps the channel unambiguously busy and
-            # un-armable.
-            free_at[chan] = tail
-            free_seq[chan] = _SEQ_PENDING
-            armed[chan] = True
-            traffic[port.u] -= 1
-            traffic[port.v] -= 1
-            if from_link is not None:
-                # _release_credit, inlined for the per-hop fast path.
-                debt = from_link.reserve_debt
-                fvc = packet.vc
-                if debt[fvc] > 0:
-                    debt[fvc] -= 1
-                else:
-                    from_link.credits[fvc] += 1
-                if from_link.count:
-                    self._try_send(from_link)
-            seq = self._seq + 1
-            self._seq = seq
-            free_seq[chan] = seq
-            if eager:
-                heappush(heap, (tail, seq, _LINK_FREE, port, chan))
-            else:
-                armed[chan] = False
-                self._link_events_elided += 1
-            packet.hops += 1
-            bits = bits_cache.get(packet.payload_bytes)
-            if bits is None:
-                bits = self.config.packet_bits(packet.payload_bytes)
-                bits_cache[packet.payload_bytes] = bits
-            stats.bit_hops += bits
-            stats.flit_hops += packet.size_flits
-            v = port.v
-            pending_arrive[v] += 1
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(heap, (tail + port.lat, seq, _ARRIVE, v, (packet, port, False)))
-            if probes is not None:
-                probes.on_send(port, packet, now, tail)
+            transmit(port, chan, packet, from_link)
+
+    def _transmit(self, port: _OutPort, chan: int, packet: Packet,
+                  from_link) -> None:
+        """Put the dequeued *packet* on channel *chan* of *port*.
+
+        The one transmit tail of :meth:`_try_send`, :meth:`_qos_try_send`
+        and :meth:`run`'s fused wake-to-wire hop: claim the channel,
+        release the inbound credit (which may cascade), reserve the
+        channel's release seq and then the arrival's, and account the
+        hop.
+        """
+        now = self.now
+        size = packet.size_flits
+        tail = now + size
+        free_seq = port.free_seq
+        armed = port.free_armed
+        # Claim the channel *before* releasing the inbound credit: the
+        # release can cascade through a blocked cycle back into this
+        # port, and a re-entrant _try_send seeing a stale-free channel
+        # would drive a second packet onto a single-channel wire.  The
+        # real release sequence number is reserved only *after* the
+        # cascade (where the eager implementation allocated its
+        # LINK_FREE event's); until then the placeholder keeps the
+        # channel unambiguously busy and un-armable.
+        port.free_at[chan] = tail
+        free_seq[chan] = _SEQ_PENDING
+        armed[chan] = True
+        traffic = self._node_traffic
+        traffic[port.u] -= 1
+        traffic[port.v] -= 1
+        if from_link is not None:
+            self._release_credit(from_link, packet.vc, packet.tclass)
+        seq = self._seq + 1
+        self._seq = seq
+        free_seq[chan] = seq
+        if self._eager:
+            self._push_reserved(tail, seq, _LINK_FREE, port, chan)
+        else:
+            armed[chan] = False
+            self._link_events_elided += 1
+        packet.hops += 1
+        nbytes = packet.payload_bytes
+        bits = self._bits_cache.get(nbytes)
+        if bits is None:
+            bits = self.config.packet_bits(nbytes)
+            self._bits_cache[nbytes] = bits
+        stats = self.stats
+        stats.bit_hops += bits
+        stats.flit_hops += size
+        v = port.v
+        self._pending_arrive[v] += 1
+        self._push(tail + port.lat, _ARRIVE, v, (packet, port, False))
+        probes = self._probes
+        if probes is not None:
+            probes.on_send(port, packet, now, tail)
 
     def _qos_try_send(self, port: _OutPort) -> None:
         """Class-aware arbitration (the QoS twin of :meth:`_try_send`).
 
-        The channel scan, retry/wake/stall arming, lazy sequence-number
-        reservation and transmit tail replicate :meth:`_try_send`
-        exactly; only the *selection* differs.  Selection is strict
+        The channel scan and retry/wake/stall arming replicate
+        :meth:`_try_send` exactly, and the transmit tail is the shared
+        :meth:`_transmit`; only the *selection* differs.  Selection is strict
         priority across bands — a band is consulted only when every
         higher band has no head-ready packet with an available credit —
         and deficit-weighted round-robin within a band: the rotation
@@ -1084,13 +1154,6 @@ class NetworkSimulator:
         weights = self._qos_weights
         quantum = self._qos_quantum
         probes = self._probes
-        heap = self._heap
-        heappush = heapq.heappush
-        eager = self._eager
-        traffic = self._node_traffic
-        pending_arrive = self._pending_arrive
-        bits_cache = self._bits_cache
-        stats = self.stats
         while True:
             if not port.count:
                 return
@@ -1125,7 +1188,7 @@ class NetworkSimulator:
                 if not armed[best]:
                     armed[best] = True
                     self._link_events_elided -= 1
-                    heappush(heap, (bfa, bfs, _LINK_FREE, port, best))
+                    self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
                 return
             chosen_cls = -1
             chosen_vc = -1
@@ -1193,7 +1256,7 @@ class NetworkSimulator:
                     if best >= 0 and not armed[best]:
                         armed[best] = True
                         self._link_events_elided -= 1
-                        heappush(heap, (bfa, bfs, _LINK_FREE, port, best))
+                        self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
                 if credit_blocked and not port.stall_armed:
                     port.stall_armed = True
                     self._push(
@@ -1227,40 +1290,7 @@ class NetworkSimulator:
                 members = bands[band_idx]
                 pos = band_pos[band_idx] + 1
                 band_pos[band_idx] = 0 if pos >= len(members) else pos
-            tail = now + packet.size_flits
-            # Claim before the inbound-credit release cascade — see the
-            # _SEQ_PENDING commentary in _try_send.
-            free_at[chan] = tail
-            free_seq[chan] = _SEQ_PENDING
-            armed[chan] = True
-            traffic[port.u] -= 1
-            traffic[port.v] -= 1
-            if from_link is not None:
-                self._release_credit(from_link, packet.vc, packet.tclass)
-            seq = self._seq + 1
-            self._seq = seq
-            free_seq[chan] = seq
-            if eager:
-                heappush(heap, (tail, seq, _LINK_FREE, port, chan))
-            else:
-                armed[chan] = False
-                self._link_events_elided += 1
-            packet.hops += 1
-            bits = bits_cache.get(packet.payload_bytes)
-            if bits is None:
-                bits = self.config.packet_bits(packet.payload_bytes)
-                bits_cache[packet.payload_bytes] = bits
-            stats.bit_hops += bits
-            stats.flit_hops += packet.size_flits
-            v = port.v
-            pending_arrive[v] += 1
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(
-                heap, (tail + port.lat, seq, _ARRIVE, v, (packet, port, False))
-            )
-            if probes is not None:
-                probes.on_send(port, packet, now, tail)
+            self._transmit(port, chan, packet, from_link)
 
     def _recover_stall(self, port: _OutPort) -> None:
         """Escape-buffer deadlock recovery (see module docstring).
@@ -1352,64 +1382,99 @@ class NetworkSimulator:
     # -- main loop ---------------------------------------------------------------------
 
     def run(self, until: int | None = None) -> SimStats:
-        """Process events up to *until* cycles (or until the heap empties).
+        """Process events up to *until* cycles (or until the queue empties).
 
         Events scheduled past *until* stay queued; call :meth:`drain`
         (or ``run`` again) to let in-flight traffic finish after the
-        injection processes stop.
+        injection processes stop.  Exceeding ``max_events`` raises
+        before the next event is taken, so it too stays queued.
         """
-        heap = self._heap
+        cal = self._cal
+        times = self._times
         heappop = heapq.heappop
         process_arrival = self._process_arrival
         try_send = self._try_send
+        transmit = self._transmit
         max_events = self.max_events
         limit = math.inf if until is None else until
-        heappush = heapq.heappush
         processed = self._events_processed
         probes = self._probes
-        while heap:
-            entry = heappop(heap)
-            time = entry[0]
+        # The fused wake-to-wire hop stands in for the classless,
+        # unprobed, lazy _try_send only (the eager core stays the
+        # unfused reference).
+        fused = self._qos is None and probes is None and not self._eager
+        num_vcs = self._num_vcs
+        while times:
+            time = times[0]
             if time > limit:
-                # Overshot the horizon: put the event back (once per
-                # run call, vs. a peek-then-pop on every iteration).
-                heappush(heap, entry)
                 break
             self.now = time
-            self._cur_seq = entry[1]
-            processed += 1
-            # Kept current every event: schedule() callbacks may read it.
-            self._events_processed = processed
-            if processed > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events "
-                    "(livelock or runaway injection?)"
-                )
-            code = entry[2]
-            if probes is not None:
-                probes.on_event(code, time)
-            if code == _ARRIVE:
-                process_arrival(entry[3], entry[4])
-            elif code == _LINK_FREE:
-                port = entry[3]
-                port.free_armed[entry[4]] = False
-                try_send(port)
-            elif code == _WAKE:
-                port = entry[3]
-                port.wake_at = None
-                try_send(port)
-            elif code == _STALL:
-                self._recover_stall(entry[3])
-            else:  # _CALL
-                entry[3](time)
+            queue = cal[time]
+            popleft = queue.popleft
+            # Same-cycle pushes append to (or insert into) this deque
+            # while it drains; the cycle retires only once it is empty.
+            while queue:
+                if processed >= max_events:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_events} events "
+                        "(livelock or runaway injection?)"
+                    )
+                seq, code, a, b = popleft()
+                self._cur_seq = seq
+                processed += 1
+                # Kept current every event: schedule() callbacks may read it.
+                self._events_processed = processed
+                if probes is not None:
+                    probes.on_event(code, time)
+                if code == _ARRIVE:
+                    process_arrival(a, b)
+                elif code == _WAKE:
+                    a.wake_at = None
+                    if fused and a.count == 1 and a.channels == 1:
+                        # Fused hop: one queued packet, a free wire and
+                        # a credit make _try_send's arbitration trivial,
+                        # so send it from here, effect for effect and
+                        # seq for seq; any other case falls through.
+                        fa = a.free_at[0]
+                        if fa < time or (fa == time and a.free_seq[0] <= seq):
+                            queues = a.queues
+                            vc = 0
+                            vq = queues[0]
+                            while not vq:
+                                vc += 1
+                                vq = queues[vc]
+                            ready, packet, from_link = vq[0]
+                            credits = a.credits
+                            if ready <= time and credits[vc] > 0:
+                                vq.popleft()
+                                a.count = 0
+                                a.rr = vc + 1 if vc + 1 < num_vcs else 0
+                                credits[vc] -= 1
+                                transmit(a, 0, packet, from_link)
+                                continue
+                    try_send(a)
+                elif code == _CALL:
+                    a(time)
+                elif code == _LINK_FREE:
+                    a.free_armed[b] = False
+                    try_send(a)
+                else:  # _STALL
+                    self._recover_stall(a)
+            del cal[time]
+            heappop(times)
         if until is not None:
             self.now = max(self.now, until)
         return self.stats
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (0 = fully drained)."""
-        return len(self._heap)
+        """Events still queued (0 = fully drained), in O(1).
+
+        Every allocated sequence number is queued, processed, or an
+        elided LINK_FREE reservation, so the count is their difference
+        — no walk over the calendar's deques.
+        """
+        return self._seq - self._events_processed - self._link_events_elided
 
     @property
     def link_events_elided(self) -> int:
@@ -1417,7 +1482,7 @@ class NetworkSimulator:
 
         Zero in eager mode.  A retry that later materializes one of
         these events is subtracted back out, so the count is exactly
-        the heap traffic saved.
+        the queue traffic saved.
         """
         return self._link_events_elided
 

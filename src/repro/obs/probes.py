@@ -7,7 +7,7 @@ One probes instance composes the three observability pieces — a
 callback surface the simulator hot paths invoke behind their single
 ``is None`` tests:
 
-* ``on_event(code, now)`` — every processed heap event (the hottest
+* ``on_event(code, now)`` — every processed event (the hottest
   hook: an int increment, a ring append, and the timeseries boundary
   compare);
 * ``on_inject`` / ``on_arrive`` / ``on_enqueue`` / ``on_send`` /
@@ -131,7 +131,7 @@ class FabricProbes:
     # -- hot-path hooks (called by NetworkSimulator when installed) --------
 
     def on_event(self, code: int, now: int) -> None:
-        """Per processed heap event: count, ring, timeseries boundary."""
+        """Per processed event: count, ring, timeseries boundary."""
         self.event_counts[code] += 1
         tracer = self.tracer
         if tracer is not None:
@@ -416,7 +416,7 @@ class FabricProbes:
             self.recorder.flush(now)
 
     def events_processed(self) -> int:
-        """Total heap events seen while installed."""
+        """Total events seen while installed."""
         return sum(self.event_counts)
 
     def summary(self) -> dict:

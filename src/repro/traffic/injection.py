@@ -82,41 +82,52 @@ class BernoulliInjector:
         config: NetworkConfig = sim.config
         self._size_flits = config.packet_flits(payload_bytes)
         self._stop = warmup + measure + cooldown
+        #: log(1 - rate), hoisted out of the per-packet gap draw (None
+        #: at rate 1, where every cycle injects).
+        self._log_idle = math.log(1.0 - rate) if rate < 1.0 else None
 
     def _gap(self, rng) -> int:
         """Geometric inter-arrival gap matching the Bernoulli process."""
         u = rng.random()
-        if self.rate >= 1.0:
+        if self._log_idle is None:
             return 1
-        return max(1, math.ceil(math.log(1.0 - u) / math.log(1.0 - self.rate)))
+        return max(1, math.ceil(math.log(1.0 - u) / self._log_idle))
 
     def start(self) -> None:
         """Schedule every source's injection process."""
         for node in self.sources:
-            rng = derive_rng(self.seed, "inject", node)
-            self._schedule_next(node, rng, 0)
+            self._start_source(node, derive_rng(self.seed, "inject", node))
 
-    def _schedule_next(self, node: int, rng, now: int) -> None:
-        t = now + self._gap(rng)
-        if t >= self._stop:
-            return
+    def _start_source(self, node: int, rng) -> None:
+        """Run *node*'s injection process: one callback, built once,
+        that fires a slot and reschedules itself until the stop cycle."""
+        sim = self.sim
+        stop = self._stop
+        gap = self._gap
+        fire = self._fire
 
-        def fire(current_time: int, node=node, rng=rng) -> None:
-            dst = self.pattern.destination(node, rng)
-            measured = self.warmup <= current_time < self.warmup + self.measure
-            packet = Packet(
-                src=node,
-                dst=dst,
-                size_flits=self._size_flits,
-                payload_bytes=self.payload_bytes,
-                kind=PacketKind.DATA,
-                tclass=self.tclass,
-                measured=measured,
-            )
-            self.sim.send(packet, current_time)
-            self._schedule_next(node, rng, current_time)
+        def tick(now: int) -> None:
+            fire(node, rng, now)
+            t = now + gap(rng)
+            if t < stop:
+                sim.schedule(t, tick)
 
-        self.sim.schedule(t, fire)
+        t = gap(rng)
+        if t < stop:
+            sim.schedule(t, tick)
+
+    def _fire(self, node: int, rng, now: int) -> None:
+        """One injection slot of *node* at cycle *now*: send a packet."""
+        packet = Packet(
+            src=node,
+            dst=self.pattern.destination(node, rng),
+            size_flits=self._size_flits,
+            payload_bytes=self.payload_bytes,
+            kind=PacketKind.DATA,
+            tclass=self.tclass,
+            measured=self.warmup <= now < self.warmup + self.measure,
+        )
+        self.sim.send(packet, now)
 
 
 def run_synthetic(

@@ -45,6 +45,7 @@ from repro.network.elastic import (
     WindowedLatencyProbe,
     disturbance_metrics,
 )
+from repro.network.packet import Packet, PacketKind
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import SimStats
@@ -163,34 +164,23 @@ class ChurnInjector(BernoulliInjector):
             self.redraws += 1
         return None
 
-    def _schedule_next(self, node: int, rng, now: int) -> None:
-        t = now + self._gap(rng)
-        if t >= self._stop:
+    def _fire(self, node: int, rng, now: int) -> None:
+        if not self._usable_source(node):
+            self.skipped_sources += 1
             return
-
-        def fire(current_time: int, node=node, rng=rng) -> None:
-            if self._usable_source(node):
-                dst = self._draw_destination(node, rng)
-                if dst is not None:
-                    from repro.network.packet import Packet, PacketKind
-
-                    measured = self.warmup <= current_time < self.warmup + self.measure
-                    self.sim.send(
-                        Packet(
-                            src=node,
-                            dst=dst,
-                            size_flits=self._size_flits,
-                            payload_bytes=self.payload_bytes,
-                            kind=PacketKind.DATA,
-                            measured=measured,
-                        ),
-                        current_time,
-                    )
-            else:
-                self.skipped_sources += 1
-            self._schedule_next(node, rng, current_time)
-
-        self.sim.schedule(t, fire)
+        dst = self._draw_destination(node, rng)
+        if dst is not None:
+            self.sim.send(
+                Packet(
+                    src=node,
+                    dst=dst,
+                    size_flits=self._size_flits,
+                    payload_bytes=self.payload_bytes,
+                    kind=PacketKind.DATA,
+                    measured=self.warmup <= now < self.warmup + self.measure,
+                ),
+                now,
+            )
 
 
 class _ScheduleDriver:

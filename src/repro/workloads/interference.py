@@ -85,32 +85,21 @@ class BurstyInjector(BernoulliInjector):
         self.on_cycles = max(1, int(period * duty))
         self.hotspots = list(hotspots)
 
-    def _schedule_next(self, node: int, rng, now: int) -> None:
-        t = now + self._gap(rng)
-        if t >= self._stop:
-            return
-
-        def fire(current_time: int, node=node, rng=rng) -> None:
-            if current_time % self.period < self.on_cycles:
-                choices = [h for h in self.hotspots if h != node]
-                if choices:
-                    dst = choices[rng.randrange(len(choices))]
-                    measured = (
-                        self.warmup <= current_time < self.warmup + self.measure
-                    )
-                    packet = Packet(
-                        src=node,
-                        dst=dst,
-                        size_flits=self._size_flits,
-                        payload_bytes=self.payload_bytes,
-                        kind=PacketKind.DATA,
-                        tclass=self.tclass,
-                        measured=measured,
-                    )
-                    self.sim.send(packet, current_time)
-            self._schedule_next(node, rng, current_time)
-
-        self.sim.schedule(t, fire)
+    def _fire(self, node: int, rng, now: int) -> None:
+        if now % self.period < self.on_cycles:
+            choices = [h for h in self.hotspots if h != node]
+            if choices:
+                dst = choices[rng.randrange(len(choices))]
+                packet = Packet(
+                    src=node,
+                    dst=dst,
+                    size_flits=self._size_flits,
+                    payload_bytes=self.payload_bytes,
+                    kind=PacketKind.DATA,
+                    tclass=self.tclass,
+                    measured=self.warmup <= now < self.warmup + self.measure,
+                )
+                self.sim.send(packet, now)
 
 
 class IncastScheduler:

@@ -239,7 +239,7 @@ class TestWireOccupancyInvariant:
         makes the invariant unconditional; this instruments every send
         under the deadlock-recovery stress configuration to prove it.
         Runs the eager core so every in-flight transmission has a
-        LINK_FREE heap entry to count (the lazy core elides them).
+        LINK_FREE queue entry to count (the lazy core elides them).
         """
         from repro.network.config import NetworkConfig
         from repro.network.simulator import _LINK_FREE
@@ -262,7 +262,7 @@ class TestWireOccupancyInvariant:
         def checked(port):
             original(port)
             on_wire = sum(
-                1 for entry in sim._heap
+                1 for entry in sim._queued_events()
                 if entry[2] == _LINK_FREE and entry[3] is port
             )
             if on_wire > max(port.channels, port.saved_channels or 0):

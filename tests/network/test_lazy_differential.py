@@ -1,6 +1,6 @@
 """Lazy vs eager link-event cores must be observationally identical.
 
-The lazy core (the default) elides LINK_FREE heap events on
+The lazy core (the default) elides LINK_FREE events on
 uncongested channels, reserving their sequence numbers so every send,
 retry and wake lands at the same ``(time, seq)`` point the eager core
 would process it at.  These tests run both cores over the full golden
