@@ -39,8 +39,8 @@ link state; and per-node counter arrays (packets destined to a node,
 arrival events targeting it, packets queued on its incident links)
 make :meth:`inflight_to` and :meth:`node_quiescent` cheap instead of
 scanning the event queue — the scans the live-reconfiguration drain
-loop used to pay on every poll.  ``_node_quiescent_scan`` keeps a
-scanning implementation as the reference for the differential test.
+loop used to pay on every poll.  The scanning implementation survives
+as the reference in the fast-path differential test.
 
 Lazy link bookkeeping: each channel records when it frees as a
 ``(free_at, free_seq)`` pair instead of scheduling a LINK_FREE event
@@ -56,15 +56,20 @@ retry.  On uncongested links the event is elided entirely, cutting
 queue traffic per hop by a third; ``eager_link_events=True`` restores
 the always-push behaviour for differential testing.
 
+One send loop: :meth:`_try_send` does the channel scan and arms every
+retry, wake and stall for classless and class-aware ports alike; an
+installed QoS table changes only which queue it selects and how that
+queue's credit is charged.
+
 Fused wake-to-wire hop: most ``WAKE`` events of a classless run (92%
 of them in an SF-1296 uniform-random episode, 83% in the elastic
 migration one) find a single-channel port holding exactly one
 head-ready packet, a free wire and a credit.  On the classless,
 unprobed, lazy path :meth:`run` dequeues that packet
 straight from the dispatch and hands it to :meth:`_transmit` — the one
-transmit tail, shared with :meth:`_try_send` and
-:meth:`_qos_try_send` — instead of paying the full arbitration
-prologue; every other case falls through to :meth:`_try_send`.
+transmit tail, shared with :meth:`_try_send` — instead of paying the
+full arbitration prologue; every other case falls through to
+:meth:`_try_send`.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ import bisect
 import heapq
 import math
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.core.virtual_channels import partition_credits
 from repro.network.config import NetworkConfig
@@ -445,10 +450,11 @@ class NetworkSimulator:
         derived from the full pools): every existing port — and every
         port created later — gets its output queues re-laid-out per
         class, its credits split into per-class reservations plus a
-        shared borrow pool, and its arbitration switched to
-        strict-priority across bands with deficit-weighted round-robin
-        within a band (:meth:`_qos_try_send`).  Routing policies are
-        re-attached so adaptive scoring sees class-aware port loads.
+        shared borrow pool, and its selection in the send loop
+        (:meth:`_try_send`) switched to strict priority across bands
+        with deficit-weighted round-robin within a band.  Routing
+        policies are re-attached so adaptive scoring sees class-aware
+        port loads.
         Without this call the simulator takes the classless fast path,
         bit-identical to builds without QoS.
         """
@@ -696,31 +702,8 @@ class NetworkSimulator:
             or self._pending_arrive[node]
         ):
             return False
-        now = self.now
-        cur_seq = self._cur_seq
         for port in self._node_ports[node]:
-            free_seq = port.free_seq
-            for c, fa in enumerate(port.free_at):
-                if fa > now or (fa == now and free_seq[c] > cur_seq):
-                    return False
-        return True
-
-    def _node_quiescent_scan(self, node: int) -> bool:
-        """Reference implementation of :meth:`node_quiescent`.
-
-        Scans every port and the whole event queue (the pre-fast-path
-        behaviour).  Kept for the counter-vs-scan differential test;
-        never called on the hot path.
-        """
-        if self._dst_inflight[node]:
-            return False
-        for port in self._ports.values():
-            if port.u != node and port.v != node:
-                continue
-            if port.count or self._busy_channels(port):
-                return False
-        for _time, _seq, code, a, _b in self._queued_events():
-            if code == _ARRIVE and a == node:
+            if self._busy_channels(port):
                 return False
         return True
 
@@ -919,7 +902,7 @@ class NetworkSimulator:
                 port.credits[vc] += 1
                 # Repay the releasing class's reservation first (up to
                 # its ceiling), overflow to the shared borrow pool —
-                # the inverse of the consume rule in _qos_try_send.
+                # the inverse of _try_send's class-aware consume rule.
                 cls_credits = port.cls_credits
                 if cls_credits[flat] < port.cls_cap[flat]:
                     cls_credits[flat] += 1
@@ -929,15 +912,38 @@ class NetworkSimulator:
             self._try_send(port)
 
     def _try_send(self, port: _OutPort) -> None:
+        """The one send loop: move *port*'s head-ready packets onto its wire.
+
+        Each pass finds a free channel, selects a head-ready packet
+        whose credit is available, charges the credit and hands the
+        packet to :meth:`_transmit`.  When nothing can go, it arms
+        exactly the events that make progress: a reserved-seq
+        LINK_FREE retry when every channel is busy, a WAKE at the
+        earliest head-ready cycle (plus the earliest busy channel that
+        frees by then), and a STALL timer when a ready packet lacks a
+        credit.
+
+        Only selection and credit consumption depend on an installed
+        QoS class table.  Classless, VCs rotate round-robin
+        (``port.rr``) and a packet spends its VC's credit.  Class-aware,
+        selection is strict priority across bands — a band is consulted
+        only when every higher band has no head-ready packet with an
+        available credit — and deficit-weighted round-robin within a
+        band: the rotation (``port.band_pos``) parks on a class while
+        its deficit counter lasts (refilled with ``weight x
+        drr_quantum`` flits when the rotation reaches it) and advances
+        when the deficit is spent or the class has nothing sendable.
+        Within a class, VCs rotate round-robin (``port.cls_rr``).  A
+        class can send when its own credit reservation *or* the shared
+        borrow pool has a credit — the work-conserving half of the
+        partition — and pays from its reservation first.
+        """
         # Hot path: iterative (the tail call used to recurse once per
         # transmission), with everything loop-invariant hoisted.  The
         # hoisted lists are mutated in place everywhere, so re-entrant
         # cascades stay visible through them.  The cheap guards run
         # before the prologue: roughly half the calls (credit releases
         # into empty ports, retries on frozen links) do no work at all.
-        if self._qos is not None:
-            self._qos_try_send(port)
-            return
         if not port.count or not port.channels:
             return
         now = self.now
@@ -947,9 +953,20 @@ class NetworkSimulator:
         armed = port.free_armed
         queues = port.queues
         credits = port.credits
-        num_vcs = len(queues)
+        num_vcs = len(credits)
         probes = self._probes
         transmit = self._transmit
+        classless = self._qos is None
+        if not classless:
+            cls_credits = port.cls_credits
+            shared = port.shared_credits
+            cls_rr = port.cls_rr
+            deficit = port.deficit
+            band_pos = port.band_pos
+            bands = self._qos_bands
+            band_of = self._qos_band_of
+            quantum = self._qos_quantum
+            weights = self._qos_weights
         while True:
             if not port.count:
                 return  # nothing queued on any VC: skip every scan
@@ -993,27 +1010,72 @@ class NetworkSimulator:
                     self._link_events_elided -= 1
                     self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
                 return
-            rr = port.rr
+            # Selection: ``chosen_vc`` and the queue index ``flat``
+            # (``tclass * num_vcs + vc`` under a class table).
             chosen_vc = -1
             min_ready = None
             credit_blocked = False
-            for i in range(num_vcs):
-                vc = rr + i
-                if vc >= num_vcs:
-                    vc -= num_vcs
-                queue = queues[vc]
-                if not queue:
-                    continue
-                ready = queue[0][0]
-                if ready > now:
-                    if min_ready is None or ready < min_ready:
-                        min_ready = ready
-                    continue
-                if credits[vc] <= 0:
-                    credit_blocked = True
-                    continue  # retried on credit release
-                chosen_vc = vc
-                break
+            if classless:
+                rr = port.rr
+                for i in range(num_vcs):
+                    vc = rr + i
+                    if vc >= num_vcs:
+                        vc -= num_vcs
+                    queue = queues[vc]
+                    if not queue:
+                        continue
+                    ready = queue[0][0]
+                    if ready > now:
+                        if min_ready is None or ready < min_ready:
+                            min_ready = ready
+                        continue
+                    if credits[vc] <= 0:
+                        credit_blocked = True
+                        continue  # retried on credit release
+                    chosen_vc = flat = vc
+                    break
+            else:
+                for band_idx, members in enumerate(bands):
+                    m = len(members)
+                    pos = band_pos[band_idx]
+                    for _step in range(m):
+                        cls = members[pos]
+                        rr = cls_rr[cls]
+                        base = cls * num_vcs
+                        for i in range(num_vcs):
+                            vc = rr + i
+                            if vc >= num_vcs:
+                                vc -= num_vcs
+                            queue = queues[base + vc]
+                            if not queue:
+                                continue
+                            ready = queue[0][0]
+                            if ready > now:
+                                if min_ready is None or ready < min_ready:
+                                    min_ready = ready
+                                continue
+                            if cls_credits[base + vc] <= 0 and shared[vc] <= 0:
+                                credit_blocked = True
+                                continue  # retried on credit release
+                            chosen_vc = vc
+                            break
+                        if chosen_vc >= 0:
+                            if deficit[cls] <= 0:
+                                deficit[cls] += quantum * weights[cls]
+                            chosen_cls = cls
+                            flat = base + chosen_vc
+                            band_pos[band_idx] = pos
+                            break
+                        # Nothing sendable for this class right now:
+                        # drop its leftover deficit (standard DRR — an
+                        # idle or blocked class must not hoard service)
+                        # and rotate.
+                        deficit[cls] = 0
+                        pos += 1
+                        if pos >= m:
+                            pos = 0
+                    if chosen_vc >= 0:
+                        break
             if chosen_vc < 0:
                 if min_ready is not None:
                     if port.wake_at is None or port.wake_at > min_ready:
@@ -1054,20 +1116,37 @@ class NetworkSimulator:
                     if probes is not None:
                         probes.on_credit_stall(port, now)
                 return
-            _ready, packet, from_link = queues[chosen_vc].popleft()
+            _ready, packet, from_link = queues[flat].popleft()
+            port.count -= 1
+            # The aggregate per-VC counter always moves (the stall and
+            # escape machinery reasons about it).
+            credits[chosen_vc] -= 1
+            next_vc = chosen_vc + 1 if chosen_vc + 1 < num_vcs else 0
+            if classless:
+                port.rr = next_vc
+            else:
+                port.cls_count[chosen_cls] -= 1
+                cls_rr[chosen_cls] = next_vc
+                if cls_credits[flat] > 0:
+                    cls_credits[flat] -= 1
+                else:
+                    shared[chosen_vc] -= 1
+                deficit[chosen_cls] -= packet.size_flits
+                if deficit[chosen_cls] <= 0:
+                    # Quantum spent: rotate this band past the class.
+                    band_idx = band_of[chosen_cls]
+                    pos = band_pos[band_idx] + 1
+                    band_pos[band_idx] = 0 if pos >= len(bands[band_idx]) else pos
             if probes is not None:
                 probes.on_dequeue(port, packet, _ready, now)
-            port.count -= 1
-            port.rr = chosen_vc + 1 if chosen_vc + 1 < num_vcs else 0
-            credits[chosen_vc] -= 1
             transmit(port, chan, packet, from_link)
 
     def _transmit(self, port: _OutPort, chan: int, packet: Packet,
                   from_link) -> None:
         """Put the dequeued *packet* on channel *chan* of *port*.
 
-        The one transmit tail of :meth:`_try_send`, :meth:`_qos_try_send`
-        and :meth:`run`'s fused wake-to-wire hop: claim the channel,
+        The one transmit tail of the send loop (:meth:`_try_send`) and
+        :meth:`run`'s fused wake-to-wire hop: claim the channel,
         release the inbound credit (which may cascade), reserve the
         channel's release seq and then the arrival's, and account the
         hop.
@@ -1116,181 +1195,6 @@ class NetworkSimulator:
         probes = self._probes
         if probes is not None:
             probes.on_send(port, packet, now, tail)
-
-    def _qos_try_send(self, port: _OutPort) -> None:
-        """Class-aware arbitration (the QoS twin of :meth:`_try_send`).
-
-        The channel scan and retry/wake/stall arming replicate
-        :meth:`_try_send` exactly, and the transmit tail is the shared
-        :meth:`_transmit`; only the *selection* differs.  Selection is strict
-        priority across bands — a band is consulted only when every
-        higher band has no head-ready packet with an available credit —
-        and deficit-weighted round-robin within a band: the rotation
-        (``port.band_pos``) parks on a class while its deficit counter
-        lasts (refilled with ``weight x drr_quantum`` flits when the
-        rotation reaches it) and advances when the deficit is spent or
-        the class has nothing sendable.  Within a class, VCs rotate
-        round-robin (``port.cls_rr``).  A class can send when its own
-        credit reservation *or* the shared borrow pool has a credit —
-        the work-conserving half of the partition.
-        """
-        if not port.count or not port.channels:
-            return
-        now = self.now
-        cur_seq = self._cur_seq
-        free_at = port.free_at
-        free_seq = port.free_seq
-        armed = port.free_armed
-        queues = port.queues
-        credits = port.credits
-        cls_credits = port.cls_credits
-        shared = port.shared_credits
-        cls_rr = port.cls_rr
-        deficit = port.deficit
-        band_pos = port.band_pos
-        num_vcs = self._num_vcs
-        bands = self._qos_bands
-        band_of = self._qos_band_of
-        weights = self._qos_weights
-        quantum = self._qos_quantum
-        probes = self._probes
-        while True:
-            if not port.count:
-                return
-            channels = port.channels
-            if not channels:
-                return
-            if channels == 1:
-                fa = free_at[0]
-                if fa < now or (fa == now and free_seq[0] <= cur_seq):
-                    chan = 0
-                else:
-                    chan = -1
-            else:
-                chan = -1
-                for c in range(channels):
-                    fa = free_at[c]
-                    if fa < now or (fa == now and free_seq[c] <= cur_seq):
-                        chan = c
-                        break
-            if chan < 0:
-                # Every channel mid-transmission: arm one retry at the
-                # earliest release point (same as _try_send).
-                best = 0
-                bfa = free_at[0]
-                bfs = free_seq[0]
-                for c in range(1, channels):
-                    fa = free_at[c]
-                    if fa < bfa or (fa == bfa and free_seq[c] < bfs):
-                        best = c
-                        bfa = fa
-                        bfs = free_seq[c]
-                if not armed[best]:
-                    armed[best] = True
-                    self._link_events_elided -= 1
-                    self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
-                return
-            chosen_cls = -1
-            chosen_vc = -1
-            min_ready = None
-            credit_blocked = False
-            for band_idx, members in enumerate(bands):
-                m = len(members)
-                pos = band_pos[band_idx]
-                for _step in range(m):
-                    cls = members[pos]
-                    rr = cls_rr[cls]
-                    base = cls * num_vcs
-                    found_vc = -1
-                    for i in range(num_vcs):
-                        vc = rr + i
-                        if vc >= num_vcs:
-                            vc -= num_vcs
-                        queue = queues[base + vc]
-                        if not queue:
-                            continue
-                        ready = queue[0][0]
-                        if ready > now:
-                            if min_ready is None or ready < min_ready:
-                                min_ready = ready
-                            continue
-                        if cls_credits[base + vc] <= 0 and shared[vc] <= 0:
-                            credit_blocked = True
-                            continue  # retried on credit release
-                        found_vc = vc
-                        break
-                    if found_vc >= 0:
-                        if deficit[cls] <= 0:
-                            deficit[cls] += quantum * weights[cls]
-                        chosen_cls = cls
-                        chosen_vc = found_vc
-                        band_pos[band_idx] = pos
-                        break
-                    # Nothing sendable for this class right now: drop
-                    # its leftover deficit (standard DRR — an idle or
-                    # blocked class must not hoard service) and rotate.
-                    deficit[cls] = 0
-                    pos += 1
-                    if pos >= m:
-                        pos = 0
-                if chosen_cls >= 0:
-                    break
-            if chosen_cls < 0:
-                if min_ready is not None:
-                    if port.wake_at is None or port.wake_at > min_ready:
-                        port.wake_at = min_ready
-                        self._push(min_ready, _WAKE, port, None)
-                    best = -1
-                    bfa = bfs = 0
-                    for c in range(channels):
-                        fa = free_at[c]
-                        fs = free_seq[c]
-                        if (fa > now or (fa == now and fs > cur_seq)) and (
-                            fa <= min_ready
-                        ) and (
-                            best < 0 or fa < bfa or (fa == bfa and fs < bfs)
-                        ):
-                            best = c
-                            bfa = fa
-                            bfs = fs
-                    if best >= 0 and not armed[best]:
-                        armed[best] = True
-                        self._link_events_elided -= 1
-                        self._push_reserved(bfa, bfs, _LINK_FREE, port, best)
-                if credit_blocked and not port.stall_armed:
-                    port.stall_armed = True
-                    self._push(
-                        now + self.config.deadlock_timeout_cycles,
-                        _STALL, port, None,
-                    )
-                    if probes is not None:
-                        probes.on_credit_stall(port, now)
-                return
-            flat = chosen_cls * num_vcs + chosen_vc
-            _ready, packet, from_link = queues[flat].popleft()
-            if probes is not None:
-                probes.on_qos_dequeue(port, packet, _ready, now)
-            port.count -= 1
-            port.cls_count[chosen_cls] -= 1
-            cls_rr[chosen_cls] = (
-                chosen_vc + 1 if chosen_vc + 1 < num_vcs else 0
-            )
-            # Consume: the aggregate per-VC counter always moves (the
-            # stall/escape machinery reasons about it); the class pays
-            # from its reservation first, then borrows shared.
-            credits[chosen_vc] -= 1
-            if cls_credits[flat] > 0:
-                cls_credits[flat] -= 1
-            else:
-                shared[chosen_vc] -= 1
-            deficit[chosen_cls] -= packet.size_flits
-            if deficit[chosen_cls] <= 0:
-                # Quantum spent: rotate this band past the class.
-                band_idx = band_of[chosen_cls]
-                members = bands[band_idx]
-                pos = band_pos[band_idx] + 1
-                band_pos[band_idx] = 0 if pos >= len(members) else pos
-            self._transmit(port, chan, packet, from_link)
 
     def _recover_stall(self, port: _OutPort) -> None:
         """Escape-buffer deadlock recovery (see module docstring).
@@ -1518,12 +1422,3 @@ def zero_load_latency(
         + config.wire_cycles
     )
     return hops * per_hop
-
-
-def all_pairs_iter(nodes: Iterable[int]):
-    """Utility: ordered (src, dst) pairs with src != dst."""
-    nodes = list(nodes)
-    for a in nodes:
-        for b in nodes:
-            if a != b:
-                yield a, b

@@ -207,16 +207,13 @@ class LatencyAnatomy:
         counts = sketch.counts
         counts[occ] = counts.get(occ, 0) + 1
 
-    def qos_dequeue(self, port, packet, ready: int, now: int) -> None:
-        """Hook target for the QoS arbiter (``on_qos_dequeue``)."""
-        self.dequeue(port, packet, ready, now, True)
-
-    def dequeue(self, port, packet, ready: int, now: int,
-                qos: bool = False) -> None:
+    def dequeue(self, port, packet, ready: int, now: int) -> None:
         """Transmission start (fires once per hop, on the same event as
         ``on_send``): splits the head-ready wait, charges serialization
         (``tail == now + size_flits`` is deterministic here), and
-        records the wire's busy segment."""
+        records the wire's busy segment.  Wire time of another class
+        counts as ``arbitration`` only on a class-aware port (one with
+        per-class counts, which only ``install_qos`` sets)."""
         wire = port.obs_wire
         if wire is None or wire.owner is not self:
             wire = _WireState(self.hotspots.link(port.u, port.v), self)
@@ -251,6 +248,7 @@ class LatencyAnatomy:
                         lo = 0
                     cursor = ready
                     my_cls = st[_ST_CLS]
+                    qos = port.cls_count is not None
                     note_blocking = self.hotspots.note_blocking
                     for start, end, seg_cls in segs[lo:]:
                         if start >= now:
@@ -284,6 +282,10 @@ class LatencyAnatomy:
             drop = len(segs) // 2
             del segs[:drop]
             wire.base += drop
+
+    #: Former name of :meth:`dequeue`.  Nothing calls it; it stays only
+    #: because the benchmark ledger's span table still lists it.
+    qos_dequeue = dequeue
 
     def deliver(self, packet, now: int) -> list[int] | None:
         """Finalize one delivery; returns the component vector (or None

@@ -13,8 +13,8 @@ callback surface the simulator hot paths invoke behind their single
 * ``on_inject`` / ``on_arrive`` / ``on_enqueue`` / ``on_send`` /
   ``on_deliver`` / ``on_drop`` / ``on_credit_stall`` — packet
   lifecycle points;
-* ``on_queue_join`` / ``on_dequeue`` / ``on_qos_dequeue`` — the
-  queue-residency endpoints (and the QoS arbiter's pick), consumed by
+* ``on_queue_join`` / ``on_dequeue`` — the queue-residency endpoints
+  (the send loop's pick, classless or class-aware alike), consumed by
   the optional :class:`~repro.obs.anatomy.LatencyAnatomy` delay
   decomposition behind one more ``is None`` test.
 
@@ -115,18 +115,17 @@ class FabricProbes:
 
     @anatomy.setter
     def anatomy(self, value) -> None:
-        # The three queue hooks exist solely for the anatomy, so while
+        # The two queue hooks exist solely for the anatomy, so while
         # one is installed they bind straight to its methods (instance
         # attributes shadow the guarded class methods below) — one
         # Python call per hop instead of two on the hottest probe path.
         self._anatomy = value
         if value is None:
-            for name in ("on_queue_join", "on_dequeue", "on_qos_dequeue"):
+            for name in ("on_queue_join", "on_dequeue"):
                 self.__dict__.pop(name, None)
         else:
             self.on_queue_join = value.queue_join
-            self.on_dequeue = value.dequeue  # qos defaults False
-            self.on_qos_dequeue = value.qos_dequeue
+            self.on_dequeue = value.dequeue
 
     # -- hot-path hooks (called by NetworkSimulator when installed) --------
 
@@ -234,16 +233,14 @@ class FabricProbes:
             anatomy.queue_join(port, packet, ready, now)
 
     def on_dequeue(self, port, packet, ready: int, now: int) -> None:
-        """Classless arbitration picked *packet* off its output queue."""
+        """The send loop picked *packet* off its output queue."""
         anatomy = self._anatomy
         if anatomy is not None:
-            anatomy.dequeue(port, packet, ready, now, False)
+            anatomy.dequeue(port, packet, ready, now)
 
-    def on_qos_dequeue(self, port, packet, ready: int, now: int) -> None:
-        """The QoS arbiter picked *packet* (priority bands + DRR)."""
-        anatomy = self._anatomy
-        if anatomy is not None:
-            anatomy.dequeue(port, packet, ready, now, True)
+    #: Former name of :meth:`on_dequeue`.  Nothing calls it; it stays
+    #: only because the benchmark ledger's span table still lists it.
+    on_qos_dequeue = on_dequeue
 
     # -- wiring ------------------------------------------------------------
 

@@ -7,17 +7,28 @@ implementation across a topology x policy grid (greedy adaptive, greedy
 table, minimal, k-shortest-path, multi-channel links, deadlock
 recovery).
 
+A second, smaller grid pins the class-aware (QoS) arbitration path:
+``golden_qos.json`` digests interference runs under the default class
+table, plus one with two classes sharing a priority band — SimStats,
+each class's latency samples and, where the latency anatomy rides
+along, its per-class component totals.  It was recorded with the
+simulator as it stood before the QoS arbiter was folded into the one
+send loop.
+
 Regenerate (only when simulation *semantics* intentionally change)::
 
     PYTHONPATH=src python tests/network/golden_grid.py --write
+    PYTHONPATH=src python tests/network/golden_grid.py --write --qos
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 FIXTURE = Path(__file__).parent / "golden_simstats.json"
+QOS_FIXTURE = Path(__file__).parent / "golden_qos.json"
 
 WARMUP, MEASURE, DRAIN = 100, 300, 20_000
 
@@ -105,6 +116,110 @@ def stats_digest(stats) -> dict:
     }
 
 
+def assert_stats_match(digest: dict, expected: dict) -> None:
+    """Counters must match exactly, float accumulators to 1e-12."""
+    import pytest
+
+    assert set(digest) == set(expected)
+    for field, want in expected.items():
+        got = digest[field]
+        if isinstance(want, int):
+            assert got == want, f"{field}: {got} != {want}"
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), field
+
+
+QOS_WARMUP, QOS_MEASURE = 100, 400
+
+#: (design, nodes, interference mode, rate, config overrides, anatomy,
+#: shared band)
+QOS_GRID: list[tuple[str, int, str, float, dict, bool, bool]] = [
+    ("SF", 64, "noise", 0.3, {}, False, False),
+    # Small buffers, a short stall timer and emergency escalation:
+    # exercises the credit-stall arming and class-attributed loans.
+    ("DM", 36, "incast", 0.5,
+     {"buffer_packets": 2, "deadlock_timeout_cycles": 16,
+      "emergency_stall_threshold": 16}, False, False),
+    ("ODM", 36, "burst", 0.4, {}, False, False),  # multi-channel links
+    ("SF", 64, "incast", 0.5, {}, True, False),  # with the latency anatomy
+    # Latency and bulk in one priority band: the default table gives
+    # every class its own band, so only this point pins DRR weighting.
+    ("SF", 64, "noise", 0.3, {}, True, True),
+]
+
+
+def qos_key(design: str, nodes: int, mode: str, rate: float,
+            anatomy: bool, shared_band: bool) -> str:
+    suffix = ("/anatomy" if anatomy else "") + ("/shared_band" if shared_band else "")
+    return f"{design}/N{nodes}/{mode}/r{rate:g}{suffix}"
+
+
+def shared_band_table():
+    """The default classes with latency and bulk sharing band 0."""
+    from repro.network.qos import QoSConfig, TrafficClass
+
+    return QoSConfig(classes=(
+        TrafficClass(0, "latency", priority=0, weight=4, credit_share=0.5),
+        TrafficClass(1, "bulk", priority=0, weight=1, credit_share=0.25),
+        TrafficClass(2, "background", priority=1, weight=1, credit_share=0.0),
+    ))
+
+
+def run_qos_point(design: str, nodes: int, mode: str, rate: float,
+                  config_overrides: dict, anatomy: bool, shared_band: bool):
+    """One seed-fixed interference run under a class table (the default
+    one unless *shared_band*)."""
+    from repro.network.config import NetworkConfig
+    from repro.topologies.registry import make_topology
+    from repro.workloads.interference import run_interference
+
+    topo = make_topology(design, nodes, seed=0)
+    config = NetworkConfig(**config_overrides) if config_overrides else None
+    return run_interference(
+        topo, mode=mode, rate=rate, qos=True, config=config,
+        classes=shared_band_table() if shared_band else None,
+        warmup=QOS_WARMUP, measure=QOS_MEASURE, seed=0, anatomy=anatomy,
+    )
+
+
+def qos_digest(result) -> dict:
+    """SimStats, per-class latency samples and anatomy class totals.
+
+    Sample lists are pinned by count and a sha256 of their delivery
+    order, so any change in which packet a class arbiter picks shows.
+    """
+    samples = {
+        str(cls): {
+            "count": len(values),
+            "sha256": hashlib.sha256(json.dumps(values).encode()).hexdigest(),
+        }
+        for cls, values in sorted(result.samples.items())
+    }
+    anatomy = None
+    if result.anatomy is not None:
+        anatomy = {
+            str(row["class_id"]): row["components"]
+            for row in result.anatomy.class_breakdown().values()
+        }
+    return {
+        "stats": stats_digest(result.stats),
+        "class_samples": samples,
+        "anatomy_components": anatomy,
+    }
+
+
+def generate_qos() -> dict:
+    out = {}
+    for design, nodes, mode, rate, cfg, anatomy, shared_band in QOS_GRID:
+        key = qos_key(design, nodes, mode, rate, anatomy, shared_band)
+        result = run_qos_point(design, nodes, mode, rate, cfg, anatomy,
+                               shared_band)
+        out[key] = qos_digest(result)
+        print(f"{key}: delivered={result.stats.delivered} "
+              f"recoveries={result.stats.deadlock_recoveries}")
+    return out
+
+
 def generate() -> dict:
     out = {}
     for design, nodes, pattern, rate, seed, cfg in GRID:
@@ -121,5 +236,9 @@ if __name__ == "__main__":
 
     if "--write" not in sys.argv:
         sys.exit("refusing to overwrite fixture without --write")
-    FIXTURE.write_text(json.dumps(generate(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    target, build = (
+        (QOS_FIXTURE, generate_qos) if "--qos" in sys.argv
+        else (FIXTURE, generate)
+    )
+    target.write_text(json.dumps(build(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {target}")

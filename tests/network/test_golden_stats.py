@@ -18,7 +18,14 @@ import json
 
 import pytest
 
-from tests.network.golden_grid import FIXTURE, GRID, entry_key, run_point, stats_digest
+from tests.network.golden_grid import (
+    FIXTURE,
+    GRID,
+    assert_stats_match,
+    entry_key,
+    run_point,
+    stats_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +48,8 @@ def test_fixture_covers_grid(golden):
 )
 def test_simstats_match_golden(golden, design, nodes, pattern, rate, seed, cfg):
     stats = run_point(design, nodes, pattern, rate, seed, cfg)
-    digest = stats_digest(stats)
     expected = golden[entry_key(design, nodes, pattern, rate, seed)]
-    assert set(digest) == set(expected)
-    for field, want in expected.items():
-        got = digest[field]
-        if isinstance(want, int):
-            assert got == want, f"{field}: {got} != {want}"
-        else:
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), field
+    assert_stats_match(stats_digest(stats), expected)
 
 
 @pytest.mark.parametrize(

@@ -28,9 +28,29 @@ from repro.network.config import NetworkConfig
 from repro.network.elastic import LiveReconfigurator
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy
-from repro.network.simulator import NetworkSimulator
+from repro.network.simulator import _ARRIVE, NetworkSimulator
 from repro.traffic.patterns import make_pattern
 from repro.workloads.churn import ChurnInjector
+
+
+def _node_quiescent_scan(sim: NetworkSimulator, node: int) -> bool:
+    """Reference implementation of :meth:`NetworkSimulator.node_quiescent`.
+
+    Scans every port and the whole event queue (the pre-fast-path
+    behaviour).  Kept for the counter-vs-scan differential test;
+    never called on the hot path.
+    """
+    if sim._dst_inflight[node]:
+        return False
+    for port in sim._ports.values():
+        if port.u != node and port.v != node:
+            continue
+        if port.count or sim._busy_channels(port):
+            return False
+    for _time, _seq, code, a, _b in sim._queued_events():
+        if code == _ARRIVE and a == node:
+            return False
+    return True
 
 
 def _churn_stack(num_nodes=48, ports=4, seed=7, rate=0.15,
@@ -61,7 +81,7 @@ class TestNodeQuiescentDifferential:
         def probe(now: int) -> None:
             for node in range(topo.num_nodes):
                 fast = sim.node_quiescent(node)
-                scan = sim._node_quiescent_scan(node)
+                scan = _node_quiescent_scan(sim, node)
                 if fast != scan:
                     mismatches.append((now, node, fast, scan))
             if now < warmup + measure + 800:
