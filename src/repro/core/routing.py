@@ -36,6 +36,7 @@ networks).
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -158,6 +159,138 @@ class _NodeView:
         self.id_to_nbr_index = {node: i for i, node in enumerate(ids[:k])}
 
 
+class _DecisionColumns:
+    """Padded window arrays that decide every router's greedy hop
+    toward one destination at a time.
+
+    Row ``r`` holds router ``r``'s usable window in its view's order
+    (one-hop entries first), or only its one-hop entries when two-hop
+    routing is off.  Every row is at least one slot longer than the
+    longest window; padding slots, and the rows of inactive or
+    neighborless routers, read MD ``inf``, so they never win a minimum
+    or pass the progress test.  Built from the views alone, once per
+    routing ``version``.
+    """
+
+    def __init__(self, routing: GreediestRouting) -> None:
+        n = routing.topology.num_nodes
+        use_two_hop = routing.use_two_hop
+        views = [(r, v) for r, v in routing._views.items() if v.k]
+        k_max = max((v.k for _r, v in views), default=1)
+        width = 1 + max(
+            (len(v.window) if use_two_hop else v.k for _r, v in views),
+            default=0,
+        )
+        self.uni = routing._uni
+        #: (spaces, N): each space's coordinates contiguous.
+        self.coord_cols = np.ascontiguousarray(routing._coord_matrix.T)
+        #: MD of every node to the destination being decided; entry N
+        #: is what padding slots read, and stays inf.
+        self.md = np.full(n + 1, np.inf)
+        #: Window node ids, N in padding slots.
+        win_idx = self.win_idx = np.full((n, width), n, dtype=np.intp)
+        two_hop = np.zeros((n, width), dtype=bool)
+        # is_via[r, j, i]: one-hop slot i is a usable via of slot j.
+        is_via = np.zeros((n, width, k_max), dtype=bool)
+        k_of = np.zeros(n, dtype=np.intp)
+        for r, view in views:
+            k = k_of[r] = view.k
+            if use_two_hop:
+                m = len(view.window)
+                win_idx[r, :m] = view.win_ids
+                two_hop[r, :m] = view.win_hop == 2
+                is_via[r, :m, :k] = view.inf_mask.T == 0.0
+            else:
+                win_idx[r, :k] = view.nbr_ids
+                is_via[r, range(k), range(k)] = True
+        self.win_md = np.empty((n, width))
+        self.flat_idx = win_idx.ravel()
+        self.flat_md = self.win_md.ravel()
+        self.row_base = np.arange(0, n * width, width)
+        self.two_hop = two_hop.ravel()
+        # vias[v][r * width + j]: row position of the v-th usable via
+        # (ascending) of slot j; a slot with fewer vias repeats its
+        # first, which never wins the strict-less comparison against
+        # itself.
+        is_via = is_via.reshape(n * width, k_max)
+        count = is_via.sum(axis=1)
+        first = is_via.argmax(axis=1)
+        seen = is_via.cumsum(axis=1)
+        self.vias = tuple(
+            col.astype(np.int16)
+            for col in [first] + [
+                np.where(count > v, (seen == v + 1).argmax(axis=1), first)
+                for v in range(1, int(count.max(initial=0)))
+            ]
+        )
+        # CSR of the routers that have each node as a usable neighbor.
+        is_nbr = np.arange(k_max) < k_of[:, None]
+        owner = np.nonzero(is_nbr)[0]
+        nbr = win_idx[:, :k_max][is_nbr]
+        order = np.argsort(nbr, kind="stable")
+        self.direct_owner = owner[order]
+        self.direct_start = np.searchsorted(nbr[order], np.arange(n + 1))
+
+    def column(self, dst: int) -> array:
+        """Every router's greedy decision toward *dst*, as one buffer.
+
+        Entry ``r`` packs router ``r``'s ``(next, commit)`` as
+        ``next * (N + 1) + commit + 1`` (``commit + 1 == 0``: no
+        commit), or is ``-1`` when the scalar path must decide: no
+        strict-progress window target (the fallback ring walk), an
+        empty window, an inactive router, or ``r == dst``.  One MD
+        vector, column *dst* of the pairwise MD relation, feeds every
+        router at once.  Tie-breaking matches
+        :meth:`GreediestRouting._greedy_choice`: first-minimum
+        ``argmin`` over the same window row order, then the first
+        minimum over the target's vias in ascending order.  Direct
+        delivery to a usable neighbor wins over any window comparison.
+        """
+        # The operations of _md_array, over contiguous per-space rows
+        # (min is exact, so every value matches it bit for bit).
+        cols = self.coord_cols
+        dst_col = cols[:, dst, None]
+        if self.uni:
+            d = dst_col - cols
+            np.mod(d, 1.0, out=d)
+        else:
+            d = cols - dst_col
+            np.abs(d, out=d)
+            np.minimum(d, 1.0 - d, out=d)
+        n = cols.shape[1]
+        my_md = d.min(axis=0, out=self.md[:n])
+        # Every index is in range, so "clip" only lets take() write
+        # into the preallocated buffer without an intermediate copy.
+        win_md = np.take(self.md, self.win_idx, out=self.win_md, mode="clip")
+        target = win_md.argmin(axis=1)
+        row_base = self.row_base
+        target += row_base
+        flat_md = self.flat_md
+        vias = self.vias
+        via = vias[0][target] + row_base
+        via_md = flat_md[via]
+        for more in vias[1:]:
+            alt = more[target] + row_base
+            alt_md = flat_md[alt]
+            np.copyto(via, alt, where=alt_md < via_md)
+            np.minimum(via_md, alt_md, out=via_md)
+        flat_idx = self.flat_idx
+        stride = n + 1
+        packed = flat_idx[via]
+        packed *= stride
+        # A two-hop target reached through a non-progressing via
+        # commits: add the target id + 1.
+        commit = flat_idx[target]
+        commit += 1
+        commit *= self.two_hop[target]
+        commit *= via_md >= my_md
+        packed += commit
+        np.copyto(packed, -1, where=flat_md[target] >= my_md)
+        start = self.direct_start
+        packed[self.direct_owner[start[dst] : start[dst + 1]]] = dst * stride
+        return array("i", packed.astype(np.int32).tobytes())
+
+
 class GreediestRouting:
     """Greediest routing over a String Figure (or S2) topology.
 
@@ -173,12 +306,15 @@ class GreediestRouting:
 
     num_vcs = 2
 
-    #: Per-router decision tables materialize only below this node
-    #: count: the shared pairwise MD matrix is O(N^2) floats (a 10k-node
-    #: network would need ~800 MB), and a cold sweep touches too few
-    #: (router, dst) pairs per router to amortize an (m, N) kernel pass
-    #: at that scale.  Above the gate every lookup takes the scalar
-    #: path, which stays bit-identical by construction.
+    #: Decision columns materialize only up to this node count.  Each
+    #: touched destination holds one 4-byte entry per router, 4 * N
+    #: bytes (16 KiB per destination and at most 64 MiB in all at 4096
+    #: nodes), beside padded window arrays of 17 + 2 * vias bytes per
+    #: window slot (~2 MB at N=1296) shared by every column.  A column also costs one pass over
+    #: every router's window, which a cold sweep of a much larger
+    #: network reads too few times per destination to amortize.  Above
+    #: the gate every lookup takes the scalar path, which stays
+    #: bit-identical by construction.
     kernel_max_nodes = 4096
 
     def __init__(
@@ -199,15 +335,14 @@ class GreediestRouting:
             [topology.coords.vector(v) for v in range(topology.num_nodes)],
             dtype=np.float64,
         )
-        #: Pairwise MD matrix shared by every router's decision table;
-        #: a pure function of node coordinates, so it survives table
-        #: rebuilds (reconfiguration flips table bits, never coords).
-        self._md_matrix: np.ndarray | None = None
-        #: node -> (next, commit, valid) lists, or False when the
-        #: kernel is disabled for that router (empty window / size
-        #: gate).  Dropped whenever ``version`` moves.
-        self._kernel_tables: dict[int, tuple | bool] = {}
+        #: dst -> packed decision of every router (see
+        #: :meth:`_DecisionColumns.column`), and the padded window
+        #: arrays the columns are computed from.  Both dropped whenever
+        #: ``version`` moves.
+        self._columns: dict[int, array] = {}
+        self._kernel_state: _DecisionColumns | None = None
         self._kernel_version = -1
+        self._kernel_stride = topology.num_nodes + 1
         self.rebuild()
 
     # -- table management -----------------------------------------------------
@@ -307,99 +442,36 @@ class GreediestRouting:
             np.minimum(d, wrap, out=d)
         return d.min(axis=1, out=view.md_out)
 
-    # -- per-router decision-table kernels -------------------------------------
-
-    def _full_md_matrix(self) -> np.ndarray:
-        """``M[a, b]`` = MD from node *a* to node *b*, built once.
-
-        Elementwise operations match :meth:`_md_array` exactly
-        (subtract, mod / abs + wrap-minimum, min over spaces), so every
-        entry is bit-identical to the scalar per-pair computation.
-        """
-        m = self._md_matrix
-        if m is None:
-            coords = self._coord_matrix
-            if self._uni:
-                d = (coords[None, :, :] - coords[:, None, :]) % 1.0
-            else:
-                d = np.abs(coords[:, None, :] - coords[None, :, :])
-                np.minimum(d, 1.0 - d, out=d)
-            m = np.ascontiguousarray(d.min(axis=2))
-            self._md_matrix = m
-        return m
-
-    def _build_decision_table(self, current: int) -> tuple | bool:
-        """All-destination greedy decisions of one router, vectorized.
-
-        Returns ``(next, commit, valid)`` plain lists indexed by
-        destination id (``commit`` uses ``-1`` for "no commit"), or
-        ``False`` when the kernel does not apply to this router.  A
-        destination with ``valid[dst] == False`` (no strict-progress
-        window target: the fallback ring walk) must take the scalar
-        path.  Tie-breaking matches :meth:`_greedy_choice` operation
-        for operation: first-minimum ``argmin`` over the same window
-        row order, and the ``+ inf_mask`` masked via argmin over the
-        same ascending neighbor order.
-        """
-        view = self._views.get(current)
-        if view is None or view.k == 0:
-            return False
-        n = self.topology.num_nodes
-        if n > self.kernel_max_nodes:
-            return False
-        md = self._full_md_matrix()
-        my_md = md[current]
-        nbr_md = md[view.nbr_ids]
-        every = np.arange(n)
-        if self.use_two_hop:
-            win_md = md[view.win_ids]
-            target = win_md.argmin(axis=0)
-            valid = win_md[target, every] < my_md
-            via = (nbr_md + view.inf_mask[:, target]).argmin(axis=0)
-            nxt = view.nbr_ids[via]
-            commit = np.where(
-                (view.win_hop[target] == 2) & (nbr_md[via, every] >= my_md),
-                view.win_ids[target],
-                -1,
-            )
-        else:
-            best = nbr_md.argmin(axis=0)
-            valid = nbr_md[best, every] < my_md
-            nxt = view.nbr_ids[best]
-            commit = np.full(n, -1, dtype=np.int64)
-        # Direct delivery always wins, before any window comparison.
-        for b in view.nbr_ids:
-            nxt[b] = b
-            commit[b] = -1
-            valid[b] = True
-        valid[current] = False
-        return (nxt.tolist(), commit.tolist(), valid.tolist())
+    # -- destination-major decision columns ------------------------------------
 
     def kernel_next_hop(
         self, current: int, dst: int
     ) -> tuple[int, int | None] | None:
-        """Plain-greedy ``(next, commit)`` from the router's decision
-        table, or ``None`` when the scalar path must run (kernel gated
-        off, or *dst* needs the fallback walk).
+        """Plain-greedy ``(next, commit)`` from *dst*'s decision column,
+        or ``None`` when the scalar path must run (kernel gated off, or
+        *dst* needs the fallback walk from *current*).
 
-        Tables are dropped whenever ``version`` moves, so reconfig and
+        Columns are dropped whenever ``version`` moves, so reconfig and
         fault-repair rebuilds invalidate them exactly like the policy
         decision caches.
         """
         if self._kernel_version != self.version:
-            self._kernel_tables.clear()
+            self._columns.clear()
+            self._kernel_state = None
             self._kernel_version = self.version
-        table = self._kernel_tables.get(current)
-        if table is None:
-            table = self._build_decision_table(current)
-            self._kernel_tables[current] = table
-        if table is False:
+        column = self._columns.get(dst)
+        if column is None:
+            if self.topology.num_nodes > self.kernel_max_nodes:
+                return None
+            state = self._kernel_state
+            if state is None:
+                state = self._kernel_state = _DecisionColumns(self)
+            column = self._columns[dst] = state.column(dst)
+        entry = column[current]
+        if entry < 0:
             return None
-        nxt, commit, valid = table
-        if not valid[dst]:
-            return None
-        c = commit[dst]
-        return nxt[dst], (c if c >= 0 else None)
+        nxt, commit = divmod(entry, self._kernel_stride)
+        return nxt, (commit - 1 if commit else None)
 
     # -- forwarding ----------------------------------------------------------------
 

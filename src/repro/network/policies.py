@@ -221,9 +221,9 @@ class GreedyPolicy(RoutingPolicy):
                 return nxt
         hit = self._cache.get(key)
         if hit is None:
-            # Cold pair: consult the router's vectorized decision table
-            # (one kernel pass covers every destination) and memoize;
-            # only fallback-walk destinations drop to the scalar path.
+            # Cold pair: consult dst's decision column (one vectorized
+            # pass decides every router's hop toward dst) and memoize;
+            # only fallback-walk pairs drop to the scalar path.
             hit = routing.kernel_next_hop(current, dst)
             if hit is not None:
                 self._cache[key] = hit
