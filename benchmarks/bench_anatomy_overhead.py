@@ -143,7 +143,8 @@ def load_trajectory(path: Path) -> dict:
 
 def compare(previous: dict, current: dict) -> None:
     """Per-mode events/sec vs the previous recorded run, raw and
-    canary-normalized (same convention as bench_sim_throughput)."""
+    canary-normalized (the raw ratio scaled by old/new canary speed, so
+    a slower host does not read as a regression)."""
     old_canary = previous.get("canary_kops")
     new_canary = current.get("canary_kops")
     lines = []

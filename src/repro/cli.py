@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands cover the library's main entry points:
+Each subcommand covers one of the library's main entry points:
 
 * ``topology`` — build a named topology and print structural metrics
   (radix, path lengths, bisection bandwidth, routing state).
@@ -26,16 +26,19 @@ Four subcommands cover the library's main entry points:
   crashes) page recovery, swept over fault rate x detection timeout x
   topology (SF vs DM vs Jellyfish — the paper's resilience
   comparison) through the same parallel engine and cache.
-* ``perf`` — simulator-throughput measurement (events/sec, wall time)
-  over a designs x scales grid; the benchmark harness records these
-  points as the repo's tracked performance trajectory
-  (``benchmarks/results/sim_throughput.json``).
-* ``trace`` — one instrumented experiment point of any kind: installs
-  the observability probes (metrics registry, cycle-domain timeseries,
-  packet flight recorder) and emits artifacts — timeseries JSONL,
+* ``interference`` — multi-tenant QoS: the latency-critical class's
+  p99 against swept noise/burst/incast interference load, with the
+  class table installed or as the classless baseline, through the same
+  parallel engine and cache.
+* ``trace`` — one instrumented point of any traceable experiment kind:
+  installs the observability probes (metrics registry, cycle-domain
+  timeseries, packet flight recorder) and emits artifacts — timeseries JSONL,
   Chrome/Perfetto trace JSON, metrics snapshot + Prometheus text —
   then verifies that summed per-interval counter deltas reconcile
   exactly with the final totals (see ``docs/OBSERVABILITY.md``).
+* ``hotspots`` — one contended scenario under the latency anatomy:
+  per-component delay, the most contended links and routers, and the
+  class-on-class interference matrix (see ``docs/LATENCY.md``).
 * ``serve`` — the simulator as a long-running daemon: a resident
   fabric accepts concurrent client read/write streams over a
   newline-JSON TCP socket, with admission control, per-tenant p50/p99,
@@ -52,7 +55,51 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _add_sweep_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    ports: bool = True,
+    warmup: int | None = None,
+    measure: int | None = None,
+    drain_limit: int | None = None,
+) -> None:
+    """The grid, timing and execution flags every sweep subcommand takes.
+
+    ``None`` timing defaults leave the kind's own ``sim_params``
+    defaults in force.
+    """
+    parser.add_argument(
+        "--nodes", default="64", help="comma-separated node counts"
+    )
+    if ports:
+        parser.add_argument("--ports", type=int, default=None)
+    parser.add_argument("--seeds", default="0", help="comma-separated seeds")
+    parser.add_argument("--topology-seed", type=int, default=0)
+    parser.add_argument("--warmup", type=int, default=warmup)
+    parser.add_argument("--measure", type=int, default=measure)
+    parser.add_argument("--drain-limit", type=int, default=drain_limit)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="process count (0 = one per CPU; results identical)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None,
+        help="result cache directory (default: benchmarks/results/cache "
+             "when run from the repo, else ~/.cache/string-figure-repro)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="run every point even if cached, and store nothing",
+    )
+    parser.add_argument(
+        "--output", default=None, metavar="FILE",
+        help="also dump raw task payloads as JSON",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.kinds import KINDS, TASK_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="String Figure memory network (HPCA 2019) reproduction",
@@ -95,17 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec", default=None, metavar="FILE",
         help="JSON ExperimentSpec file (grid flags below are ignored)",
     )
-    sweep.add_argument(
-        "--kind", default="synthetic",
-        choices=("synthetic", "saturation", "workload", "path_stats",
-                 "service"),
-    )
+    sweep.add_argument("--kind", default="synthetic", choices=TASK_KINDS)
     sweep.add_argument(
         "--designs", default="SF",
         help="comma-separated topology names (default: SF)",
-    )
-    sweep.add_argument(
-        "--nodes", default="64", help="comma-separated node counts"
     )
     sweep.add_argument(
         "--patterns", default="uniform_random",
@@ -119,34 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workloads", default="redis",
         help="comma-separated Table IV workloads (workload kind)",
     )
-    sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
-    sweep.add_argument("--topology-seed", type=int, default=0)
-    sweep.add_argument("--warmup", type=int, default=None)
-    sweep.add_argument("--measure", type=int, default=None)
-    sweep.add_argument("--drain-limit", type=int, default=None)
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="process count (0 = one per CPU; results identical)",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default: benchmarks/results/cache "
-             "when run from the repo, else ~/.cache/string-figure-repro)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="run every point even if cached, and store nothing",
-    )
-    sweep.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
+    _add_sweep_flags(sweep, ports=False)
 
     churn = sub.add_parser(
         "churn", help="live elasticity under load (parallel + cached)"
     )
-    churn.add_argument("--nodes", default="64", help="comma-separated node counts")
-    churn.add_argument("--ports", type=int, default=None)
     churn.add_argument(
         "--gate-fraction", type=float, default=0.25,
         help="fraction of active nodes to power-gate per event",
@@ -161,28 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument(
         "--rates", default="0.15", help="comma-separated injection rates"
     )
-    churn.add_argument("--seeds", default="0", help="comma-separated seeds")
-    churn.add_argument("--topology-seed", type=int, default=0)
-    churn.add_argument("--warmup", type=int, default=300)
-    churn.add_argument("--measure", type=int, default=4000)
-    churn.add_argument("--drain-limit", type=int, default=60_000)
-    churn.add_argument(
-        "--workers", type=int, default=1,
-        help="process count (0 = one per CPU; results identical)",
-    )
-    churn.add_argument("--cache-dir", default=None)
-    churn.add_argument("--no-cache", action="store_true")
-    churn.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
+    _add_sweep_flags(churn, warmup=300, measure=4000, drain_limit=60_000)
 
     mig = sub.add_parser(
         "migrate",
         help="data migration cost of elastic scaling (parallel + cached)",
     )
-    mig.add_argument("--nodes", default="64", help="comma-separated node counts")
-    mig.add_argument("--ports", type=int, default=None)
     mig.add_argument(
         "--gate-fraction", type=float, default=0.25,
         help="fraction of active nodes to power-gate (and later wake)",
@@ -209,21 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pay the real movement cost, use the PR-2 instant remap, "
              "or run both and compare (default)",
     )
-    mig.add_argument("--seeds", default="0", help="comma-separated seeds")
-    mig.add_argument("--topology-seed", type=int, default=0)
-    mig.add_argument("--warmup", type=int, default=300)
-    mig.add_argument("--measure", type=int, default=6000)
-    mig.add_argument("--drain-limit", type=int, default=80_000)
-    mig.add_argument(
-        "--workers", type=int, default=1,
-        help="process count (0 = one per CPU; results identical)",
-    )
-    mig.add_argument("--cache-dir", default=None)
-    mig.add_argument("--no-cache", action="store_true")
-    mig.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
+    _add_sweep_flags(mig, warmup=300, measure=6000, drain_limit=80_000)
 
     faults = sub.add_parser(
         "faults",
@@ -234,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--designs", default="SF,DM,Jellyfish",
         help="comma-separated topology names (the resilience comparison)",
     )
-    faults.add_argument("--nodes", default="64", help="comma-separated node counts")
-    faults.add_argument("--ports", type=int, default=None)
     faults.add_argument(
         "--schedule", default="random", choices=("random", "crash"),
         help="random: mixed fault arrivals at --fault-rates; "
@@ -274,21 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycles a source waits before re-sending a lost packet",
     )
     faults.add_argument("--max-retries", type=int, default=8)
-    faults.add_argument("--seeds", default="0", help="comma-separated seeds")
-    faults.add_argument("--topology-seed", type=int, default=0)
-    faults.add_argument("--warmup", type=int, default=300)
-    faults.add_argument("--measure", type=int, default=4000)
-    faults.add_argument("--drain-limit", type=int, default=60_000)
-    faults.add_argument(
-        "--workers", type=int, default=1,
-        help="process count (0 = one per CPU; results identical)",
-    )
-    faults.add_argument("--cache-dir", default=None)
-    faults.add_argument("--no-cache", action="store_true")
-    faults.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
+    _add_sweep_flags(faults, warmup=300, measure=4000, drain_limit=60_000)
 
     inter = sub.add_parser(
         "interference",
@@ -299,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--designs", default="SF,DM,Jellyfish",
         help="comma-separated topology names",
     )
-    inter.add_argument("--nodes", default="64", help="comma-separated node counts")
-    inter.add_argument("--ports", type=int, default=None)
     inter.add_argument(
         "--modes", default="noise",
         help="comma-separated interference shapes: noise, burst, incast",
@@ -322,58 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the classless baseline variant for comparison",
     )
     inter.add_argument("--pattern", default="uniform_random")
-    inter.add_argument("--seeds", default="0", help="comma-separated seeds")
-    inter.add_argument("--topology-seed", type=int, default=0)
-    inter.add_argument("--warmup", type=int, default=300)
-    inter.add_argument("--measure", type=int, default=2000)
-    inter.add_argument("--drain-limit", type=int, default=60_000)
-    inter.add_argument(
-        "--workers", type=int, default=1,
-        help="process count (0 = one per CPU; results identical)",
-    )
-    inter.add_argument("--cache-dir", default=None)
-    inter.add_argument("--no-cache", action="store_true")
-    inter.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
-
-    perf = sub.add_parser(
-        "perf",
-        help="simulator events/sec across designs x scales (perf trajectory)",
-    )
-    perf.add_argument(
-        "--designs", default="SF,DM,Jellyfish",
-        help="comma-separated topology names",
-    )
-    perf.add_argument("--nodes", default="64,144", help="comma-separated node counts")
-    perf.add_argument("--pattern", default="uniform_random")
-    perf.add_argument(
-        "--rates", default="0.05", help="comma-separated injection rates"
-    )
-    perf.add_argument("--seeds", default="0", help="comma-separated seeds")
-    perf.add_argument("--topology-seed", type=int, default=0)
-    perf.add_argument("--warmup", type=int, default=100)
-    perf.add_argument("--measure", type=int, default=300)
-    perf.add_argument("--drain-limit", type=int, default=20_000)
-    perf.add_argument(
-        "--repeats", type=int, default=2,
-        help="timing repetitions per point (the best is reported)",
-    )
-    perf.add_argument(
-        "--isolate", action="store_true",
-        help="one pinned worker per core, serial timing inside each "
-             "worker (scales the grid without timing interference)",
-    )
-    perf.add_argument(
-        "--eager-link-events", action="store_true",
-        help="time the eager LINK_FREE core instead of the default "
-             "lazy one (differential benchmarking)",
-    )
-    perf.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
+    _add_sweep_flags(inter, warmup=300, measure=2000, drain_limit=60_000)
 
     trace = sub.add_parser(
         "trace",
@@ -383,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--kind", default="synthetic",
-        choices=("synthetic", "churn", "migration", "faults", "service",
-                 "perf", "interference", "anatomy"),
+        choices=[name for name, kind in KINDS.items() if kind.traceable],
         help="experiment kind to run under probes",
     )
     trace.add_argument("--design", default="SF")
@@ -690,8 +607,48 @@ def _resolve_cache_dir(cache_dir):
     )
 
 
-def _run_spec_command(args, spec, per_task_report=None) -> int:
-    """Shared sweep execution tail: run, report, cache note, JSON dump."""
+def _timing(args) -> dict:
+    """The ``--warmup/--measure/--drain-limit`` values that are set."""
+    return {
+        key: getattr(args, key)
+        for key in ("warmup", "measure", "drain_limit")
+        if getattr(args, key) is not None
+    }
+
+
+def _topology_params(args) -> dict:
+    ports = getattr(args, "ports", None)
+    return {} if ports is None else {"ports": ports}
+
+
+def _sweep_spec(args, name: str, kind: str, sim_params=None, **axes):
+    """One spec from the shared sweep flags plus the command's own axes."""
+    from repro.experiments import ExperimentSpec
+
+    return ExperimentSpec(
+        name=name,
+        kind=kind,
+        nodes=_split(args.nodes, int),
+        seeds=_split(args.seeds, int),
+        topology_seed=args.topology_seed,
+        sim_params={**_timing(args), **(sim_params or {})},
+        topology_params=_topology_params(args),
+        **axes,
+    )
+
+
+def _supported(pairs):
+    return [(task, p) for task, p in pairs if not p.get("unsupported")]
+
+
+def _run_spec_command(args, specs, report=None, summary=None) -> int:
+    """Run *specs* in order and print what every sweep command prints.
+
+    Each spec gets its table, the optional per-result *report* and a
+    footer with its hash and cache counts; *summary* then sees every
+    (task, payload) pair.  One runner and cache serve all specs, and
+    ``--output`` dumps every payload.
+    """
     from repro.experiments import ParallelRunner, ResultCache
     from repro.experiments.report import sweep_table, write_result_json
 
@@ -699,18 +656,25 @@ def _run_spec_command(args, spec, per_task_report=None) -> int:
         None if args.no_cache else ResultCache(_resolve_cache_dir(args.cache_dir))
     )
     runner = ParallelRunner(workers=args.workers, cache=cache)
-    result = runner.run(spec)
-    print(sweep_table(result))
-    if per_task_report is not None:
-        per_task_report(result)
-    print(f"\n{spec.name} [{spec.spec_hash()}]: {result.summary()}")
+    pairs = []
+    for i, spec in enumerate(specs):
+        result = runner.run(spec)
+        if i:
+            print()
+        print(sweep_table(result))
+        if report is not None:
+            report(result)
+        print(f"\n{spec.name} [{spec.spec_hash()}]: {result.summary()}")
+        pairs.extend(result)
+    if summary is not None:
+        summary(pairs)
     if cache is not None:
         print(f"cache: {cache.directory}")
     if args.output:
         path = write_result_json(
             args.output,
             {task.key(): {"task": task.to_dict(), "payload": payload}
-             for task, payload in result},
+             for task, payload in pairs},
         )
         print(f"payloads: {path}")
     return 0
@@ -722,35 +686,19 @@ def _cmd_sweep(args) -> int:
     if args.spec:
         spec = ExperimentSpec.from_file(args.spec)
     else:
-        sim_params = {
-            key: value
-            for key, value in (
-                ("warmup", args.warmup),
-                ("measure", args.measure),
-                ("drain_limit", args.drain_limit),
-            )
-            if value is not None
-        }
-        spec = ExperimentSpec(
-            name="cli-sweep",
-            kind=args.kind,
+        spec = _sweep_spec(
+            args, "cli-sweep", args.kind,
             designs=_split(args.designs),
-            nodes=_split(args.nodes, int),
             patterns=_split(args.patterns),
             rates=_split(args.rates, float),
             workloads=_split(args.workloads),
-            seeds=_split(args.seeds, int),
-            topology_seed=args.topology_seed,
-            sim_params=sim_params,
         )
-    return _run_spec_command(args, spec)
+    return _run_spec_command(args, [spec])
 
 
 def _churn_report(result) -> None:
     """Per-event detail under the churn summary table."""
-    for task, payload in result:
-        if payload.get("unsupported"):
-            continue
+    for task, payload in _supported(result):
         print(f"\n{task.label()}: "
               f"{payload['num_events']} reconfiguration events, "
               f"min active {payload['min_active_nodes']}/{payload['num_nodes']} "
@@ -773,119 +721,68 @@ def _churn_report(result) -> None:
 
 
 def _cmd_churn(args) -> int:
-    from repro.experiments import ExperimentSpec
-
-    sim_params = {
-        "warmup": args.warmup,
-        "measure": args.measure,
-        "drain_limit": args.drain_limit,
-        "gate_fraction": args.gate_fraction,
-        "schedule": args.schedule,
-    }
-    topology_params = {}
-    if args.ports is not None:
-        topology_params["ports"] = args.ports
-    spec = ExperimentSpec(
-        name="cli-churn",
-        kind="churn",
+    spec = _sweep_spec(
+        args, "cli-churn", "churn",
+        {"gate_fraction": args.gate_fraction, "schedule": args.schedule},
         designs=("SF",),
-        nodes=_split(args.nodes, int),
         patterns=(args.pattern,),
         rates=_split(args.rates, float),
-        seeds=_split(args.seeds, int),
-        topology_seed=args.topology_seed,
-        sim_params=sim_params,
-        topology_params=topology_params,
     )
-    return _run_spec_command(args, spec, per_task_report=_churn_report)
+    return _run_spec_command(args, [spec], report=_churn_report)
+
+
+def _migrate_summary(pairs) -> None:
+    by_mode: dict[str, list[dict]] = {}
+    for _, payload in _supported(pairs):
+        by_mode.setdefault(payload["mode"], []).append(payload)
+    if "migrate" not in by_mode or "teleport" not in by_mode:
+        return
+    moved = sum(p["bytes_moved"] for p in by_mode["migrate"])
+    makespan = max(p["max_makespan"] for p in by_mode["migrate"])
+
+    def worst_p99(mode: str) -> float:
+        return max(p["fg_p99_overall"] for p in by_mode[mode])
+
+    print(
+        f"\nmigrate vs teleport: {moved / 1024:.0f} KiB actually moved "
+        f"(teleport: 0), longest batch makespan {makespan} cycles, "
+        f"worst foreground p99 {worst_p99('migrate'):.0f} vs "
+        f"{worst_p99('teleport'):.0f} cycles"
+    )
 
 
 def _cmd_migrate(args) -> int:
     """Migration-cost sweep: rate limits x page sizes (x teleport)."""
-    from repro.experiments import ExperimentSpec, ParallelRunner, ResultCache
-    from repro.experiments.report import sweep_table, write_result_json
-
     modes = ("migrate", "teleport") if args.mode == "both" else (args.mode,)
     rate_limits = _split(args.rate_limits, float)
-    page_sizes = _split(args.page_bytes, int)
-    base_params = {
-        "warmup": args.warmup,
-        "measure": args.measure,
-        "drain_limit": args.drain_limit,
-        "gate_fraction": args.gate_fraction,
-        "footprint_pages": args.footprint_pages,
-    }
-    topology_params = {}
-    if args.ports is not None:
-        topology_params["ports"] = args.ports
     specs = []
     for mode in modes:
-        for page_bytes in page_sizes:
+        for page_bytes in _split(args.page_bytes, int):
             # Teleport moves zero bytes, so its rate limit is moot: one
             # baseline variant per page size is enough.
             limits = rate_limits if mode == "migrate" else rate_limits[:1]
             for rate_limit in limits:
-                specs.append(ExperimentSpec(
-                    name=f"cli-migrate-{mode}-pb{page_bytes}-rl{rate_limit:g}",
-                    kind="migration",
-                    designs=("SF",),
-                    nodes=_split(args.nodes, int),
-                    patterns=("uniform_random",),
-                    rates=_split(args.rates, float),
-                    seeds=_split(args.seeds, int),
-                    topology_seed=args.topology_seed,
-                    sim_params={
-                        **base_params,
+                specs.append(_sweep_spec(
+                    args,
+                    f"cli-migrate-{mode}-pb{page_bytes}-rl{rate_limit:g}",
+                    "migration",
+                    {
+                        "gate_fraction": args.gate_fraction,
+                        "footprint_pages": args.footprint_pages,
                         "mode": mode,
                         "page_bytes": page_bytes,
                         "rate_limit": rate_limit,
                     },
-                    topology_params=topology_params,
+                    designs=("SF",),
+                    patterns=("uniform_random",),
+                    rates=_split(args.rates, float),
                 ))
-
-    cache = (
-        None if args.no_cache else ResultCache(_resolve_cache_dir(args.cache_dir))
-    )
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    all_payloads: dict[str, dict] = {}
-    by_mode: dict[str, list[dict]] = {}
-    for spec in specs:
-        result = runner.run(spec)
-        print(f"\n== {spec.name} [{spec.spec_hash()}]: {result.summary()}")
-        print(sweep_table(result))
-        for task, payload in result:
-            all_payloads[task.key()] = {
-                "task": task.to_dict(), "payload": payload,
-            }
-            if not payload.get("unsupported"):
-                by_mode.setdefault(payload["mode"], []).append(payload)
-    if "migrate" in by_mode and "teleport" in by_mode:
-        moved = sum(p["bytes_moved"] for p in by_mode["migrate"])
-        makespan = max(p["max_makespan"] for p in by_mode["migrate"])
-
-        def worst_p99(mode: str) -> float:
-            return max(p["fg_p99_overall"] for p in by_mode[mode])
-
-        teleport_p99 = worst_p99("teleport")
-        print(
-            f"\nmigrate vs teleport: {moved / 1024:.0f} KiB actually moved "
-            f"(teleport: 0), longest batch makespan {makespan} cycles, "
-            f"worst foreground p99 {worst_p99('migrate'):.0f} vs "
-            f"{teleport_p99:.0f} cycles"
-        )
-    if cache is not None:
-        print(f"cache: {cache.directory}")
-    if args.output:
-        path = write_result_json(args.output, all_payloads)
-        print(f"payloads: {path}")
-    return 0
+    return _run_spec_command(args, specs, summary=_migrate_summary)
 
 
 def _faults_report(result) -> None:
     """Per-point phase latency + availability detail under the table."""
-    for task, payload in result:
-        if payload.get("unsupported"):
-            continue
+    for task, payload in _supported(result):
         conserved = payload["all_conserved"]
         print(
             f"\n{task.label()}: {payload['num_faults']} faults "
@@ -925,17 +822,26 @@ def _faults_report(result) -> None:
                   f"peak {event['peak_ratio']:.2f}x baseline, {recovery}")
 
 
+def _faults_summary(pairs) -> None:
+    by_design: dict[str, list[dict]] = {}
+    for task, payload in _supported(pairs):
+        by_design.setdefault(task.design, []).append(payload)
+    if len(by_design) < 2:
+        return
+    print("\nresilience comparison (worst grid point per design):")
+    for design, payloads in sorted(by_design.items()):
+        print(
+            f"  {design:>9s}: worst during-fault p99 "
+            f"{max(p['fg_p99_during'] for p in payloads):6.0f} cyc, "
+            f"lost {sum(p['lost'] for p in payloads):4d} pkts, "
+            f"unreachable {sum(p['unreachable_node_cycles'] for p in payloads):6d} "
+            f"node-cycles over {sum(p['num_faults'] for p in payloads)} faults"
+        )
+
+
 def _cmd_faults(args) -> int:
     """Resilience sweep: fault rate x detection timeout x topology."""
-    from repro.experiments import ExperimentSpec, ParallelRunner, ResultCache
-    from repro.experiments.report import sweep_table, write_result_json
-
-    fault_rates = _split(args.fault_rates, float)
-    timeouts = _split(args.detection_timeouts, int)
     base_params = {
-        "warmup": args.warmup,
-        "measure": args.measure,
-        "drain_limit": args.drain_limit,
         "schedule": args.schedule,
         "kinds": tuple(_split(args.kinds)),
         "footprint_pages": args.footprint_pages,
@@ -943,191 +849,75 @@ def _cmd_faults(args) -> int:
         "retransmit_timeout": args.retransmit_timeout,
         "max_retries": args.max_retries,
     }
-    topology_params = {}
-    if args.ports is not None:
-        topology_params["ports"] = args.ports
     specs = []
     # A single-crash schedule ignores the arrival rate, so it gets one
     # variant per detection timeout — and the unused rate stays out of
     # the spec name *and* sim_params, or identical crash runs would
     # hash to different cache keys.
+    fault_rates = _split(args.fault_rates, float)
     rates_axis = fault_rates if args.schedule == "random" else [None]
     for fault_rate in rates_axis:
-        for timeout in timeouts:
+        for timeout in _split(args.detection_timeouts, int):
             variant = {"detection_timeout": timeout}
             name = f"cli-faults-dt{timeout}"
             if fault_rate is not None:
                 variant["fault_rate"] = fault_rate
                 name = f"cli-faults-fr{fault_rate:g}-dt{timeout}"
-            specs.append(ExperimentSpec(
-                name=name,
-                kind="faults",
+            specs.append(_sweep_spec(
+                args, name, "faults", {**base_params, **variant},
                 designs=_split(args.designs),
-                nodes=_split(args.nodes, int),
                 patterns=(args.pattern,),
                 rates=_split(args.rates, float),
-                seeds=_split(args.seeds, int),
-                topology_seed=args.topology_seed,
-                sim_params={**base_params, **variant},
-                topology_params=topology_params,
             ))
-
-    cache = (
-        None if args.no_cache else ResultCache(_resolve_cache_dir(args.cache_dir))
+    return _run_spec_command(
+        args, specs, report=_faults_report, summary=_faults_summary,
     )
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    all_payloads: dict[str, dict] = {}
+
+
+def _interference_summary(pairs) -> None:
     by_design: dict[str, list[dict]] = {}
-    for spec in specs:
-        result = runner.run(spec)
-        print(f"\n== {spec.name} [{spec.spec_hash()}]: {result.summary()}")
-        print(sweep_table(result))
-        _faults_report(result)
-        for task, payload in result:
-            all_payloads[task.key()] = {
-                "task": task.to_dict(), "payload": payload,
-            }
-            if not payload.get("unsupported"):
-                by_design.setdefault(task.design, []).append(payload)
-    if len(by_design) > 1:
-        print("\nresilience comparison (worst grid point per design):")
-        for design, payloads in sorted(by_design.items()):
-            print(
-                f"  {design:>9s}: worst during-fault p99 "
-                f"{max(p['fg_p99_during'] for p in payloads):6.0f} cyc, "
-                f"lost {sum(p['lost'] for p in payloads):4d} pkts, "
-                f"unreachable {sum(p['unreachable_node_cycles'] for p in payloads):6d} "
-                f"node-cycles over {sum(p['num_faults'] for p in payloads)} faults"
+    for task, payload in _supported(pairs):
+        by_design.setdefault(task.design, []).append(payload)
+    if not by_design:
+        return
+    print("\nisolation summary (worst grid point per design):")
+    for design, payloads in sorted(by_design.items()):
+        protected = [p for p in payloads if p.get("qos")]
+        exposed = [p for p in payloads if not p.get("qos")]
+        line = f"  {design:>9s}:"
+        if protected:
+            line += (
+                f" qos fg_p99 {max(p['fg_p99'] for p in protected):6.0f}"
+                f" / bulk_p99 "
+                f"{max(p['bulk_p99'] for p in protected):6.0f} cyc"
             )
-    if cache is not None:
-        print(f"cache: {cache.directory}")
-    if args.output:
-        path = write_result_json(args.output, all_payloads)
-        print(f"payloads: {path}")
-    return 0
+        if exposed:
+            line += (
+                f"; classless fg_p99 "
+                f"{max(p['fg_p99'] for p in exposed):6.0f} cyc"
+            )
+        print(line)
 
 
 def _cmd_interference(args) -> int:
     """Multi-tenant QoS sweep: per-class p99 vs interference load."""
-    from repro.experiments import ExperimentSpec, ParallelRunner, ResultCache
-    from repro.experiments.report import sweep_table, write_result_json
-
-    base_params = {
-        "warmup": args.warmup,
-        "measure": args.measure,
-        "drain_limit": args.drain_limit,
-        "fg_rate": args.fg_rate,
-    }
-    topology_params = {}
-    if args.ports is not None:
-        topology_params["ports"] = args.ports
     qos_variants = [False] if args.no_qos else [True]
     if args.baseline and not args.no_qos:
         qos_variants.append(False)
-    specs = []
-    for mode in _split(args.modes):
-        for qos in qos_variants:
-            tag = "qos" if qos else "raw"
-            specs.append(ExperimentSpec(
-                name=f"cli-interference-{mode}-{tag}",
-                kind="interference",
-                designs=_split(args.designs),
-                nodes=_split(args.nodes, int),
-                patterns=(args.pattern,),
-                rates=_split(args.rates, float),
-                seeds=_split(args.seeds, int),
-                topology_seed=args.topology_seed,
-                sim_params={**base_params, "mode": mode, "qos": qos},
-                topology_params=topology_params,
-            ))
-
-    cache = (
-        None if args.no_cache else ResultCache(_resolve_cache_dir(args.cache_dir))
-    )
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    all_payloads: dict[str, dict] = {}
-    by_design: dict[str, list[dict]] = {}
-    for spec in specs:
-        result = runner.run(spec)
-        print(f"\n== {spec.name} [{spec.spec_hash()}]: {result.summary()}")
-        print(sweep_table(result))
-        for task, payload in result:
-            all_payloads[task.key()] = {
-                "task": task.to_dict(), "payload": payload,
-            }
-            if not payload.get("unsupported"):
-                by_design.setdefault(task.design, []).append(payload)
-    if by_design:
-        print("\nisolation summary (worst grid point per design):")
-        for design, payloads in sorted(by_design.items()):
-            protected = [p for p in payloads if p.get("qos")]
-            exposed = [p for p in payloads if not p.get("qos")]
-            line = f"  {design:>9s}:"
-            if protected:
-                line += (
-                    f" qos fg_p99 {max(p['fg_p99'] for p in protected):6.0f}"
-                    f" / bulk_p99 "
-                    f"{max(p['bulk_p99'] for p in protected):6.0f} cyc"
-                )
-            if exposed:
-                line += (
-                    f"; classless fg_p99 "
-                    f"{max(p['fg_p99'] for p in exposed):6.0f} cyc"
-                )
-            print(line)
-    if cache is not None:
-        print(f"cache: {cache.directory}")
-    if args.output:
-        path = write_result_json(args.output, all_payloads)
-        print(f"payloads: {path}")
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    """Simulator-throughput sweep (always uncached: timings are live)."""
-    from repro.experiments import ExperimentSpec, ParallelRunner
-    from repro.experiments.report import sweep_table, write_result_json
-
-    spec = ExperimentSpec(
-        name="cli-perf",
-        kind="perf",
-        designs=_split(args.designs),
-        nodes=_split(args.nodes, int),
-        patterns=(args.pattern,),
-        rates=_split(args.rates, float),
-        seeds=_split(args.seeds, int),
-        topology_seed=args.topology_seed,
-        sim_params={
-            "warmup": args.warmup,
-            "measure": args.measure,
-            "drain_limit": args.drain_limit,
-            "repeats": args.repeats,
-            "eager_link_events": bool(args.eager_link_events),
-        },
-    )
-    # Cacheless by construction: wall-clock timings must never be
-    # served from cache.  Default execution is serial — concurrently
-    # timed points would steal each other's cycles — while --isolate
-    # runs one affinity-pinned worker per core (tasks inside each
-    # worker still time serially), so large grids finish in parallel
-    # without sharing cores.
-    if args.isolate:
-        runner = ParallelRunner(workers=0, cache=None, isolate=True)
-    else:
-        runner = ParallelRunner(workers=1, cache=None)
-    result = runner.run(spec)
-    print(sweep_table(result))
-    print(f"\n{spec.name} [{spec.spec_hash()}]: {result.summary()}")
-    print("trajectory file: python benchmarks/bench_sim_throughput.py "
-          "records these points over time")
-    if args.output:
-        path = write_result_json(
-            args.output,
-            {task.key(): {"task": task.to_dict(), "payload": payload}
-             for task, payload in result},
+    specs = [
+        _sweep_spec(
+            args,
+            f"cli-interference-{mode}-{'qos' if qos else 'raw'}",
+            "interference",
+            {"fg_rate": args.fg_rate, "mode": mode, "qos": qos},
+            designs=_split(args.designs),
+            patterns=(args.pattern,),
+            rates=_split(args.rates, float),
         )
-        print(f"payloads: {path}")
-    return 0
+        for mode in _split(args.modes)
+        for qos in qos_variants
+    ]
+    return _run_spec_command(args, specs, summary=_interference_summary)
 
 
 def _cmd_trace(args) -> int:
@@ -1140,18 +930,6 @@ def _cmd_trace(args) -> int:
     from repro.experiments.worker import execute_task
     from repro.obs import FabricProbes
 
-    sim_params = {}
-    for name in ("warmup", "measure", "drain_limit"):
-        value = getattr(args, name)
-        if value is not None:
-            sim_params[name] = value
-    if args.kind == "perf":
-        # One timed repeat: a second repeat would hand a *fresh*
-        # simulator to the same probes and split counters across runs.
-        sim_params["repeats"] = 1
-    topology_params = {}
-    if args.ports is not None:
-        topology_params["ports"] = args.ports
     spec = ExperimentSpec(
         name="cli-trace",
         kind=args.kind,
@@ -1161,8 +939,8 @@ def _cmd_trace(args) -> int:
         rates=(args.rate,),
         seeds=(args.seed,),
         topology_seed=args.topology_seed,
-        sim_params=sim_params,
-        topology_params=topology_params,
+        sim_params=_timing(args),
+        topology_params=_topology_params(args),
     )
     task = spec.tasks()[0]
 
@@ -1521,7 +1299,6 @@ _COMMANDS = {
     "migrate": _cmd_migrate,
     "faults": _cmd_faults,
     "interference": _cmd_interference,
-    "perf": _cmd_perf,
     "trace": _cmd_trace,
     "hotspots": _cmd_hotspots,
     "serve": _cmd_serve,

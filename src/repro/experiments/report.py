@@ -1,8 +1,8 @@
 """Rendering sweep results as text tables and JSON files.
 
 Shared by the ``repro sweep`` CLI and the benchmark harness so every
-consumer prints the same shapes.  Columns are chosen per task kind;
-unsupported grid points render as ``-``.
+consumer prints the same shapes.  Each kind's columns are declared in
+:mod:`repro.experiments.kinds`; unsupported grid points render as ``-``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.experiments.kinds import KINDS, TASK_FIELDS, Column
 from repro.experiments.runner import SweepResult
 from repro.experiments.spec import ExperimentTask
 
@@ -37,184 +38,14 @@ def _fmt(value: Any, spec: str = ".2f") -> str:
     return str(value)
 
 
-def _row(
-    task: ExperimentTask, payload: dict[str, Any],
-    extra: tuple[str, ...] = (),
-) -> list[str]:
-    row = _kind_row(task, payload)
-    row.extend(_fmt(payload.get(key)) for key in extra)
-    return row
-
-
-def _kind_row(task: ExperimentTask, payload: dict[str, Any]) -> list[str]:
-    unsupported = payload.get("unsupported")
-    if task.kind == "synthetic":
-        return [
-            task.design, task.nodes, task.pattern, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("avg_latency"), ".1f"),
-            _fmt(None if unsupported else payload.get("p95_latency"), ".1f"),
-            _fmt(None if unsupported else payload.get("avg_hops")),
-            _fmt(None if unsupported else payload.get("accepted_rate"), ".3f"),
-        ]
-    if task.kind == "saturation":
-        return [
-            task.design, task.nodes, task.pattern, task.seed,
-            _fmt(None if unsupported else payload.get("saturation_rate")),
-        ]
-    if task.kind == "workload":
-        return [
-            task.workload, task.design, task.nodes, task.seed,
-            _fmt(None if unsupported else payload.get("throughput_ops_per_kcycle"), ".1f"),
-            _fmt(None if unsupported else payload.get("avg_read_latency"), ".1f"),
-            _fmt(None if unsupported else payload.get("runtime_cycles")),
-        ]
-    if task.kind == "churn":
-        return [
-            task.design, task.nodes, task.pattern, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("num_events")),
-            _fmt(None if unsupported else payload.get("avg_latency"), ".1f"),
-            _fmt(None if unsupported else payload.get("max_peak_ratio")),
-            _fmt(None if unsupported else payload.get("max_recovery_cycles")),
-            _fmt(None if unsupported else payload.get("parked_total")),
-            _fmt(
-                None if unsupported
-                else (payload.get("sent") == payload.get("delivered"))
-            ),
-        ]
-    if task.kind == "migration":
-        return [
-            task.design, task.nodes, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("mode")),
-            _fmt(None if unsupported else payload.get("pages_moved")),
-            _fmt(
-                None if unsupported
-                else payload.get("bytes_moved", 0) / 1024, ".0f"
-            ),
-            _fmt(None if unsupported else payload.get("migration_makespan")),
-            _fmt(None if unsupported else payload.get("fg_p99_overall"), ".1f"),
-            _fmt(None if unsupported else payload.get("fg_slowdown_p99")),
-            _fmt(None if unsupported else payload.get("fg_stalled")),
-            _fmt(
-                None if unsupported
-                else (
-                    payload.get("sent") == payload.get("delivered")
-                    and payload.get("fg_issued") == payload.get("fg_completed")
-                    and bool(payload.get("page_conservation"))
-                )
-            ),
-        ]
-    if task.kind == "faults":
-        return [
-            task.design, task.nodes, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("num_faults")),
-            _fmt(None if unsupported else payload.get("lost")),
-            _fmt(None if unsupported else payload.get("retransmits")),
-            _fmt(None if unsupported else payload.get("fg_p50_during"), ".0f"),
-            _fmt(None if unsupported else payload.get("fg_p99_during"), ".0f"),
-            _fmt(None if unsupported else payload.get("fg_slowdown_p99")),
-            _fmt(None if unsupported else payload.get("unreachable_node_cycles")),
-            _fmt(None if unsupported else payload.get("pages_lost")),
-            _fmt(None if unsupported else payload.get("all_conserved")),
-        ]
-    if task.kind == "service":
-        return [
-            task.design, task.nodes, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("submitted")),
-            _fmt(None if unsupported else payload.get("completed")),
-            _fmt(None if unsupported else payload.get("shed")),
-            _fmt(None if unsupported else payload.get("queued_total")),
-            _fmt(
-                None if unsupported
-                else payload.get("requests_per_kcycle"), ".1f"
-            ),
-            _fmt(None if unsupported else payload.get("p50"), ".0f"),
-            _fmt(None if unsupported else payload.get("p99"), ".0f"),
-            _fmt(None if unsupported else payload.get("p99_max"), ".0f"),
-            _fmt(None if unsupported else payload.get("pages_lost")),
-            _fmt(None if unsupported else payload.get("conserved")),
-        ]
-    if task.kind == "interference":
-        return [
-            task.design, task.nodes, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("mode")),
-            _fmt(None if unsupported else payload.get("qos")),
-            _fmt(None if unsupported else payload.get("fg_p50"), ".0f"),
-            _fmt(None if unsupported else payload.get("fg_p99"), ".0f"),
-            _fmt(None if unsupported else payload.get("bulk_p50"), ".0f"),
-            _fmt(None if unsupported else payload.get("bulk_p99"), ".0f"),
-            _fmt(None if unsupported else payload.get("p99_ratio"), ".1f"),
-            _fmt(None if unsupported else payload.get("deadlock_recoveries")),
-            _fmt(
-                None if unsupported
-                else (
-                    bool(payload.get("conserved"))
-                    and bool(payload.get("drained"))
-                )
-            ),
-        ]
-    if task.kind == "anatomy":
-        # The per-component fractions / hot links / interference cells
-        # ride in as ``obs_``-prefixed auto-columns.
-        return [
-            task.design, task.nodes, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("mode")),
-            _fmt(None if unsupported else payload.get("qos")),
-            _fmt(None if unsupported else payload.get("fg_p99"), ".0f"),
-            _fmt(None if unsupported else payload.get("bulk_p99"), ".0f"),
-            _fmt(None if unsupported else payload.get("p99_ratio"), ".1f"),
-            _fmt(
-                None if unsupported
-                else (
-                    bool(payload.get("conserved"))
-                    and bool(payload.get("drained"))
-                )
-            ),
-        ]
-    if task.kind == "perf":
-        return [
-            task.design, task.nodes, task.pattern, f"{task.rate:g}", task.seed,
-            _fmt(None if unsupported else payload.get("events")),
-            _fmt(None if unsupported else payload.get("wall_s"), ".3f"),
-            _fmt(
-                None if unsupported
-                else payload.get("events_per_sec"), ",.0f"
-            ),
-            _fmt(None if unsupported else payload.get("delivered")),
-            _fmt(None if unsupported else payload.get("avg_latency"), ".1f"),
-        ]
-    return [  # path_stats
-        task.design, task.nodes, task.seed,
-        _fmt(None if unsupported else payload.get("mean_hops")),
-        _fmt(None if unsupported else payload.get("p90_hops"), ".1f"),
-        _fmt(None if unsupported else payload.get("max_hops")),
-    ]
-
-
-_HEADERS = {
-    "synthetic": ["design", "N", "pattern", "rate", "seed",
-                  "avg_lat", "p95_lat", "hops", "accepted"],
-    "saturation": ["design", "N", "pattern", "seed", "sat_rate"],
-    "workload": ["workload", "design", "N", "seed",
-                 "ops/kcycle", "read_lat", "runtime"],
-    "path_stats": ["design", "N", "seed", "mean_hops", "p90", "max"],
-    "churn": ["design", "N", "pattern", "rate", "seed", "events",
-              "avg_lat", "peak_ratio", "recov_cyc", "parked", "conserved"],
-    "migration": ["design", "N", "rate", "seed", "mode", "pages", "KiB",
-                  "makespan", "fg_p99", "slow_p99", "stalled", "conserved"],
-    "faults": ["design", "N", "rate", "seed", "faults", "lost", "retx",
-               "p50_dur", "p99_dur", "slow_p99", "unreach_cyc", "pg_lost",
-               "conserved"],
-    "perf": ["design", "N", "pattern", "rate", "seed", "events",
-             "wall_s", "events/s", "delivered", "avg_lat"],
-    "service": ["design", "N", "rate", "seed", "submitted", "done", "shed",
-                "queued", "req/kcyc", "p50", "p99", "p99_max", "pg_lost",
-                "conserved"],
-    "interference": ["design", "N", "rate", "seed", "mode", "qos",
-                     "fg_p50", "fg_p99", "bulk_p50", "bulk_p99",
-                     "p99_ratio", "recov", "conserved"],
-    "anatomy": ["design", "N", "rate", "seed", "mode", "qos",
-                "fg_p99", "bulk_p99", "p99_ratio", "conserved"],
-}
+def _cell(column: Column, task: ExperimentTask, payload: dict[str, Any]) -> str:
+    source = column.source
+    if isinstance(source, str) and source in TASK_FIELDS:
+        return _fmt(getattr(task, source), column.fmt)
+    if payload.get("unsupported"):
+        return "-"
+    value = source(payload) if callable(source) else payload.get(source)
+    return _fmt(value, column.fmt)
 
 
 def sweep_table(result: SweepResult) -> str:
@@ -226,15 +57,20 @@ def sweep_table(result: SweepResult) -> str:
     ride along without a per-kind schema change.
     """
     sections: list[str] = []
-    for kind in _HEADERS:
-        pairs = [(t, p) for t, p in result if t.kind == kind]
+    for kind in KINDS.values():
+        pairs = [(t, p) for t, p in result if t.kind == kind.name]
         if not pairs:
             continue
-        extra = tuple(sorted(
+        extra = sorted(
             {key for _, p in pairs for key in p if key.startswith("obs_")}
-        ))
-        header = _HEADERS[kind] + [key[len("obs_"):] for key in extra]
-        rows = [_row(task, payload, extra) for task, payload in pairs]
+        )
+        header = [column.header for column in kind.columns]
+        header += [key[len("obs_"):] for key in extra]
+        rows = [
+            [_cell(column, task, payload) for column in kind.columns]
+            + [_fmt(payload.get(key)) for key in extra]
+            for task, payload in pairs
+        ]
         sections.append(render_table(header, rows))
     return "\n\n".join(sections)
 

@@ -27,29 +27,6 @@ from repro.experiments.worker import execute_task
 __all__ = ["ParallelRunner", "SweepResult"]
 
 
-def _pin_worker(core_queue) -> None:
-    """Pool initializer: pin this worker process to one dedicated core.
-
-    Each worker pops a distinct core id from *core_queue* and binds its
-    affinity mask to it, so perf sweeps time each point on a core no
-    sibling worker is scheduled onto.  Platforms without
-    ``sched_setaffinity`` (or with a queue raced empty) degrade to an
-    unpinned worker — timing interference returns, correctness does
-    not.
-    """
-    import os
-    import queue
-
-    try:
-        core = core_queue.get_nowait()
-    except queue.Empty:
-        return
-    try:
-        os.sched_setaffinity(0, {core})
-    except (AttributeError, OSError):
-        pass
-
-
 @dataclass
 class SweepResult:
     """Outcome of one sweep: ordered tasks plus their payloads."""
@@ -122,19 +99,11 @@ class ParallelRunner:
         bounded by one sweep's working set (memoization within a sweep
         — the part that matters — is unaffected, and reuse is exact
         either way).
-    isolate:
-        Pin one pool worker to each available core (and cap the pool
-        at the core count), so concurrently timed points never share a
-        core.  Tasks inside each worker still run serially, which is
-        what makes wall-clock perf measurements trustworthy at many
-        points.  Payloads are unaffected — isolation only removes
-        timing interference.
     """
 
     workers: int = 1
     cache: ResultCache | None = None
     keep_memo: bool = False
-    isolate: bool = False
     _pool_broken: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -142,8 +111,6 @@ class ParallelRunner:
             import os
 
             self.workers = os.cpu_count() or 1
-        if self.isolate:
-            self.workers = min(self.workers, len(self._cores()))
         if self.workers < 1:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
 
@@ -177,14 +144,7 @@ class ParallelRunner:
         pending: list[ExperimentTask] = []
         hits = 0
         for task in ordered:
-            # perf payloads carry wall-clock timings: never serve them
-            # from (or store them in) the cache — a replayed timing is
-            # a bogus measurement that looks fresh.
-            cached = (
-                self.cache.get(task)
-                if self.cache is not None and task.kind != "perf"
-                else None
-            )
+            cached = self.cache.get(task) if self.cache is not None else None
             if cached is not None:
                 payloads[task.key()] = cached
                 hits += 1
@@ -194,7 +154,7 @@ class ParallelRunner:
         try:
             for task, payload in self._execute(pending):
                 payloads[task.key()] = payload
-                if self.cache is not None and task.kind != "perf":
+                if self.cache is not None:
                     self.cache.put(task, payload)
         finally:
             if pending and not self.keep_memo:
@@ -225,33 +185,14 @@ class ParallelRunner:
                 return results
         return [(task, execute_task(task)) for task in pending]
 
-    @staticmethod
-    def _cores() -> list[int]:
-        """Core ids this process may schedule onto."""
-        import os
-
-        try:
-            return sorted(os.sched_getaffinity(0))
-        except AttributeError:
-            return list(range(os.cpu_count() or 1))
-
     def _execute_pool(
         self, pending: list[ExperimentTask]
     ) -> list[tuple[ExperimentTask, dict[str, Any]]] | None:
         import multiprocessing
 
         processes = min(self.workers, len(pending))
-        pool_kwargs: dict[str, Any] = {}
-        if self.isolate:
-            context = multiprocessing.get_context()
-            core_queue = context.Queue()
-            for core in self._cores()[:processes]:
-                core_queue.put(core)
-            pool_kwargs = {
-                "initializer": _pin_worker, "initargs": (core_queue,),
-            }
         try:
-            pool = multiprocessing.get_context().Pool(processes, **pool_kwargs)
+            pool = multiprocessing.get_context().Pool(processes)
         except (OSError, ImportError) as exc:
             # No pool on this platform; degrade to serial permanently.
             # Only Pool *creation* is guarded — a task error during

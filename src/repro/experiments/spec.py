@@ -9,71 +9,8 @@ shares.  :meth:`ExperimentSpec.tasks` expands the grid into frozen
 fields: the same task always produces the same result payload, which is
 what makes parallel execution and on-disk caching sound.
 
-Four task kinds cover the benchmark harness:
-
-``synthetic``
-    One :func:`repro.traffic.injection.run_synthetic` run at a fixed
-    injection rate (Figure 11 points).
-``saturation``
-    One :func:`repro.analysis.saturation.find_saturation` search
-    (Figure 10 points).
-``workload``
-    One :func:`repro.workloads.runner.run_workload` trace replay
-    (Figure 12 points); the trace parameters ride in ``sim_params``.
-``path_stats``
-    Structural greediest-protocol hop statistics via
-    :func:`repro.analysis.paths.greedy_path_stats` (sensitivity
-    studies); routing options like ``use_two_hop`` ride in
-    ``sim_params`` and topology options in ``topology_params``.
-``churn``
-    One :func:`repro.workloads.churn.run_churn` live-reconfiguration
-    scenario (synthetic traffic with mid-flight gate/wake events);
-    the churn schedule parameters (``gate_fraction``, ``schedule``,
-    ``period`` ...) ride in ``sim_params``.  The grid axes match the
-    ``synthetic`` kind: designs x nodes x patterns x rates x seeds.
-``migration``
-    One :func:`repro.workloads.migration.run_migration` gate-off/wake
-    cycle with real data migration (or the ``teleport`` baseline);
-    migration knobs (``rate_limit``, ``page_bytes``, ``mode``,
-    ``footprint_pages`` ...) ride in ``sim_params``.  Grid axes match
-    ``churn`` (the ``patterns`` axis is accepted but unused — the
-    foreground address stream is uniform over the page footprint).
-``faults``
-    One :func:`repro.workloads.faults.run_faults` unplanned-failure
-    scenario (link flaps/failures, node hangs/crashes with
-    timeout-based detection, emergency reroute, and crash recovery);
-    fault knobs (``fault_rate``, ``detection_timeout``, ``schedule``,
-    ``mirrored``, ``footprint_pages`` ...) ride in ``sim_params``.
-    Grid axes match ``synthetic`` — and unlike ``churn``/``migration``
-    the designs axis spans the baselines too (SF vs DM vs Jellyfish is
-    the paper's resilience comparison).
-``service``
-    One :func:`repro.workloads.service.run_service` multi-tenant load
-    point against a resident fabric-service stack: seeded closed-form
-    client schedules drive read/write page requests through admission
-    control, with optional mid-run scale/fault verbs.  Service knobs
-    (``tenants``, ``requests_per_tenant``, ``max_outstanding``,
-    ``node_watermark``, ``scale_at`` ...) ride in ``sim_params``; the
-    ``rates`` axis is per-tenant requests/cycle.  Grid axes match
-    ``synthetic`` (the ``patterns`` axis is accepted but unused — the
-    page stream is uniform over the footprint).
-``anatomy``
-    One interference point run with the
-    :class:`repro.obs.anatomy.LatencyAnatomy` delay decomposition
-    installed: the payload adds per-component latency fractions, the
-    hottest contended links, and the class-on-class interference
-    cells (all ``obs_``-prefixed, so sweep reports pick them up
-    automatically).  Same grid axes and ``sim_params`` as
-    ``interference``; the conservation law is checked on every
-    delivered packet and surfaced as ``obs_anatomy_conserved``.
-``perf``
-    One simulator-throughput measurement: a synthetic run whose
-    payload reports events processed, wall-clock seconds and
-    events/sec alongside the (deterministic) traffic statistics.  Grid
-    axes match ``synthetic``; ``repeats`` in ``sim_params`` picks the
-    best of N timing repetitions.  Timing fields are wall-clock and
-    therefore *not* deterministic — run perf sweeps with caching
-    disabled.
+Which axes a kind expands over, how it runs and how it reports are
+declared once per kind in :mod:`repro.experiments.kinds`.
 
 Specs round-trip through JSON (:meth:`to_json` / :meth:`from_json` /
 :meth:`from_file`) so sweeps can be versioned as files and replayed
@@ -82,17 +19,15 @@ from the ``repro sweep`` CLI.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-__all__ = ["TASK_KINDS", "ExperimentSpec", "ExperimentTask", "freeze_params"]
+from repro.experiments.kinds import KINDS, TASK_KINDS
 
-TASK_KINDS = (
-    "synthetic", "saturation", "workload", "path_stats", "churn", "migration",
-    "faults", "perf", "service", "interference", "anatomy",
-)
+__all__ = ["TASK_KINDS", "ExperimentSpec", "ExperimentTask", "freeze_params"]
 
 #: Bump when task semantics change so stale cache entries are ignored.
 #: (The ResultCache's source-code fingerprint already invalidates on any
@@ -101,6 +36,30 @@ TASK_KINDS = (
 ENGINE_VERSION = 2
 
 _Frozen = tuple[tuple[str, Any], ...]
+
+#: Spec axis -> the task field each of its values becomes, in the
+#: expansion's loop-nesting order.
+_TASK_FIELD = {
+    "workloads": "workload", "designs": "design", "nodes": "nodes",
+    "patterns": "pattern", "rates": "rate", "seeds": "seed",
+}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+#: Value checks for the numeric axes: a JSON spec with ``"16"`` for a
+#: node count would otherwise run, and cache under a different key.
+_AXIS_TYPES = {
+    "nodes": (_is_int, "ints"),
+    "seeds": (_is_int, "ints"),
+    "rates": (_is_number, "numbers"),
+}
 
 
 def freeze_params(params: Mapping[str, Any] | _Frozen | None) -> _Frozen:
@@ -239,32 +198,28 @@ class ExperimentSpec:
     topology_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in TASK_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}; "
                 f"choose from {TASK_KINDS}"
             )
-        if self.kind == "workload" and not self.workloads:
-            raise ValueError("workload specs need at least one workload")
-        if (
-            self.kind in (
-                "synthetic", "churn", "migration", "faults", "perf",
-                "service", "interference", "anatomy",
-            )
-            and not self.rates
-        ):
-            raise ValueError(f"{self.kind} specs need at least one rate")
-        for axis in ("designs", "nodes", "seeds"):
-            if not getattr(self, axis):
+        for axis in self._axes():
+            values = getattr(self, axis)
+            if isinstance(values, str):
+                raise ValueError(
+                    f"spec {self.name!r}: the {axis} axis must be a list, "
+                    f"not the string {values!r}"
+                )
+            if not values:
                 raise ValueError(f"spec {self.name!r} has an empty {axis} axis")
-        if (
-            self.kind in (
-                "synthetic", "saturation", "churn", "migration", "faults",
-                "perf", "service", "interference", "anatomy",
-            )
-            and not self.patterns
-        ):
-            raise ValueError(f"spec {self.name!r} has an empty patterns axis")
+            if axis in _AXIS_TYPES:
+                valid, expected = _AXIS_TYPES[axis]
+                bad = [v for v in values if not valid(v)]
+                if bad:
+                    raise ValueError(
+                        f"spec {self.name!r}: {axis} must be {expected}, "
+                        f"got {bad!r}"
+                    )
         # Canonicalize design names at declaration time: typos fail
         # here (instead of masquerading as unsupported-scale points),
         # and alias spellings ("sf", "string-figure") collapse to one
@@ -273,57 +228,32 @@ class ExperimentSpec:
 
         self.designs = tuple(canonical_name(d) for d in self.designs)
 
+    def _axes(self) -> tuple[str, ...]:
+        """The spec fields this kind expands, in loop-nesting order."""
+        swept = KINDS[self.kind].axes
+        return tuple(
+            axis for axis in _TASK_FIELD
+            if axis in ("designs", "nodes", "seeds") or axis in swept
+        )
+
     # -- expansion ---------------------------------------------------------
 
     def tasks(self) -> list[ExperimentTask]:
         """Expand the grid into independent tasks, in deterministic order."""
-        sim = freeze_params(self.sim_params)
-        topo = freeze_params(self.topology_params)
         base = dict(
             kind=self.kind,
             topology_seed=self.topology_seed,
-            sim_params=sim,
-            topology_params=topo,
+            sim_params=freeze_params(self.sim_params),
+            topology_params=freeze_params(self.topology_params),
         )
+        axes = self._axes()
+        fields = [_TASK_FIELD[axis] for axis in axes]
         out: list[ExperimentTask] = []
-        if self.kind in (
-            "synthetic", "churn", "migration", "faults", "perf", "service",
-            "interference", "anatomy",
-        ):
-            for design in self.designs:
-                for n in self.nodes:
-                    for pattern in self.patterns:
-                        for rate in self.rates:
-                            for seed in self.seeds:
-                                out.append(ExperimentTask(
-                                    design=design, nodes=n, pattern=pattern,
-                                    rate=float(rate), seed=seed, **base,
-                                ))
-        elif self.kind == "saturation":
-            for design in self.designs:
-                for n in self.nodes:
-                    for pattern in self.patterns:
-                        for seed in self.seeds:
-                            out.append(ExperimentTask(
-                                design=design, nodes=n, pattern=pattern,
-                                seed=seed, **base,
-                            ))
-        elif self.kind == "workload":
-            for workload in self.workloads:
-                for design in self.designs:
-                    for n in self.nodes:
-                        for seed in self.seeds:
-                            out.append(ExperimentTask(
-                                design=design, nodes=n, workload=workload,
-                                seed=seed, **base,
-                            ))
-        else:  # path_stats
-            for design in self.designs:
-                for n in self.nodes:
-                    for seed in self.seeds:
-                        out.append(ExperimentTask(
-                            design=design, nodes=n, seed=seed, **base,
-                        ))
+        for point in itertools.product(*(getattr(self, a) for a in axes)):
+            values = dict(zip(fields, point))
+            if "rate" in values:
+                values["rate"] = float(values["rate"])
+            out.append(ExperimentTask(**values, **base))
         return out
 
     def with_overrides(self, **overrides: Any) -> "ExperimentSpec":

@@ -14,14 +14,16 @@ and the paper's figures show exactly such holes.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.experiments.memo import (
     memo_policy,
     memo_routing,
     memo_trace,
 )
-from repro.experiments.spec import ExperimentTask
+
+if TYPE_CHECKING:  # the kind registry imports this module's runners
+    from repro.experiments.spec import ExperimentTask
 
 __all__ = ["execute_task"]
 
@@ -63,18 +65,38 @@ def execute_task(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     ``instrument`` (optional) is forwarded to runners that build a
     simulator or service: it is called with the freshly built object
     before traffic starts, which is how ``repro trace`` attaches
-    observability probes.  Kinds without a single instrumentable run
-    (``saturation``, ``workload``, ``path_stats``) ignore it.
+    observability probes.  Kinds the registry does not mark
+    ``traceable`` ignore it.
     """
-    runner = _RUNNERS.get(task.kind)
-    if runner is None:
+    from repro.experiments.kinds import KINDS
+
+    kind = KINDS.get(task.kind)
+    if kind is None:
         raise ValueError(f"unknown task kind {task.kind!r}")
-    return runner(task, instrument)
+    return kind.run(task, instrument)
 
 
 def _build_policy(task: ExperimentTask):
     return memo_policy(
         task.design, task.nodes, task.topology_seed, task.topology_params
+    )
+
+
+def _fresh_topology(task: ExperimentTask):
+    """Build the task's topology outside the per-process memos.
+
+    Scenarios that gate nodes, excise crashes or install a class table
+    mutate the topology, routing tables or port state, so they must not
+    share a memoized instance (see the :mod:`repro.experiments.memo`
+    reuse contract).
+    """
+    from repro.topologies.registry import make_topology
+
+    kwargs = dict(task.topology_params)
+    ports = kwargs.pop("ports", None)
+    return make_topology(
+        task.design, task.nodes, seed=task.topology_seed, ports=ports,
+        **kwargs,
     )
 
 
@@ -186,16 +208,10 @@ def _run_churn(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     still a pure function of the task fields, so caching stays sound.
     """
     from repro.core.topology import StringFigureTopology
-    from repro.topologies.registry import make_topology
     from repro.workloads.churn import ChurnSchedule, run_churn
 
-    kwargs = dict(task.topology_params)
-    ports = kwargs.pop("ports", None)
     try:
-        topo = make_topology(
-            task.design, task.nodes, seed=task.topology_seed, ports=ports,
-            **kwargs,
-        )
+        topo = _fresh_topology(task)
     except ValueError as exc:
         return {"unsupported": True, "error": str(exc)}
     if not (
@@ -265,16 +281,10 @@ def _run_migration(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     function of the task fields and caching stays sound.
     """
     from repro.core.topology import StringFigureTopology
-    from repro.topologies.registry import make_topology
     from repro.workloads.migration import run_migration
 
-    kwargs = dict(task.topology_params)
-    ports = kwargs.pop("ports", None)
     try:
-        topo = make_topology(
-            task.design, task.nodes, seed=task.topology_seed, ports=ports,
-            **kwargs,
-        )
+        topo = _fresh_topology(task)
     except ValueError as exc:
         return {"unsupported": True, "error": str(exc)}
     if not (
@@ -325,16 +335,10 @@ def _run_faults(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     paper's comparison point for String Figure's local table repair.
     """
     from repro.core.topology import StringFigureTopology
-    from repro.topologies.registry import make_topology
     from repro.workloads.faults import run_faults
 
-    kwargs = dict(task.topology_params)
-    ports = kwargs.pop("ports", None)
     try:
-        topo = make_topology(
-            task.design, task.nodes, seed=task.topology_seed, ports=ports,
-            **kwargs,
-        )
+        topo = _fresh_topology(task)
     except ValueError as exc:
         return {"unsupported": True, "error": str(exc)}
     if isinstance(topo, StringFigureTopology) and not topo.with_shortcuts:
@@ -379,85 +383,6 @@ def _run_faults(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     payload = result.payload()
     payload["radix"] = _radix_of(topo)
     return payload
-
-
-def _run_perf(task: ExperimentTask, instrument=None) -> dict[str, Any]:
-    """One simulator-throughput measurement (the perf trajectory).
-
-    Times the event loop of a synthetic run — topology and policy are
-    built *fresh* and outside the timed region, so the measurement is
-    cold-cache and covers exactly the simulation hot path.  ``repeats``
-    (default 2) re-runs the identical simulation and reports the best
-    timing (the run reusing the warmed policy caches, as a long sweep
-    would); traffic statistics are deterministic across repeats and
-    double as a correctness cross-check.  Timing fields are wall-clock:
-    run perf sweeps with the result cache disabled.
-    """
-    import time
-
-    from repro.network.simulator import NetworkSimulator
-    from repro.topologies.registry import make_policy, make_topology
-    from repro.traffic.injection import BernoulliInjector
-    from repro.traffic.patterns import make_pattern
-
-    kwargs = dict(task.topology_params)
-    ports = kwargs.pop("ports", None)
-    try:
-        topo = make_topology(
-            task.design, task.nodes, seed=task.topology_seed, ports=ports,
-            **kwargs,
-        )
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
-    policy = make_policy(topo)
-    pattern = make_pattern(task.pattern, topo.active_nodes)
-    warmup = task.sim("warmup", 100)
-    measure = task.sim("measure", 300)
-    drain_limit = task.sim("drain_limit", 20_000)
-    repeats = task.sim("repeats", 2)
-    sample_free = bool(task.sim("sample_free", True))
-    eager = bool(task.sim("eager_link_events", False))
-
-    best: dict[str, Any] | None = None
-    for _ in range(max(1, repeats)):
-        sim = NetworkSimulator(
-            topo, policy, sample_free=sample_free, eager_link_events=eager,
-        )
-        if instrument is not None:
-            instrument(sim)
-        injector = BernoulliInjector(
-            sim, pattern, task.rate,
-            warmup=warmup, measure=measure,
-            payload_bytes=task.sim("payload_bytes", 64), seed=task.seed,
-        )
-        injector.start()
-        t0 = time.perf_counter()
-        sim.run(until=warmup + measure)
-        sim.run(until=warmup + measure + drain_limit)
-        wall = time.perf_counter() - t0
-        sim.stats.measure_cycles = measure
-        # Logical events (processed + elided LINK_FREEs) measure the
-        # simulated work independently of the lazy/eager core choice,
-        # keeping events/sec comparable across the perf trajectory.
-        events = sim.logical_events
-        sample = {
-            "events": events,
-            "events_processed": sim._events_processed,
-            "link_events_elided": sim.link_events_elided,
-            "wall_s": wall,
-            "events_per_sec": events / wall if wall > 0 else 0.0,
-            "sent": sim.stats.sent,
-            "delivered": sim.stats.delivered,
-            "avg_latency": sim.stats.avg_latency,
-            "p99_latency": sim.stats.latency.percentile(99),
-            "avg_hops": sim.stats.avg_hops,
-            "accepted_rate": sim.stats.accepted_rate,
-        }
-        if best is None or sample["events_per_sec"] > best["events_per_sec"]:
-            best = sample
-    best["radix"] = _radix_of(topo)
-    best["repeats"] = max(1, repeats)
-    return best
 
 
 def _run_path_stats(task: ExperimentTask, instrument=None) -> dict[str, Any]:
@@ -551,16 +476,10 @@ def _run_interference(
     fresh per task like ``faults`` — the QoS table rewires the
     simulator's port state, so memoized topologies must not be shared.
     """
-    from repro.topologies.registry import make_topology
     from repro.workloads.interference import run_interference
 
-    kwargs = dict(task.topology_params)
-    ports = kwargs.pop("ports", None)
     try:
-        topo = make_topology(
-            task.design, task.nodes, seed=task.topology_seed, ports=ports,
-            **kwargs,
-        )
+        topo = _fresh_topology(task)
     except ValueError as exc:
         return {"unsupported": True, "error": str(exc)}
     result = run_interference(
@@ -602,17 +521,3 @@ def _run_anatomy(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     """
     return _run_interference(task, instrument, anatomy=True)
 
-
-_RUNNERS = {
-    "synthetic": _run_synthetic,
-    "saturation": _run_saturation,
-    "workload": _run_workload,
-    "path_stats": _run_path_stats,
-    "churn": _run_churn,
-    "migration": _run_migration,
-    "faults": _run_faults,
-    "perf": _run_perf,
-    "service": _run_service,
-    "interference": _run_interference,
-    "anatomy": _run_anatomy,
-}

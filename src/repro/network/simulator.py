@@ -1398,8 +1398,8 @@ class NetworkSimulator:
         drain it equals ``_events_processed`` of an eager run exactly
         (elision is counted at send time, processing at pop time, so
         mid-run the two can transiently differ by the in-flight
-        links), which keeps events/sec comparable across the recorded
-        perf trajectory.
+        links), which keeps event counts comparable across the two
+        cores.
         """
         return self._events_processed + self._link_events_elided
 

@@ -58,7 +58,7 @@ def run_canary(repeats: int = 3) -> dict[str, float]:
 
     Returns ``{"ops", "seconds", "kops"}`` where ``kops`` is thousands
     of canary loop iterations per second (best of *repeats*, the same
-    convention as the perf benchmarks).
+    convention as the anatomy-overhead benchmark).
     """
     best = float("inf")
     checksum = None

@@ -33,45 +33,6 @@ def test_serial_and_parallel_payloads_identical():
         assert parallel.payload(task) == payload, task.label()
 
 
-def test_isolate_runner_payloads_identical():
-    """Core pinning changes scheduling, never payloads."""
-    serial = ParallelRunner(workers=1).run(SPEC)
-    isolated = ParallelRunner(workers=4, isolate=True).run(SPEC)
-    for task, payload in serial:
-        assert isolated.payload(task) == payload, task.label()
-
-
-def test_isolate_perf_sweep_reports_logical_events():
-    """Perf payloads under --isolate: lazy and eager cores report the
-    same logical event count (and identical traffic statistics); only
-    the heap traffic differs."""
-    spec = ExperimentSpec(
-        name="perf-isolate",
-        kind="perf",
-        designs=("SF",),
-        nodes=(16,),
-        patterns=("uniform_random",),
-        rates=(0.05,),
-        seeds=(0,),
-        sim_params={"warmup": 30, "measure": 80, "drain_limit": 2000,
-                    "repeats": 1},
-    )
-    lazy = ParallelRunner(workers=0, isolate=True).run(spec)
-    eager = ParallelRunner(workers=1).run(
-        spec.with_overrides(sim_params={"eager_link_events": True})
-    )
-    payload = next(iter(lazy))[1]
-    epayload = next(iter(eager))[1]
-    assert epayload["link_events_elided"] == 0
-    assert payload["link_events_elided"] > 0
-    assert (payload["events_processed"] + payload["link_events_elided"]
-            == payload["events"])
-    assert payload["events"] == epayload["events"]
-    for key in ("sent", "delivered", "avg_latency", "p99_latency",
-                "avg_hops", "accepted_rate"):
-        assert payload[key] == epayload[key], key
-
-
 def test_repeat_runs_identical_with_warm_memo():
     clear_memo()
     runner = ParallelRunner(workers=1, keep_memo=True)

@@ -103,22 +103,6 @@ class TestCaching:
         assert extended.cache_hits == 2
         assert extended.cache_misses == 1
 
-    def test_perf_tasks_never_cached(self, tmp_path):
-        """Wall-clock payloads must not be replayed as fresh timings."""
-        cache = ResultCache(tmp_path)
-        runner = ParallelRunner(cache=cache)
-        spec = ExperimentSpec(
-            name="perf-nocache", kind="perf", designs=("SF",), nodes=(16,),
-            rates=(0.1,), seeds=(0,),
-            sim_params={"warmup": 30, "measure": 80, "drain_limit": 2000,
-                        "repeats": 1},
-        )
-        first = runner.run(spec)
-        assert (first.cache_hits, first.cache_misses) == (0, 1)
-        assert len(cache) == 0  # nothing stored
-        second = runner.run(spec)
-        assert (second.cache_hits, second.cache_misses) == (0, 1)
-
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = quick_spec().tasks()[0]

@@ -68,6 +68,35 @@ class TestExpansion:
         with pytest.raises(ValueError, match="patterns"):
             ExperimentSpec(name="bad", kind="saturation", patterns=())
 
+    def test_string_axis_rejected(self):
+        # A JSON spec with "seeds": "01" used to expand into two tasks
+        # with the *string* seeds '0' and '1'.
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentSpec.from_json('{"name": "bad", "seeds": "01"}')
+        with pytest.raises(ValueError, match="designs"):
+            ExperimentSpec(name="bad", designs="SF")
+
+    def test_numeric_axes_typed(self):
+        # "16" used to build a task with nodes='16' whose cache key
+        # differed from the int spec's.
+        with pytest.raises(ValueError, match="nodes"):
+            ExperimentSpec.from_json(
+                '{"name": "bad", "nodes": ["16"], "rates": [0.1]}'
+            )
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentSpec(name="bad", seeds=(0, 1.5))
+        with pytest.raises(ValueError, match="rates"):
+            ExperimentSpec(name="bad", rates=("0.1",))
+        with pytest.raises(ValueError, match="rates"):
+            ExperimentSpec(name="bad", rates=(True,))
+        # Integer rates are numbers and expand to float task rates.
+        assert ExperimentSpec(name="ok", rates=(1,)).tasks()[0].rate == 1.0
+
+    def test_unread_axes_not_validated(self):
+        # Axes a kind ignores stay ignored, whatever they hold.
+        spec = ExperimentSpec(name="ok", kind="path_stats", rates="n/a")
+        assert [t.rate for t in spec.tasks()] == [None]
+
 
 class TestTaskIdentity:
     def test_key_stable_across_param_ordering(self):

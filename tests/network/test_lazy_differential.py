@@ -8,8 +8,8 @@ grid, a live-churn reconfiguration run, and a link-fault/retransmit
 scenario, asserting bit-identical SimStats — and, under faults,
 identical dropped/retransmit counters.  ``logical_events`` (processed
 + elided) must equal the eager core's processed-event count exactly
-after a full drain, which is what keeps events/sec comparable across
-the recorded perf trajectory.
+after a full drain, which is what keeps event counts comparable across
+the two cores.
 """
 
 from __future__ import annotations

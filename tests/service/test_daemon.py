@@ -132,6 +132,8 @@ def test_concurrent_clients_all_complete():
             writer.close()
 
         await asyncio.gather(*[client(i) for i in range(8)])
+        # Every conservation law holds at drain under concurrent clients.
+        assert service.drain()["all_conserved"]
         await daemon.stop()
         assert len(done) == 80
         assert all(status == "done" for status in done)

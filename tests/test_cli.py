@@ -28,7 +28,6 @@ class TestParser:
             ["churn", "--nodes", "64", "--gate-fraction", "0.25"],
             ["migrate", "--nodes", "64", "--gate-fraction", "0.25"],
             ["faults", "--nodes", "64", "--schedule", "crash"],
-            ["perf", "--designs", "SF,DM", "--nodes", "36", "--repeats", "1"],
         ):
             assert parser.parse_args(argv) is not None
 
@@ -49,12 +48,6 @@ class TestParser:
         assert args.kind == "synthetic"
         assert args.workers == 1
         assert not args.no_cache
-
-    def test_perf_defaults(self):
-        args = build_parser().parse_args(["perf"])
-        assert args.designs == "SF,DM,Jellyfish"
-        assert args.rates == "0.05"
-        assert args.repeats == 2
 
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])
@@ -144,25 +137,6 @@ class TestSweep:
         entry = next(iter(data.values()))
         assert entry["task"]["design"] in ("SF", "DM")
         assert entry["payload"]["measured_delivered"] > 0
-
-    def test_perf_runs_and_reports_throughput(self, capsys, tmp_path):
-        output = tmp_path / "perf.json"
-        assert main([
-            "perf", "--designs", "SF", "--nodes", "16",
-            "--warmup", "30", "--measure", "80", "--drain-limit", "2000",
-            "--repeats", "1", "--rates", "0.1", "--seeds", "0",
-            "--output", str(output),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out
-        assert "1 simulated" in out
-        import json
-
-        data = json.loads(output.read_text())
-        payload = next(iter(data.values()))["payload"]
-        assert payload["events"] > 0
-        assert payload["events_per_sec"] > 0
-        assert payload["delivered"] > 0
 
     def test_churn_runs_and_caches(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
