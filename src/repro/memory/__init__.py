@@ -1,4 +1,4 @@
-"""Memory-node substrate: addressing, DRAM timing, nodes, migration."""
+"""Memory-node substrate: addressing, DRAM timing, nodes, migration, requests."""
 
 from repro.memory.address import AddressMapper, migration_delta
 from repro.memory.dram import DramModel
@@ -8,12 +8,16 @@ from repro.memory.migration import (
     PageDirectory,
     PageState,
 )
-from repro.memory.node import MemoryNode
+from repro.memory.node import MemoryNode, MemoryNodePool
+from repro.memory.requests import MemoryRequest, MemoryRequestPath
 
 __all__ = [
     "AddressMapper",
     "DramModel",
     "MemoryNode",
+    "MemoryNodePool",
+    "MemoryRequest",
+    "MemoryRequestPath",
     "MigrationEngine",
     "MigrationRecord",
     "PageDirectory",

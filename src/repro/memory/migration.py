@@ -51,6 +51,7 @@ from typing import Any, Callable
 
 from repro.memory.address import AddressMapper, migration_delta
 from repro.memory.node import MemoryNode
+from repro.memory.requests import REQUEST_HEADER_BYTES
 from repro.network.packet import Packet, PacketKind
 from repro.network.simulator import NetworkSimulator
 
@@ -125,10 +126,11 @@ class PageDirectory:
         request either stalls there until the page lands, or (if issued
         after landing) is served directly.  Routing new requests to the
         destination instead of the source keeps them off the node that
-        is about to lose its links.
+        is about to lose its links.  A lost page resolves to ``-1``, as
+        in :meth:`arrival_ruling`: no node can serve it.
         """
         pair = self._inflight.get(page)
-        return pair[1] if pair is not None else self._owner[page]
+        return pair[1] if pair is not None else self._owner.get(page, -1)
 
     def arrival_ruling(self, node: int, page: int) -> tuple[str, int]:
         """How a request for *page* arriving at *node* must be handled.
@@ -279,10 +281,6 @@ class _Batch:
         return self.next_index >= len(self.moves)
 
 
-#: Migration request packets carry a page id + addresses (16 B header).
-_REQUEST_BYTES = 16
-
-
 class MigrationEngine:
     """Schedules page moves as rate-limited background network traffic.
 
@@ -299,7 +297,8 @@ class MigrationEngine:
         Shared :class:`PageDirectory` (also consulted by the
         foreground workload for request placement).
     memory_node:
-        ``node_id -> MemoryNode`` accessor supplying DRAM service.
+        ``node_id -> MemoryNode`` accessor supplying DRAM service (the
+        run's :class:`~repro.memory.node.MemoryNodePool`).
     rate_limit_bytes_per_cycle:
         Background bandwidth budget: consecutive page issues are spaced
         ``page_bytes / rate`` cycles apart.
@@ -508,8 +507,8 @@ class MigrationEngine:
         request = Packet(
             src=dst,
             dst=src,
-            size_flits=self.sim.config.packet_flits(_REQUEST_BYTES),
-            payload_bytes=_REQUEST_BYTES,
+            size_flits=self.sim.config.packet_flits(REQUEST_HEADER_BYTES),
+            payload_bytes=REQUEST_HEADER_BYTES,
             kind=PacketKind.MIG_READ,
             tclass=self.tclass,
             measured=False,

@@ -18,7 +18,7 @@ from repro.network.config import NetworkConfig
 from repro.network.packet import Packet, PacketKind
 from repro.network.simulator import NetworkSimulator
 
-__all__ = ["MemoryNode"]
+__all__ = ["MemoryNode", "MemoryNodePool"]
 
 
 class MemoryNode:
@@ -99,3 +99,22 @@ class MemoryNode:
         self.served += 1
         self.sim.stats.dram_bits += 8 * num_bytes
         return done
+
+
+class MemoryNodePool:
+    """The banked DRAM controllers of one simulator, built on first use.
+
+    Callable as ``pool(node_id)`` — the accessor the migration engine,
+    the memory-request path and the trace replayer share, so every
+    layer that touches a node's DRAM sees the same bank occupancy.
+    """
+
+    def __init__(self, sim: NetworkSimulator) -> None:
+        self.sim = sim
+        self.nodes: dict[int, MemoryNode] = {}
+
+    def __call__(self, node_id: int) -> MemoryNode:
+        node = self.nodes.get(node_id)
+        if node is None:
+            node = self.nodes[node_id] = MemoryNode(node_id, self.sim)
+        return node

@@ -568,42 +568,44 @@ class WindowedLatencyProbe:
 
 def disturbance_metrics(
     probe: WindowedLatencyProbe,
-    event: LiveReconfigEvent,
+    start: int,
+    clear: int,
     baseline_windows: int = 5,
     horizon_cycles: int = 10_000,
     tolerance: float = 1.25,
 ) -> dict[str, Any]:
-    """Latency disturbance and recovery time around one reconfiguration.
+    """Latency disturbance and recovery time around one event window.
 
-    ``baseline`` is the mean latency over the windows just before the
-    event; ``peak`` the worst window mean between the event start and
-    ``horizon_cycles`` past unblock; ``recovery_cycles`` measures from
-    unblock to the end of the first non-empty window whose mean is back
-    within ``tolerance`` x baseline (``recovered`` is False when that
-    never happens inside the horizon).
+    The event runs from *start* (a reconfiguration request, a fault) to
+    *clear* (unblock, repair).  ``baseline`` is the mean latency over
+    the windows just before *start*; ``peak`` the worst window mean
+    between *start* and ``horizon_cycles`` past *clear*;
+    ``recovery_cycles`` measures from *clear* to the end of the first
+    non-empty window whose mean is back within ``tolerance`` x baseline
+    (``recovered`` is False when that never happens inside the horizon).
     """
     w = probe.window_cycles
-    baseline = probe.mean_between(event.t_request - baseline_windows * w, event.t_request)
+    baseline = probe.mean_between(start - baseline_windows * w, start)
     peak = 0.0
     recovery_cycles: int | None = None
     recovered = False
     saw_post_window = False
-    horizon_end = event.t_unblocked + horizon_cycles
+    horizon_end = clear + horizon_cycles
     for entry in probe.series():
-        start = entry["window_start"]
-        if start + w <= event.t_request or start >= horizon_end:
+        window = entry["window_start"]
+        if window + w <= start or window >= horizon_end:
             continue
         peak = max(peak, entry["mean_latency"])
-        if start >= event.t_unblocked:
+        if window >= clear:
             saw_post_window = True
         if (
             not recovered
             and baseline > 0.0
-            and start >= event.t_unblocked
+            and window >= clear
             and entry["mean_latency"] <= tolerance * baseline
         ):
             recovered = True
-            recovery_cycles = start + w - event.t_unblocked
+            recovery_cycles = window + w - clear
     if not saw_post_window:
         # Nothing was delivered after the window closed (e.g. the event
         # completed during the drain phase): there was no disturbed
@@ -611,13 +613,6 @@ def disturbance_metrics(
         recovered = True
         recovery_cycles = 0
     return {
-        "kind": event.kind,
-        "num_nodes": len(event.nodes),
-        "t_request": event.t_request,
-        "drain_cycles": event.drain_cycles,
-        "block_cycles": event.block_cycles,
-        "parked_packets": event.parked_packets,
-        "rerouted_packets": event.rerouted_packets,
         "baseline_latency": baseline,
         "peak_latency": peak,
         "peak_ratio": (peak / baseline) if baseline > 0 else 0.0,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["LatencyAccumulator", "QuantileSketch", "SimStats", "percentile"]
+__all__ = ["LatencyAccumulator", "QuantileSketch", "SimStats", "percentile", "phase_latency"]
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -22,6 +22,42 @@ def percentile(samples: list[float], q: float) -> float:
     idx = int(q / 100.0 * (len(data) - 1) + 0.5)  # round half up (idx >= 0)
     idx = min(len(data) - 1, max(0, idx))
     return float(data[idx])
+
+
+def phase_latency(
+    samples: list[tuple[int, int]], warmup: int, start: int, end: int
+) -> dict[str, float | int]:
+    """p50/p99 of ``(issued, latency)`` samples around a disturbance.
+
+    Samples issued before *warmup* are skipped; the rest split into
+    *baseline* (issued before *start*), *during* (``[start, end)``) and
+    *after*.  ``fg_slowdown_p99`` is the during-to-baseline p99 ratio
+    (0 without a baseline).
+    """
+    overall: list[int] = []
+    phases: dict[str, list[int]] = {"baseline": [], "during": [], "after": []}
+    for issued, latency in samples:
+        if issued < warmup:
+            continue
+        overall.append(latency)
+        if issued < start:
+            phases["baseline"].append(latency)
+        elif issued < end:
+            phases["during"].append(latency)
+        else:
+            phases["after"].append(latency)
+    out: dict[str, float | int] = {
+        "fg_requests": len(overall),
+        "fg_p50_overall": percentile(overall, 50),
+        "fg_p99_overall": percentile(overall, 99),
+    }
+    for name, values in phases.items():
+        out[f"fg_{name}_requests"] = len(values)
+        out[f"fg_p50_{name}"] = percentile(values, 50)
+        out[f"fg_p99_{name}"] = percentile(values, 99)
+    base = out["fg_p99_baseline"]
+    out["fg_slowdown_p99"] = out["fg_p99_during"] / base if base else 0.0
+    return out
 
 
 class QuantileSketch:

@@ -144,9 +144,9 @@ class LatencyAnatomy:
         self.conservation_violations = 0
         #: First few violating packets, for diagnosis.
         self.violation_examples: list[dict[str, Any]] = []
-        #: Service-request component index: ("svc", seq) context packets
-        #: fold their breakdown here, summed across legs, popped by the
-        #: service at completion (FIFO-bounded against leaks from
+        #: Service-request component index: ("svc", request) context
+        #: packets fold their breakdown here, summed across legs, popped
+        #: by the service at completion (FIFO-bounded against leaks from
         #: requests that complete without a network leg).
         self._svc: dict[Any, list[int]] = {}
         self._svc_order: deque = deque()
@@ -336,22 +336,22 @@ class LatencyAnatomy:
 
     # -- service-request index ---------------------------------------------
 
-    def _fold_svc(self, seq, comps: list[int]) -> None:
-        entry = self._svc.get(seq)
+    def _fold_svc(self, request, comps: list[int]) -> None:
+        entry = self._svc.get(request)
         if entry is None:
-            self._svc[seq] = list(comps)
+            self._svc[request] = list(comps)
             order = self._svc_order
-            order.append(seq)
+            order.append(request)
             if len(order) > self._svc_limit:
                 self._svc.pop(order.popleft(), None)
         else:
             for i in range(_NCOMP):
                 entry[i] += comps[i]
 
-    def take_request(self, seq) -> dict[str, int] | None:
-        """Pop the summed network components of service request *seq*
+    def take_request(self, request) -> dict[str, int] | None:
+        """Pop the summed network components of service *request*
         (None when its packets predate the install or never existed)."""
-        comps = self._svc.pop(seq, None)
+        comps = self._svc.pop(request, None)
         if comps is None:
             return None
         return dict(zip(COMPONENTS, comps))

@@ -348,8 +348,8 @@ class FabricProbes:
         reg.counter_probe("service_shed_total", lambda: service.shed_total)
         reg.counter_probe("service_queued_total", lambda: service.queued_total)
         reg.counter_probe("service_timeouts_total", lambda: service.timeouts)
-        reg.counter_probe("service_forwarded_total", lambda: service.forwarded)
-        reg.counter_probe("service_stalled_total", lambda: service.stalled)
+        reg.counter_probe("service_forwarded_total", lambda: service.requests.forwarded)
+        reg.counter_probe("service_stalled_total", lambda: service.requests.stalled)
 
         def collect_tenants(emit):
             """Per-tenant counters and latency sketches (live label set)."""

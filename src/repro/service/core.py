@@ -23,6 +23,13 @@ decisions, SimStats counters, page placement — is a pure function of
 the ordered log, which is what makes :func:`repro.service.log.replay`
 bit-identical and the asyncio frontier testable.
 
+**Request path.**  An injected request runs the memory-request
+lifecycle shared with the migration foreground
+(:class:`~repro.memory.requests.MemoryRequestPath`): directory lookup,
+serve / stall / forward / lost, DRAM service and the response.  The
+service keeps what comes before and after it: admission, the queue and
+its pump, the timeout reaper, tenants and the slow log.
+
 **Admission control.**  Requests are injected immediately while the
 fabric has headroom; near saturation they queue (bounded FIFO) and past
 the queue bound they shed.  Headroom is judged on the PR-4 O(1)
@@ -47,25 +54,21 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.network.packet import Packet, PacketKind
-
 __all__ = ["FabricService", "ServiceRequest", "TenantStats"]
-
-#: Request packets carry address + tag in a 16-byte header.
-REQUEST_HEADER_BYTES = 16
 
 #: Terminal request states (``ServiceRequest.status`` values).
 TERMINAL_STATES = ("done", "shed", "failed", "timeout", "error")
 
 
-@dataclass
+@dataclass(eq=False)
 class ServiceRequest:
     """One client read/write request moving through the fabric.
 
     ``latency`` is end-to-end simulated cycles from :attr:`t_submit`
     (admission) to completion — it includes any admission-queue wait,
     the network round trip, DRAM service, and migration stalls, which
-    is what a client actually observes.
+    is what a client actually observes.  Compared and hashed by
+    identity: the request itself is its packets' context key.
     """
 
     seq: int
@@ -207,7 +210,8 @@ class FabricService:
         from repro.faults.recovery import RecoveryOrchestrator
         from repro.memory.address import AddressMapper
         from repro.memory.migration import MigrationEngine, PageDirectory
-        from repro.memory.node import MemoryNode
+        from repro.memory.node import MemoryNodePool
+        from repro.memory.requests import MemoryRequestPath
         from repro.network.config import NetworkConfig
         from repro.network.elastic import LiveReconfigurator
         from repro.network.policies import GreedyPolicy
@@ -280,9 +284,8 @@ class FabricService:
         self.mapper = AddressMapper(active, interleave_bytes=page_bytes)
         self.directory = PageDirectory()
         self.directory.populate(self.mapper, footprint_pages)
-        self._memory_nodes: dict[int, MemoryNode] = {}
-        self._config = config
-        self._MemoryNode = MemoryNode
+        #: The banked DRAM controllers, shared with the migration engine.
+        self.memory_node = MemoryNodePool(self.sim)
         self.engine = MigrationEngine(
             self.sim,
             self.mapper,
@@ -320,7 +323,11 @@ class FabricService:
             self.sim, self.layer, self.detector, topology,
             manager=manager, seed=seed,
         )
-        self.sim.on_delivery(self._on_delivery)
+        self.requests = MemoryRequestPath(
+            self.sim, self.directory, self.mapper, self.memory_node,
+            self._complete, on_fail=self._fail, on_serve=self._on_serve,
+            tag="svc",
+        )
 
         self.footprint_pages = footprint_pages
         self.page_bytes = page_bytes
@@ -337,8 +344,6 @@ class FabricService:
         self.log_entries: list[dict[str, Any]] = []
         #: (seq, status, latency) in completion order — the digest feed.
         self.completions: list[tuple[int, str, int | None]] = []
-        self.forwarded = 0
-        self.stalled = 0
         self.shed_total = 0
         self.queued_total = 0
         self.timeouts = 0
@@ -346,23 +351,13 @@ class FabricService:
         self._pending: dict[int, ServiceRequest] = {}
         self._queue: deque[ServiceRequest] = deque()
         self._pump_scheduled = False
+        self._pumping = False
         self._reaper_scheduled = False
         self._gated: list[int] = []
         #: Queued-request count per traffic class (QoS admission only).
-        self._queued_by_class: dict[int, int] = {}
-        #: Per-class SLO accounting (QoS only): completions, sheds, and
-        #: exact latency sketches, keyed by class id.
-        self._class_completed: dict[int, int] = {}
-        self._class_shed: dict[int, int] = {}
-        self._class_sketches: dict[int, Any] = {}
-        if self._qos is not None:
-            from repro.network.stats import QuantileSketch
-
-            for cls in self._qos.classes:
-                self._queued_by_class[cls.id] = 0
-                self._class_completed[cls.id] = 0
-                self._class_shed[cls.id] = 0
-                self._class_sketches[cls.id] = QuantileSketch()
+        self._queued_by_class: dict[int, int] = (
+            {cls.id: 0 for cls in self._qos.classes} if self._qos is not None else {}
+        )
         #: Installed observability probes (see :meth:`install_probes`);
         #: None keeps the service entirely uninstrumented.
         self.probes = None
@@ -389,14 +384,6 @@ class FabricService:
     def from_config(cls, params: dict[str, Any]) -> "FabricService":
         """Rebuild a service identical to one captured in a log header."""
         return cls(**params)
-
-    def memory_node(self, node_id: int):
-        """The banked DRAM controller of *node_id* (created on demand)."""
-        node = self._memory_nodes.get(node_id)
-        if node is None:
-            node = self._MemoryNode(node_id, self.sim, self._config)
-            self._memory_nodes[node_id] = node
-        return node
 
     # -- time ----------------------------------------------------------------
 
@@ -439,7 +426,7 @@ class FabricService:
         """
         now = self.sim.now
         if size is None:
-            size = self._config.cacheline_bytes
+            size = self.sim.config.cacheline_bytes
         self.log_entries.append({
             "kind": "request", "t": now, "tenant": tenant, "op": op,
             "page": page, "offset": offset, "size": size, "req_id": req_id,
@@ -529,15 +516,12 @@ class FabricService:
         if self.outstanding >= budget:
             return False
         target = self.directory.resolve(request.page)
-        return self.sim.inflight_to(target) < self.node_watermark
+        # A lost page (-1) is admitted so the request path fails it.
+        return target < 0 or self.sim.inflight_to(target) < self.node_watermark
 
     def _shed(self, request: ServiceRequest, now: int, reason: str) -> None:
         self.shed_total += 1
         self.tenant(request.tenant).shed += 1
-        if self._qos is not None:
-            self._class_shed[request.tclass] = (
-                self._class_shed.get(request.tclass, 0) + 1
-            )
         self._finish(request, now, "shed", reason, count_shed=False)
 
     def _pick_source(self, tenant: str) -> int | None:
@@ -577,130 +561,26 @@ class FabricService:
         self._pending[request.seq] = request
         self.outstanding += 1
         self._ensure_reaper(now)
-        target = self.directory.resolve(request.page)
-        if target == src:
-            ruling, _ = self.directory.arrival_ruling(src, request.page)
-            if ruling == "stall":
-                self.stalled += 1
-                self.directory.when_landed(
-                    request.page,
-                    lambda t, r=request, n=src: self._serve(n, r, t),
-                )
-            elif ruling == "lost":
-                self._fail(request, now, "page_lost")
-            else:
-                self.tenant(request.tenant).local_ops += 1
-                self._serve(src, request, now)
-            return
-        self._send_request(src, target, request, now)
+        # Only an immediate local serve counts as a local op.
+        if self.requests.inject(request, now) == "serve":
+            self.tenant(request.tenant).local_ops += 1
 
-    def _send_request(
-        self, src: int, dst: int, request: ServiceRequest, now: int
-    ) -> None:
-        payload = REQUEST_HEADER_BYTES
-        if request.op == "write":
-            payload += request.size
-        packet = Packet(
-            src=src,
-            dst=dst,
-            size_flits=self._config.packet_flits(payload),
-            payload_bytes=payload,
-            kind=(
-                PacketKind.READ_REQ if request.op == "read"
-                else PacketKind.WRITE_REQ
-            ),
-            tclass=request.tclass,
-            measured=True,
-            context=("svc", request.seq),
-        )
-        self.sim.send(packet, now)
-
-    # -- delivery ------------------------------------------------------------
-
-    def _on_delivery(self, packet: Packet, now: int) -> None:
-        context = packet.context
-        if not (
-            isinstance(context, tuple) and len(context) == 2
-            and context[0] == "svc"
-        ):
-            return
-        request = self._pending.get(context[1])
-        if request is None or request.status != "inflight":
-            return  # timed out or already completed; late packet ignored
-        if packet.kind in (PacketKind.READ_RESP, PacketKind.WRITE_ACK):
-            self._complete(request, now)
-            return
-        if packet.kind not in (PacketKind.READ_REQ, PacketKind.WRITE_REQ):
-            return
-        node = packet.dst
-        ruling, target = self.directory.arrival_ruling(node, request.page)
-        if ruling == "serve":
-            self._serve(node, request, now)
-        elif ruling == "stall":
-            self.stalled += 1
-            self.directory.when_landed(
-                request.page,
-                lambda t, n=node, r=request: self._serve(n, r, t),
-            )
-        elif ruling == "forward":
-            self.forwarded += 1
-            self._send_request(node, target, request, now)
-        else:  # lost: the page died with an unrecovered crash
-            self._fail(request, now, "page_lost")
-
-    def _serve(self, node: int, request: ServiceRequest, now: int) -> None:
-        """DRAM-service the request at *node*, then answer its source."""
-        if request.status != "inflight":
-            return  # timed out while stalled on a landing page
-        addr = request.page * self.page_bytes + request.offset
-        done = self.memory_node(node).service_bulk(
-            now, self.mapper.local_offset(addr), request.size
-        )
+    def _on_serve(self, request: ServiceRequest) -> None:
         self.tenant(request.tenant).bytes_moved += request.size
-        origin = request.src_node
-        if origin == node:
-            # Local page (or a forwarded request that chased the page
-            # home): complete at DRAM completion, no response packet.
-            self.sim.schedule(done, lambda t, r=request: self._complete(r, t))
-            return
-        payload = (
-            request.size if request.op == "read" else REQUEST_HEADER_BYTES
-        )
-        response = Packet(
-            src=node,
-            dst=origin,
-            size_flits=self._config.packet_flits(payload),
-            payload_bytes=payload,
-            kind=(
-                PacketKind.READ_RESP if request.op == "read"
-                else PacketKind.WRITE_ACK
-            ),
-            tclass=request.tclass,
-            measured=True,
-            context=("svc", request.seq),
-        )
-        self.sim.send(response, done)
 
     # -- completion ----------------------------------------------------------
 
     def _complete(self, request: ServiceRequest, now: int) -> None:
-        if request.status != "inflight":
-            return
         stats = self.tenant(request.tenant)
         stats.completed += 1
         request.latency = now - request.t_submit
         stats.record_latency(request.latency)
-        if self._qos is not None:
-            self._class_completed[request.tclass] = (
-                self._class_completed.get(request.tclass, 0) + 1
-            )
-            self._class_sketches[request.tclass].add(request.latency)
         # Pop the anatomy's per-request network breakdown on *every*
         # completion (not just slow ones) so the svc index never grows;
         # failed/timed-out requests age out of its FIFO bound instead.
         anatomy = self.probes.anatomy if self.probes is not None else None
         network = (
-            anatomy.take_request(request.seq) if anatomy is not None else None
+            anatomy.take_request(request) if anatomy is not None else None
         )
         threshold = self.slow_log_threshold
         if threshold is not None and request.latency >= threshold:
@@ -797,24 +677,33 @@ class FabricService:
         each class): a latency-class request overtakes a bulk backlog
         that has exhausted its smaller budget, which is the
         work-conserving counterpart of the per-class admission gate.
+        An injection that fails on the spot (a lost page) re-enters
+        here through :meth:`_finish`; the running pass already covers
+        the slot it frees, so the nested call returns at once.
         """
-        if self._qos is None:
-            while self._queue:
-                head = self._queue[0]
-                if not self._has_headroom(head):
-                    break
-                self._queue.popleft()
-                self._inject(head, now)
+        if self._pumping:
             return
-        retained: deque[ServiceRequest] = deque()
-        while self._queue:
-            head = self._queue.popleft()
-            if self._has_headroom(head):
-                self._queued_by_class[head.tclass] -= 1
-                self._inject(head, now)
-            else:
-                retained.append(head)
-        self._queue = retained
+        self._pumping = True
+        try:
+            if self._qos is None:
+                while self._queue:
+                    head = self._queue[0]
+                    if not self._has_headroom(head):
+                        break
+                    self._queue.popleft()
+                    self._inject(head, now)
+                return
+            retained: deque[ServiceRequest] = deque()
+            while self._queue:
+                head = self._queue.popleft()
+                if self._has_headroom(head):
+                    self._queued_by_class[head.tclass] -= 1
+                    self._inject(head, now)
+                else:
+                    retained.append(head)
+            self._queue = retained
+        finally:
+            self._pumping = False
 
     def _ensure_reaper(self, now: int) -> None:
         if not self._reaper_scheduled and (self.outstanding or self._queue):
@@ -1055,17 +944,30 @@ class FabricService:
         return summary
 
     def class_summary(self) -> dict[str, dict[str, float]]:
-        """Per-traffic-class SLO block (empty when classless)."""
+        """Per-traffic-class SLO block (empty when classless).
+
+        A tenant's class is fixed at construction, so each row folds
+        that class's tenants: counts by summation, percentiles through
+        the exact :meth:`QuantileSketch.merge`.
+        """
         if self._qos is None:
             return {}
+        from repro.network.stats import QuantileSketch
+
+        rows = {cls.id: [0, 0, QuantileSketch()] for cls in self._qos.classes}
+        for name, ts in sorted(self.tenants.items()):
+            row = rows[self.class_of_tenant(name)]
+            row[0] += ts.completed
+            row[1] += ts.shed
+            row[2].merge(ts.sketch)
         out: dict[str, dict[str, float]] = {}
         for cls in self._qos.classes:
-            sketch = self._class_sketches[cls.id]
+            completed, shed, sketch = rows[cls.id]
             out[cls.name] = {
                 "class_id": cls.id,
                 "priority": cls.priority,
-                "completed": self._class_completed.get(cls.id, 0),
-                "shed": self._class_shed.get(cls.id, 0),
+                "completed": completed,
+                "shed": shed,
                 "queued": self._queued_by_class.get(cls.id, 0),
                 "p50": sketch.percentile(50),
                 "p99": sketch.percentile(99),
@@ -1117,8 +1019,8 @@ class FabricService:
             "shed": self.shed_total,
             "queued_total": self.queued_total,
             "timeouts": self.timeouts,
-            "forwarded": self.forwarded,
-            "stalled": self.stalled,
+            "forwarded": self.requests.forwarded,
+            "stalled": self.requests.stalled,
             "sent": stats.sent,
             "delivered": stats.delivered,
             "dropped": stats.dropped,
@@ -1169,8 +1071,8 @@ class FabricService:
             "flit_hops": stats.flit_hops,
             "bit_hops": stats.bit_hops,
             "shed": self.shed_total,
-            "forwarded": self.forwarded,
-            "stalled": self.stalled,
+            "forwarded": self.requests.forwarded,
+            "stalled": self.requests.stalled,
             "timeouts": self.timeouts,
             "tenants": {
                 name: (ts.completed, ts.p50(), ts.p99())
@@ -1181,11 +1083,7 @@ class FabricService:
             # Classless digests stay byte-identical: the key only
             # exists when a class table is installed.
             out["classes"] = {
-                cls.name: (
-                    self._class_completed.get(cls.id, 0),
-                    self._class_sketches[cls.id].percentile(50),
-                    self._class_sketches[cls.id].percentile(99),
-                )
-                for cls in self._qos.classes
+                name: (row["completed"], row["p50"], row["p99"])
+                for name, row in self.class_summary().items()
             }
         return out

@@ -26,6 +26,23 @@ from repro.service.core import FabricService, ServiceRequest
 __all__ = ["FabricDaemon"]
 
 
+def _request_fields(message: dict[str, Any]) -> dict[str, Any]:
+    """The typed fields of a ``read``/``write`` line.
+
+    ``page``, ``offset`` and ``size`` must convert to integers (else
+    ``TypeError``, ``ValueError`` or ``OverflowError``); range checks stay with
+    :meth:`FabricService.submit`, which logs the request first.
+    """
+    size = message.get("size")
+    return {
+        "op": message["op"],
+        "page": int(message.get("page", -1)),
+        "offset": int(message.get("offset", 0)),
+        "size": None if size is None else int(size),
+        "id": message.get("id"),
+    }
+
+
 class FabricDaemon:
     """Serve one resident :class:`FabricService` over newline-JSON TCP.
 
@@ -147,7 +164,17 @@ class FabricDaemon:
                     # path.  First scrape installs the probes.
                     self._reply(writer, self._metrics_reply(message))
                 elif verb in ("read", "write"):
-                    self._enqueue("request", (tenant, message), writer)
+                    # Reject wrong-typed fields here: a conversion
+                    # error inside the pump would kill it for everyone.
+                    try:
+                        fields = _request_fields(message)
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        self._reply(writer, {
+                            "ok": False, "id": message.get("id"),
+                            "error": f"bad request: {exc}",
+                        })
+                        continue
+                    self._enqueue("request", (tenant, fields), writer)
                 elif verb in ("scale", "fault", "drain", "shutdown"):
                     self._enqueue("control", message, writer)
                 else:
@@ -251,9 +278,9 @@ class FabricDaemon:
         self._stopped.set()
 
     def _apply_request(self, payload: tuple[str, dict], writer) -> None:
-        tenant, message = payload
+        tenant, fields = payload
 
-        def on_done(req: ServiceRequest, w=writer, mid=message.get("id")):
+        def on_done(req: ServiceRequest, w=writer, mid=fields["id"]):
             """Write the terminal-state response line back to the client."""
             body = req.to_dict()
             body["id"] = mid
@@ -262,11 +289,11 @@ class FabricDaemon:
 
         self.service.submit(
             tenant,
-            message["op"],
-            int(message.get("page", -1)),
-            offset=int(message.get("offset", 0)),
-            size=message.get("size"),
-            req_id=message.get("id"),
+            fields["op"],
+            fields["page"],
+            offset=fields["offset"],
+            size=fields["size"],
+            req_id=fields["id"],
             on_done=on_done,
         )
 

@@ -434,7 +434,19 @@ def run_churn(
         else:
             active += len(event.nodes)
         min_active = min(min_active, active)
-    disturbances = [disturbance_metrics(probe, event) for event in live.events]
+    disturbances = [
+        {
+            "kind": event.kind,
+            "num_nodes": len(event.nodes),
+            "t_request": event.t_request,
+            "drain_cycles": event.drain_cycles,
+            "block_cycles": event.block_cycles,
+            "parked_packets": event.parked_packets,
+            "rerouted_packets": event.rerouted_packets,
+            **disturbance_metrics(probe, event.t_request, event.t_unblocked),
+        }
+        for event in live.events
+    ]
     return ChurnResult(
         stats=sim.stats,
         events=live.events,

@@ -52,13 +52,17 @@ from repro.faults.layer import FaultLayer
 from repro.faults.recovery import RecoveryOrchestrator
 from repro.memory.address import AddressMapper
 from repro.memory.migration import MigrationEngine, PageDirectory
-from repro.memory.node import MemoryNode
+from repro.memory.node import MemoryNodePool
 from repro.network.config import NetworkConfig
-from repro.network.elastic import LiveReconfigurator, WindowedLatencyProbe
+from repro.network.elastic import (
+    LiveReconfigurator,
+    WindowedLatencyProbe,
+    disturbance_metrics,
+)
 from repro.network.packet import PacketKind
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
-from repro.network.stats import SimStats, percentile
+from repro.network.stats import SimStats, phase_latency
 from repro.traffic.patterns import make_pattern
 from repro.workloads.churn import ChurnInjector
 
@@ -93,54 +97,6 @@ class FaultAwareInjector(ChurnInjector):
         return self.layer.usable_dest(node) and (
             self.reconfig is None or self.reconfig.usable(node)
         )
-
-
-def _fault_disturbance(
-    probe: WindowedLatencyProbe,
-    record: FaultRecord,
-    run_end: int,
-    baseline_windows: int = 5,
-    horizon_cycles: int = 10_000,
-    tolerance: float = 1.25,
-) -> dict[str, Any]:
-    """Peak/recovery metrics of one fault against the windowed probe."""
-    w = probe.window_cycles
-    t0 = record.t_fault
-    cleared = record.cleared_at(run_end)
-    baseline = probe.mean_between(t0 - baseline_windows * w, t0)
-    peak = 0.0
-    recovered = False
-    recovery_cycles: int | None = None
-    saw_post_window = False
-    horizon_end = cleared + horizon_cycles
-    for entry in probe.series():
-        start = entry["window_start"]
-        if start + w <= t0 or start >= horizon_end:
-            continue
-        peak = max(peak, entry["mean_latency"])
-        if start >= cleared:
-            saw_post_window = True
-        if (
-            not recovered
-            and baseline > 0.0
-            and start >= cleared
-            and entry["mean_latency"] <= tolerance * baseline
-        ):
-            recovered = True
-            recovery_cycles = start + w - cleared
-    if not saw_post_window:
-        recovered = True
-        recovery_cycles = 0
-    return {
-        "kind": record.kind,
-        "t_fault": t0,
-        "cleared_at": cleared,
-        "baseline_latency": baseline,
-        "peak_latency": peak,
-        "peak_ratio": (peak / baseline) if baseline > 0 else 0.0,
-        "recovered": recovered,
-        "recovery_cycles": recovery_cycles,
-    }
 
 
 @dataclass
@@ -269,44 +225,6 @@ class FaultRunResult:
         return out
 
 
-def _phase_stats(
-    samples: list[tuple[int, int]],
-    records: list[FaultRecord],
-    warmup: int,
-    run_end: int,
-) -> dict[str, Any]:
-    """p50/p99 end-to-end latency before/during/after the fault window."""
-    if records:
-        first_fault = min(r.t_fault for r in records)
-        last_clear = max(r.cleared_at(run_end) for r in records)
-    else:
-        first_fault = last_clear = run_end
-    phases: dict[str, list[int]] = {"baseline": [], "during": [], "after": []}
-    for issued, latency in samples:
-        if issued < warmup:
-            continue
-        if issued < first_fault:
-            phases["baseline"].append(latency)
-        elif issued < last_clear:
-            phases["during"].append(latency)
-        else:
-            phases["after"].append(latency)
-    overall = [lat for issued, lat in samples if issued >= warmup]
-    out: dict[str, Any] = {
-        "fault_window": [first_fault, last_clear],
-        "fg_requests": len(overall),
-        "fg_p50_overall": percentile(overall, 50),
-        "fg_p99_overall": percentile(overall, 99),
-    }
-    for name, values in phases.items():
-        out[f"fg_{name}_requests"] = len(values)
-        out[f"fg_p50_{name}"] = percentile(values, 50)
-        out[f"fg_p99_{name}"] = percentile(values, 99)
-    base = out["fg_p99_baseline"]
-    out["fg_slowdown_p99"] = out["fg_p99_during"] / base if base else 0.0
-    return out
-
-
 def run_faults(
     topology,
     pattern: str = "uniform_random",
@@ -388,20 +306,11 @@ def run_faults(
         mapper = AddressMapper(active, interleave_bytes=page_bytes)
         directory = PageDirectory()
         directory.populate(mapper, footprint_pages)
-        memory_nodes: dict[int, MemoryNode] = {}
-
-        def memory_node(node_id: int) -> MemoryNode:
-            node = memory_nodes.get(node_id)
-            if node is None:
-                node = MemoryNode(node_id, sim, config)
-                memory_nodes[node_id] = node
-            return node
-
         engine = MigrationEngine(
             sim,
             mapper,
             directory,
-            memory_node,
+            MemoryNodePool(sim),
             rate_limit_bytes_per_cycle=mig_rate_limit,
         )
     recovery = RecoveryOrchestrator(
@@ -492,7 +401,12 @@ def run_faults(
     run_end = sim.now
 
     disturbances = [
-        _fault_disturbance(probe, record, run_end)
+        {
+            "kind": record.kind,
+            "t_fault": record.t_fault,
+            "cleared_at": record.cleared_at(run_end),
+            **disturbance_metrics(probe, record.t_fault, record.cleared_at(run_end)),
+        }
         for record in injector.records
     ]
     result = FaultRunResult(
@@ -512,5 +426,14 @@ def run_faults(
         flushed=flushed,
         samples=samples,
     )
-    result.phase = _phase_stats(samples, injector.records, warmup, run_end)
+    records = injector.records
+    if records:
+        first_fault = min(r.t_fault for r in records)
+        last_clear = max(r.cleared_at(run_end) for r in records)
+    else:
+        first_fault = last_clear = run_end
+    result.phase = {
+        "fault_window": [first_fault, last_clear],
+        **phase_latency(samples, warmup, first_fault, last_clear),
+    }
     return result

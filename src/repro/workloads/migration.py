@@ -37,39 +37,33 @@ from repro.core.topology import StringFigureTopology
 from repro.energy.power_gating import PowerManager
 from repro.memory.address import AddressMapper
 from repro.memory.migration import MigrationEngine, MigrationRecord, PageDirectory
-from repro.memory.node import MemoryNode
+from repro.memory.node import MemoryNodePool
+from repro.memory.requests import MemoryRequest, MemoryRequestPath
 from repro.network.config import NetworkConfig
 from repro.network.elastic import (
     DEFAULT_REVALIDATE_CYCLES,
     LiveReconfigEvent,
     LiveReconfigurator,
 )
-from repro.network.packet import Packet, PacketKind
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
-from repro.network.stats import SimStats, percentile
+from repro.network.stats import SimStats, phase_latency
 from repro.utils.rng import derive_rng
 
 __all__ = ["ForegroundMemoryTraffic", "MigrationRunResult", "run_migration"]
-
-#: Foreground read requests carry address + tag (16 B header).
-_REQUEST_BYTES = 16
 
 
 class ForegroundMemoryTraffic:
     """Per-node Bernoulli read-request load over the page footprint.
 
-    Every active node issues reads to uniformly drawn pages; the
-    destination comes from the page directory at issue time, so the
-    load follows the data as it migrates.  Request completions are
-    recorded as ``(issue, latency)`` pairs for post-hoc phase analysis.
-
-    Requests racing a migration are handled by the directory's arrival
-    ruling: *serve* (page is here), *forward* (page left — one more
-    network trip to its current location), or *stall* (page is inbound
-    here — wait for it to land, then serve).  No request is ever
-    dropped; ``issued == completed`` after drain is the scenario's
-    conservation invariant alongside ``sent == delivered``.
+    Every active node issues reads to uniformly drawn pages through the
+    shared :class:`~repro.memory.requests.MemoryRequestPath`, so the
+    load follows the data as it migrates: requests racing a migration
+    are served, forwarded after their page, or stalled until it lands.
+    Completions are recorded as ``(issue, latency)`` pairs for post-hoc
+    phase analysis.  No request is ever dropped; ``issued ==
+    completed`` after drain is the scenario's conservation invariant
+    alongside ``sent == delivered``.
     """
 
     def __init__(
@@ -90,9 +84,6 @@ class ForegroundMemoryTraffic:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
         self.sim = sim
         self.reconfig = reconfig
-        self.directory = directory
-        self.mapper = mapper  # local offsets are home-based: any generation works
-        self.memory_node = memory_node
         self.rate = rate
         self.footprint_pages = footprint_pages
         self.page_bytes = mapper.interleave_bytes
@@ -103,18 +94,24 @@ class ForegroundMemoryTraffic:
             list(sim.topology.active_nodes) if sources is None else list(sources)
         )
         self._line = sim.config.cacheline_bytes
-        self._req_flits = sim.config.packet_flits(_REQUEST_BYTES)
         self._stop = warmup + measure
         self.issued = 0
         self.completed = 0
         self.skipped_sources = 0
+        #: Requests whose page was local at issue (served or stalled).
         self.local_ops = 0
-        self.forwarded_requests = 0
-        self.stalled_requests = 0
-        self.stall_cycle_sum = 0
-        #: (issue_time, latency) of every completed non-local request.
+        #: (issue_time, latency) of every completed request.
         self.samples: list[tuple[int, int]] = []
-        sim.on_delivery(self._on_delivery)
+        self.requests = MemoryRequestPath(
+            sim,
+            directory,
+            mapper,
+            memory_node,
+            self._complete,
+            tag="fg",
+            measured=False,
+            reply_to_forwarder=True,
+        )
 
     # -- injection ----------------------------------------------------------
 
@@ -147,138 +144,14 @@ class ForegroundMemoryTraffic:
             return
         page = rng.randrange(self.footprint_pages)
         offset = rng.randrange(self.page_bytes // self._line) * self._line
-        addr = page * self.page_bytes + offset
-        dst = self.directory.resolve(page)
+        request = MemoryRequest(node, "read", page, offset, self._line, t_issue=now)
         self.issued += 1
-        if dst == node:
-            # Local page: DRAM service only, no network trip.  If the
-            # page is inbound (this node is an in-flight destination),
-            # the local access stalls for the landing like any other.
-            ruling, _target = self.directory.arrival_ruling(node, page)
-            if ruling == "stall":
-                self.stalled_requests += 1
-                self.directory.when_landed(
-                    page,
-                    lambda t, n=node, a=addr, i=now: self._serve_local(n, a, i, t),
-                )
-            else:
-                self._serve_local(node, addr, now, now)
-            return
-        self._send_request(node, dst, page, addr, now, now)
+        if self.requests.inject(request, now) != "remote":
+            self.local_ops += 1
 
-    def _serve_local(self, node: int, addr: int, issued: int, now: int) -> None:
-        done = self.memory_node(node).service_bulk(
-            now, self.mapper.local_offset(addr), self._line
-        )
-        self.local_ops += 1
+    def _complete(self, request: MemoryRequest, now: int) -> None:
         self.completed += 1
-        self.stall_cycle_sum += now - issued
-        self.samples.append((issued, done - issued))
-
-    def _send_request(
-        self, src: int, dst: int, page: int, addr: int, issued: int, now: int
-    ) -> None:
-        packet = Packet(
-            src=src,
-            dst=dst,
-            size_flits=self._req_flits,
-            payload_bytes=_REQUEST_BYTES,
-            kind=PacketKind.READ_REQ,
-            measured=False,
-            context=("fg", src, page, addr, issued),
-        )
-        self.sim.send(packet, now)
-
-    # -- delivery -----------------------------------------------------------
-
-    def _on_delivery(self, packet: Packet, now: int) -> None:
-        context = packet.context
-        if not (isinstance(context, tuple) and context and context[0] == "fg"):
-            return
-        _tag, origin, page, addr, issued = context
-        if packet.kind is PacketKind.READ_RESP:
-            self.completed += 1
-            self.samples.append((issued, now - issued))
-            return
-        if packet.kind is not PacketKind.READ_REQ:
-            return
-        node = packet.dst
-        ruling, target = self.directory.arrival_ruling(node, page)
-        if ruling == "serve":
-            self._serve(node, origin, page, addr, issued, now)
-        elif ruling == "stall":
-            self.stalled_requests += 1
-            arrived = now
-
-            def landed(t: int, n=node, o=origin, p=page, a=addr, i=issued) -> None:
-                self.stall_cycle_sum += t - arrived
-                self._serve(n, o, p, a, i, t)
-
-            self.directory.when_landed(page, landed)
-        else:  # forward: the page moved on — chase it
-            self.forwarded_requests += 1
-            self._send_request(node, target, page, addr, issued, now)
-
-    def _serve(
-        self, node: int, origin: int, page: int, addr: int, issued: int, now: int
-    ) -> None:
-        done = self.memory_node(node).service_bulk(
-            now, self.mapper.local_offset(addr), self._line
-        )
-        if origin == node:
-            # A forwarded request can come home (page moved back while
-            # the request chased it): complete locally, no response.
-            self.completed += 1
-            self.samples.append((issued, done - issued))
-            return
-        response = Packet(
-            src=node,
-            dst=origin,
-            size_flits=self.sim.config.packet_flits(self._line),
-            payload_bytes=self._line,
-            kind=PacketKind.READ_RESP,
-            measured=False,
-            context=("fg", origin, page, addr, issued),
-        )
-        self.sim.send(response, done)
-
-    # -- analysis -----------------------------------------------------------
-
-    def phase_stats(
-        self, disturb_start: int, disturb_end: int
-    ) -> dict[str, Any]:
-        """p50/p99 foreground latency before/during/after the window."""
-        phases: dict[str, list[int]] = {"baseline": [], "during": [], "after": []}
-        for issued, latency in self.samples:
-            if issued < self.warmup:
-                continue
-            if issued < disturb_start:
-                phases["baseline"].append(latency)
-            elif issued < disturb_end:
-                phases["during"].append(latency)
-            else:
-                phases["after"].append(latency)
-        out: dict[str, Any] = {}
-        overall = [lat for issued, lat in self.samples if issued >= self.warmup]
-        out["fg_requests"] = len(overall)
-        out["fg_p50_overall"] = percentile(overall, 50)
-        out["fg_p99_overall"] = percentile(overall, 99)
-        out["fg_mean_overall"] = (
-            sum(overall) / len(overall) if overall else 0.0
-        )
-        for name, samples in phases.items():
-            out[f"fg_{name}_requests"] = len(samples)
-            out[f"fg_p50_{name}"] = percentile(samples, 50)
-            out[f"fg_p99_{name}"] = percentile(samples, 99)
-        base_p50 = out["fg_p50_baseline"]
-        base_p99 = out["fg_p99_baseline"]
-        out["fg_slowdown_p50"] = (
-            out["fg_p50_during"] / base_p50 if base_p50 else 0.0
-        )
-        out["fg_slowdown_p99"] = (
-            out["fg_p99_during"] / base_p99 if base_p99 else 0.0
-        )
-        return out
+        self.samples.append((request.t_issue, now - request.t_issue))
 
 
 @dataclass
@@ -314,8 +187,8 @@ class MigrationRunResult:
             "fg_completed": fg.completed,
             "fg_skipped_sources": fg.skipped_sources,
             "fg_local_ops": fg.local_ops,
-            "fg_forwarded": fg.forwarded_requests,
-            "fg_stalled": fg.stalled_requests,
+            "fg_forwarded": fg.requests.forwarded,
+            "fg_stalled": fg.requests.stalled,
             "pages_moved": sum(r.pages_moved for r in self.records),
             "bytes_moved": sum(r.bytes_moved for r in self.records),
             "chunks_sent": sum(r.chunks_sent for r in self.records),
@@ -394,15 +267,7 @@ def run_migration(
     mapper = AddressMapper(active, interleave_bytes=page_bytes)
     directory = PageDirectory()
     directory.populate(mapper, footprint_pages)
-    memory_nodes: dict[int, MemoryNode] = {}
-
-    def memory_node(node_id: int) -> MemoryNode:
-        node = memory_nodes.get(node_id)
-        if node is None:
-            node = MemoryNode(node_id, sim, config)
-            memory_nodes[node_id] = node
-        return node
-
+    memory_node = MemoryNodePool(sim)
     engine = MigrationEngine(
         sim,
         mapper,
@@ -482,5 +347,10 @@ def run_migration(
         disturb_start=disturb_start,
         disturb_end=disturb_end,
     )
-    result.phase = foreground.phase_stats(disturb_start, disturb_end)
+    phase = phase_latency(foreground.samples, warmup, disturb_start, disturb_end)
+    latencies = [lat for issued, lat in foreground.samples if issued >= warmup]
+    phase["fg_mean_overall"] = sum(latencies) / len(latencies) if latencies else 0.0
+    base_p50 = phase["fg_p50_baseline"]
+    phase["fg_slowdown_p50"] = phase["fg_p50_during"] / base_p50 if base_p50 else 0.0
+    result.phase = phase
     return result

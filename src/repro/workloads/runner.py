@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.memory.address import AddressMapper
-from repro.memory.node import MemoryNode
+from repro.memory.node import MemoryNodePool
+from repro.memory.requests import REQUEST_HEADER_BYTES
 from repro.network.config import NetworkConfig
 from repro.network.packet import Packet, PacketKind
 from repro.network.simulator import NetworkSimulator
@@ -118,7 +119,7 @@ class _SocketReplayer:
             self.outstanding += 1
             kind = PacketKind.WRITE_REQ if access.is_write else PacketKind.READ_REQ
             payload = (
-                runner.config.cacheline_bytes if access.is_write else 16
+                runner.config.cacheline_bytes if access.is_write else REQUEST_HEADER_BYTES
             )
             packet = Packet(
                 src=self.node,
@@ -144,14 +145,7 @@ class _RunContext:
         self.mapper = mapper
         self.config = config
         self.result = result
-        self.memory_nodes: dict[int, MemoryNode] = {}
-
-    def memory_node(self, node_id: int) -> MemoryNode:
-        node = self.memory_nodes.get(node_id)
-        if node is None:
-            node = MemoryNode(node_id, self.sim, self.config)
-            self.memory_nodes[node_id] = node
-        return node
+        self.memory_node = MemoryNodePool(sim)
 
     def record_completion(self, issue_time: int, now: int, was_read: bool) -> None:
         self.result.operations += 1

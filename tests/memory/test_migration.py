@@ -12,7 +12,7 @@ from repro.memory.migration import (
     PageDirectory,
     PageState,
 )
-from repro.memory.node import MemoryNode
+from repro.memory.node import MemoryNodePool
 from repro.network.config import NetworkConfig
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
@@ -98,15 +98,8 @@ def _engine_stack(
     mapper = AddressMapper(list(topo.active_nodes))
     directory = PageDirectory()
     directory.populate(mapper, pages)
-    memory_nodes: dict[int, MemoryNode] = {}
-
-    def memory_node(node_id):
-        if node_id not in memory_nodes:
-            memory_nodes[node_id] = MemoryNode(node_id, sim)
-        return memory_nodes[node_id]
-
     engine = MigrationEngine(
-        sim, mapper, directory, memory_node,
+        sim, mapper, directory, MemoryNodePool(sim),
         rate_limit_bytes_per_cycle=rate_limit, mode=mode, **engine_kwargs,
     )
     return sim, engine, directory

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.memory.address import AddressMapper
 from repro.memory.migration import MigrationEngine, PageDirectory
-from repro.memory.node import MemoryNode
+from repro.memory.node import MemoryNodePool
 from repro.network.packet import PacketKind
 from repro.network.qos import BACKGROUND_CLASS, QoSConfig
 from repro.network.simulator import NetworkSimulator
@@ -24,15 +24,8 @@ def _migration_under_load(tclass: int) -> tuple[float, int]:
     mapper = AddressMapper(active, interleave_bytes=4096)
     directory = PageDirectory()
     directory.populate(mapper, 384)
-    nodes: dict[int, MemoryNode] = {}
-
-    def memory_node(nid: int) -> MemoryNode:
-        if nid not in nodes:
-            nodes[nid] = MemoryNode(nid, sim, sim.config)
-        return nodes[nid]
-
     engine = MigrationEngine(
-        sim, mapper, directory, memory_node,
+        sim, mapper, directory, MemoryNodePool(sim),
         rate_limit_bytes_per_cycle=2048.0, max_inflight_pages=16,
         tclass=tclass,
     )
@@ -75,15 +68,8 @@ def test_migration_packets_carry_engine_class():
     mapper = AddressMapper(active, interleave_bytes=4096)
     directory = PageDirectory()
     directory.populate(mapper, 32)
-    nodes: dict[int, MemoryNode] = {}
-
-    def memory_node(nid: int) -> MemoryNode:
-        if nid not in nodes:
-            nodes[nid] = MemoryNode(nid, sim, sim.config)
-        return nodes[nid]
-
     engine = MigrationEngine(
-        sim, mapper, directory, memory_node, tclass=BACKGROUND_CLASS,
+        sim, mapper, directory, MemoryNodePool(sim), tclass=BACKGROUND_CLASS,
     )
     seen: list[int] = []
     sim.on_delivery(

@@ -292,7 +292,7 @@ class TestDisturbanceMetrics:
             t_switched=1100,
             t_unblocked=1150,
         )
-        metrics = disturbance_metrics(probe, event)
+        metrics = disturbance_metrics(probe, event.t_request, event.t_unblocked)
         assert metrics["baseline_latency"] == pytest.approx(10.0)
         assert metrics["peak_latency"] == pytest.approx(50.0)
         assert metrics["peak_ratio"] == pytest.approx(5.0)
@@ -310,7 +310,7 @@ class TestDisturbanceMetrics:
             t_switched=1000,
             t_unblocked=1050,
         )
-        metrics = disturbance_metrics(probe, event)
+        metrics = disturbance_metrics(probe, event.t_request, event.t_unblocked)
         assert metrics["recovered"]
         assert metrics["recovery_cycles"] == 0
 

@@ -135,6 +135,52 @@ class TestTimeouts:
         assert report["requests_conserved"]
 
 
+def crashed_unmirrored(**overrides):
+    """A service whose node crash (no replicas) has destroyed pages."""
+    svc = small_service(mirrored=False, **overrides)
+    home = svc.directory.resolve(0)
+    svc.inject_fault("node_crash", node=home)
+    svc.advance(5_000)
+    assert 0 in svc.directory.lost
+    return svc
+
+
+class TestLostPages:
+    def test_submit_for_lost_page_fails_page_lost(self):
+        svc = crashed_unmirrored()
+        done = []
+        req = svc.submit("a", "read", 0, on_done=done.append)
+        assert req.status == "failed" and req.error == "page_lost"
+        assert done == [req]
+        assert svc.outstanding == 0
+        assert svc.tenants["a"].failed == 1
+        ok = svc.submit("a", "read", svc.directory.pages[0])
+        svc.advance(5_000)
+        assert ok.status == "done"
+        report = svc.drain()
+        assert report["all_conserved"]
+
+    def test_queued_request_for_lost_page_fails_when_pumped(self):
+        svc = crashed_unmirrored(max_outstanding=1)
+        live = svc.submit("a", "read", svc.directory.pages[0])
+        queued = svc.submit("a", "read", 0)
+        assert live.status == "inflight" and queued.status == "queued"
+        svc.advance(5_000)
+        assert live.status == "done"
+        assert queued.status == "failed" and queued.error == "page_lost"
+        assert svc.drain()["all_conserved"]
+
+    def test_queued_lost_requests_fail_without_recursing(self):
+        # Each failure frees a budget slot and re-enters the pump; a
+        # long backlog of lost-page requests must not nest per request.
+        svc = crashed_unmirrored(max_outstanding=1, queue_depth=2_000)
+        svc.submit("a", "read", svc.directory.pages[0])
+        backlog = [svc.submit("a", "read", 0) for _ in range(1_500)]
+        svc.advance(5_000)
+        assert all(r.error == "page_lost" for r in backlog)
+        assert svc.drain()["all_conserved"]
+
+
 class TestTenantAccounting:
     def test_percentiles_match_reference(self):
         svc = small_service()

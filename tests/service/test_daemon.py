@@ -76,6 +76,39 @@ def test_stats_and_error_handling():
 
     asyncio.run(scenario())
 
+
+def test_malformed_fields_rejected_and_daemon_keeps_serving():
+    async def scenario():
+        service, daemon, host, port = await boot()
+        reader, writer = await connect(host, port)
+
+        async def rpc(message):
+            # A dead pump never answers: bound the wait so the failure
+            # is an assertion, not a hang.
+            return await asyncio.wait_for(
+                roundtrip(reader, writer, message), timeout=10
+            )
+
+        bad_lines = [
+            {"op": "read", "page": "x", "id": 1},
+            {"op": "read", "page": 2, "offset": [0], "id": 2},
+            {"op": "write", "page": 2, "size": "big", "id": 3},
+            {"op": "read", "page": None, "id": 4},
+            {"op": "read", "page": float("inf"), "id": 5},
+        ]
+        for message in bad_lines:
+            reply = await rpc(message)
+            assert reply["ok"] is False and reply["id"] == message["id"]
+            assert reply["error"]
+        assert service.log_entries == []
+        good = await rpc({"op": "read", "page": 2, "id": "ok"})
+        assert good["ok"] and good["status"] == "done" and good["id"] == "ok"
+        writer.close()
+        await daemon.stop()
+
+    asyncio.run(scenario())
+
+
 def test_default_tenant_assigned_per_connection():
     async def scenario():
         service, daemon, host, port = await boot()
