@@ -257,8 +257,7 @@ def test_shortcut_ablation_downscaled(benchmark, record_result):
         routing = GreediestRouting(topo)
         manager = ReconfigurationManager(topo, routing)
         victims = manager.gate_candidates(n // 5, min_spacing=2)
-        for victim in victims:
-            manager.power_gate(victim)
+        manager.power_gate(*victims)
         with_shortcuts = greedy_path_stats(
             routing, sample_pairs=PAIRS, seed=3
         )

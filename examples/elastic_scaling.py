@@ -131,15 +131,13 @@ def static_design_reuse() -> None:
 
     # Unmount 32 reserved positions before deployment (offline).
     reserved = manager.gate_candidates(32, min_spacing=3)
-    for node in reserved:
-        manager.unmount(node)
+    manager.unmount(*reserved)
     print(f"  deployed with {len(topo.active_nodes)} of 96 positions mounted")
     traffic_probe(topo, routing, "launch config")
 
     # Capacity upgrade: mount 16 of the reserved nodes — no redesign,
     # no re-fabrication, just link + table reconfiguration.
-    for node in reserved[:16]:
-        manager.mount(node)
+    manager.mount(*reserved[:16])
     print(f"  upgraded to {len(topo.active_nodes)} nodes "
           "(same board, same routing logic)")
     traffic_probe(topo, routing, "after upgrade")

@@ -10,7 +10,11 @@ atomic steps:
    gap on the space-0 ring are switched in (Figure 7's topology switch).
 3. **Validate/invalidate** the affected routing-table entries —
    gated neighbors become invalid, patched two-hop neighbors become
-   one-hop (just bit flips; no entries are added or removed).
+   one-hop (just bit flips; no entries are added or removed).  A batch
+   of nodes runs steps 1 and 2 node by node, then validates the union
+   of their affected tables once: the tables are not read between the
+   per-node switches, so one pass over the final topology equals one
+   pass per node.
 4. **Unblock** the entries.
 
 *Dynamic* reconfiguration (power management) performs the steps online
@@ -41,6 +45,15 @@ from repro.core.topology_switch import TopologySwitch
 
 __all__ = ["ReconfigEvent", "ReconfigurationManager"]
 
+#: The state each kind of step leaves a node in; a node already in it
+#: is refused.
+_END_STATE = {
+    "gate_off": "inactive",
+    "gate_on": "active",
+    "unmount": "unmounted",
+    "mount": "mounted",
+}
+
 
 @dataclass
 class ReconfigEvent:
@@ -70,15 +83,18 @@ class ReconfigurationManager:
         self.topology = topology
         self.routing = routing
         self.events: list[ReconfigEvent] = []
+        # Coordinates never move, so the space-0 ring and each shortcut
+        # wire's clockwise span on it are worked out once.
+        self._ring = topology.coords.ring(0)
+        self._wire_spans = [
+            (u, v, *self._shortcut_span(u, v)) for u, v in topology.shortcut_wires
+        ]
 
     # -- ring bookkeeping -------------------------------------------------------
 
-    def _ring0(self) -> list[int]:
-        return self.topology.coords.ring(0)
-
     def _active_ring_neighbors(self, node: int) -> tuple[int, int]:
         """Nearest *active* space-0 ring neighbors around *node*."""
-        ring = self._ring0()
+        ring = self._ring
         n = len(ring)
         pos = self.topology.coords.ring_position(node, 0)
         pred = succ = node
@@ -96,7 +112,7 @@ class ReconfigurationManager:
 
     def _span_is_gated(self, u: int, v: int) -> bool:
         """True if every original ring node strictly between u→v is inactive."""
-        ring = self._ring0()
+        ring = self._ring
         n = len(ring)
         pu = self.topology.coords.ring_position(u, 0)
         pv = self.topology.coords.ring_position(v, 0)
@@ -108,7 +124,7 @@ class ReconfigurationManager:
 
     def _shortcut_span(self, u: int, v: int) -> tuple[int, int]:
         """Orient a shortcut wire clockwise on the space-0 ring."""
-        ring_len = len(self._ring0())
+        ring_len = len(self._ring)
         pu = self.topology.coords.ring_position(u, 0)
         pv = self.topology.coords.ring_position(v, 0)
         if (pv - pu) % ring_len <= (pu - pv) % ring_len:
@@ -138,17 +154,12 @@ class ReconfigurationManager:
 
         patches: list[tuple[int, int]] = []
         opportunistic: list[tuple[int, int]] = []
-        for u, v in topo.shortcut_wires:
-            if not (topo.is_active(u) and topo.is_active(v)):
-                continue
-            cu, cv = self._shortcut_span(u, v)
-            if self._span_is_gated(cu, cv):
-                patches.append((u, v))
-            else:
-                opportunistic.append((u, v))
+        for u, v, cu, cv in self._wire_spans:
+            if topo.is_active(u) and topo.is_active(v):
+                phase = patches if self._span_is_gated(cu, cv) else opportunistic
+                phase.append((u, v))
         for u, v in patches + opportunistic:
-            switch = TopologySwitch(topo, u)
-            if switch.can_activate(u, v):
+            if TopologySwitch(topo, u).can_activate(u, v):
                 topo.activate_shortcut(u, v)
 
         after = topo.active_shortcuts
@@ -176,7 +187,31 @@ class ReconfigurationManager:
 
     # -- the four-step sequence ------------------------------------------------------
 
-    def _reconfigure(self, node: int, activate: bool, kind: str) -> ReconfigEvent:
+    def _check_batch(self, nodes: tuple[int, ...], activate: bool, kind: str) -> None:
+        """Reject the whole batch before any of it runs.
+
+        Each node must exist, not repeat, and be in the state its step
+        leaves; gating keeps at least two active nodes, counted after
+        the earlier victims of the same batch.
+        """
+        topo = self.topology
+        state = _END_STATE[kind]
+        active = len(topo.active_nodes)
+        seen: set[int] = set()
+        for node in nodes:
+            if not 0 <= node < topo.num_nodes:
+                raise ValueError(f"node {node} is not in the network")
+            if node in seen:
+                raise ValueError(f"node {node} repeats in the batch")
+            if topo.is_active(node) == activate:
+                raise ValueError(f"node {node} is already {state}")
+            if kind == "gate_off" and active - len(seen) <= 2:
+                raise ValueError("cannot gate below two active nodes")
+            seen.add(node)
+
+    def _switch_node(self, node: int, activate: bool, kind: str) -> ReconfigEvent:
+        """Steps 1 and 2 for one node.  The event's ``tables_updated``
+        names the tables step 3 must rebuild for it."""
         topo = self.topology
         event = ReconfigEvent(kind=kind, node=node)
 
@@ -205,8 +240,6 @@ class ReconfigurationManager:
                 (node, w) for w in topo.neighbors(node)
             ] + [(w, node) for w in topo.in_neighbors(node)]
 
-        # Step 3: validate/invalidate (rebuild local tables — semantically
-        # the paper's bit flips, with via-sets refreshed for consistency).
         post_neighbors = set(topo.neighbors(node)) | set(topo.in_neighbors(node))
         changed_endpoints = {node} | pre_neighbors | post_neighbors
         for u, v in event.shortcuts_activated + event.shortcuts_deactivated:
@@ -214,45 +247,56 @@ class ReconfigurationManager:
         to_update = self._radius2(changed_endpoints)
         if activate:
             to_update.add(node)
-        self.routing.rebuild(sorted(to_update | {node}))
         event.tables_updated = sorted(to_update)
+        return event
+
+    def _reconfigure(
+        self, nodes: tuple[int, ...], activate: bool, kind: str
+    ) -> list[ReconfigEvent]:
+        """Run the four steps over a batch of nodes, in order.
+
+        Steps 1 and 2 run per node exactly as for a lone node, so every
+        event's fields match a one-call-per-node sequence.  Steps 3 and
+        4 then run once over the union: no packet can read a table
+        between the per-node switches, and a rebuild equals a fresh
+        build of the final topology.
+        """
+        self._check_batch(nodes, activate, kind)
+        if not nodes:
+            return []
+        events = [self._switch_node(node, activate, kind) for node in nodes]
+
+        # Step 3: validate/invalidate (rebuild local tables — semantically
+        # the paper's bit flips, with via-sets refreshed for consistency).
+        updated = set(nodes).union(*(event.tables_updated for event in events))
+        self.routing.rebuild(sorted(updated))
 
         # Step 4: unblock.
-        for router in affected | to_update:
+        for router in updated.union(*(event.blocked_routers for event in events)):
             table = self.routing.tables.get(router)
             if table is not None:
                 table.unblock_all()
 
-        self.events.append(event)
-        return event
+        self.events.extend(events)
+        return events
 
     # -- public API --------------------------------------------------------------------
 
-    def power_gate(self, node: int) -> ReconfigEvent:
-        """Dynamically power a node (and its links) off."""
-        if not self.topology.is_active(node):
-            raise ValueError(f"node {node} is already inactive")
-        if len(self.topology.active_nodes) <= 2:
-            raise ValueError("cannot gate below two active nodes")
-        return self._reconfigure(node, activate=False, kind="gate_off")
+    def power_gate(self, *nodes: int) -> list[ReconfigEvent]:
+        """Dynamically power nodes (and their links) off, as one batch."""
+        return self._reconfigure(nodes, activate=False, kind="gate_off")
 
-    def power_on(self, node: int) -> ReconfigEvent:
-        """Bring a gated node back into the network (reverse steps)."""
-        if self.topology.is_active(node):
-            raise ValueError(f"node {node} is already active")
-        return self._reconfigure(node, activate=True, kind="gate_on")
+    def power_on(self, *nodes: int) -> list[ReconfigEvent]:
+        """Bring gated nodes back into the network (reverse steps)."""
+        return self._reconfigure(nodes, activate=True, kind="gate_on")
 
-    def unmount(self, node: int) -> ReconfigEvent:
+    def unmount(self, *nodes: int) -> list[ReconfigEvent]:
         """Static network reduction (offline; no wake latency applies)."""
-        if not self.topology.is_active(node):
-            raise ValueError(f"node {node} is already unmounted")
-        return self._reconfigure(node, activate=False, kind="unmount")
+        return self._reconfigure(nodes, activate=False, kind="unmount")
 
-    def mount(self, node: int) -> ReconfigEvent:
-        """Static network expansion onto a reserved board position."""
-        if self.topology.is_active(node):
-            raise ValueError(f"node {node} is already mounted")
-        return self._reconfigure(node, activate=True, kind="mount")
+    def mount(self, *nodes: int) -> list[ReconfigEvent]:
+        """Static network expansion onto reserved board positions."""
+        return self._reconfigure(nodes, activate=True, kind="mount")
 
     # -- victim selection ----------------------------------------------------------------
 
@@ -277,7 +321,7 @@ class ReconfigurationManager:
         least *min_spacing* ring slots between consecutive picks, so
         their shortcut patches never compete for the same ports.
         """
-        ring = self._ring0()
+        ring = self._ring
         n = len(ring)
         picked: list[int] = []
         picked_pos: list[int] = []

@@ -363,9 +363,18 @@ class StringFigureTopology:
 
     def active_degree(self, node: int) -> int:
         """Ports in use at *node* right now."""
-        if self.direction is LinkDirection.BI:
-            return len(self.neighbors(node))
-        return len(self.neighbors(node)) + len(self.in_neighbors(node))
+        active = self.node_active
+        if not active[node]:
+            return 0
+        # Shortcut wires never coincide with base links, so the base and
+        # shortcut adjacency sets are disjoint and count separately.
+        is_active = active.__getitem__
+        used = sum(map(is_active, self._adj_out[node]))
+        used += sum(map(is_active, self._shortcut_adj_out[node]))
+        if self.direction is LinkDirection.UNI:
+            used += sum(map(is_active, self._adj_in[node]))
+            used += sum(map(is_active, self._shortcut_adj_in[node]))
+        return used
 
     @property
     def radix(self) -> int:

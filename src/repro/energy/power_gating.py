@@ -115,11 +115,9 @@ class PowerManager:
         if want == 0:
             return plan
         victims = self.manager.gate_candidates(want, min_spacing=min_spacing)
-        for node in victims:
-            event = self.manager.power_gate(node)
-            plan.events.append(event)
-            plan.gated.append(node)
-            self.gated.append(node)
+        plan.events = self.manager.power_gate(*victims)
+        plan.gated = victims
+        self.gated.extend(victims)
         plan.overhead_ns = self.sleep_ns if plan.gated else 0.0
         if plan.gated:
             self._mark(now_ns)
@@ -131,11 +129,8 @@ class PowerManager:
             raise RuntimeError(
                 f"reconfiguration granularity violated at t={now_ns} ns"
             )
-        plan = PowerGatingPlan()
-        for node in reversed(self.gated):
-            event = self.manager.power_on(node)
-            plan.events.append(event)
-            plan.woken.append(node)
+        plan = PowerGatingPlan(woken=self.gated[::-1])
+        plan.events = self.manager.power_on(*plan.woken)
         self.gated.clear()
         plan.overhead_ns = self.wake_ns if plan.woken else 0.0
         if plan.woken:

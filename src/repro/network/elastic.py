@@ -257,6 +257,11 @@ class LiveReconfigurator:
         nodes = tuple(int(n) for n in nodes)
         if not nodes:
             return
+        # A bad batch would otherwise fail only at the switch, inside a
+        # simulator event, with the operation's window already open.
+        num_nodes = self.manager.topology.num_nodes
+        if len(set(nodes)) != len(nodes) or not all(0 <= n < num_nodes for n in nodes):
+            raise ValueError(f"{kind}: {nodes} must be distinct node ids of this network")
 
         def enqueue(now: int) -> None:
             self._queue.append((kind, nodes))
@@ -372,13 +377,8 @@ class LiveReconfigurator:
                 lambda t: self._switch_off(t, kind, nodes, event),
             )
             return
-        for node in nodes:
-            offline = (
-                self.manager.power_gate(node)
-                if kind == "gate_off"
-                else self.manager.unmount(node)
-            )
-            event.offline_events.append(offline)
+        switch = self.manager.power_gate if kind == "gate_off" else self.manager.unmount
+        event.offline_events.extend(switch(*nodes))
         event.t_switched = now
         self._after_switch(now, event)
 
@@ -388,13 +388,8 @@ class LiveReconfigurator:
         """Power-on path: wake latency already paid; switch + revalidate."""
         event.t_blocked = now
         self._window_active = True
-        for node in reversed(nodes):
-            offline = (
-                self.manager.power_on(node)
-                if kind == "gate_on"
-                else self.manager.mount(node)
-            )
-            event.offline_events.append(offline)
+        switch = self.manager.power_on if kind == "gate_on" else self.manager.mount
+        event.offline_events.extend(switch(*reversed(nodes)))
         event.t_switched = now
         self._after_switch(now, event)
 

@@ -124,7 +124,7 @@ class TestWorkSaved:
 
         monkeypatch.setattr(RoutingTable, "build", classmethod(counting_build))
         victim = manager.gate_candidates(1)[0]
-        event = manager.power_gate(victim)
+        (event,) = manager.power_gate(victim)
         assert 0 < len(builds) < len(event.tables_updated)
         assert set(builds) <= set(event.tables_updated)
         for node in topo.active_nodes:

@@ -41,7 +41,7 @@ class TestPowerGating:
     def test_gate_single_node(self, system):
         topo, routing, mgr = system
         victim = mgr.gate_candidates(1)[0]
-        event = mgr.power_gate(victim)
+        (event,) = mgr.power_gate(victim)
         assert event.kind == "gate_off"
         assert not topo.is_active(victim)
         assert mgr.validate_connectivity()
@@ -92,7 +92,7 @@ class TestPowerGating:
     def test_events_recorded(self, system):
         topo, routing, mgr = system
         victim = mgr.gate_candidates(1)[0]
-        event = mgr.power_gate(victim)
+        (event,) = mgr.power_gate(victim)
         assert event.links_disabled
         assert event.tables_updated
         assert mgr.events[-1] is event
@@ -139,13 +139,13 @@ class TestStaticReconfiguration:
         topo, routing, mgr = system
         reserved = mgr.gate_candidates(6)
         for node in reserved:
-            event = mgr.unmount(node)
+            (event,) = mgr.unmount(node)
             assert event.kind == "unmount"
         assert len(topo.active_nodes) == 58
         assert mgr.validate_connectivity()
         _all_pairs_deliver(topo, routing)
         for node in reserved:
-            event = mgr.mount(node)
+            (event,) = mgr.mount(node)
             assert event.kind == "mount"
         assert len(topo.active_nodes) == 64
         _total, fallback = _all_pairs_deliver(topo, routing)

@@ -379,3 +379,26 @@ class TestGuards:
         sim.run(until=100)
         assert live.events == []
         assert live.pending_operations == 0
+
+    def test_repeated_or_unknown_node_refused_when_requested(self):
+        """A batch naming a node twice, or a node outside the network,
+        is refused at the call.  Accepted, it would fail only at the
+        switch, inside a simulator event, with the victim already gated
+        and the blocked window never closed."""
+        topo = StringFigureTopology(32, 4, seed=5)
+        routing = AdaptiveGreediestRouting(topo)
+        policy = GreedyPolicy(routing)
+        sim = NetworkSimulator(topo, policy, CONFIG)
+        manager = ReconfigurationManager(topo, routing)
+        live = LiveReconfigurator(sim, manager, policy)
+        for nodes in ([22, 22], [22, 32], [-1]):
+            with pytest.raises(ValueError):
+                live.gate_off(nodes, at=10)
+        sim.run(until=100)
+        assert live.events == []
+        assert live.pending_operations == 0
+        live.gate_off([22], at=200)
+        sim.run(until=5000)
+        assert [e.nodes for e in live.events] == [(22,)]
+        assert not topo.is_active(22)
+        assert live.parked_now == 0 and live.pending_operations == 0
