@@ -187,8 +187,8 @@ class ReconfigurationManager:
 
     # -- the four-step sequence ------------------------------------------------------
 
-    def _check_batch(self, nodes: tuple[int, ...], activate: bool, kind: str) -> None:
-        """Reject the whole batch before any of it runs.
+    def check_batch(self, nodes: tuple[int, ...], activate: bool, kind: str) -> None:
+        """Reject the whole batch before any of it runs (``ValueError``).
 
         Each node must exist, not repeat, and be in the state its step
         leaves; gating keeps at least two active nodes, counted after
@@ -261,7 +261,7 @@ class ReconfigurationManager:
         between the per-node switches, and a rebuild equals a fresh
         build of the final topology.
         """
-        self._check_batch(nodes, activate, kind)
+        self.check_batch(nodes, activate, kind)
         if not nodes:
             return []
         events = [self._switch_node(node, activate, kind) for node in nodes]

@@ -327,9 +327,10 @@ class GreediestRouting:
         self._uni = topology.direction is LinkDirection.UNI
         self.tables: dict[int, RoutingTable] = {}
         self._views: dict[int, _NodeView] = {}
-        #: Bumped on every table/view (re)build so decision caches keyed
-        #: on the old tables (e.g. GreedyPolicy's) auto-invalidate —
-        #: offline reconfiguration never tells policies about itself.
+        #: Bumped on every table/view (re)build so memos keyed on the old
+        #: tables (the decision columns, GreedyPolicy's candidate memo)
+        #: auto-invalidate — offline reconfiguration never tells
+        #: policies about itself.
         self.version = 0
         self._coord_matrix = np.array(
             [topology.coords.vector(v) for v in range(topology.num_nodes)],
@@ -408,14 +409,6 @@ class GreediestRouting:
         """MD between two nodes using this topology's distance convention."""
         return float(self._md_array(self._coord_matrix[a], self._coord_matrix[b]))
 
-    def md_to_coords(self, node: int, dst_coords: Sequence[float]) -> float:
-        """MD from *node* to a destination coordinate vector."""
-        return float(
-            self._md_array(
-                self._coord_matrix[node], np.asarray(dst_coords, dtype=np.float64)
-            )
-        )
-
     def dst_vector(self, dst: int) -> np.ndarray:
         """Destination coordinate vector (written into packet headers)."""
         return self._coord_matrix[dst]
@@ -452,8 +445,9 @@ class GreediestRouting:
         *dst* needs the fallback walk from *current*).
 
         Columns are dropped whenever ``version`` moves, so reconfig and
-        fault-repair rebuilds invalidate them exactly like the policy
-        decision caches.
+        fault-repair rebuilds invalidate them.  They are the only memo of
+        greedy decisions: :class:`~repro.network.policies.GreedyPolicy`
+        reads them on every plain hop and stores none of its own.
         """
         if self._kernel_version != self.version:
             self._columns.clear()
@@ -641,11 +635,6 @@ class GreediestRouting:
         return RouteResult(path, fallbacks)
 
     # -- simulator-facing policy interface ----------------------------------------
-
-    def forwarding_candidates(self, current: int, dst: int) -> tuple[int, ...]:
-        """Greedy candidate vias in preference order (no fallback)."""
-        ranked = self.candidate_set(current, dst)
-        return tuple(w for _score, w in ranked)
 
     def select_vc(self, src: int, dst: int) -> int:
         """Deadlock-avoidance virtual channel for a ``src -> dst`` packet."""

@@ -10,8 +10,9 @@ per process and shared across all tasks that use it.
 
 Reuse is sound for determinism because everything cached is either
 immutable after construction (topologies, routing tables, traces) or
-an *exact* memo of a pure function (``GreedyPolicy``'s route cache
-stores deterministic decisions only), so a task computes the same
+an *exact* memo of a pure function (the routing's per-destination
+decision columns and ``GreedyPolicy``'s adaptive candidate memo hold
+deterministic decisions only), so a task computes the same
 result whether its inputs are fresh or reused.  Tasks that would
 mutate a topology (reconfiguration, power gating) must not go through
 these caches.

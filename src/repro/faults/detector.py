@@ -18,8 +18,9 @@ destination died with the fault):
 
 * **String Figure** (:class:`TableRepair`) — the affected entries are
   blocked/unblocked in the neighbors' routing tables and the
-  routing-generation counter is bumped, which invalidates every policy
-  decision cache; this is the paper's local-bit-flip repair, no global
+  routing-generation counter is bumped, which drops the routing's
+  decision columns and the policy's candidate memo; this is the
+  paper's local-bit-flip repair, no global
   recomputation.  Node crashes escalate to the
   :class:`~repro.faults.recovery.RecoveryOrchestrator`, which runs the
   reconfiguration pipeline to formally excise the node (ring patched,

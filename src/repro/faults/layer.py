@@ -357,10 +357,6 @@ class FaultLayer:
     # -- accounting ---------------------------------------------------------
 
     @property
-    def total_dropped(self) -> int:
-        return sum(self.drops.values())
-
-    @property
     def abandoned(self) -> int:
         """Losses the retry queue gave up on (truly lost traffic)."""
         return self.abandoned_unreachable + self.abandoned_retries

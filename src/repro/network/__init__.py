@@ -14,12 +14,7 @@ from repro.network.elastic import (
     disturbance_metrics,
 )
 from repro.network.packet import Packet, PacketKind
-from repro.network.policies import (
-    GreedyPolicy,
-    MinimalPolicy,
-    RoutingPolicy,
-    TablePolicy,
-)
+from repro.network.policies import GreedyPolicy, MinimalPolicy, RoutingPolicy
 from repro.network.simulator import NetworkSimulator, zero_load_latency
 from repro.network.stats import LatencyAccumulator, SimStats
 
@@ -36,7 +31,6 @@ __all__ = [
     "PacketKind",
     "RoutingPolicy",
     "SimStats",
-    "TablePolicy",
     "WindowedLatencyProbe",
     "disturbance_metrics",
     "zero_load_latency",

@@ -183,6 +183,10 @@ class LiveReconfigurator:
         self.migrator = migrator
 
         self.events: list[LiveReconfigEvent] = []
+        #: ``(kind, nodes, reason)`` of each queued operation that no
+        #: longer applied when its turn came (e.g. a second gate-off of
+        #: a node an earlier operation already gated); it ran no step.
+        self.refused: list[tuple[str, tuple[int, ...], str]] = []
         #: Callbacks run (with the completed LiveReconfigEvent) at the
         #: end of every operation — e.g. fault recovery chaining a page
         #: reconstruction after an emergency unmount.
@@ -284,6 +288,15 @@ class LiveReconfigurator:
                 self.sim.schedule(now + wait, self._start_next)
                 return
         kind, nodes = self._queue.popleft()
+        try:
+            # The call-time check cannot see the operations queued
+            # ahead of this one; check against the state they left.
+            self.manager.check_batch(nodes, kind in ("gate_on", "mount"), kind)
+        except ValueError as exc:
+            self.refused.append((kind, nodes, str(exc)))
+            self._busy = False
+            self._start_next(now)
+            return
         event = LiveReconfigEvent(kind=kind, nodes=nodes, t_request=now)
         self._unstable.update(nodes)
         if kind in ("gate_off", "unmount"):

@@ -7,24 +7,25 @@ divert around congested output ports (the hardware equivalent is the
 per-port packet counter of paper §IV-B).
 
 * :class:`GreedyPolicy` adapts the String Figure / S2 greediest
-  protocol (with its per-packet commit/fallback state).
-* :class:`TablePolicy` serves the baselines: it precomputes per-node
-  candidate tables (minimal next hops toward each destination) and
-  optionally picks adaptively among them.  This mirrors how mesh
-  (dimension-order + adaptive), flattened butterfly (minimal +
-  adaptive) and Jellyfish (k-shortest-path look-up) route.
+  protocol (with its per-packet commit/fallback state).  Plain greedy
+  hops read the routing's per-destination decision columns; the policy
+  keeps no decision store of its own.
+* :class:`MinimalPolicy` serves the baselines: shortest-path next hops
+  toward each destination, optionally picked adaptively.  This mirrors
+  how mesh (dimension-order + adaptive), flattened butterfly (minimal +
+  adaptive) and Jellyfish (minimal look-up) route.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable
 
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
 from repro.network.packet import Packet
 
-__all__ = ["RoutingPolicy", "GreedyPolicy", "TablePolicy", "MinimalPolicy"]
+__all__ = ["RoutingPolicy", "GreedyPolicy", "MinimalPolicy"]
 
 PortLoad = Callable[[int, int], float]
 
@@ -54,33 +55,34 @@ class RoutingPolicy(ABC):
 class GreedyPolicy(RoutingPolicy):
     """String Figure / S2 greediest (optionally adaptive) routing.
 
-    ``cache=True`` memoizes pure-greedy forwarding decisions *and*
-    adaptive candidate sets per ``(current, dst)`` — both are
-    deterministic functions of the local tables, so the caches are
-    exact.  Cached decision entries store only primitives
-    ``(next_hop, commit)`` and rebuild a fresh :class:`RouteState` per
-    packet: :class:`RouteState` is mutable, so handing one stored
-    instance to every hitting packet would alias routing state across
-    in-flight packets.  Packets carrying commit/fallback state always
-    take the freshly computed path.  Both caches are dropped on
-    reconfiguration.
+    A plain hop (no commit, no fallback) reads the router's entry in
+    the destination's decision column (:meth:`GreediestRouting.
+    kernel_next_hop`), the one memo of greedy decisions.  The entry
+    holds only primitives ``(next_hop, commit)``, and each packet gets
+    a fresh :class:`RouteState` from it: :class:`RouteState` is
+    mutable, so sharing one instance would alias routing state across
+    in-flight packets.  Hops that carry commit/fallback state, and
+    plain hops the column cannot answer (the fallback walk, or a
+    network above ``kernel_max_nodes``), take the scalar
+    :meth:`GreediestRouting.next_hop`.  Adaptive routing memoizes its
+    ranked first-hop candidates per ``(current, dst)``; they are a
+    deterministic function of the local tables, so the memo is exact,
+    and it is dropped whenever ``routing.version`` moves.
     """
 
-    def __init__(self, routing: GreediestRouting, cache: bool = True) -> None:
+    def __init__(self, routing: GreediestRouting) -> None:
         self.routing = routing
         self.num_vcs = routing.num_vcs
         self._adaptive = isinstance(routing, AdaptiveGreediestRouting)
-        self._cache_enabled = cache
-        #: packed ``current * n + dst`` -> (next_hop, commit) for plain
-        #: greedy hops (int keys hash cheaper than tuples on this path).
-        self._cache: dict[int, tuple[int, int | None]] = {}
-        #: packed key -> ranked ((score, via), ...) adaptive candidates.
+        #: packed ``current * n + dst`` -> ranked ((score, via), ...)
+        #: adaptive candidates (int keys hash cheaper than tuples).
         self._cand_cache: dict[int, tuple] = {}
         self._key_n = routing.topology.num_nodes
-        #: Routing generation the caches were filled against; a table
-        #: rebuild anywhere (including *offline* reconfiguration, which
-        #: never calls on_reconfigure) bumps ``routing.version`` and
-        #: invalidates them on the next forward.
+        #: Routing generation the candidate memo and load probes were
+        #: filled against; a table rebuild anywhere (including
+        #: *offline* reconfiguration, which never calls on_reconfigure)
+        #: bumps ``routing.version`` and invalidates them on the next
+        #: forward.
         self._cache_version = routing.version
         # Integer load probes for the adaptive quick-reject (filled by
         # attach_simulator); keyed on the simulator's stable port_load
@@ -95,7 +97,7 @@ class GreedyPolicy(RoutingPolicy):
 
         The adaptive first-hop check — "is any output port of this
         router loaded past the congestion threshold?" — dominates the
-        policy's cost once the decision caches are warm, and it only
+        policy's cost once the decision columns are warm, and it only
         ever compares ``min(1.0, count / cap)`` against a constant.
         Per router, precompute each port's smallest loaded *count* (the
         exact integer threshold, found by scanning the same float
@@ -147,97 +149,76 @@ class GreedyPolicy(RoutingPolicy):
     ) -> int:
         routing = self.routing
         state = packet.route_state
-        plain = state is None or (state.commit is None and state.fallback_md is None)
-        if not (self._cache_enabled and plain):
-            # Commit/fallback state (or caching off): always compute.
-            dst_vec = routing.dst_vector(packet.dst)
-            if self._adaptive and first_hop:
-                nxt, new_state = routing.adaptive_next_hop(
-                    current, packet.dst, port_load, first_hop, dst_vec, state
-                )
-            else:
-                nxt, new_state = routing.next_hop(
-                    current, packet.dst, dst_vec, state
-                )
-            packet.route_state = new_state
-            if new_state is not None and new_state.in_fallback:
-                packet.fallback_hops += 1
-            return nxt
-        if self._cache_version != routing.version:
-            self._cache.clear()
-            self._cand_cache.clear()
-            self._probes.clear()
-            self._cache_version = routing.version
         dst = packet.dst
-        key = current * self._key_n + dst
-        if self._adaptive and first_hop and not routing.is_direct(current, dst):
-            # Source-router adaptivity (paper §III-B): divert to the
-            # least-loaded progressing via past the congestion
-            # threshold; otherwise fall through to the greedy decision.
-            threshold = routing.congestion_threshold
-            cand = self._cand_cache.get(key)
-            if cand is None:
-                # Quick reject: a divert needs the primary port loaded
-                # past the threshold, so if no output port of this
-                # router is, the candidate ranking is never consulted —
-                # which skips its cost on the (dominant) unloaded path.
-                if port_load is self._probe_cb:
-                    loaded = False
-                    for probe_port, loaded_min in self._router_probes(current):
-                        if probe_port.count >= loaded_min:
-                            loaded = True
-                            break
-                elif port_load in self._class_cbs:
-                    # Class-aware twin of the int quick-reject: the
-                    # probe sums the queued counts of the classes in
-                    # the closure's priority group against the same
-                    # precomputed integer threshold (port caps are
-                    # class-independent, so loaded_min transfers).
-                    ids = port_load.qos_ids
-                    loaded = False
-                    for probe_port, loaded_min in self._router_probes(current):
-                        queued = 0
-                        for k in ids:
-                            queued += probe_port.cls_count[k]
-                        if queued >= loaded_min:
-                            loaded = True
-                            break
-                else:
-                    loaded = any(
-                        port_load(current, nbr) >= threshold
-                        for nbr in routing.usable_neighbors(current)
+        if state is None or (state.commit is None and state.fallback_md is None):
+            if self._cache_version != routing.version:
+                self._cand_cache.clear()
+                self._probes.clear()
+                self._cache_version = routing.version
+            if self._adaptive and first_hop and not routing.is_direct(current, dst):
+                # Source-router adaptivity (paper §III-B): divert to the
+                # least-loaded progressing via past the congestion
+                # threshold; otherwise fall through to the greedy decision.
+                threshold = routing.congestion_threshold
+                key = current * self._key_n + dst
+                cand = self._cand_cache.get(key)
+                if cand is None:
+                    # Quick reject: a divert needs the primary port loaded
+                    # past the threshold, so if no output port of this
+                    # router is, the candidate ranking is never consulted —
+                    # which skips its cost on the (dominant) unloaded path.
+                    if port_load is self._probe_cb:
+                        loaded = False
+                        for probe_port, loaded_min in self._router_probes(current):
+                            if probe_port.count >= loaded_min:
+                                loaded = True
+                                break
+                    elif port_load in self._class_cbs:
+                        # Class-aware twin of the int quick-reject: the
+                        # probe sums the queued counts of the classes in
+                        # the closure's priority group against the same
+                        # precomputed integer threshold (port caps are
+                        # class-independent, so loaded_min transfers).
+                        ids = port_load.qos_ids
+                        loaded = False
+                        for probe_port, loaded_min in self._router_probes(current):
+                            queued = 0
+                            for k in ids:
+                                queued += probe_port.cls_count[k]
+                            if queued >= loaded_min:
+                                loaded = True
+                                break
+                    else:
+                        loaded = any(
+                            port_load(current, nbr) >= threshold
+                            for nbr in routing.usable_neighbors(current)
+                        )
+                    if loaded:
+                        cand = tuple(routing.candidate_set(current, dst))
+                        self._cand_cache[key] = cand
+                if cand is not None and len(cand) > 1 and (
+                    port_load(current, cand[0][1]) >= threshold
+                ):
+                    _score, nxt = min(
+                        cand,
+                        key=lambda item: (
+                            port_load(current, item[1]), item[0], item[1]
+                        ),
                     )
-                if loaded:
-                    cand = tuple(routing.candidate_set(current, dst))
-                    self._cand_cache[key] = cand
-            if cand is not None and len(cand) > 1 and (
-                port_load(current, cand[0][1]) >= threshold
-            ):
-                _score, nxt = min(
-                    cand,
-                    key=lambda item: (port_load(current, item[1]), item[0], item[1]),
-                )
-                packet.route_state = None
-                return nxt
-        hit = self._cache.get(key)
-        if hit is None:
-            # Cold pair: consult dst's decision column (one vectorized
-            # pass decides every router's hop toward dst) and memoize;
-            # only fallback-walk pairs drop to the scalar path.
+                    packet.route_state = None
+                    return nxt
+            # dst's decision column: one vectorized pass decides every
+            # router's plain greedy hop toward dst.
             hit = routing.kernel_next_hop(current, dst)
             if hit is not None:
-                self._cache[key] = hit
-        if hit is not None:
-            nxt, commit = hit
-            packet.route_state = (
-                RouteState(commit=commit) if commit is not None else None
-            )
-            return nxt
-        nxt, new_state = routing.next_hop(
-            current, dst, routing.dst_vector(dst), state
-        )
-        if not new_state.in_fallback:
-            self._cache[key] = (nxt, new_state.commit)
+                nxt, commit = hit
+                packet.route_state = (
+                    RouteState(commit=commit) if commit is not None else None
+                )
+                return nxt
+        # Commit/fallback state, the fallback walk, or a network above
+        # the kernel gate: the scalar decision.
+        nxt, new_state = routing.next_hop(current, dst, routing.dst_vector(dst), state)
         packet.route_state = new_state
         if new_state.in_fallback:
             packet.fallback_hops += 1
@@ -247,74 +228,9 @@ class GreedyPolicy(RoutingPolicy):
         return self.routing.select_vc(src, dst)
 
     def on_reconfigure(self) -> None:
-        # The refresh bumps ``routing.version``, so the next forward
-        # drops every decision cache.
+        # The refresh bumps ``routing.version``, which drops the
+        # decision columns and, on the next forward, the candidate memo.
         self.routing.refresh_views()
-
-
-class TablePolicy(RoutingPolicy):
-    """Precomputed candidate-table routing for baseline topologies.
-
-    Parameters
-    ----------
-    tables:
-        ``tables[node][dst]`` is a non-empty sequence of next-hop
-        neighbors, minimal-first.  Deterministic routing uses entry 0;
-        adaptive routing picks the least-loaded entry once the primary
-        port's occupancy crosses *congestion_threshold*.
-    adaptive:
-        Enable adaptive selection among the candidates.
-    vc_of:
-        Optional VC selector ``(src, dst) -> vc`` (defaults to an
-        id-ordering split, which breaks cyclic dependencies for the
-        table-built baselines the same way the paper's two-VC scheme
-        does for String Figure).
-    """
-
-    def __init__(
-        self,
-        tables: Mapping[int, Mapping[int, Sequence[int]]],
-        adaptive: bool = False,
-        congestion_threshold: float = 0.5,
-        num_vcs: int = 2,
-        vc_of: Callable[[int, int], int] | None = None,
-    ) -> None:
-        self.tables = tables
-        self.adaptive = adaptive
-        self.congestion_threshold = congestion_threshold
-        self.num_vcs = num_vcs
-        self._vc_of = vc_of
-
-    def forward(
-        self, current: int, packet: Packet, port_load: PortLoad, first_hop: bool
-    ) -> int:
-        candidates = self.tables[current][packet.dst]
-        primary = candidates[0]
-        if not self.adaptive or len(candidates) == 1:
-            return primary
-        if port_load(current, primary) < self.congestion_threshold:
-            return primary
-        return min(candidates, key=lambda w: (port_load(current, w), w))
-
-    def select_vc(self, src: int, dst: int) -> int:
-        if self._vc_of is not None:
-            return self._vc_of(src, dst)
-        if self.num_vcs < 2:
-            return 0
-        return 0 if src <= dst else 1
-
-    def route_length(self, src: int, dst: int) -> int:
-        """Deterministic path length through the tables (for tests)."""
-        hops = 0
-        current = src
-        seen = set()
-        while current != dst:
-            if current in seen:
-                raise RuntimeError(f"routing loop at {current} for {src}->{dst}")
-            seen.add(current)
-            current = self.tables[current][dst][0]
-            hops += 1
-        return hops
 
 
 class MinimalPolicy(RoutingPolicy):

@@ -180,15 +180,6 @@ class LatencyAnatomy:
         st[_ST_FLY] = False
         st[_ST_LAST] = now
 
-    def _wire(self, port) -> _WireState:
-        # The two per-hop hooks below inline this body — any change
-        # here must be mirrored there.
-        wire = port.obs_wire
-        if wire is None or wire.owner is not self:
-            wire = _WireState(self.hotspots.link(port.u, port.v), self)
-            port.obs_wire = wire
-        return wire
-
     def queue_join(self, port, packet, ready: int, now: int) -> None:
         wire = port.obs_wire
         if wire is None or wire.owner is not self:

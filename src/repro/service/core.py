@@ -60,6 +60,23 @@ __all__ = ["FabricService", "ServiceRequest", "TenantStats"]
 TERMINAL_STATES = ("done", "shed", "failed", "timeout", "error")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number_error(
+    name: str, value: Any, top: float, integral: bool = False
+) -> str | None:
+    """Why *value* is not an absent or in-range ``[0, top]`` argument."""
+    if value is None:
+        return None
+    if _is_int(value) or (not integral and isinstance(value, float)):
+        if 0 <= value <= top:
+            return None
+    kind = "an integer" if integral else "a number"
+    return f"{name} must be {kind} in [0, {top}]"
+
+
 @dataclass(eq=False)
 class ServiceRequest:
     """One client read/write request moving through the fabric.
@@ -752,16 +769,35 @@ class FabricService:
         Victims default to the reconfiguration manager's well-spaced
         candidates.  The operation is asynchronous inside the simulator
         (block / migrate / switch / revalidate / unblock); poll
-        ``stats`` for ``active_nodes`` to observe completion.
+        ``stats`` for ``active_nodes`` to observe completion.  Malformed
+        arguments, and victims that are inactive or already gated, are
+        refused with ``ok: false`` before anything is logged.
         """
         if self.live is None:
             return {"ok": False, "error": "scale requires a String Figure fabric"}
         if nodes is None:
+            error = _number_error("fraction", fraction, 1.0) or _number_error(
+                "count", count, self.topology.num_nodes, integral=True
+            )
+            if error is None and fraction is None and count is None:
+                error = "give fraction, count or nodes"
+            if error is not None:
+                return {"ok": False, "error": error}
             victims = self.live.select_victims(fraction=fraction, count=count)
         else:
+            error = self._node_list_error(nodes)
+            if error is not None:
+                return {"ok": False, "error": error}
             victims = list(nodes)
         if not victims:
             return {"ok": False, "error": "no gateable victims"}
+        gated = set(self._gated)
+        for node in victims:
+            if node in gated or not self.topology.is_active(node):
+                return {
+                    "ok": False,
+                    "error": f"node {node} is not active or is already gated",
+                }
         self.log_entries.append({
             "kind": "control", "t": self.sim.now, "verb": "scale_down",
             "nodes": list(victims),
@@ -771,10 +807,23 @@ class FabricService:
         return {"ok": True, "verb": "scale_down", "nodes": list(victims)}
 
     def scale_up(self, nodes: list[int] | None = None) -> dict[str, Any]:
-        """Wake previously gated nodes, pages migrating back in."""
+        """Wake previously gated nodes, pages migrating back in.
+
+        *nodes* must all be gated; anything else is refused with
+        ``ok: false`` before anything is logged.
+        """
         if self.live is None:
             return {"ok": False, "error": "scale requires a String Figure fabric"}
-        victims = list(self._gated) if nodes is None else list(nodes)
+        if nodes is None:
+            victims = list(self._gated)
+        else:
+            error = self._node_list_error(nodes)
+            if error is not None:
+                return {"ok": False, "error": error}
+            victims = list(nodes)
+            for node in victims:
+                if node not in self._gated:
+                    return {"ok": False, "error": f"node {node} is not gated"}
         if not victims:
             return {"ok": False, "error": "no gated nodes to wake"}
         self.log_entries.append({
@@ -784,6 +833,17 @@ class FabricService:
         self._gated = [n for n in self._gated if n not in set(victims)]
         self.live.gate_on(victims)
         return {"ok": True, "verb": "scale_up", "nodes": list(victims)}
+
+    def _node_list_error(self, nodes: Any) -> str | None:
+        """Why *nodes* is not a list of distinct node ids of this fabric."""
+        n = self.topology.num_nodes
+        if not isinstance(nodes, (list, tuple)) or not all(
+            _is_int(node) and 0 <= node < n for node in nodes
+        ):
+            return f"nodes must be a list of node ids in [0, {n})"
+        if len(set(nodes)) != len(nodes):
+            return "nodes must not repeat"
+        return None
 
     def inject_fault(
         self,
@@ -795,6 +855,17 @@ class FabricService:
         """Fire one unplanned fault (PR-5 stack) at the current cycle."""
         from repro.faults.injector import FaultEvent, FaultPlan
 
+        n = self.topology.num_nodes
+        if not _is_int(duration):
+            return {"ok": False, "error": "duration must be an integer"}
+        if node is not None and not (_is_int(node) and 0 <= node < n):
+            return {"ok": False, "error": f"node must be a node id in [0, {n})"}
+        if link is not None and (
+            not isinstance(link, (list, tuple))
+            or len(link) != 2
+            or not all(_is_int(end) and 0 <= end < n for end in link)
+        ):
+            return {"ok": False, "error": f"link must be two node ids in [0, {n})"}
         try:
             event = FaultEvent(
                 time=self.sim.now,

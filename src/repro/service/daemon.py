@@ -318,7 +318,7 @@ class FabricDaemon:
                 message.get("kind", "node_crash"),
                 node=message.get("node"),
                 link=message.get("link"),
-                duration=int(message.get("duration", 0)),
+                duration=message.get("duration", 0),
             )
             self._reply(writer, {**result, "id": mid})
             return False

@@ -31,7 +31,7 @@ from repro.network.elastic import (
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
-from repro.workloads.churn import ChurnAction, ChurnSchedule, run_churn
+from repro.workloads.churn import ChurnAction, ChurnInjector, ChurnSchedule, run_churn
 
 NODES = 48
 CONFIG = NetworkConfig(emergency_stall_threshold=16)
@@ -402,3 +402,37 @@ class TestGuards:
         assert [e.nodes for e in live.events] == [(22,)]
         assert not topo.is_active(22)
         assert live.parked_now == 0 and live.pending_operations == 0
+
+    def test_queued_duplicate_refused_when_its_turn_comes(self):
+        """Two queued gate-offs of one node both pass the call-time
+        check; the second no longer applies once the first has run.
+        It is refused before any step, and the queue moves on."""
+        from repro.traffic.patterns import make_pattern
+
+        topo = StringFigureTopology(32, 4, seed=5)
+        routing = AdaptiveGreediestRouting(topo)
+        policy = GreedyPolicy(routing)
+        sim = NetworkSimulator(topo, policy, CONFIG)
+        manager = ReconfigurationManager(topo, routing)
+        live = LiveReconfigurator(sim, manager, policy)
+        ChurnInjector(
+            sim,
+            make_pattern("uniform_random", topo.active_nodes),
+            0.05,
+            warmup=0,
+            measure=3000,
+            seed=1,
+            reconfig=live,
+        ).start()
+        live.gate_off([22], at=10)
+        live.gate_off([22], at=20)
+        live.gate_on([22], at=30)
+        sim.drain()
+        assert [e.kind for e in live.events] == ["gate_off", "gate_on"]
+        assert len(live.refused) == 1
+        kind, nodes, reason = live.refused[0]
+        assert (kind, nodes) == ("gate_off", (22,))
+        assert "already inactive" in reason
+        assert topo.is_active(22)
+        assert live.parked_now == 0 and live.pending_operations == 0
+        assert sim.stats.sent == sim.stats.delivered > 0

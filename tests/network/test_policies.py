@@ -8,7 +8,7 @@ import pytest
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import StringFigureTopology
 from repro.network.packet import Packet
-from repro.network.policies import GreedyPolicy, MinimalPolicy, TablePolicy
+from repro.network.policies import GreedyPolicy, MinimalPolicy
 
 quiet = lambda u, v: 0.0
 loaded = lambda u, v: 1.0
@@ -104,32 +104,3 @@ class TestMinimalPolicy:
         assert policy.select_vc(1, 5) == 0
         assert policy.select_vc(5, 1) == 1
 
-
-class TestTablePolicy:
-    def test_forward_and_loops(self):
-        tables = {
-            0: {2: [1]},
-            1: {2: [2]},
-            2: {},
-        }
-        policy = TablePolicy(tables, adaptive=False)
-        packet = Packet(src=0, dst=2)
-        assert policy.forward(0, packet, quiet, True) == 1
-        assert policy.route_length(0, 2) == 2
-
-    def test_loop_detection(self):
-        tables = {0: {2: [1]}, 1: {2: [0]}}
-        policy = TablePolicy(tables, adaptive=False)
-        with pytest.raises(RuntimeError):
-            policy.route_length(0, 2)
-
-    def test_adaptive_selection(self):
-        tables = {0: {9: [1, 2]}}
-        policy = TablePolicy(tables, adaptive=True)
-        packet = Packet(src=0, dst=9)
-        congested = lambda u, v: 1.0 if v == 1 else 0.0
-        assert policy.forward(0, packet, congested, True) == 2
-
-    def test_custom_vc(self):
-        policy = TablePolicy({}, vc_of=lambda s, d: 1)
-        assert policy.select_vc(0, 5) == 1

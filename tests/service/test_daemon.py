@@ -109,6 +109,51 @@ def test_malformed_fields_rejected_and_daemon_keeps_serving():
     asyncio.run(scenario())
 
 
+def test_hostile_control_verbs_refused_and_daemon_keeps_serving():
+    """Malformed or stale ``scale``/``fault`` arguments get an error
+    reply before anything is logged or queued; none reaches the pump as
+    an exception (which would end it: no later reply, ever)."""
+
+    async def scenario():
+        service, daemon, host, port = await boot()
+        reader, writer = await connect(host, port)
+
+        async def rpc(message):
+            return await asyncio.wait_for(
+                roundtrip(reader, writer, message), timeout=10
+            )
+
+        hostile = [
+            {"op": "scale", "direction": "down", "nodes": [999]},
+            {"op": "scale", "direction": "down"},
+            {"op": "scale", "direction": "down", "fraction": "x"},
+            {"op": "scale", "direction": "down", "count": "2"},
+            {"op": "scale", "direction": "down", "nodes": "ab"},
+            {"op": "scale", "direction": "down", "nodes": [3, 3]},
+            {"op": "scale", "direction": "up", "nodes": [5]},
+            {"op": "fault", "kind": "link_flap", "duration": "x"},
+            {"op": "fault", "kind": "node_crash", "node": 999},
+            {"op": "fault", "kind": "link_down", "link": 7},
+        ]
+        for i, message in enumerate(hostile):
+            reply = await rpc({**message, "id": i})
+            assert reply["ok"] is False and reply["id"] == i, reply
+            assert reply["error"]
+        assert service.log_entries == []
+        assert service._gated == []
+        assert service.live.pending_operations == 0
+        good = await rpc({"op": "read", "page": 2, "id": "ok"})
+        assert good["ok"] and good["status"] == "done"
+        # A stale wake queued anyway would fail a wake latency later,
+        # inside the drain.
+        drained = await rpc({"op": "drain", "id": "d"})
+        assert drained["all_conserved"]
+        writer.close()
+        await daemon.stop()
+
+    asyncio.run(scenario())
+
+
 def test_default_tenant_assigned_per_connection():
     async def scenario():
         service, daemon, host, port = await boot()
