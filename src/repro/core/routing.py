@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.coordinates import clockwise_distance
 from repro.core.routing_table import RoutingTable
 from repro.core.topology import LinkDirection, StringFigureTopology
-from repro.core.virtual_channels import select_virtual_channel
 
 __all__ = [
     "GreediestRouting",
@@ -55,7 +54,9 @@ __all__ = [
 
 
 class RouteState:
-    """Per-packet routing state carried in the packet header.
+    """Per-packet routing state of the scalar :meth:`GreediestRouting.
+    next_hop` (a simulated packet carries the same two header fields as
+    ``Packet.commit``, ``-1`` for ``None``, and ``Packet.fallback_md``).
 
     ``commit`` is the node id the packet must be forwarded to next (set
     when a two-hop window target was chosen through a non-progressing
@@ -336,14 +337,15 @@ class GreediestRouting:
             [topology.coords.vector(v) for v in range(topology.num_nodes)],
             dtype=np.float64,
         )
-        #: dst -> packed decision of every router (see
-        #: :meth:`_DecisionColumns.column`), and the padded window
-        #: arrays the columns are computed from.  Both dropped whenever
-        #: ``version`` moves.
-        self._columns: dict[int, array] = {}
+        #: dst -> packed decision of every router (see :meth:`column`),
+        #: and the padded window arrays the columns are computed from.
+        #: Both are dropped whenever ``version`` moves; the dict is
+        #: cleared in place, so a reader may hold on to it.
+        self.columns: dict[int, array] = {}
+        self.column_stride = topology.num_nodes + 1
         self._kernel_state: _DecisionColumns | None = None
-        self._kernel_version = -1
-        self._kernel_stride = topology.num_nodes + 1
+        #: router -> {usable one-hop neighbor: index} of its view.
+        self.nbr_index: dict[int, dict[int, int]] = {}
         self.rebuild()
 
     # -- table management -----------------------------------------------------
@@ -357,7 +359,7 @@ class GreediestRouting:
         since its last build, and which carries no repair mutation, is
         kept with its blocking bits cleared instead of being rebuilt.
         """
-        self.version += 1
+        self._new_version()
         topo = self.topology
         targets = topo.active_nodes if nodes is None else nodes
         active_out: dict[int, tuple[int, ...]] = {}
@@ -365,6 +367,7 @@ class GreediestRouting:
             if not topo.is_active(v):
                 self.tables.pop(v, None)
                 self._views.pop(v, None)
+                self.nbr_index.pop(v, None)
                 continue
             neighborhood = RoutingTable.neighborhood(topo, v, active_out)
             table = self.tables.get(v)
@@ -376,7 +379,7 @@ class GreediestRouting:
 
     def refresh_views(self, nodes: Sequence[int] | None = None) -> None:
         """Re-snapshot vectorized views after manual table bit flips."""
-        self.version += 1
+        self._new_version()
         for v in list(self.tables if nodes is None else nodes):
             table = self.tables.get(v)
             if table is not None:
@@ -386,7 +389,14 @@ class GreediestRouting:
         """Rebuild *node*'s view only if its usable *window* changed."""
         view = self._views.get(node)
         if view is None or view.window != window:
-            self._views[node] = _NodeView(window, self._coord_matrix, node)
+            view = self._views[node] = _NodeView(window, self._coord_matrix, node)
+            self.nbr_index[node] = view.id_to_nbr_index
+
+    def _new_version(self) -> None:
+        """Bump ``version``; drop the columns built from the old views."""
+        self.version += 1
+        self.columns.clear()
+        self._kernel_state = None
 
     def table(self, node: int) -> RoutingTable:
         """Routing table of *node*."""
@@ -408,10 +418,6 @@ class GreediestRouting:
     def md(self, a: int, b: int) -> float:
         """MD between two nodes using this topology's distance convention."""
         return float(self._md_array(self._coord_matrix[a], self._coord_matrix[b]))
-
-    def dst_vector(self, dst: int) -> np.ndarray:
-        """Destination coordinate vector (written into packet headers)."""
-        return self._coord_matrix[dst]
 
     def _window_md(self, view: _NodeView, dst_vec: np.ndarray) -> np.ndarray:
         """MD to *dst_vec* of ``[owner, *window]`` in one vectorized pass.
@@ -437,45 +443,31 @@ class GreediestRouting:
 
     # -- destination-major decision columns ------------------------------------
 
-    def kernel_next_hop(
-        self, current: int, dst: int
-    ) -> tuple[int, int | None] | None:
-        """Plain-greedy ``(next, commit)`` from *dst*'s decision column,
-        or ``None`` when the scalar path must run (kernel gated off, or
-        *dst* needs the fallback walk from *current*).
-
-        Columns are dropped whenever ``version`` moves, so reconfig and
-        fault-repair rebuilds invalidate them.  They are the only memo of
-        greedy decisions: :class:`~repro.network.policies.GreedyPolicy`
-        reads them on every plain hop and stores none of its own.
+    def column(self, dst: int) -> array | None:
+        """*dst*'s packed decision column (:meth:`_DecisionColumns.column`:
+        exactly ``dst * column_stride`` where *dst* is a usable neighbor),
+        or ``None`` above ``kernel_max_nodes``.  The only memo of greedy
+        decisions; every table or view rebuild drops it.
         """
-        if self._kernel_version != self.version:
-            self._columns.clear()
-            self._kernel_state = None
-            self._kernel_version = self.version
-        column = self._columns.get(dst)
+        column = self.columns.get(dst)
         if column is None:
             if self.topology.num_nodes > self.kernel_max_nodes:
                 return None
             state = self._kernel_state
             if state is None:
                 state = self._kernel_state = _DecisionColumns(self)
-            column = self._columns[dst] = state.column(dst)
-        entry = column[current]
-        if entry < 0:
-            return None
-        nxt, commit = divmod(entry, self._kernel_stride)
-        return nxt, (commit - 1 if commit else None)
+            column = self.columns[dst] = state.column(dst)
+        return column
 
     # -- forwarding ----------------------------------------------------------------
 
     def is_direct(self, current: int, dst: int) -> bool:
         """Whether *dst* is a usable one-hop neighbor of *current*."""
-        return dst in self._views[current].id_to_nbr_index
+        return dst in self.nbr_index[current]
 
     def usable_neighbors(self, current: int):
         """The usable one-hop neighbor ids of *current* (iterable)."""
-        return self._views[current].id_to_nbr_index.keys()
+        return self.nbr_index[current].keys()
 
     def candidate_set(
         self, current: int, dst: int, dst_coords: Sequence[float] | None = None
@@ -633,15 +625,6 @@ class GreediestRouting:
             path.append(nxt)
             current = nxt
         return RouteResult(path, fallbacks)
-
-    # -- simulator-facing policy interface ----------------------------------------
-
-    def select_vc(self, src: int, dst: int) -> int:
-        """Deadlock-avoidance virtual channel for a ``src -> dst`` packet."""
-        coords = self.topology.coords
-        return select_virtual_channel(
-            coords.coordinate(src, 0), coords.coordinate(dst, 0)
-        )
 
 
 class AdaptiveGreediestRouting(GreediestRouting):

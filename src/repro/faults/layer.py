@@ -300,7 +300,7 @@ class FaultLayer:
         now = self.sim.now
         for t_park, packet, from_link, first_hop in parked:
             self.park_cycle_sum += now - t_park
-            packet.route_state = None
+            packet.reset_route()
             self.sim.rearrive(node, packet, from_link, first_hop)
         return len(parked)
 
@@ -323,7 +323,7 @@ class FaultLayer:
                 self._drop(packet, from_link, "unreachable")
                 dropped += 1
             else:
-                packet.route_state = None
+                packet.reset_route()
                 self.sim.rearrive(u, packet, from_link)
                 rerouted += 1
         self.swept_packets += rerouted + dropped

@@ -438,7 +438,7 @@ class LiveReconfigurator:
         rerouted = 0
         for u, v in sorted(pairs):
             for packet, from_link in self.sim.take_queued(u, v):
-                packet.route_state = None
+                packet.reset_route()
                 self.sim.rearrive(u, packet, from_link)
                 rerouted += 1
         return rerouted
@@ -462,7 +462,7 @@ class LiveReconfigurator:
         event.parked_packets = len(self._parked)
         for t_park, node, packet, from_link, first_hop in self._parked:
             event.park_cycle_sum += now - t_park
-            packet.route_state = None
+            packet.reset_route()
             self.sim.rearrive(node, packet, from_link, first_hop)
         self._parked.clear()
         if self.power is not None:
@@ -512,16 +512,14 @@ class LiveReconfigurator:
         packet's routing state is snapshotted and restored — the probe
         is observationally free.
         """
-        saved_state = packet.route_state
-        saved_fallback = packet.fallback_hops
+        saved = (packet.commit, packet.fallback_md, packet.fallback_hops)
         try:
             self.policy.forward(node, packet, self.sim.port_load, first_hop)
             return False
         except (RuntimeError, KeyError, IndexError):
             return True
         finally:
-            packet.route_state = saved_state
-            packet.fallback_hops = saved_fallback
+            packet.commit, packet.fallback_md, packet.fallback_hops = saved
 
 
 class WindowedLatencyProbe:

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.core.routing import RouteState
-
 __all__ = ["Packet", "PacketKind"]
 
 _packet_ids = itertools.count()
@@ -38,8 +36,11 @@ class PacketKind(str, Enum):
 class Packet:
     """One network packet.
 
-    ``route_state`` carries the greedy protocol's per-packet state (the
-    two-hop commit and fallback-mode fields); ``context`` is an opaque
+    ``commit`` and ``fallback_md`` carry the greedy protocol's
+    per-packet header state: the two-hop commit target (``-1``: none)
+    and the ``MD`` recorded at space-0 ring fallback entry (``None``:
+    greedy mode).  Plain ints and a float, so packets that take the
+    same decision never share mutable state.  ``context`` is an opaque
     slot for higher layers (e.g. the trace-driven runner ties responses
     back to requests through it).  Slotted: the simulator reads and
     writes a few fields of every packet at every hop.
@@ -61,13 +62,19 @@ class Packet:
     hops: int = 0
     fallback_hops: int = 0
     arrive_time: int | None = None
-    route_state: RouteState | None = None
+    commit: int = -1
+    fallback_md: float | None = None
     context: Any = None
     #: Observability cache: the latency anatomy parks this packet's
     #: component accumulators here (set at inject, cleared at
     #: deliver/drop) so its per-hook lookup is one attribute load.
     #: The simulator itself never reads it.
     obs_state: Any = None
+
+    def reset_route(self) -> None:
+        """Drop the routing state (the packet re-enters the network)."""
+        self.commit = -1
+        self.fallback_md = None
 
     @property
     def latency(self) -> int:

@@ -1,15 +1,15 @@
 """Routing-policy interface between topologies and the simulator.
 
 The simulator is topology-agnostic: it asks a :class:`RoutingPolicy`
-for each packet's next hop and virtual channel.  Policies receive a
+for each packet's next hop and reads its VC keys.  Policies receive a
 ``port_load(node, neighbor) -> [0, 1]`` probe so adaptive schemes can
 divert around congested output ports (the hardware equivalent is the
 per-port packet counter of paper §IV-B).
 
 * :class:`GreedyPolicy` adapts the String Figure / S2 greediest
-  protocol (with its per-packet commit/fallback state).  Plain greedy
-  hops read the routing's per-destination decision columns; the policy
-  keeps no decision store of its own.
+  protocol.  The simulator reads its decision ``columns`` itself on
+  plain hops after the first; ``forward`` runs for first hops, column
+  misses, ``-1`` entries, fallback and commits no longer usable.
 * :class:`MinimalPolicy` serves the baselines: shortest-path next hops
   toward each destination, optionally picked adaptively.  This mirrors
   how mesh (dimension-order + adaptive), flattened butterfly (minimal +
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
+from repro.core.virtual_channels import select_virtual_channel
 from repro.network.packet import Packet
 
 __all__ = ["RoutingPolicy", "GreedyPolicy", "MinimalPolicy"]
@@ -34,6 +35,11 @@ class RoutingPolicy(ABC):
     """Per-packet forwarding decisions for the simulator."""
 
     num_vcs: int = 2
+    #: Per-node VC keys: VC0 iff ``vc_keys[src] <= vc_keys[dst]``.
+    vc_keys: Sequence
+    #: dst -> decision column (:meth:`GreediestRouting.column`) the
+    #: simulator reads on plain non-first hops; None: it never does.
+    columns: dict | None = None
 
     @abstractmethod
     def forward(
@@ -41,12 +47,13 @@ class RoutingPolicy(ABC):
     ) -> int:
         """Return the neighbor to forward *packet* to from *current*.
 
-        Implementations may read and update ``packet.route_state``.
+        Implementations may read and update the packet's ``commit`` and
+        ``fallback_md`` routing fields.
         """
 
     @abstractmethod
     def select_vc(self, src: int, dst: int) -> int:
-        """Virtual channel assignment for a new packet."""
+        """Virtual channel assignment for a new packet (from vc_keys)."""
 
     def on_reconfigure(self) -> None:
         """Invalidate any caches after a topology reconfiguration."""
@@ -56,28 +63,32 @@ class GreedyPolicy(RoutingPolicy):
     """String Figure / S2 greediest (optionally adaptive) routing.
 
     A plain hop (no commit, no fallback) reads the router's entry in
-    the destination's decision column (:meth:`GreediestRouting.
-    kernel_next_hop`), the one memo of greedy decisions.  The entry
-    holds only primitives ``(next_hop, commit)``, and each packet gets
-    a fresh :class:`RouteState` from it: :class:`RouteState` is
-    mutable, so sharing one instance would alias routing state across
-    in-flight packets.  Hops that carry commit/fallback state, and
-    plain hops the column cannot answer (the fallback walk, or a
-    network above ``kernel_max_nodes``), take the scalar
-    :meth:`GreediestRouting.next_hop`.  Adaptive routing memoizes its
-    ranked first-hop candidates per ``(current, dst)``; they are a
-    deterministic function of the local tables, so the memo is exact,
-    and it is dropped whenever ``routing.version`` moves.
+    the destination's decision column (:meth:`GreediestRouting.column`),
+    the one memo of greedy decisions; the simulator does the same read
+    itself on every plain hop after the first.  Hops that carry
+    commit/fallback state, and plain hops the column cannot answer (the
+    fallback walk, or a network above ``kernel_max_nodes``), take the
+    scalar :meth:`GreediestRouting.next_hop`.  Adaptive routing
+    memoizes its ranked first-hop candidates per ``(current, dst)``;
+    they are a deterministic function of the local tables, so the memo
+    is exact, and it is dropped whenever ``routing.version`` moves.
+    VC keys are the nodes' space-0 coordinates (paper §IV-A).
     """
 
     def __init__(self, routing: GreediestRouting) -> None:
         self.routing = routing
         self.num_vcs = routing.num_vcs
+        #: The routing's own dicts and packing stride, read inline by
+        #: the simulator on plain and committed hops.
+        self.columns = routing.columns
+        self.column_stride = routing.column_stride
+        self.nbr_index = routing.nbr_index
         self._adaptive = isinstance(routing, AdaptiveGreediestRouting)
         #: packed ``current * n + dst`` -> ranked ((score, via), ...)
         #: adaptive candidates (int keys hash cheaper than tuples).
         self._cand_cache: dict[int, tuple] = {}
-        self._key_n = routing.topology.num_nodes
+        n = self._key_n = routing.topology.num_nodes
+        self.vc_keys = [routing.topology.coords.coordinate(v, 0) for v in range(n)]
         #: Routing generation the candidate memo and load probes were
         #: filled against; a table rebuild anywhere (including
         #: *offline* reconfiguration, which never calls on_reconfigure)
@@ -148,14 +159,21 @@ class GreedyPolicy(RoutingPolicy):
         self, current: int, packet: Packet, port_load: PortLoad, first_hop: bool
     ) -> int:
         routing = self.routing
-        state = packet.route_state
         dst = packet.dst
-        if state is None or (state.commit is None and state.fallback_md is None):
+        commit = packet.commit
+        if commit < 0 and packet.fallback_md is None:
             if self._cache_version != routing.version:
                 self._cand_cache.clear()
                 self._probes.clear()
                 self._cache_version = routing.version
-            if self._adaptive and first_hop and not routing.is_direct(current, dst):
+            # One entry read; ``dst * stride`` is exactly direct delivery.
+            column = routing.column(dst)
+            stride = self.column_stride
+            entry = (
+                column[current] if column is not None
+                else dst * stride if routing.is_direct(current, dst) else -1
+            )
+            if self._adaptive and first_hop and entry != dst * stride:
                 # Source-router adaptivity (paper §III-B): divert to the
                 # least-loaded progressing via past the congestion
                 # threshold; otherwise fall through to the greedy decision.
@@ -205,27 +223,24 @@ class GreedyPolicy(RoutingPolicy):
                             port_load(current, item[1]), item[0], item[1]
                         ),
                     )
-                    packet.route_state = None
                     return nxt
-            # dst's decision column: one vectorized pass decides every
-            # router's plain greedy hop toward dst.
-            hit = routing.kernel_next_hop(current, dst)
-            if hit is not None:
-                nxt, commit = hit
-                packet.route_state = (
-                    RouteState(commit=commit) if commit is not None else None
-                )
+            if entry >= 0:
+                nxt, commit = divmod(entry, stride)
+                packet.commit = commit - 1
                 return nxt
         # Commit/fallback state, the fallback walk, or a network above
         # the kernel gate: the scalar decision.
-        nxt, new_state = routing.next_hop(current, dst, routing.dst_vector(dst), state)
-        packet.route_state = new_state
-        if new_state.in_fallback:
+        state = RouteState(None if commit < 0 else commit, packet.fallback_md)
+        nxt, state = routing.next_hop(current, dst, None, state)
+        packet.commit = -1 if state.commit is None else state.commit
+        packet.fallback_md = state.fallback_md
+        if state.in_fallback:
             packet.fallback_hops += 1
         return nxt
 
     def select_vc(self, src: int, dst: int) -> int:
-        return self.routing.select_vc(src, dst)
+        keys = self.vc_keys
+        return 0 if self.num_vcs < 2 else select_virtual_channel(keys[src], keys[dst])
 
     def on_reconfigure(self) -> None:
         # The refresh bumps ``routing.version``, which drops the
@@ -250,6 +265,10 @@ class MinimalPolicy(RoutingPolicy):
     two VCs split by endpoint order plus the simulator's escape-buffer
     recovery, keeping flow control identical across topology baselines.
     """
+
+    #: Node order: a ``range`` indexes as the identity, so every node
+    #: id (including ones outside a repaired graph) is its own key.
+    vc_keys = range(1 << 62)
 
     def __init__(
         self,
@@ -366,9 +385,7 @@ class MinimalPolicy(RoutingPolicy):
         return min(options, key=lambda w: (port_load(current, w), w))
 
     def select_vc(self, src: int, dst: int) -> int:
-        if self.num_vcs < 2:
-            return 0
-        return 0 if src <= dst else 1
+        return 0 if self.num_vcs < 2 or src <= dst else 1
 
     def on_reconfigure(self) -> None:
         self._dst_cand.clear()

@@ -36,8 +36,8 @@ packed integer ``u * num_nodes + v`` instead of an ``(u, v)`` tuple;
 per-link credits, occupancy count, channel state and wire latency live
 on the :class:`_OutPort` itself so one dictionary lookup reaches all
 link state; and per-node counter arrays (packets destined to a node,
-arrival events targeting it, packets queued on its incident links)
-make :meth:`inflight_to` and :meth:`node_quiescent` cheap instead of
+arrival events targeting it) plus per-node incident-port lists make
+:meth:`inflight_to` and :meth:`node_quiescent` cheap instead of
 scanning the event queue — the scans the live-reconfiguration drain
 loop used to pay on every poll.  The scanning implementation survives
 as the reference in the fast-path differential test.
@@ -55,6 +55,13 @@ when a send attempt actually finds every channel busy and needs a
 retry.  On uncongested links the event is elided entirely, cutting
 queue traffic per hop by a third; ``eager_link_events=True`` restores
 the always-push behaviour for differential testing.
+
+Routing reads the policy's decision columns inline: a plain hop after
+the first unpacks the destination column's entry for the router, and a
+committed hop resolves from the packet's ``commit`` field; only first
+hops, column misses and ``-1`` entries, fallback and stale commits
+call ``policy.forward`` (see :mod:`repro.network.policies`).  The VC
+is a read of the policy's ``vc_keys``.
 
 One send loop: :meth:`_try_send` does the channel scan and arms every
 retry, wake and stall for classless and class-aware ports alike; an
@@ -286,12 +293,7 @@ class NetworkSimulator:
         self._dst_inflight: list[int] = [0] * n
         #: queued _ARRIVE events targeting each node.
         self._pending_arrive: list[int] = [0] * n
-        #: packets *queued* on links incident to each node; mid-wire
-        #: packets are covered by the incident-port channel scan in
-        #: :meth:`node_quiescent` instead of a counter, because the
-        #: lazy core has no per-transmission event to decrement one at.
-        self._node_traffic: list[int] = [0] * n
-        #: ports incident to each node, for the wire-busy scan.
+        #: ports incident to each node, for the queued/wire-busy scan.
         self._node_ports: list[list[_OutPort]] = [[] for _ in range(n)]
         self._bits_cache: dict[int, float] = {}
         self._events_processed = 0
@@ -662,8 +664,6 @@ class NetworkSimulator:
         port.count -= removed
         if port.cls_count is not None:
             port.cls_count = [0] * len(port.cls_count)
-        self._node_traffic[u] -= removed
-        self._node_traffic[v] -= removed
         return taken
 
     def _busy_channels(self, port: _OutPort) -> int:
@@ -692,18 +692,15 @@ class NetworkSimulator:
         hold packets, no packet is mid-wire on a link into or out of
         it, and no arrival event targets it.  Reconfiguration waits for
         this before powering the node's links down.  Counter checks
-        are O(1); the mid-wire check scans the node's incident ports
-        (O(degree), with small constants — channel release times live
-        on the port, no event-queue access).
+        are O(1); the queued and mid-wire checks scan the node's
+        incident ports (O(degree), with small constants — queue counts
+        and channel release times live on the port, no event-queue
+        access).
         """
-        if (
-            self._dst_inflight[node]
-            or self._node_traffic[node]
-            or self._pending_arrive[node]
-        ):
+        if self._dst_inflight[node] or self._pending_arrive[node]:
             return False
         for port in self._node_ports[node]:
-            if self._busy_channels(port):
+            if port.count or self._busy_channels(port):
                 return False
         return True
 
@@ -769,7 +766,12 @@ class NetworkSimulator:
         """
         t = self.now if time is None else max(time, self.now)
         packet.inject_time = t
-        packet.vc = self.policy.select_vc(packet.src, packet.dst)
+        # The policy's select_vc, as an array read.
+        policy = self.policy
+        keys = policy.vc_keys
+        packet.vc = (
+            0 if policy.num_vcs < 2 or keys[packet.src] <= keys[packet.dst] else 1
+        )
         self.stats.sent += 1
         self.stats.injected += int(packet.measured)
         self._dst_inflight[packet.dst] += 1
@@ -817,7 +819,8 @@ class NetworkSimulator:
         fault = self._fault_layer
         if fault is not None and fault.intercept(node, packet, from_link, first_hop):
             return  # dropped (lost) or parked at a hung node
-        if node == packet.dst:
+        dst = packet.dst
+        if node == dst:
             self._deliver(node, packet, from_link)
             return
         if self._arrival_hook is not None and self._arrival_hook(
@@ -825,14 +828,31 @@ class NetworkSimulator:
         ):
             return  # parked: the hook re-enters it via rearrive()
         qos = self._qos
-        if qos is None:
-            nxt = self.policy.forward(
-                node, packet, self._port_load_cb, first_hop
-            )
-        else:
-            nxt = self.policy.forward(
-                node, packet, self._class_load_cbs[packet.tclass], first_hop
-            )
+        policy = self.policy
+        # Plain hops after the first read the destination's column; a
+        # committed hop takes dst when its entry is exactly ``dst *
+        # stride`` (direct delivery wins), else a still-usable commit.
+        # Everything else asks the policy.
+        nxt = -1
+        columns = policy.columns
+        if not first_hop and columns is not None and packet.fallback_md is None:
+            column = columns.get(dst)
+            if column is not None:
+                entry = column[node]
+                commit = packet.commit
+                if commit < 0:
+                    if entry >= 0:
+                        nxt, commit = divmod(entry, policy.column_stride)
+                        packet.commit = commit - 1
+                elif entry == dst * policy.column_stride:
+                    nxt = dst
+                    packet.commit = -1
+                elif commit in policy.nbr_index[node]:
+                    nxt = commit
+                    packet.commit = -1
+        if nxt < 0:
+            load = self._port_load_cb if qos is None else self._class_load_cbs[packet.tclass]
+            nxt = policy.forward(node, packet, load, first_hop)
         port = self._ports.get(node * self._n + nxt)
         if port is None:
             port = self._port(node, nxt)
@@ -851,9 +871,6 @@ class NetworkSimulator:
             )
             port.cls_count[tclass] += 1
         port.count += 1
-        traffic = self._node_traffic
-        traffic[node] += 1
-        traffic[nxt] += 1
         if probes is not None:
             probes.on_enqueue(node, nxt, packet, port, now)
             probes.on_queue_join(port, packet, now + rc, now)
@@ -1167,9 +1184,6 @@ class NetworkSimulator:
         port.free_at[chan] = tail
         free_seq[chan] = _SEQ_PENDING
         armed[chan] = True
-        traffic = self._node_traffic
-        traffic[port.u] -= 1
-        traffic[port.v] -= 1
         if from_link is not None:
             self._release_credit(from_link, packet.vc, packet.tclass)
         seq = self._seq + 1

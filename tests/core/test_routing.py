@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
 from repro.core.topology import StringFigureTopology
+from repro.network.policies import GreedyPolicy
 
 
 class TestDelivery:
@@ -127,6 +128,28 @@ class TestTwoHopWindow:
 
 
 class TestRouteState:
+    """``RouteState`` is the scalar reference's state; a packet carries
+    the same two fields as plain values (``commit == -1``: none)."""
+
+    def test_packet_fields_mirror_route_state(self, medium_routing):
+        from repro.network.packet import Packet
+
+        policy = GreedyPolicy(medium_routing)
+        n = medium_routing.topology.num_nodes
+        for dst in range(1, n, 7):
+            packet = Packet(src=0, dst=dst)
+            assert (packet.commit, packet.fallback_md) == (-1, None)
+            current, state = 0, None
+            while current != dst:
+                nxt = policy.forward(current, packet, lambda u, v: 0.0, False)
+                current, state = medium_routing.next_hop(current, dst, state=state)
+                assert nxt == current
+                assert packet.commit == (-1 if state.commit is None else state.commit)
+                assert packet.fallback_md == state.fallback_md
+            packet.commit, packet.fallback_md = 5, 0.25
+            packet.reset_route()
+            assert (packet.commit, packet.fallback_md) == (-1, None)
+
     def test_default_state(self):
         state = RouteState()
         assert state.commit is None
@@ -258,18 +281,22 @@ class TestQuantizedRouting:
 
 
 class TestVcSelection:
+    """The greedy policy's VC rule, read from space-0 coordinates."""
+
     def test_vc_in_range(self, medium_routing):
+        policy = GreedyPolicy(medium_routing)
         for a in range(0, 61, 5):
             for b in range(61):
                 if a == b:
                     continue
-                assert medium_routing.select_vc(a, b) in (0, 1)
+                assert policy.select_vc(a, b) in (0, 1)
 
     def test_vc_opposite_directions_differ(self, medium_routing):
+        policy = GreedyPolicy(medium_routing)
         coords = medium_routing.topology.coords
         a, b = 0, 1
         if coords.coordinate(a, 0) != coords.coordinate(b, 0):
-            assert medium_routing.select_vc(a, b) != medium_routing.select_vc(b, a)
+            assert policy.select_vc(a, b) != policy.select_vc(b, a)
 
 
 @settings(max_examples=15, deadline=None)

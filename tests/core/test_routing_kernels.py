@@ -1,7 +1,7 @@
 """Destination-major decision columns vs the scalar greedy path.
 
-``GreediestRouting.kernel_next_hop`` answers a cold ``(router, dst)``
-pair from *dst*'s decision column: one MD vector to *dst* decides every
+``GreediestRouting.column`` answers a cold ``(router, dst)`` pair
+from *dst*'s decision column: one MD vector to *dst* decides every
 router's hop at once over padded per-router window arrays, and the
 result is stored as one packed integer per router.  It must agree with
 the scalar ``next_hop`` decision — same via, same commit, same
@@ -30,11 +30,25 @@ from repro.network.policies import GreedyPolicy
 _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
 
 
+def kernel_entry(routing, current, dst):
+    """``(next, commit)`` decoded from *dst*'s column, or ``None`` where
+    the scalar path decides (a ``-1`` entry, or no column at all)."""
+    column = routing.column(dst)
+    if column is None or column[current] < 0:
+        return None
+    nxt, commit = divmod(column[current], routing.column_stride)
+    return nxt, (commit - 1 if commit else None)
+
+
 def assert_pair_matches_scalar(routing, current, dst):
     """One pair's kernel answer equals the scalar decision; returns
     whether the kernel answered (``None`` <=> the scalar path enters
     the ring walk, or cannot even start it on a broken ring)."""
-    entry = routing.kernel_next_hop(current, dst)
+    entry = kernel_entry(routing, current, dst)
+    # The exact direct-delivery encoding stands in for is_direct.
+    assert (routing.column(dst)[current] == dst * routing.column_stride) == (
+        routing.is_direct(current, dst)
+    ), (current, dst)
     try:
         nxt, state = routing.next_hop(current, dst)
     except RuntimeError:
@@ -120,9 +134,9 @@ def test_size_gate_disables_kernel():
     routing = GreediestRouting(topo)
     routing.kernel_max_nodes = 32
     a, b = topo.active_nodes[0], topo.active_nodes[10]
-    assert routing.kernel_next_hop(a, b) is None
+    assert kernel_entry(routing, a, b) is None
     # Above the gate neither a column nor the padded arrays are built.
-    assert routing._columns == {}
+    assert routing.columns == {}
     assert routing._kernel_state is None
 
 
@@ -131,7 +145,7 @@ def test_column_store_is_one_flat_buffer_per_destination():
     routing = GreediestRouting(topo)
     assert_kernel_matches_scalar(topo, routing)
     n = topo.num_nodes
-    columns = routing._columns
+    columns = routing.columns
     assert 0 < len(columns) <= len(topo.active_nodes)
     for dst, column in columns.items():
         assert topo.is_active(dst)
@@ -162,7 +176,7 @@ def test_tables_invalidate_on_reconfiguration():
         for dst in active:
             if current == dst:
                 continue
-            entry = routing.kernel_next_hop(current, dst)
+            entry = kernel_entry(routing, current, dst)
             if entry is not None:
                 nxt, state = routing.next_hop(current, dst)
                 assert entry == (nxt, state.commit), (current, dst)
@@ -181,13 +195,13 @@ def test_tables_invalidate_on_fault_repair():
     stale_via_v = [
         dst for dst in topo.active_nodes
         if dst != u
-        and (entry := routing.kernel_next_hop(u, dst)) is not None
+        and (entry := kernel_entry(routing, u, dst)) is not None
         and entry[0] == v
     ]
     assert stale_via_v  # a one-hop neighbor is always someone's via
     repair.route_around_link(u, v)
     for dst in stale_via_v:
-        entry = routing.kernel_next_hop(u, dst)
+        entry = kernel_entry(routing, u, dst)
         if entry is not None:
             assert entry[0] != v
             nxt, state = routing.next_hop(u, dst)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import StringFigureTopology
+from repro.core.virtual_channels import select_virtual_channel
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy, MinimalPolicy
 
@@ -42,7 +43,11 @@ class TestGreedyPolicy:
     def test_vc_delegated(self, topo):
         routing = GreediestRouting(topo)
         policy = GreedyPolicy(routing)
-        assert policy.select_vc(1, 2) == routing.select_vc(1, 2)
+        coords = topo.coords
+        for a, b in ((1, 2), (2, 1), (3, 3)):
+            assert policy.select_vc(a, b) == select_virtual_channel(
+                coords.coordinate(a, 0), coords.coordinate(b, 0)
+            )
 
     def test_adaptive_detection(self, topo):
         assert GreedyPolicy(AdaptiveGreediestRouting(topo))._adaptive

@@ -2,8 +2,8 @@
 its only memo.
 
 A plain hop reads the destination's decision column
-(``GreediestRouting.kernel_next_hop``); every other hop takes the
-scalar ``next_hop``.  The policy must walk every pair exactly as the
+(``GreediestRouting.column``); every other hop takes the scalar
+``next_hop``.  The policy must walk every pair exactly as the
 uncached reference built from ``adaptive_next_hop`` / ``next_hop``
 does — same path, same fallback count, same final routing state —
 under load, after reconfiguration and above the kernel's size gate.
@@ -46,6 +46,10 @@ def _plain(state):
     return state is None or (state.commit is None and state.fallback_md is None)
 
 
+def _packet_plain(packet):
+    return packet.commit < 0 and packet.fallback_md is None
+
+
 def _outcome(step, src, dst, limit):
     """Walk ``src -> dst`` through ``step(current, first_hop)``; returns
     the path (cut at *limit* hops) and the error that stopped the walk,
@@ -70,12 +74,12 @@ def _policy_walk(policy, src, dst, load, stateful_first, limit):
     packet = Packet(src=src, dst=dst)
 
     def step(current, first):
-        first = first or (stateful_first and not _plain(packet.route_state))
+        first = first or (stateful_first and not _packet_plain(packet))
         return policy.forward(current, packet, load, first)
 
     path, error = _outcome(step, src, dst, limit)
-    state = packet.route_state or RouteState()
-    return path, error, packet.fallback_hops, (state.commit, state.fallback_md)
+    commit = None if packet.commit < 0 else packet.commit
+    return path, error, packet.fallback_hops, (commit, packet.fallback_md)
 
 
 def _reference_walk(routing, src, dst, load, stateful_first, limit):
@@ -157,23 +161,26 @@ class TestCacheCorrectness:
         routing.kernel_max_nodes = nodes - 1
         routing.refresh_views()
         check()
-        assert routing._columns == {}
+        assert routing.columns == {}
 
     def test_cache_populated(self, topo):
         routing = GreediestRouting(topo)
         policy = GreedyPolicy(routing)
         _walk(policy, 0, 27)
-        assert 27 in routing._columns
+        assert 27 in routing.columns
         # The columns are the only decision store: the policy keeps
-        # just the adaptive candidate memo and its load probes.
+        # just the adaptive candidate memo and its load probes, beside
+        # the routing's own dicts it hands to the simulator.
         stores = {name for name, value in vars(policy).items() if isinstance(value, dict)}
-        assert stores == {"_cand_cache", "_probes"}
+        assert stores == {"_cand_cache", "_probes", "columns", "nbr_index"}
+        assert policy.columns is routing.columns
+        assert policy.nbr_index is routing.nbr_index
 
     def test_repeat_walk_uses_cache(self, topo, monkeypatch):
         routing = GreediestRouting(topo)
         policy = GreedyPolicy(routing)
         first = _walk(policy, 0, 27)
-        columns = dict(routing._columns)
+        columns = dict(routing.columns)
         calls = []
         greedy_choice = routing._greedy_choice
         column = routing._kernel_state.column
@@ -190,17 +197,19 @@ class TestCacheCorrectness:
         second = _walk(policy, 0, 27)
         assert second == first
         assert calls == []
-        assert routing._columns.keys() == columns.keys()
-        assert all(routing._columns[d] is col for d, col in columns.items())
+        assert routing.columns.keys() == columns.keys()
+        assert all(routing.columns[d] is col for d, col in columns.items())
 
 
 class TestNoStateAliasing:
-    """Column hits must build per-packet RouteState, never share one.
+    """Column hits must give each packet routing state of its own.
 
-    RouteState is a mutable ``__slots__`` class: a store that handed
-    one instance to every hitting packet would let one packet entering
-    fallback (or consuming its commit) rewrite the routing state of
-    every other in-flight packet that hit the same entry.
+    A packet carries its routing state as plain fields (``commit``,
+    ``fallback_md``): two packets that hit one committed column entry
+    get equal commits that are theirs alone, one packet entering
+    fallback leaves every other packet's state as it was, and the
+    live-reconfiguration probe leaves every routing field exactly as
+    it found it.
     """
 
     def _committed_decision(self, policy, topo):
@@ -211,7 +220,7 @@ class TestNoStateAliasing:
                     continue
                 probe = Packet(src=node, dst=dst)
                 policy.forward(node, probe, quiet, False)
-                if probe.route_state is not None and probe.route_state.commit is not None:
+                if probe.commit >= 0:
                     return node, dst
         pytest.fail("no two-hop committed decision found on this topology")
 
@@ -222,9 +231,8 @@ class TestNoStateAliasing:
         n1 = policy.forward(node, p1, quiet, False)  # column hit
         n2 = policy.forward(node, p2, quiet, False)  # same entry
         assert n1 == n2
-        assert p1.route_state is not None and p2.route_state is not None
-        assert p1.route_state is not p2.route_state
-        assert p1.route_state.commit == p2.route_state.commit
+        assert p1.commit == p2.commit >= 0
+        assert p1.fallback_md is None and p2.fallback_md is None
 
     def test_one_packet_entering_fallback_leaves_the_other_alone(self, topo):
         policy = GreedyPolicy(GreediestRouting(topo))
@@ -233,19 +241,46 @@ class TestNoStateAliasing:
         policy.forward(node, p1, quiet, False)
         policy.forward(node, p2, quiet, False)
         # p1 hits a degraded region in flight and drops into ring
-        # fallback; with a shared state this would instantly corrupt
-        # p2's pending commit as well.
-        p1.route_state.commit = None
-        p1.route_state.fallback_md = 0.25
-        assert p2.route_state.commit is not None
-        assert not p2.route_state.in_fallback
+        # fallback; p2's pending commit and greedy mode are untouched.
+        commit = p2.commit
+        p1.commit, p1.fallback_md = -1, 0.25
+        assert p2.commit == commit >= 0
+        assert p2.fallback_md is None
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_forward_probe_restores_route_fields(self, topo, fails):
+        """``LiveReconfigurator._forward_would_fail`` runs a real
+        forward (which consumes commits and counts fallback hops) and
+        must leave ``commit``, ``fallback_md`` and ``fallback_hops`` as
+        it found them, whether the probe succeeds or raises."""
+        from repro.network.elastic import LiveReconfigurator
+        from repro.network.simulator import NetworkSimulator
+
+        routing = GreediestRouting(topo)
+        policy = GreedyPolicy(routing)
+        manager = ReconfigurationManager(topo, routing)
+        live = LiveReconfigurator(NetworkSimulator(topo, policy), manager, policy)
+        node, dst = self._committed_decision(policy, topo)
+        packet = Packet(src=node, dst=dst)
+        at = policy.forward(node, packet, quiet, False)  # the via
+        packet.fallback_hops = 3
+        if fails:
+            # Forwarding from a gated router raises inside forward.
+            at = manager.gate_candidates(1)[0]
+            manager.power_gate(at)
+        for commit, fallback_md in ((packet.commit, None), (-1, 0.25)):
+            packet.commit, packet.fallback_md = commit, fallback_md
+            assert live._forward_would_fail(at, packet, False) is fails
+            assert packet.commit == commit
+            assert packet.fallback_md == fallback_md
+            assert packet.fallback_hops == 3
 
     def test_cache_stores_primitives_not_states(self, topo):
         routing = GreediestRouting(topo)
         policy = GreedyPolicy(routing)
         _walk(policy, 0, 27)
-        assert routing._columns
-        for column in routing._columns.values():
+        assert routing.columns
+        for column in routing.columns.values():
             assert isinstance(column, array)
             assert column.typecode == "i"
 
@@ -256,12 +291,12 @@ class TestCacheInvalidation:
         policy = GreedyPolicy(routing)
         for dst in (27, 13, 5):
             _walk(policy, 0, dst)
-        assert len(routing._columns) > 1
+        assert len(routing.columns) > 1
         policy.on_reconfigure()
         # The refresh bumps the routing generation: the next forward
         # drops every column filled against the old tables.
         policy.forward(0, Packet(src=0, dst=27), quiet, False)
-        assert set(routing._columns) <= {27}
+        assert set(routing.columns) <= {27}
 
     def test_routes_correct_after_reconfig(self, topo):
         routing = AdaptiveGreediestRouting(topo)
@@ -288,7 +323,7 @@ class TestCacheInvalidation:
         manager = ReconfigurationManager(topo, routing)
         for dst in range(1, 40, 3):
             _walk(policy, 0, dst)
-        assert routing._columns
+        assert routing.columns
         victim = manager.gate_candidates(1)[0]
         manager.power_gate(victim)  # note: no policy.on_reconfigure()
         active = [v for v in topo.active_nodes if v != 0]

@@ -136,7 +136,6 @@ class TestLongChurnConservation:
         # Every fast-path counter is back to exactly zero.
         assert set(sim._dst_inflight) == {0}
         assert set(sim._pending_arrive) == {0}
-        assert set(sim._node_traffic) == {0}
         for port in sim._ports.values():
             assert port.count == 0
             assert sim._busy_channels(port) == 0
