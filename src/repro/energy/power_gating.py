@@ -41,11 +41,6 @@ class PowerGatingPlan:
     events: list[ReconfigEvent] = field(default_factory=list)
     overhead_ns: float = 0.0
 
-    @property
-    def overhead_cycles(self) -> int:
-        config = NetworkConfig()
-        return config.cycles_from_ns(self.overhead_ns) if self.overhead_ns else 0
-
 
 class PowerManager:
     """Drives dynamic network scale changes under timing constraints."""

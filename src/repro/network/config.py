@@ -70,9 +70,8 @@ class NetworkConfig:
         Grid-distance threshold for the long-wire penalty.
     buffer_packets:
         Input-buffer capacity per (port, virtual channel), in packets;
-        this is also the credit count of each link VC.
-    num_vcs:
-        Virtual channels per port (2 — paper §IV-A).
+        this is also the credit count of each link VC.  The number of
+        VCs per port comes from the routing policy's ``num_vcs``.
     deadlock_timeout_cycles:
         Credit-stall duration after which a link may claim one of the
         downstream router's reserve buffer slots (escape-buffer
@@ -101,10 +100,10 @@ class NetworkConfig:
         the several watts of real HMC link+SerDes idle power.
         Used only by the power-management experiments; the Figure 12
         comparisons stay pure 5 pJ/bit/hop as in Table I.
-    cpu_sockets / lanes_total / lane_gbps:
-        CPU-side channel parameters (documentation of Table I; the
-        simulator injects at memory nodes, mirroring the paper's
-        synthetic-traffic methodology).
+
+    Table I's CPU-side channel parameters (4 sockets, 256 lanes at
+    30 Gb/s) are not modelled: the simulator injects at memory nodes,
+    mirroring the paper's synthetic-traffic methodology.
     """
 
     clock_ghz: float = 0.3125
@@ -117,16 +116,12 @@ class NetworkConfig:
     long_wire_extra_cycles: int = 1
     long_wire_grid_units: int = 10
     buffer_packets: int = 8
-    num_vcs: int = 2
     deadlock_timeout_cycles: int = 64
     reserve_slots: int = 4
     emergency_stall_threshold: int = 0
     network_pj_per_bit_hop: float = 5.0
     dram_pj_per_bit: float = 12.0
     node_background_pj_per_cycle: float = 2000.0
-    cpu_sockets: int = 4
-    lanes_total: int = 256
-    lane_gbps: float = 30.0
     dram: DramTiming = field(default_factory=DramTiming)
 
     @property

@@ -44,17 +44,16 @@ as the reference in the fast-path differential test.
 
 Lazy link bookkeeping: each channel records when it frees as a
 ``(free_at, free_seq)`` pair instead of scheduling a LINK_FREE event
-per transmission.  ``free_seq`` is a *reserved* sequence number
-— allocated exactly where the eager implementation allocated its
-LINK_FREE event's — so "is this channel free at the current processing
-point?" is the total-order test ``(free_at, free_seq) <= (now,
-cur_seq)``, bit-identical to whether the eager event would already
-have been processed.  A LINK_FREE event is pushed (with the reserved
-sequence number, so it sorts exactly where the eager event would) only
-when a send attempt actually finds every channel busy and needs a
-retry.  On uncongested links the event is elided entirely, cutting
-queue traffic per hop by a third; ``eager_link_events=True`` restores
-the always-push behaviour for differential testing.
+per transmission.  ``free_seq`` is a *reserved* sequence number,
+allocated right after the send's inbound-credit cascade, so every
+transmission's release has a fixed place in the ``(time, seq)`` total
+order and "is this channel free at the current processing point?" is
+the test ``(free_at, free_seq) <= (now, cur_seq)``.  A LINK_FREE event
+is pushed (at the reserved seq, so the retry runs at exactly that
+release point) only when a send attempt finds every channel busy.  On
+uncongested links the event is elided entirely, cutting queue traffic
+per hop by a third.  ``golden_simstats.json`` and
+``frozen_link_core.json`` under ``tests/network`` pin the order.
 
 Routing reads the policy's decision columns inline: a plain hop after
 the first unpacks the destination column's entry for the router, and a
@@ -72,11 +71,10 @@ Fused wake-to-wire hop: most ``WAKE`` events of a classless run (92%
 of them in an SF-1296 uniform-random episode, 83% in the elastic
 migration one) find a single-channel port holding exactly one
 head-ready packet, a free wire and a credit.  On the classless,
-unprobed, lazy path :meth:`run` dequeues that packet
-straight from the dispatch and hands it to :meth:`_transmit` — the one
-transmit tail, shared with :meth:`_try_send` — instead of paying the
-full arbitration prologue; every other case falls through to
-:meth:`_try_send`.
+unprobed path :meth:`run` dequeues that packet straight from the
+dispatch and hands it to :meth:`_transmit` — the one transmit tail,
+shared with :meth:`_try_send` — instead of paying the full arbitration
+prologue; every other case falls through to :meth:`_try_send`.
 """
 
 from __future__ import annotations
@@ -122,10 +120,10 @@ class _OutPort:
     ``(free_at, free_seq)`` pair sorts after the simulator's current
     processing point ``(now, cur_seq)`` — no per-transmission queued
     event needed.  ``free_armed`` marks channels with a LINK_FREE
-    retry event outstanding (every busy channel, in eager mode).  The
-    port also owns the link's credit counters, queued-packet count,
-    and precomputed SerDes + wire latency, so the simulator touches
-    exactly one object per link event.
+    retry event outstanding.  The port also owns the link's credit
+    counters, queued-packet count, and precomputed SerDes + wire
+    latency, so the simulator touches exactly one object per link
+    event.
     """
 
     __slots__ = ("u", "v", "queues", "credits", "count", "free_at",
@@ -145,7 +143,7 @@ class _OutPort:
         # Channel-busy state is sized to the *real* channel count and
         # survives freezes (which only park ``channels`` at zero): a
         # packet mid-wire on a freshly failed link stays busy until its
-        # recorded tail cycle, exactly like its eager LINK_FREE event.
+        # recorded tail cycle and reserved release seq.
         self.free_at: list[int] = [0] * channels
         self.free_seq: list[int] = [0] * channels
         self.free_armed: list[bool] = [False] * channels
@@ -223,12 +221,6 @@ class NetworkSimulator:
         sketch instead of storing every sample
         (:meth:`SimStats.sample_free`) — identical statistics, O(1)
         memory per delivered packet; opt-in for 1296-node sweeps.
-    eager_link_events:
-        Schedule a LINK_FREE event for *every* transmission (the
-        pre-lazy behaviour) instead of only when a send attempt blocks
-        on a busy channel.  Results are bit-identical either way — the
-        flag exists for differential testing and event accounting
-        checks; see :attr:`logical_events`.
     """
 
     def __init__(
@@ -238,7 +230,6 @@ class NetworkSimulator:
         config: NetworkConfig | None = None,
         link_latency: Callable[[int, int], int] | None = None,
         sample_free: bool = False,
-        eager_link_events: bool = False,
     ) -> None:
         self.topology = topology
         self.policy = policy
@@ -255,10 +246,9 @@ class NetworkSimulator:
         #: is what keeps :attr:`pending_events` O(1).
         self._seq = 0
         #: sequence number of the event being processed; together with
-        #: ``now`` it defines the total-order point the lazy channel
+        #: ``now`` it defines the total-order point the channel-busy
         #: test compares ``(free_at, free_seq)`` against.
         self._cur_seq = 0
-        self._eager = eager_link_events
         self._n = topology.num_nodes
         #: directed link state, keyed by the packed int ``u * n + v``.
         self._ports: dict[int, _OutPort] = {}
@@ -297,7 +287,7 @@ class NetworkSimulator:
         self._node_ports: list[list[_OutPort]] = [[] for _ in range(n)]
         self._bits_cache: dict[int, float] = {}
         self._events_processed = 0
-        #: LINK_FREE events the lazy core never had to schedule.
+        #: LINK_FREE events the simulator never had to schedule.
         self._link_events_elided = 0
         self.max_events = 200_000_000
         self._router_cycles = self.config.router_cycles
@@ -670,8 +660,8 @@ class NetworkSimulator:
         """Channels of *port* mid-transmission at the current event.
 
         A channel is busy while its ``(free_at, free_seq)`` release
-        point sorts strictly after ``(now, cur_seq)`` — the lazy-core
-        equivalent of "its LINK_FREE event has not been processed yet".
+        point sorts strictly after ``(now, cur_seq)``: its release has
+        not been reached in the total order yet.
         The scan covers the *full* channel list (not the live
         ``channels`` count), so a frozen or failed link still reports
         its last in-flight packet until the wire drains.
@@ -723,8 +713,8 @@ class NetworkSimulator:
     def _push_reserved(self, time: int, seq: int, code: int, a, b) -> None:
         """Queue an event under a sequence number reserved earlier.
 
-        Used for the lazy core's LINK_FREE retries (and the eager
-        core's LINK_FREE events).  The number may predate entries
+        Used for LINK_FREE retries, each at the release seq its
+        transmission reserved.  The number may predate entries
         already filed under *time* — including those of the cycle being
         drained, whose deque stays live until empty — so the entry is
         inserted in seq order.  Sequence numbers are unique, so the
@@ -989,7 +979,7 @@ class NetworkSimulator:
                 return  # nothing queued on any VC: skip every scan
             channels = port.channels
             if not channels:
-                return  # frozen/failed link: never transmits, lazy or not
+                return  # frozen/failed link: never transmits
             if channels == 1:
                 # Overwhelmingly common wire shape: test channel 0
                 # directly instead of scanning.
@@ -1008,11 +998,8 @@ class NetworkSimulator:
             if chan < 0:
                 # Every channel is mid-transmission.  Arm one retry at
                 # the earliest release point; pushed with the
-                # *reserved* sequence number, the retry processes
-                # exactly where the eager LINK_FREE event would have,
-                # so everything observed downstream of it stays
-                # bit-identical.  (In eager mode every busy channel is
-                # already armed, so this never pushes.)
+                # *reserved* sequence number, the retry processes at
+                # that transmission's own place in the total order.
                 best = 0
                 bfa = free_at[0]
                 bfs = free_seq[0]
@@ -1099,14 +1086,13 @@ class NetworkSimulator:
                         port.wake_at = min_ready
                         self._push(min_ready, _WAKE, port, None)
                     # A busy channel that frees at (or before) the head
-                    # packet's ready cycle processes ahead of the wake
-                    # event in the eager core — its reserved sequence
-                    # number predates the wake's — and starts the
-                    # transmission in that earlier frame.  Arm the
-                    # earliest such channel so the lazy core sends at
-                    # the identical (time, seq) point; if it fires
-                    # before the head is ready it re-enters here and
-                    # arms the next.
+                    # packet's ready cycle releases ahead of the wake —
+                    # its reserved sequence number predates the wake's
+                    # — so the transmission starts at that earlier
+                    # release point.  Arm the earliest such channel so
+                    # the send happens there; if it fires before the
+                    # head is ready it re-enters here and arms the
+                    # next.
                     best = -1
                     bfa = bfs = 0
                     for c in range(channels):
@@ -1178,9 +1164,9 @@ class NetworkSimulator:
         # port, and a re-entrant _try_send seeing a stale-free channel
         # would drive a second packet onto a single-channel wire.  The
         # real release sequence number is reserved only *after* the
-        # cascade (where the eager implementation allocated its
-        # LINK_FREE event's); until then the placeholder keeps the
-        # channel unambiguously busy and un-armable.
+        # cascade, which fixes the release's place in the total order;
+        # until then the placeholder keeps the channel unambiguously
+        # busy and un-armable.
         port.free_at[chan] = tail
         free_seq[chan] = _SEQ_PENDING
         armed[chan] = True
@@ -1189,11 +1175,8 @@ class NetworkSimulator:
         seq = self._seq + 1
         self._seq = seq
         free_seq[chan] = seq
-        if self._eager:
-            self._push_reserved(tail, seq, _LINK_FREE, port, chan)
-        else:
-            armed[chan] = False
-            self._link_events_elided += 1
+        armed[chan] = False
+        self._link_events_elided += 1
         packet.hops += 1
         nbytes = packet.payload_bytes
         bits = self._bits_cache.get(nbytes)
@@ -1318,9 +1301,8 @@ class NetworkSimulator:
         processed = self._events_processed
         probes = self._probes
         # The fused wake-to-wire hop stands in for the classless,
-        # unprobed, lazy _try_send only (the eager core stays the
-        # unfused reference).
-        fused = self._qos is None and probes is None and not self._eager
+        # unprobed _try_send only (probes and QoS keep the unfused one).
+        fused = self._qos is None and probes is None
         num_vcs = self._num_vcs
         while times:
             time = times[0]
@@ -1396,11 +1378,11 @@ class NetworkSimulator:
 
     @property
     def link_events_elided(self) -> int:
-        """LINK_FREE events the lazy core avoided scheduling.
+        """LINK_FREE events the simulator avoided scheduling.
 
-        Zero in eager mode.  A retry that later materializes one of
-        these events is subtracted back out, so the count is exactly
-        the queue traffic saved.
+        Every transmission reserves one; a retry that later
+        materializes one of these events is subtracted back out, so
+        the count is exactly the queue traffic saved.
         """
         return self._link_events_elided
 
@@ -1408,12 +1390,11 @@ class NetworkSimulator:
     def logical_events(self) -> int:
         """Events processed plus link events elided.
 
-        Mode-independent measure of simulated work: after a full
-        drain it equals ``_events_processed`` of an eager run exactly
-        (elision is counted at send time, processing at pop time, so
-        mid-run the two can transiently differ by the in-flight
-        links), which keeps event counts comparable across the two
-        cores.
+        Counts one release per transmission whether or not its event
+        was queued, so it measures simulated work independently of how
+        many releases needed a retry.  Elision is counted at send time
+        and processing at pop time, so mid-run it runs ahead by the
+        links still in flight.
         """
         return self._events_processed + self._link_events_elided
 

@@ -116,10 +116,11 @@ class QuantileSketch:
 class LatencyAccumulator:
     """Streaming mean/percentile-friendly latency accumulator.
 
-    Two storage modes share one interface: the default keeps raw
-    samples (exact percentiles, O(n) memory); the sample-free mode
-    (:meth:`sample_free`) folds values into a :class:`QuantileSketch`
-    so large sweeps do not hold millions of floats.
+    Two storage modes share one interface, chosen by ``sketch``: with
+    none (the default) it keeps raw samples (exact percentiles, O(n)
+    memory); the sample-free mode (:meth:`sample_free`) folds values
+    into a :class:`QuantileSketch` so large sweeps do not hold millions
+    of floats, and leaves ``samples`` empty.
     """
 
     count: int = 0
@@ -127,14 +128,13 @@ class LatencyAccumulator:
     total_sq: float = 0.0
     maximum: float = 0.0
     samples: list[float] = field(default_factory=list)
-    keep_samples: bool = True
     sketch: QuantileSketch | None = None
 
     @classmethod
     def sample_free(cls) -> "LatencyAccumulator":
         """An accumulator that sketches percentiles instead of storing
         samples (opt-in for large-scale runs)."""
-        return cls(keep_samples=False, sketch=QuantileSketch())
+        return cls(sketch=QuantileSketch())
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -142,9 +142,9 @@ class LatencyAccumulator:
         self.total_sq += value * value
         if value > self.maximum:
             self.maximum = value
-        if self.keep_samples:
+        if self.sketch is None:
             self.samples.append(value)
-        elif self.sketch is not None:
+        else:
             self.sketch.add(value)
 
     @property
@@ -160,7 +160,7 @@ class LatencyAccumulator:
 
     def percentile(self, q: float) -> float:
         """q-th percentile (0..100) of recorded samples."""
-        if not self.keep_samples and self.sketch is not None:
+        if self.sketch is not None:
             return self.sketch.percentile(q)
         return percentile(self.samples, q)
 

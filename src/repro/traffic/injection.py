@@ -144,7 +144,6 @@ def run_synthetic(
     sources: list[int] | None = None,
     link_latency=None,
     sample_free: bool = False,
-    eager_link_events: bool = False,
     instrument=None,
 ) -> SimStats:
     """One synthetic-traffic simulation, start to drain.
@@ -160,7 +159,7 @@ def run_synthetic(
     """
     sim = NetworkSimulator(
         topology, policy, config, link_latency=link_latency,
-        sample_free=sample_free, eager_link_events=eager_link_events,
+        sample_free=sample_free,
     )
     if instrument is not None:
         instrument(sim)

@@ -37,7 +37,6 @@ class TestGating:
     def test_sleep_overhead_recorded(self, manager):
         plan = manager.gate_fraction(0.1, now_ns=0)
         assert plan.overhead_ns == 680.0
-        assert plan.overhead_cycles >= 1
 
     def test_wake_restores_everything(self, manager):
         manager.gate_fraction(0.2, now_ns=0)

@@ -231,23 +231,22 @@ class TestWireOccupancyInvariant:
     def test_single_channel_wire_never_carries_two_packets(
         self, design, nodes, rate
     ):
-        """Regression for the pre-existing _try_send fidelity bug.
+        """No channel starts a transmission before its previous one ends.
 
-        A credit-release cascade around a blocked cycle used to re-enter
-        _try_send before the channel claim landed and overlap two
-        packets on a one-channel wire.  The claim-before-release order
-        makes the invariant unconditional; this instruments every send
-        under the deadlock-recovery stress configuration to prove it.
-        Runs the eager core so every in-flight transmission has a
-        LINK_FREE queue entry to count (the lazy core elides them).
+        Wraps the one transmit tail, which both the send loop and
+        run()'s fused wake hop call, under the deadlock-recovery stress
+        configuration.  Each transmission's tail is read from the
+        channel after the call, so one started by a re-entrant credit
+        cascade inside another call is checked against it as well.
+        Injection seed 1 is the one that catches a channel claim moved
+        after the inbound-credit release: its cascade re-enters the
+        sending port; seed 0's never does.
         """
         from repro.network.config import NetworkConfig
-        from repro.network.simulator import _LINK_FREE
         from repro.traffic.injection import BernoulliInjector
         from repro.traffic.patterns import make_pattern
 
         topo = make_topology(design, nodes, seed=0)
-        policy = make_policy(topo)
         # Tiny buffers + short stall timeout force deadlock recovery;
         # the emergency escalation lets the wedged run drain fully so
         # sent == delivered stays assertable.
@@ -255,26 +254,28 @@ class TestWireOccupancyInvariant:
             buffer_packets=2, deadlock_timeout_cycles=16,
             emergency_stall_threshold=16,
         )
-        sim = NetworkSimulator(topo, policy, config, eager_link_events=True)
-        original = sim._try_send
-        violations = []
+        for seed in (0, 1):
+            sim = NetworkSimulator(topo, make_policy(topo), config)
+            original = sim._transmit
+            last_tail = {}
+            violations = []
 
-        def checked(port):
-            original(port)
-            on_wire = sum(
-                1 for entry in sim._queued_events()
-                if entry[2] == _LINK_FREE and entry[3] is port
+            def checked(port, chan, packet, from_link):
+                start = sim.now
+                original(port, chan, packet, from_link)
+                prev = last_tail.get((port, chan))
+                if prev is not None and start < prev:
+                    violations.append((port.u, port.v, chan, start, prev))
+                last_tail[port, chan] = port.free_at[chan]
+
+            sim._transmit = checked
+            injector = BernoulliInjector(
+                sim, make_pattern("uniform_random", topo.active_nodes), rate,
+                warmup=50, measure=300, seed=seed,
             )
-            if on_wire > max(port.channels, port.saved_channels or 0):
-                violations.append((port.u, port.v, on_wire))
-
-        sim._try_send = checked
-        injector = BernoulliInjector(
-            sim, make_pattern("uniform_random", topo.active_nodes), rate,
-            warmup=50, measure=300, seed=0,
-        )
-        injector.start()
-        sim.run(until=350)
-        sim.drain()
-        assert not violations
-        assert sim.stats.sent == sim.stats.delivered
+            injector.start()
+            sim.run(until=350)
+            sim.drain()
+            assert last_tail
+            assert not violations, (seed, violations)
+            assert sim.stats.sent == sim.stats.delivered

@@ -70,3 +70,11 @@ class TestFrozen:
         cfg = NetworkConfig()
         with pytest.raises(AttributeError):
             cfg.buffer_packets = 99
+
+
+class TestNoUnreadFields:
+    def test_num_vcs_is_not_a_config_field(self):
+        """The VC count comes from the routing policy, so the config
+        must not offer a ``num_vcs`` that nothing reads."""
+        with pytest.raises(TypeError):
+            NetworkConfig(num_vcs=1)

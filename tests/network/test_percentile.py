@@ -97,13 +97,6 @@ class TestSampleFreeAccumulator:
         for q in (0, 50, 95, 99, 100):
             assert sketched.percentile(q) == sampled.percentile(q)
 
-    def test_keep_samples_false_without_sketch_still_counts(self):
-        acc = LatencyAccumulator(keep_samples=False)
-        acc.add(5)
-        assert acc.samples == []
-        assert acc.mean == 5
-        assert acc.percentile(50) == 0.0  # no samples, no sketch
-
 
 def test_simstats_summary_uses_fixed_percentile():
     from repro.network.stats import SimStats

@@ -38,12 +38,6 @@ class TestLatencyAccumulator:
         assert acc.percentile(50) == 50
         assert acc.percentile(100) == 100
 
-    def test_without_samples(self):
-        acc = LatencyAccumulator(keep_samples=False)
-        acc.add(5)
-        assert acc.samples == []
-        assert acc.mean == 5
-
 
 class TestSimStats:
     def test_accepted_rate(self):

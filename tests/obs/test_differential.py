@@ -3,11 +3,12 @@
 The observability layer's core contract: probes never schedule events
 and never allocate sequence numbers, so an instrumented run's SimStats
 (and, for the service, its completions/replay digests) are bit-for-bit
-the stats of the uninstrumented run.  These tests mirror the lazy/eager
-differential suite (``tests/network/test_lazy_differential.py``) with
-the probed/bare axis: golden grid, live churn, link faults with
-retransmits, and the multi-tenant service path — plus the counter
-reconciliation the timeseries recorder guarantees.
+the stats of the uninstrumented run.  A probed run takes the unfused
+send loop and a bare one :meth:`NetworkSimulator.run`'s fused wake
+hop, so these tests also hold the two send paths equal.  They cover
+the golden grid, live churn, link faults with retransmits, and the
+multi-tenant service path — plus the counter reconciliation the
+timeseries recorder guarantees.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from tests.network.golden_grid import (
 )
 
 #: Fast subset of the golden grid run on every test invocation; the
-#: full grid rides behind the ``slow`` marker like the lazy/eager suite.
+#: full grid rides behind the ``slow`` marker like the golden-stats suite.
 FAST_GRID = [GRID[0], GRID[3], GRID[7]]
 
 
