@@ -131,7 +131,7 @@ class _OutPort:
                  "stall_armed", "reserve_debt", "stall_failures", "lat",
                  "cap", "saved_channels", "drop_pids", "cls_credits",
                  "cls_cap", "shared_credits", "cls_count", "cls_rr",
-                 "deficit", "band_pos", "cls_debt", "obs_wire")
+                 "deficit", "band_pos", "cls_debt", "obs_wire", "obs_hw")
 
     def __init__(self, u: int, v: int, num_vcs: int, channels: int,
                  credits_per_vc: int, lat: int, cap: int) -> None:
@@ -184,11 +184,13 @@ class _OutPort:
         # so one class's deadlock recovery can never silently drain
         # another class's credit reservation.
         self.cls_debt: list[int] | None = None
-        # Observability cache: the latency anatomy parks its per-wire
-        # state here (owner-checked) so its three per-hop hooks do a
-        # single slot load instead of an id()-keyed dict lookup.  The
-        # simulator itself never reads it.
+        # Observability state the simulator itself never reads: the
+        # latency anatomy parks its per-wire state here (owner-checked)
+        # so its per-hop hooks do a single slot load, and the bound
+        # enqueue hook keeps the queue's high-water mark in ``obs_hw``
+        # (zeroed when probes are installed).
         self.obs_wire = None
+        self.obs_hw = 0
 
     def occupancy(self) -> int:
         """Packets currently buffered across all VCs of this port."""
@@ -265,6 +267,18 @@ class NetworkSimulator:
         #: hot path free of instrumentation beyond a single identity
         #: test, exactly like the fault layer above.
         self._probes = None
+        #: One hook slot per site, each None or the callable the probes
+        #: bound to it (see :meth:`bind_probe_hooks`): inject
+        #: ``(packet, now)``, arrive ``(node, packet, now)``, enqueue
+        #: ``(port, packet, now)``, dequeue ``(port, packet, ready,
+        #: now)``, send ``(port, packet, now, tail)`` and deliver
+        #: ``(packet, now)``.
+        self._hook_inject = None
+        self._hook_arrive = None
+        self._hook_enqueue = None
+        self._hook_dequeue = None
+        self._hook_send = None
+        self._hook_deliver = None
         #: Installed QoS class table (repro.network.qos.QoSConfig);
         #: None keeps the classless arbitration/credit fast path
         #: bit-identical behind single ``is None`` tests.
@@ -426,12 +440,32 @@ class NetworkSimulator:
         :meth:`repro.obs.FabricProbes.attach_sim`, which also registers
         the simulator's pull metrics.
 
-        Note: :meth:`run` hoists the probes reference once per call, so
-        probes installed mid-``run`` take effect at the next ``run``
-        (the daemon advances in quanta, so a live install lands at the
-        next quantum boundary).
+        Note: :meth:`run` hoists the event counter and the per-event
+        hook once per call, so probes installed mid-``run`` count
+        events from the next ``run`` (the daemon advances in quanta,
+        so a live install lands at the next quantum boundary).
         """
+        old = self._probes
+        if old is not None and old is not probes:
+            old.unbind()
         self._probes = probes
+        if probes is not None:
+            probes.bind(self)
+        self.bind_probe_hooks()
+
+    def bind_probe_hooks(self) -> None:
+        """Fill the six hook slots from the installed probes.
+
+        Each slot gets the cheapest callable serving every consumer the
+        probes hold (:meth:`repro.obs.FabricProbes.hook_slots`), or
+        None.  The probes call this again whenever their consumers
+        change, so a slot is always current at its site.
+        """
+        probes = self._probes
+        (
+            self._hook_inject, self._hook_arrive, self._hook_enqueue,
+            self._hook_dequeue, self._hook_send, self._hook_deliver,
+        ) = (None,) * 6 if probes is None else probes.hook_slots()
 
     # -- QoS support -------------------------------------------------------
 
@@ -766,9 +800,9 @@ class NetworkSimulator:
         self.stats.injected += int(packet.measured)
         self._dst_inflight[packet.dst] += 1
         self._pending_arrive[packet.src] += 1
-        probes = self._probes
-        if probes is not None:
-            probes.on_inject(packet, t)
+        hook = self._hook_inject
+        if hook is not None:
+            hook(packet, t)
         self._push(t, _ARRIVE, packet.src, (packet, None, True))
 
     # -- event processing -------------------------------------------------------------
@@ -796,19 +830,23 @@ class NetworkSimulator:
             self._release_credit(from_link, packet.vc, packet.tclass)
         for callback in self._on_delivery:
             callback(packet, self.now)
-        probes = self._probes
-        if probes is not None:
-            probes.on_deliver(packet, self.now)
+        hook = self._hook_deliver
+        if hook is not None:
+            hook(packet, self.now)
 
     def _process_arrival(self, node: int, payload) -> None:
         packet, from_link, first_hop = payload
         self._pending_arrive[node] -= 1
         probes = self._probes
-        if probes is not None:
-            probes.on_arrive(node, packet, self.now)
+        if probes is not None and self._hook_arrive is not None:
+            self._hook_arrive(node, packet, self.now)
         fault = self._fault_layer
         if fault is not None and fault.intercept(node, packet, from_link, first_hop):
-            return  # dropped (lost) or parked at a hung node
+            # Dropped (lost) or parked at a hung node: no enqueue or
+            # deliver hook will see this arrival, so the probes do here.
+            if probes is not None:
+                probes.on_hold(packet, self.now)
+            return
         dst = packet.dst
         if node == dst:
             self._deliver(node, packet, from_link)
@@ -816,7 +854,10 @@ class NetworkSimulator:
         if self._arrival_hook is not None and self._arrival_hook(
             node, packet, from_link, first_hop
         ):
-            return  # parked: the hook re-enters it via rearrive()
+            # Parked: the hook re-enters it via rearrive().
+            if probes is not None:
+                probes.on_hold(packet, self.now)
+            return
         qos = self._qos
         policy = self.policy
         # Plain hops after the first read the destination's column; a
@@ -862,8 +903,9 @@ class NetworkSimulator:
             port.cls_count[tclass] += 1
         port.count += 1
         if probes is not None:
-            probes.on_enqueue(node, nxt, packet, port, now)
-            probes.on_queue_join(port, packet, now + rc, now)
+            hook = self._hook_enqueue
+            if hook is not None:
+                hook(port, packet, now)
         if was_empty and rc and port.channels == 1:
             # Dominant case inlined: the packet just queued on an empty
             # single-channel port and cannot be ready before
@@ -961,7 +1003,7 @@ class NetworkSimulator:
         queues = port.queues
         credits = port.credits
         num_vcs = len(credits)
-        probes = self._probes
+        dequeue_hook = self._hook_dequeue
         transmit = self._transmit
         classless = self._qos is None
         if not classless:
@@ -1116,6 +1158,7 @@ class NetworkSimulator:
                         now + self.config.deadlock_timeout_cycles,
                         _STALL, port, None,
                     )
+                    probes = self._probes
                     if probes is not None:
                         probes.on_credit_stall(port, now)
                 return
@@ -1140,8 +1183,8 @@ class NetworkSimulator:
                     band_idx = band_of[chosen_cls]
                     pos = band_pos[band_idx] + 1
                     band_pos[band_idx] = 0 if pos >= len(bands[band_idx]) else pos
-            if probes is not None:
-                probes.on_dequeue(port, packet, _ready, now)
+            if dequeue_hook is not None:
+                dequeue_hook(port, packet, _ready, now)
             transmit(port, chan, packet, from_link)
 
     def _transmit(self, port: _OutPort, chan: int, packet: Packet,
@@ -1189,9 +1232,9 @@ class NetworkSimulator:
         v = port.v
         self._pending_arrive[v] += 1
         self._push(tail + port.lat, _ARRIVE, v, (packet, port, False))
-        probes = self._probes
-        if probes is not None:
-            probes.on_send(port, packet, now, tail)
+        hook = self._hook_send
+        if hook is not None:
+            hook(port, packet, now, tail)
 
     def _recover_stall(self, port: _OutPort) -> None:
         """Escape-buffer deadlock recovery (see module docstring).
@@ -1300,6 +1343,12 @@ class NetworkSimulator:
         limit = math.inf if until is None else until
         processed = self._events_processed
         probes = self._probes
+        # Installed probes count every event inline; ``on_event`` is
+        # their per-event hook, bound only for a tracer or recorder.
+        counts = on_event = None
+        if probes is not None:
+            counts = probes.event_counts
+            on_event = probes.event_hook()
         # The fused wake-to-wire hop stands in for the classless,
         # unprobed _try_send only (probes and QoS keep the unfused one).
         fused = self._qos is None and probes is None
@@ -1324,8 +1373,10 @@ class NetworkSimulator:
                 processed += 1
                 # Kept current every event: schedule() callbacks may read it.
                 self._events_processed = processed
-                if probes is not None:
-                    probes.on_event(code, time)
+                if counts is not None:
+                    counts[code] += 1
+                    if on_event is not None:
+                        on_event(code, time)
                 if code == _ARRIVE:
                     process_arrival(a, b)
                 elif code == _WAKE:

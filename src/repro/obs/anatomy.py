@@ -37,10 +37,13 @@ outbound wire (each ``(start, end, tclass)`` of a transmission), the
 covered cycles are charged to ``queueing``/``arbitration`` and to the
 blocking class in the interference matrix, and the *uncovered*
 remainder — wire idle, so the hold was flow control — is
-``credit_stall``.  Segment lists are pruned (``segment_limit``) with a
-base offset, so a pathological multi-thousand-cycle wait may see its
-oldest blocking attributed to ``credit_stall``; the per-packet sum
-stays exact regardless.
+``credit_stall``.  A single-channel wire's segments never overlap, so
+the intersection is a bisect over per-class prefix sums of busy
+cycles; a multi-channel wire walks its overlapping segments with a
+cursor.  Segment records are pruned (``segment_limit``) with a base
+offset, so a pathological multi-thousand-cycle wait may see its oldest
+blocking attributed to ``credit_stall``; the per-packet sum stays
+exact regardless.
 
 DRAM service is deliberately *not* a network component: the network
 decomposition covers injection to ejection.  The service layer adds
@@ -48,17 +51,22 @@ decomposition covers injection to ejection.  The service layer adds
 request legs) as remainders per request — see
 ``FabricService`` slow-request records and ``docs/LATENCY.md``.
 
-Installed via :meth:`repro.obs.FabricProbes.install_anatomy`; when
-absent every probe hook pays one ``is None`` test, and the simulator
-itself stays bit-identical either way (the hooks never schedule events
-or allocate sequence numbers).  Packets injected before a mid-run
-install carry no state and are skipped whole (counted in
-``preinstall_skips``), which is what makes the daemon's lazy
+Installed via :meth:`repro.obs.FabricProbes.install_anatomy`, which
+binds :meth:`~LatencyAnatomy.inject`, :meth:`~LatencyAnatomy.enqueue`,
+:meth:`~LatencyAnatomy.dequeue` and :meth:`~LatencyAnatomy.deliver`
+straight into the simulator's hook slots unless a tracer needs the
+fan-out: one call per hop endpoint, the arrival charged by the enqueue
+or delivery at the same cycle.  The simulator stays bit-identical
+either way (the hooks never schedule events or allocate sequence
+numbers).  Packets injected before a mid-run install carry no state
+and are skipped whole, each counted once in ``preinstall_skips`` when
+it is delivered or dropped, which is what makes the daemon's lazy
 first-scrape install safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Any
 
@@ -66,13 +74,11 @@ from repro.obs.hotspots import HotspotAggregator
 
 __all__ = ["COMPONENTS", "LatencyAnatomy"]
 
-#: Component names, in report order.  Indices below must match.
+#: Component names, in report order.  State slots below must match.
 COMPONENTS = (
     "router", "queueing", "arbitration", "credit_stall",
     "serialization", "wire", "requeue",
 )
-_ROUTER, _QUEUEING, _ARBITRATION, _CREDIT_STALL = 0, 1, 2, 3
-_SERIALIZATION, _WIRE, _REQUEUE = 4, 5, 6
 _NCOMP = len(COMPONENTS)
 
 # Per-packet state slots (a flat list is ~2x faster than an object
@@ -81,36 +87,123 @@ _NCOMP = len(COMPONENTS)
 # [0] in_flight flag (True between send/inject and the next arrival)
 # [1] last hook timestamp (the telescoping cursor)
 # [2] traffic class
-# [3] absolute segment index of the outbound wire at queue join
+# [3] absolute segment index of a multi-channel wire at queue join
 # [4:4+_NCOMP] component accumulators
 _ST_FLY, _ST_LAST, _ST_CLS, _ST_SEG = 0, 1, 2, 3
 _ST_COMP = 4
+# Each component's accumulator slot, precomputed: the hooks index with
+# one global load instead of an add per access.
+(
+    _ST_ROUTER, _ST_QUEUEING, _ST_ARBITRATION, _ST_CREDIT_STALL,
+    _ST_SERIALIZATION, _ST_WIRE, _ST_REQUEUE,
+) = range(_ST_COMP, _ST_COMP + _NCOMP)
 
 
 class _WireState:
-    """Per-directed-wire hot state: busy segments + link accumulator.
+    """Per-directed-wire hot state: its busy record + link accumulator.
 
     Parked directly on the port's ``obs_wire`` slot (ports are stable
     for a simulator's lifetime) so the per-hop hooks pay a single
     attribute load.  ``owner`` ties the state to one anatomy instance:
     a freshly installed anatomy on the same simulator sees a foreign
     owner and rebuilds, never feeding a predecessor's aggregator.
+
+    A single-channel wire carries one transmission at a time, so its
+    busy segments are disjoint and sorted by time, and the busy cycles
+    of each class inside a wait window are a difference of per-class
+    prefix sums, found with one bisect.  Both live in flat lists of
+    ints, which the garbage collector does not track: ``ends`` holds
+    each kept segment's end cycle; ``cum`` holds rows of ``len(row)``
+    per-class busy-cycle totals, the first from before the oldest kept
+    segment, then one after each segment; ``row`` is the running (last)
+    row.
+    A multi-channel wire's transmissions overlap, so it keeps
+    ``(start, end, tclass)`` tuples in ``segs`` instead and its waits
+    walk them with a cursor (:func:`_walk_split`).
     """
 
-    __slots__ = ("segs", "base", "link", "owner")
+    __slots__ = ("ends", "cum", "row", "segs", "base", "link", "occupancy",
+                 "waits", "owner")
 
-    def __init__(self, link, owner) -> None:
-        #: (start, end, tclass) per transmission, append-ordered (and
-        #: therefore sorted by start — sends happen at non-decreasing
-        #: ``now``).
-        self.segs: list[tuple[int, int, int]] = []
+    def __init__(self, link, owner, channels: int) -> None:
+        self.ends: list[int] = []
+        self.cum = [0]
+        self.row = [0]
+        #: Multi-channel wires only: (start, end, tclass) per
+        #: transmission, append-ordered (so sorted by start).
+        self.segs: list[tuple[int, int, int]] | None = (
+            [] if channels > 1 else None
+        )
         #: Count of segments pruned off the front (keeps the absolute
-        #: indices recorded at queue join valid).
+        #: indices recorded at a multi-channel queue join valid).
         self.base = 0
-        #: The hotspot aggregator's LinkContention row for this wire.
+        #: The hotspot aggregator's LinkContention row for this wire,
+        #: and its two sketches (one load fewer per hop).
         self.link = link
+        self.occupancy = link.occupancy_sketch
+        self.waits = link.wait_sketch
         #: The LatencyAnatomy this state belongs to.
         self.owner = owner
+
+    def transmissions(self) -> int:
+        """Segments recorded on this wire, pruned ones included."""
+        kept = self.ends if self.segs is None else self.segs
+        return self.base + len(kept)
+
+    def prune(self) -> None:
+        """Drop the older half of the kept segments."""
+        if self.segs is None:
+            drop = len(self.ends) // 2
+            del self.ends[:drop]
+            del self.cum[:drop * len(self.row)]
+        else:
+            drop = len(self.segs) // 2
+            del self.segs[:drop]
+        self.base += drop
+
+    def widen(self, classes: int) -> None:
+        """Grow each ``cum`` row, and ``row`` in place, to *classes*
+        columns (a class id the wire has not carried before); the new
+        columns are zero."""
+        width = len(self.row)
+        rows = len(self.cum) // width
+        cum = [0] * (rows * classes)
+        for cls in range(width):
+            cum[cls::classes] = self.cum[cls::width]
+        self.cum = cum
+        self.row.extend([0] * (classes - width))
+
+
+def _walk_split(segs, lo, ready, now, my_cls, qos, note_blocking):
+    """Split the wait ``[ready, now)`` over overlapping busy segments.
+
+    Walks ``segs[lo:]`` with a cursor so segments of parallel channels
+    that overlap never double-charge; returns the covered cycles as
+    ``(same_class, cross_class)``, charging each blocking class in the
+    interference matrix as it goes.  Cross-class cycles exist only
+    when *qos* (a class-aware port).
+    """
+    covered_same = 0
+    covered_cross = 0
+    cursor = ready
+    for start, end, seg_cls in segs[lo:]:
+        if start >= now:
+            break
+        if end <= cursor:
+            continue
+        a = start if start > cursor else cursor
+        b = end if end < now else now
+        overlap = b - a
+        if overlap > 0:
+            if qos and seg_cls != my_cls:
+                covered_cross += overlap
+            else:
+                covered_same += overlap
+            note_blocking(my_cls, seg_cls, overlap)
+            cursor = b
+            if cursor >= now:
+                break
+    return covered_same, covered_cross
 
 
 class LatencyAnatomy:
@@ -138,12 +231,15 @@ class LatencyAnatomy:
         self.delivered = 0
         self.dropped = 0
         self.retransmit_resets = 0
-        #: Packets seen at a lifecycle hook with no inject record
-        #: (injected before a mid-run install) — skipped whole.
+        #: Packets injected before a mid-run install (they carry no
+        #: state), each counted once, when delivered or dropped.
         self.preinstall_skips = 0
         self.conservation_violations = 0
         #: First few violating packets, for diagnosis.
         self.violation_examples: list[dict[str, Any]] = []
+        #: Every wire state this anatomy built (read by
+        #: :attr:`transmissions`).
+        self._wires: list[_WireState] = []
         #: Service-request component index: ("svc", request) context
         #: packets fold their breakdown here, summed across legs, popped
         #: by the service at completion (FIFO-bounded against leaks from
@@ -152,9 +248,24 @@ class LatencyAnatomy:
         self._svc_order: deque = deque()
         self._svc_limit = svc_index_limit
 
-    # -- hook feed (called via FabricProbes, hot path) ---------------------
+    @property
+    def transmissions(self) -> int:
+        """Dequeue hook calls seen: one per transmission."""
+        return sum(wire.transmissions() for wire in self._wires)
+
+    def _wire(self, port) -> _WireState:
+        """Build (and park on *port*) this anatomy's state for a wire."""
+        wire = _WireState(
+            self.hotspots.link(port.u, port.v), self, len(port.free_at)
+        )
+        port.obs_wire = wire
+        self._wires.append(wire)
+        return wire
+
+    # -- hook feed (bound to the simulator's hook slots, hot path) ----------
 
     def inject(self, packet, now: int) -> None:
+        """Packet handed to the simulator: start its decomposition."""
         if packet.obs_state is not None:
             # The fault layer re-sent this very packet object (clones
             # get fresh pids): inject_time was reset, so the clock — and
@@ -164,115 +275,156 @@ class LatencyAnatomy:
         packet.obs_state = [True, now, packet.tclass, 0, 0, 0, 0, 0, 0, 0, 0]
 
     def arrive(self, packet, now: int) -> None:
+        """Charge an arrival that is parked or dropped, not queued.
+
+        A queued arrival is charged by :meth:`enqueue` and a terminal
+        one by :meth:`deliver`, at the same cycle, so the simulator
+        calls this only on its rare hold branches.  Charging twice at
+        one cycle is harmless: the second delta is zero.
+        """
         st = packet.obs_state
         if st is None:
-            self.preinstall_skips += 1
             return
         delta = now - st[_ST_LAST]
         if delta:
             if st[_ST_FLY]:
-                st[_ST_COMP + _WIRE] += delta
+                st[_ST_WIRE] += delta
             else:
                 # A second arrival without a send in between: the packet
                 # was parked (hung router / reconfig window) or swept
                 # off a disabled link and re-entered.
-                st[_ST_COMP + _REQUEUE] += delta
+                st[_ST_REQUEUE] += delta
         st[_ST_FLY] = False
         st[_ST_LAST] = now
 
-    def queue_join(self, port, packet, ready: int, now: int) -> None:
+    def enqueue(self, port, packet, now: int) -> None:
+        """Packet queued on *port* in the cycle it arrived: charges the
+        arrival (as :meth:`arrive`), keeps the port's high-water mark,
+        and notes the occupancy it joined at."""
         wire = port.obs_wire
         if wire is None or wire.owner is not self:
-            wire = _WireState(self.hotspots.link(port.u, port.v), self)
-            port.obs_wire = wire
+            wire = self._wire(port)
+        occ = port.count
+        if occ > port.obs_hw:
+            port.obs_hw = occ
         st = packet.obs_state
         if st is not None:
-            st[_ST_SEG] = wire.base + len(wire.segs)
+            delta = now - st[_ST_LAST]
+            if delta:
+                if st[_ST_FLY]:
+                    st[_ST_WIRE] += delta
+                else:
+                    st[_ST_REQUEUE] += delta
+            st[_ST_FLY] = False
+            st[_ST_LAST] = now
+            segs = wire.segs
+            if segs is not None:
+                st[_ST_SEG] = wire.base + len(segs)
         # HotspotAggregator.note_enqueue, inlined (once per hop; the
         # sketch is a plain value->count map by contract).
-        link = wire.link
-        link.enqueues += 1
-        occ = port.count
-        sketch = link.occupancy_sketch
+        sketch = wire.occupancy
         sketch.count += 1
         counts = sketch.counts
         counts[occ] = counts.get(occ, 0) + 1
 
+    #: Former name of :meth:`enqueue`.  Nothing calls it; it stays only
+    #: because the benchmark ledger's span table still lists it.
+    queue_join = enqueue
+
     def dequeue(self, port, packet, ready: int, now: int) -> None:
-        """Transmission start (fires once per hop, on the same event as
-        ``on_send``): splits the head-ready wait, charges serialization
-        (``tail == now + size_flits`` is deterministic here), and
-        records the wire's busy segment.  Wire time of another class
-        counts as ``arbitration`` only on a class-aware port (one with
-        per-class counts, which only ``install_qos`` sets)."""
+        """Transmission start (fires once per hop): splits the
+        head-ready wait, charges serialization (``tail == now +
+        size_flits`` is deterministic here), and records the wire's
+        busy segment.  Wire time of another class counts as
+        ``arbitration`` only on a class-aware port (one with per-class
+        counts, which only ``install_qos`` sets)."""
         wire = port.obs_wire
         if wire is None or wire.owner is not self:
-            wire = _WireState(self.hotspots.link(port.u, port.v), self)
-            port.obs_wire = wire
-        tail = now + packet.size_flits
+            wire = self._wire(port)
+        size = packet.size_flits
+        tail = now + size
         segs = wire.segs
         st = packet.obs_state
         if st is not None:
-            st[_ST_COMP + _ROUTER] += ready - st[_ST_LAST]
+            st[_ST_ROUTER] += ready - st[_ST_LAST]
             wait = now - ready
             # HotspotAggregator.note_wait, inlined (once per hop).
-            link = wire.link
-            link.dequeues += 1
-            link.wait_cycles += wait
-            sketch = link.wait_sketch
+            sketch = wire.waits
             sketch.count += 1
             counts = sketch.counts
             counts[wait] = counts.get(wait, 0) + 1
             if wait:
+                wire.link.wait_cycles += wait
                 # Split the wait by intersecting [ready, now) with the
-                # wire's busy segments, walking a cursor so overlapping
-                # multi-channel segments never double-charge; the
-                # uncovered remainder is flow-control hold.
-                covered_same = 0
-                covered_cross = 0
-                if segs:
+                # wire's busy segments; the uncovered remainder is
+                # flow-control hold.
+                my_cls = st[_ST_CLS]
+                qos = port.cls_count is not None
+                note_blocking = self.hotspots.note_blocking
+                if segs is None:
+                    covered_same = 0
+                    covered_cross = 0
+                    # One channel: every kept segment ends by ``now``,
+                    # so the window holds segment i (the first to end
+                    # after ``ready``, perhaps begun before it) and all
+                    # later ones — prefix-sum differences per class.
+                    ends = wire.ends
+                    i = bisect_right(ends, ready)
+                    if i < len(ends):
+                        row = wire.row
+                        width = len(row)
+                        cum = wire.cum
+                        k = i * width
+                        for cls in range(width):
+                            before = cum[k + cls]
+                            busy = row[cls] - before
+                            if busy:
+                                own = cum[k + width + cls] - before
+                                if own:
+                                    # Segment i is this class's: drop
+                                    # its cycles before ``ready``.
+                                    start = ends[i] - own
+                                    if start < ready:
+                                        busy -= ready - start
+                                if qos and cls != my_cls:
+                                    covered_cross += busy
+                                else:
+                                    covered_same += busy
+                                note_blocking(my_cls, cls, busy)
+                else:
                     # Segments recorded before the join index can still
                     # overlap the window only if they were mid-flight at
                     # join time — at most one per physical channel.
                     lo = st[_ST_SEG] - wire.base - len(port.free_at)
-                    if lo < 0:
-                        lo = 0
-                    cursor = ready
-                    my_cls = st[_ST_CLS]
-                    qos = port.cls_count is not None
-                    note_blocking = self.hotspots.note_blocking
-                    for start, end, seg_cls in segs[lo:]:
-                        if start >= now:
-                            break
-                        if end <= cursor:
-                            continue
-                        a = start if start > cursor else cursor
-                        b = end if end < now else now
-                        overlap = b - a
-                        if overlap > 0:
-                            if qos and seg_cls != my_cls:
-                                covered_cross += overlap
-                            else:
-                                covered_same += overlap
-                            note_blocking(my_cls, seg_cls, overlap)
-                            cursor = b
-                            if cursor >= now:
-                                break
-                st[_ST_COMP + _QUEUEING] += covered_same
-                st[_ST_COMP + _ARBITRATION] += covered_cross
-                st[_ST_COMP + _CREDIT_STALL] += (
+                    covered_same, covered_cross = _walk_split(
+                        segs, lo if lo > 0 else 0, ready, now, my_cls, qos,
+                        note_blocking,
+                    )
+                st[_ST_QUEUEING] += covered_same
+                st[_ST_ARBITRATION] += covered_cross
+                st[_ST_CREDIT_STALL] += (
                     wait - covered_same - covered_cross)
-            st[_ST_COMP + _SERIALIZATION] += tail - now
+            st[_ST_SERIALIZATION] += size
             st[_ST_LAST] = tail
             st[_ST_FLY] = True
         # The packet's own segment lands after the split (its start is
         # ``now``, outside the wait window) — recorded even for
         # pre-install packets so later waits intersect correctly.
-        segs.append((now, tail, packet.tclass))
-        if len(segs) > self.segment_limit:
-            drop = len(segs) // 2
-            del segs[:drop]
-            wire.base += drop
+        if segs is None:
+            row = wire.row
+            cls = packet.tclass
+            if cls >= len(row):
+                wire.widen(cls + 1)
+            row[cls] += size
+            ends = wire.ends
+            ends.append(tail)
+            wire.cum.extend(row)
+            kept = len(ends)
+        else:
+            segs.append((now, tail, packet.tclass))
+            kept = len(segs)
+        if kept > self.segment_limit:
+            wire.prune()
 
     #: Former name of :meth:`dequeue`.  Nothing calls it; it stays only
     #: because the benchmark ledger's span table still lists it.
@@ -288,8 +440,7 @@ class LatencyAnatomy:
         packet.obs_state = None
         delta = now - st[_ST_LAST]
         if delta:
-            comp = _WIRE if st[_ST_FLY] else _REQUEUE
-            st[_ST_COMP + comp] += delta
+            st[_ST_WIRE if st[_ST_FLY] else _ST_REQUEUE] += delta
         comps = st[_ST_COMP:]
         total = sum(comps)
         latency = now - packet.inject_time
@@ -321,7 +472,10 @@ class LatencyAnatomy:
         return comps
 
     def drop(self, packet, now: int) -> None:
-        if packet.obs_state is not None:
+        """Packet removed without delivery: discard its decomposition."""
+        if packet.obs_state is None:
+            self.preinstall_skips += 1
+        else:
             packet.obs_state = None
             self.dropped += 1
 

@@ -33,18 +33,27 @@ __all__ = ["HotspotAggregator", "LinkContention"]
 class LinkContention:
     """Contention accumulators for one directed link ``u -> v``."""
 
-    __slots__ = ("u", "v", "enqueues", "dequeues", "wait_cycles",
-                 "wait_sketch", "occupancy_sketch")
+    __slots__ = ("u", "v", "wait_cycles", "wait_sketch", "occupancy_sketch")
 
     def __init__(self, u: int, v: int) -> None:
         self.u = u
         self.v = v
-        self.enqueues = 0
-        self.dequeues = 0
         #: Total cycles packets spent head-ready but not transmitting.
         self.wait_cycles = 0
+        #: One sample per dequeue (its wait) and per enqueue (the queue
+        #: occupancy it joined at).
         self.wait_sketch = QuantileSketch()
         self.occupancy_sketch = QuantileSketch()
+
+    @property
+    def enqueues(self) -> int:
+        """Packets that joined the link's output queue."""
+        return self.occupancy_sketch.count
+
+    @property
+    def dequeues(self) -> int:
+        """Packets that left the link's output queue."""
+        return self.wait_sketch.count
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe row (one line of the per-link CSV / report)."""
@@ -92,12 +101,10 @@ class HotspotAggregator:
 
     def note_enqueue(self, entry: LinkContention, occupancy: int) -> None:
         """One packet joined the link's output queue at *occupancy*."""
-        entry.enqueues += 1
         entry.occupancy_sketch.add(occupancy)
 
     def note_wait(self, entry: LinkContention, wait: int) -> None:
         """One packet left the queue after *wait* head-ready cycles."""
-        entry.dequeues += 1
         entry.wait_cycles += wait
         entry.wait_sketch.add(wait)
 

@@ -3,28 +3,34 @@
 One probes instance composes the three observability pieces — a
 :class:`~repro.obs.registry.MetricsRegistry`, an optional
 :class:`~repro.obs.timeseries.TimeSeriesRecorder`, and an optional
-:class:`~repro.obs.tracer.PacketTracer` — and exposes the narrow
-callback surface the simulator hot paths invoke behind their single
-``is None`` tests:
+:class:`~repro.obs.tracer.PacketTracer` — plus an optional
+:class:`~repro.obs.anatomy.LatencyAnatomy`, and binds the simulator's
+hooks for them:
 
-* ``on_event(code, now)`` — every processed event (the hottest
-  hook: an int increment, a ring append, and the timeseries boundary
-  compare);
-* ``on_inject`` / ``on_arrive`` / ``on_enqueue`` / ``on_send`` /
-  ``on_deliver`` / ``on_drop`` / ``on_credit_stall`` — packet
-  lifecycle points;
-* ``on_queue_join`` / ``on_dequeue`` — the queue-residency endpoints
-  (the send loop's pick, classless or class-aware alike), consumed by
-  the optional :class:`~repro.obs.anatomy.LatencyAnatomy` delay
-  decomposition behind one more ``is None`` test.
+* six **hook slots**, one per packet-lifecycle site (inject, arrive,
+  enqueue, dequeue, send, deliver), each ``None`` or the cheapest
+  callable serving every installed consumer (:meth:`hook_slots`): this
+  object's fan-out methods with a tracer, the anatomy's own methods
+  with only an anatomy, and just the counters' enqueue and dequeue
+  otherwise.  Installing or removing a tracer or anatomy rebinds
+  them;
+* **per-event counting**, an inline increment of :attr:`event_counts`
+  in the simulator's run loop; ``on_event`` runs per event only for
+  the tracer's event ring or the timeseries boundary;
+* rare-path calls behind single ``is None`` tests: ``on_hold`` (an
+  arrival parked or dropped instead of queued), ``on_drop`` and
+  ``on_credit_stall``.
 
-Everything else is **pull**: counters the layers already keep (fault
-drops, in-flight pages, tenant sketches) are registered as probes or
-collectors resolved at sample/scrape time, so instrumentation adds no
-writes to those paths at all.  Probes never call ``schedule`` and
-never allocate sequence numbers, which is what keeps an instrumented
-run's ``SimStats`` bit-identical (see the differential suite in
-``tests/obs``).
+Counters the simulator keeps anyway are not counted twice: injections,
+enqueues and deliveries are read off ``SimStats`` relative to the
+install, arrivals off the event counts, and queue high-water marks
+live on the ports.  Everything else is **pull**: counters the layers
+already keep (fault drops, in-flight pages, tenant sketches) are
+registered as probes or collectors resolved at sample/scrape time, so
+instrumentation adds no writes to those paths at all.  Probes never
+call ``schedule`` and never allocate sequence numbers, which is what
+keeps an instrumented run's ``SimStats`` bit-identical (see the
+differential suite in ``tests/obs``).
 """
 
 from __future__ import annotations
@@ -34,6 +40,12 @@ from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import EVENT_NAMES, PacketTracer
 
 __all__ = ["FabricProbes"]
+
+#: The ``SimStats`` totals the derived hop counters read: injections,
+#: enqueues and deliveries, in that order.
+_HOP_TOTALS = ("sent", "queue_samples", "delivered")
+#: The simulator's arrival event code (``EVENT_NAMES`` order).
+_ARRIVE = EVENT_NAMES.index("arrive")
 
 
 class FabricProbes:
@@ -46,25 +58,33 @@ class FabricProbes:
         tracer: PacketTracer | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: Read at the start of each ``run`` (no hook slot depends on it).
         self.recorder = recorder
-        self.tracer = tracer
-        #: Heap events processed while installed, indexed by event code.
+        self._tracer = tracer
+        #: Heap events processed while installed, indexed by event code
+        #: (counted inline by the simulator's run loop).
         self.event_counts = [0] * len(EVENT_NAMES)
-        self.injections = 0
-        self.arrivals = 0
-        self.enqueues = 0
-        self.transmissions = 0
-        self.deliveries = 0
         self.drops = 0
         self.credit_stalls = 0
-        #: Global and per-directed-link output-queue high-water (packets).
-        self.occupancy_highwater = 0
-        self.link_highwater: dict[tuple[int, int], int] = {}
         #: Installed :class:`~repro.obs.anatomy.LatencyAnatomy` (None =
-        #: no delay decomposition; the extra hooks cost one test each).
-        #: Assigning rebinds the queue hooks — see the property below.
+        #: no delay decomposition).  Assigning rebinds the hook slots —
+        #: see the property below.
         self._anatomy = None
         self._sim = None
+        #: Whether the probes are installed in ``_sim`` right now.
+        self._bound = False
+        #: The derived hop counters (see :attr:`injections`): while
+        #: bound, the offsets from the simulator's own totals; while
+        #: not, the counts themselves.
+        self._hop_base = [0] * len(_HOP_TOTALS)
+        #: Per-link high-water carried over an unbind (live values sit
+        #: on the simulator's ports while bound).
+        self._hw_frozen: dict[tuple[int, int], int] = {}
+        #: Transmissions counted without an anatomy, plus those of
+        #: anatomies since replaced; ``_tx_mark`` is the installed
+        #: anatomy's count when it was installed.
+        self._tx = 0
+        self._tx_mark = 0
 
     @classmethod
     def full(
@@ -115,24 +135,146 @@ class FabricProbes:
 
     @anatomy.setter
     def anatomy(self, value) -> None:
-        # The two queue hooks exist solely for the anatomy, so while
-        # one is installed they bind straight to its methods (instance
-        # attributes shadow the guarded class methods below) — one
-        # Python call per hop instead of two on the hottest probe path.
+        old = self._anatomy
+        if old is not None:
+            self._tx += old.transmissions - self._tx_mark
+        self._tx_mark = value.transmissions if value is not None else 0
         self._anatomy = value
-        if value is None:
-            for name in ("on_queue_join", "on_dequeue"):
-                self.__dict__.pop(name, None)
-        else:
-            self.on_queue_join = value.queue_join
-            self.on_dequeue = value.dequeue
+        self._rebind()
 
-    # -- hot-path hooks (called by NetworkSimulator when installed) --------
+    @property
+    def tracer(self) -> PacketTracer | None:
+        """The installed :class:`PacketTracer`, or None (assigning
+        rebinds the hook slots)."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, value: PacketTracer | None) -> None:
+        self._tracer = value
+        self._rebind()
+
+    # -- hook binding ------------------------------------------------------
+
+    def hook_slots(self) -> tuple:
+        """The callables for the simulator's six hook slots: inject,
+        arrive, enqueue, dequeue, send and deliver (None = no call).
+
+        Each is the cheapest callable serving every installed consumer.
+        A tracer records every hook, so it takes this object's fan-out
+        methods.  Without one, an anatomy's own methods serve it and
+        the counters (its enqueue keeps the high-water marks, its wire
+        records count the transmissions); with neither, only the
+        counters' enqueue and dequeue remain.  The other counters are
+        derived from totals the simulator keeps anyway.
+        """
+        if self._tracer is not None:
+            return (
+                self.on_inject, self.on_arrive, self.on_enqueue,
+                self.on_dequeue, self.on_send, self.on_deliver,
+            )
+        anatomy = self._anatomy
+        if anatomy is not None:
+            return (
+                anatomy.inject, None, anatomy.enqueue, anatomy.dequeue,
+                None, anatomy.deliver,
+            )
+        return (None, None, self.on_enqueue, self.on_dequeue, None, None)
+
+    def event_hook(self):
+        """The per-event hook, or None when no tracer or recorder needs
+        one (the simulator counts events itself)."""
+        if self._tracer is None and self.recorder is None:
+            return None
+        return self.on_event
+
+    def bind(self, sim) -> None:
+        """Called by ``sim.install_probes``: start the derived counters
+        and the high-water marks from where they stand."""
+        if self._bound:
+            if self._sim is sim:
+                return
+            self.unbind()
+        self._sim = sim
+        stats = sim.stats
+        self._hop_base = [
+            getattr(stats, name) - count
+            for name, count in zip(_HOP_TOTALS, self._hop_base)
+        ]
+        frozen = self._hw_frozen
+        for port in sim._ports.values():
+            port.obs_hw = frozen.get((port.u, port.v), 0)
+        self._bound = True
+
+    def unbind(self) -> None:
+        """Called when another object (or None) replaces these probes:
+        freeze the derived counters and the high-water marks."""
+        self._hw_frozen = self.link_highwater
+        self._hop_base = [self._hop(i) for i in range(len(_HOP_TOTALS))]
+        self._bound = False
+
+    def _rebind(self) -> None:
+        sim = self._sim
+        if self._bound and sim._probes is self:
+            sim.bind_probe_hooks()
+
+    # -- counters ----------------------------------------------------------
+
+    def _hop(self, index: int) -> int:
+        if not self._bound:
+            return self._hop_base[index]
+        total = getattr(self._sim.stats, _HOP_TOTALS[index])
+        return total - self._hop_base[index]
+
+    @property
+    def injections(self) -> int:
+        """Packets handed to the simulator while installed."""
+        return self._hop(0)
+
+    @property
+    def enqueues(self) -> int:
+        """Packets queued on an output port while installed."""
+        return self._hop(1)
+
+    @property
+    def deliveries(self) -> int:
+        """Packets ejected at their destination while installed."""
+        return self._hop(2)
+
+    @property
+    def arrivals(self) -> int:
+        """Router arrivals (terminal or transit) while installed."""
+        return self.event_counts[_ARRIVE]
+
+    @property
+    def transmissions(self) -> int:
+        """Packets put on a wire while installed."""
+        count = self._tx
+        anatomy = self._anatomy
+        if anatomy is not None:
+            count += anatomy.transmissions - self._tx_mark
+        return count
+
+    @property
+    def link_highwater(self) -> dict[tuple[int, int], int]:
+        """Per directed link, the output-queue high-water (packets)."""
+        if not self._bound:
+            return dict(self._hw_frozen)
+        return {
+            (port.u, port.v): port.obs_hw
+            for port in self._sim._ports.values() if port.obs_hw
+        }
+
+    @property
+    def occupancy_highwater(self) -> int:
+        """Output-queue high-water over every link (packets)."""
+        return max(self.link_highwater.values(), default=0)
+
+    # -- hooks (bound to the simulator's slots, or called on rare paths) ---
 
     def on_event(self, code: int, now: int) -> None:
-        """Per processed event: count, ring, timeseries boundary."""
-        self.event_counts[code] += 1
-        tracer = self.tracer
+        """Per processed event (after the simulator counted it): the
+        tracer's event ring and the timeseries boundary."""
+        tracer = self._tracer
         if tracer is not None:
             tracer.ring.append((now, code))
         recorder = self.recorder
@@ -141,47 +283,57 @@ class FabricProbes:
 
     def on_inject(self, packet, now: int) -> None:
         """Packet handed to the simulator (``send``)."""
-        self.injections += 1
         anatomy = self._anatomy
         if anatomy is not None:
             anatomy.inject(packet, now)
-        tracer = self.tracer
+        tracer = self._tracer
         if tracer is not None and tracer.traced(packet.pid):
             tracer.hop(now, "inject", packet.pid, packet.src, packet.dst)
 
     def on_arrive(self, node: int, packet, now: int) -> None:
-        """Packet arrived at a router (terminal or transit)."""
-        self.arrivals += 1
-        anatomy = self._anatomy
-        if anatomy is not None:
-            anatomy.arrive(packet, now)
-        tracer = self.tracer
+        """Packet arrived at a router (terminal or transit).  Only the
+        tracer records here: the anatomy charges the arrival at the
+        enqueue, deliver or :meth:`on_hold` that follows it."""
+        tracer = self._tracer
         if tracer is not None and tracer.traced(packet.pid):
             tracer.hop(now, "arrive", packet.pid, node, packet.dst)
 
-    def on_enqueue(self, node: int, nxt: int, packet, port, now: int) -> None:
+    def on_hold(self, packet, now: int) -> None:
+        """An arrival was parked or dropped instead of queued (rare)."""
+        anatomy = self._anatomy
+        if anatomy is not None:
+            anatomy.arrive(packet, now)
+
+    def on_enqueue(self, port, packet, now: int) -> None:
         """Packet queued on the output port toward its next hop."""
-        self.enqueues += 1
+        anatomy = self._anatomy
         occ = port.count
-        if occ > self.occupancy_highwater:
-            self.occupancy_highwater = occ
-        link = (node, nxt)
-        hw = self.link_highwater
-        if occ > hw.get(link, 0):
-            hw[link] = occ
-        tracer = self.tracer
+        if anatomy is not None:
+            anatomy.enqueue(port, packet, now)
+        elif occ > port.obs_hw:
+            port.obs_hw = occ
+        tracer = self._tracer
         if tracer is not None and tracer.traced(packet.pid):
-            tracer.hop(now, "enqueue", packet.pid, node, nxt, occ)
+            tracer.hop(now, "enqueue", packet.pid, port.u, port.v, occ)
+
+    def on_dequeue(self, port, packet, ready: int, now: int) -> None:
+        """The send loop picked *packet* off its output queue."""
+        anatomy = self._anatomy
+        if anatomy is not None:
+            anatomy.dequeue(port, packet, ready, now)
+        else:
+            self._tx += 1
+
+    #: Former names of :meth:`on_enqueue` and :meth:`on_dequeue`.
+    #: Nothing calls them; they stay only because the benchmark
+    #: ledger's span table still lists them.
+    on_queue_join = on_enqueue
+    on_qos_dequeue = on_dequeue
 
     def on_send(self, port, packet, now: int, tail: int) -> None:
-        """Packet started transmitting on a wire.
-
-        The anatomy needs no hook here: the dequeue hook fires on the
-        same transmission event and ``tail`` is deterministic from it
-        (``now + size_flits``), so its send half is folded in there.
-        """
-        self.transmissions += 1
-        tracer = self.tracer
+        """Packet started transmitting on a wire (bound for the tracer
+        only: transmissions are counted at the dequeue)."""
+        tracer = self._tracer
         if tracer is not None and tracer.traced(packet.pid):
             tracer.hop(
                 now, "send", packet.pid, port.u, port.v,
@@ -191,12 +343,11 @@ class FabricProbes:
 
     def on_deliver(self, packet, now: int) -> None:
         """Packet ejected at its destination."""
-        self.deliveries += 1
         anatomy = self._anatomy
         comps = None
         if anatomy is not None:
             comps = anatomy.deliver(packet, now)
-        tracer = self.tracer
+        tracer = self._tracer
         if tracer is not None and tracer.traced(packet.pid):
             tracer.hop(
                 now, "deliver", packet.pid, packet.dst, packet.src,
@@ -213,34 +364,18 @@ class FabricProbes:
         anatomy = self._anatomy
         if anatomy is not None:
             anatomy.drop(packet, now)
-        tracer = self.tracer
+        tracer = self._tracer
         if tracer is not None and tracer.traced(packet.pid):
             tracer.hop(now, "drop", packet.pid, packet.src, packet.dst)
 
     def on_credit_stall(self, port, now: int) -> None:
         """Output port went credit-blocked and armed its stall timer."""
         self.credit_stalls += 1
-        tracer = self.tracer
+        tracer = self._tracer
         if tracer is not None:
             for queue in port.queues:
                 if queue and tracer.traced(queue[0][1].pid):
                     tracer.hop(now, "stall", queue[0][1].pid, port.u, port.v)
-
-    def on_queue_join(self, port, packet, ready: int, now: int) -> None:
-        """Packet entered an output queue; head-ready at *ready*."""
-        anatomy = self._anatomy
-        if anatomy is not None:
-            anatomy.queue_join(port, packet, ready, now)
-
-    def on_dequeue(self, port, packet, ready: int, now: int) -> None:
-        """The send loop picked *packet* off its output queue."""
-        anatomy = self._anatomy
-        if anatomy is not None:
-            anatomy.dequeue(port, packet, ready, now)
-
-    #: Former name of :meth:`on_dequeue`.  Nothing calls it; it stays
-    #: only because the benchmark ledger's span table still lists it.
-    on_qos_dequeue = on_dequeue
 
     # -- wiring ------------------------------------------------------------
 
@@ -252,7 +387,6 @@ class FabricProbes:
         (the usual order in the workload runners) is still covered.
         """
         sim.install_probes(self)
-        self._sim = sim
         reg = self.registry
         stats = sim.stats
         reg.counter_probe("sim_packets_sent_total", lambda: stats.sent)
