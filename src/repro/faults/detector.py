@@ -44,6 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FaultDetector", "TableRepair", "GraphRepair"]
 
+#: Poll period for re-sweeping a crashed node's inbound queues while
+#: the (String Figure) recovery pipeline converges, and the cycles
+#: after which a sweep that never converges fails the run.
+SWEEP_INTERVAL = 64
+SWEEP_HORIZON = 100_000
+
 
 class TableRepair:
     """String Figure repair: block entries, bump the routing generation.
@@ -205,9 +211,6 @@ class FaultDetector:
         from the graph.
     detection_timeout:
         Cycles between a fault occurring and the detector acting on it.
-    sweep_interval:
-        Poll period for re-sweeping a crashed node's inbound queues
-        while the (String Figure) recovery pipeline converges.
     """
 
     def __init__(
@@ -218,8 +221,6 @@ class FaultDetector:
         recovery=None,
         live=None,
         detection_timeout: int = 200,
-        sweep_interval: int = 64,
-        sweep_horizon: int = 100_000,
     ) -> None:
         if detection_timeout < 0:
             raise ValueError(
@@ -230,8 +231,6 @@ class FaultDetector:
         self.repair = repair
         self.recovery = recovery
         self.detection_timeout = detection_timeout
-        self.sweep_interval = sweep_interval
-        self.sweep_horizon = sweep_horizon
         self.detections = 0
         self.absorbed_flaps = 0
         #: Exact fault->detection latency histogram (cycles); cheap
@@ -379,11 +378,11 @@ class FaultDetector:
             done = record.t_repaired is not None or record.t_recovered is not None
             if swept == 0 and (done or self.sim.node_quiescent(node)):
                 return
-            if now - since > self.sweep_horizon:
+            if now - since > SWEEP_HORIZON:
                 raise RuntimeError(
                     f"crash sweeps around node {node} did not converge within "
-                    f"{self.sweep_horizon} cycles — repair never landed?"
+                    f"{SWEEP_HORIZON} cycles — repair never landed?"
                 )
-            self.sim.schedule(now + self.sweep_interval, sweep)
+            self.sim.schedule(now + SWEEP_INTERVAL, sweep)
 
-        self.sim.schedule(self.sim.now + self.sweep_interval, sweep)
+        self.sim.schedule(self.sim.now + SWEEP_INTERVAL, sweep)

@@ -42,6 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RecoveryOrchestrator"]
 
+#: Retry period while a previous recovery transfer still runs
+#: (recoveries are serialized; a crash during another crash's
+#: reconstruction waits its turn).
+BUSY_POLL_CYCLES = 128
+#: Hard bound on that wait: a transfer that never completes (e.g. its
+#: chunks were lost beyond the retry budget) must fail the run promptly
+#: with a diagnostic, not spin the poll until the simulator's event cap.
+BUSY_WAIT_HORIZON = 200_000
+
 
 class RecoveryOrchestrator:
     """Drives post-crash excision and page reconstruction.
@@ -62,15 +71,6 @@ class RecoveryOrchestrator:
         layer.  Without them recovery is routing-only.
     mirrored:
         Whether every page has a surviving replica (see module doc).
-    busy_poll_cycles:
-        Retry period while a previous recovery transfer still runs
-        (recoveries are serialized; a crash during another crash's
-        reconstruction waits its turn).
-    busy_wait_horizon:
-        Hard bound on that wait: a transfer that never completes (e.g.
-        its chunks were lost beyond the retry budget) must fail the
-        run promptly with a diagnostic, not spin the poll until the
-        simulator's global event cap.
     """
 
     def __init__(
@@ -82,8 +82,6 @@ class RecoveryOrchestrator:
         engine=None,
         directory=None,
         mirrored: bool = True,
-        busy_poll_cycles: int = 128,
-        busy_wait_horizon: int = 200_000,
     ) -> None:
         self.sim = sim
         self.layer = layer
@@ -92,8 +90,6 @@ class RecoveryOrchestrator:
         self.engine = engine
         self.directory = directory
         self.mirrored = mirrored
-        self.busy_poll_cycles = busy_poll_cycles
-        self.busy_wait_horizon = busy_wait_horizon
         self.pages_lost = 0
         self.pages_recovered = 0
         self.pages_rehomed = 0
@@ -110,7 +106,7 @@ class RecoveryOrchestrator:
             now = self.sim.now
             if since is None:
                 since = now
-            if now - since > self.busy_wait_horizon:
+            if now - since > BUSY_WAIT_HORIZON:
                 raise RuntimeError(
                     f"recovery of node {record.node} waited "
                     f"{now - since} cycles for a previous migration "
@@ -118,7 +114,7 @@ class RecoveryOrchestrator:
                     "(chunks lost beyond the retry budget?)"
                 )
             self.sim.schedule(
-                now + self.busy_poll_cycles,
+                now + BUSY_POLL_CYCLES,
                 lambda t, record=record, since=since: self.handle_crash(
                     record, since
                 ),

@@ -35,8 +35,7 @@ new node is invisible to routing until its neighbors' tables are
 rebuilt, so there is nothing to block beforehand).
 
 Operations are serialized: a requested reconfiguration waits until the
-one in progress completes, and (optionally) until the power manager's
-reconfiguration granularity allows another.  Every operation leaves a
+one in progress completes.  Every operation leaves a
 :class:`LiveReconfigEvent` record with its full timeline and parking
 statistics, which :func:`disturbance_metrics` turns into the
 latency-disturbance and recovery-time numbers the churn benchmarks
@@ -63,7 +62,16 @@ __all__ = [
 
 #: Cycles a router needs to rewrite + revalidate its table entries
 #: (step 3 of the paper's sequence is bit flips — a handful of cycles).
-DEFAULT_REVALIDATE_CYCLES = 8
+REVALIDATE_CYCLES = 8
+#: Poll period while waiting for victims to quiesce.
+DRAIN_POLL_CYCLES = 16
+
+#: :func:`disturbance_metrics`: windows averaged for the pre-event
+#: baseline, cycles past the event's clear searched for the peak and the
+#: recovery, and the recovered-latency bound as a multiple of baseline.
+BASELINE_WINDOWS = 5
+HORIZON_CYCLES = 10_000
+RECOVERY_TOLERANCE = 1.25
 
 
 @dataclass
@@ -129,11 +137,11 @@ class LiveReconfigurator:
         The simulator's routing policy; its ``on_reconfigure`` is
         called whenever tables or blocking bits change.
     power:
-        Optional :class:`PowerManager` supplying sleep/wake latencies
-        and (with ``enforce_granularity``) the minimum interval between
-        reconfigurations.  Without it the module defaults from
-        :mod:`repro.energy.power_gating` apply and granularity is not
-        enforced.
+        Optional :class:`PowerManager` supplying sleep/wake latencies;
+        each completed operation is noted on it, so its
+        reconfiguration granularity tells a power controller when the
+        next one may start.  Without it the module defaults from
+        :mod:`repro.energy.power_gating` apply.
     migrator:
         Optional :class:`~repro.memory.migration.MigrationEngine`.
         When present, the data on a victim no longer teleports: a
@@ -152,10 +160,7 @@ class LiveReconfigurator:
         manager: ReconfigurationManager,
         policy,
         power: PowerManager | None = None,
-        revalidate_cycles: int = DEFAULT_REVALIDATE_CYCLES,
-        drain_poll_cycles: int = 16,
         drain_timeout_cycles: int = 500_000,
-        enforce_granularity: bool = False,
         migrator=None,
     ) -> None:
         self.sim = sim
@@ -176,10 +181,7 @@ class LiveReconfigurator:
             wake_ns = WAKE_LATENCY_NS
         self.sleep_cycles = config.cycles_from_ns(sleep_ns)
         self.wake_cycles = config.cycles_from_ns(wake_ns)
-        self.revalidate_cycles = revalidate_cycles
-        self.drain_poll_cycles = drain_poll_cycles
         self.drain_timeout_cycles = drain_timeout_cycles
-        self.enforce_granularity = enforce_granularity
         self.migrator = migrator
 
         self.events: list[LiveReconfigEvent] = []
@@ -277,16 +279,6 @@ class LiveReconfigurator:
         if self._busy or not self._queue:
             return
         self._busy = True
-        if self.enforce_granularity and self.power is not None:
-            now_ns = now * self.sim.config.cycle_ns
-            if not self.power.can_reconfigure(now_ns):
-                wait_ns = self.power.granularity_ns - (
-                    now_ns - (self.power.last_reconfig_ns or 0.0)
-                )
-                wait = self.sim.config.cycles_from_ns(max(wait_ns, 1.0))
-                self._busy = False
-                self.sim.schedule(now + wait, self._start_next)
-                return
         kind, nodes = self._queue.popleft()
         try:
             # The call-time check cannot see the operations queued
@@ -343,7 +335,7 @@ class LiveReconfigurator:
                 "churn-aware (checking usable())?"
             )
         self.sim.schedule(
-            now + self.drain_poll_cycles,
+            now + DRAIN_POLL_CYCLES,
             lambda t: self._await_drain(t, kind, nodes, event, since),
         )
 
@@ -386,7 +378,7 @@ class LiveReconfigurator:
                     "blocking — network saturated beyond recovery"
                 )
             self.sim.schedule(
-                now + self.drain_poll_cycles,
+                now + DRAIN_POLL_CYCLES,
                 lambda t: self._switch_off(t, kind, nodes, event),
             )
             return
@@ -416,7 +408,7 @@ class LiveReconfigurator:
             for router in offline.tables_updated
             if router in tables
         }
-        self.sim.schedule(now + self.revalidate_cycles, lambda t: self._finish(t, event))
+        self.sim.schedule(now + REVALIDATE_CYCLES, lambda t: self._finish(t, event))
 
     def _reroute_disabled(self, offline_events: list[ReconfigEvent]) -> int:
         """Step 2 cleanup: re-route packets queued on disappeared links.
@@ -523,28 +515,22 @@ class LiveReconfigurator:
 
 
 class WindowedLatencyProbe:
-    """Bins delivered-packet latency by delivery time.
+    """Bins measured delivered-packet latency by delivery time.
 
     The churn benchmarks read the resulting series to quantify how much
     a reconfiguration event disturbs latency and how long the network
     takes to recover (:func:`disturbance_metrics`).
     """
 
-    def __init__(
-        self,
-        sim: NetworkSimulator,
-        window_cycles: int = 200,
-        measured_only: bool = True,
-    ) -> None:
+    def __init__(self, sim: NetworkSimulator, window_cycles: int = 200) -> None:
         if window_cycles <= 0:
             raise ValueError(f"window_cycles must be positive, got {window_cycles}")
         self.window_cycles = window_cycles
-        self.measured_only = measured_only
         self._bins: dict[int, list[float]] = {}
         sim.on_delivery(self._record)
 
     def _record(self, packet: Packet, now: int) -> None:
-        if self.measured_only and not packet.measured:
+        if not packet.measured:
             return
         acc = self._bins.setdefault(now // self.window_cycles, [0, 0.0])
         acc[0] += 1
@@ -576,27 +562,25 @@ def disturbance_metrics(
     probe: WindowedLatencyProbe,
     start: int,
     clear: int,
-    baseline_windows: int = 5,
-    horizon_cycles: int = 10_000,
-    tolerance: float = 1.25,
 ) -> dict[str, Any]:
     """Latency disturbance and recovery time around one event window.
 
     The event runs from *start* (a reconfiguration request, a fault) to
     *clear* (unblock, repair).  ``baseline`` is the mean latency over
-    the windows just before *start*; ``peak`` the worst window mean
-    between *start* and ``horizon_cycles`` past *clear*;
-    ``recovery_cycles`` measures from *clear* to the end of the first
-    non-empty window whose mean is back within ``tolerance`` x baseline
-    (``recovered`` is False when that never happens inside the horizon).
+    the :data:`BASELINE_WINDOWS` windows just before *start*; ``peak``
+    the worst window mean between *start* and :data:`HORIZON_CYCLES`
+    past *clear*; ``recovery_cycles`` measures from *clear* to the end
+    of the first non-empty window whose mean is back within
+    :data:`RECOVERY_TOLERANCE` x baseline (``recovered`` is False when
+    that never happens inside the horizon).
     """
     w = probe.window_cycles
-    baseline = probe.mean_between(start - baseline_windows * w, start)
+    baseline = probe.mean_between(start - BASELINE_WINDOWS * w, start)
     peak = 0.0
     recovery_cycles: int | None = None
     recovered = False
     saw_post_window = False
-    horizon_end = clear + horizon_cycles
+    horizon_end = clear + HORIZON_CYCLES
     for entry in probe.series():
         window = entry["window_start"]
         if window + w <= start or window >= horizon_end:
@@ -608,7 +592,7 @@ def disturbance_metrics(
             not recovered
             and baseline > 0.0
             and window >= clear
-            and entry["mean_latency"] <= tolerance * baseline
+            and entry["mean_latency"] <= RECOVERY_TOLERANCE * baseline
         ):
             recovered = True
             recovery_cycles = window + w - clear

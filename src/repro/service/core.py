@@ -180,12 +180,15 @@ class TenantStats:
 class FabricService:
     """A resident simulated memory fabric serving live request streams.
 
-    Construction builds the full stack fresh (never memoized — control
-    verbs mutate topology and routing tables): for String Figure, the
+    Construction builds the full stack fresh through
+    :func:`repro.fabric.build_fabric` (never memoized — control verbs
+    mutate topology and routing tables): for String Figure, the
     adaptive greediest router, the online reconfiguration pipeline with
     real page migration, and the fault detection/repair/recovery stack;
     for baseline designs the same minus the ``scale`` verb (live
-    reconfiguration requires shortcut wires).
+    reconfiguration requires shortcut wires).  A String Figure without
+    shortcut wires (S2) is refused with ``ValueError``: crash recovery
+    patches the space-0 ring with them.
 
     The constructor parameters are all JSON-safe and round-trip through
     :meth:`config_dict` / :meth:`from_config`, which is how a captured
@@ -217,22 +220,8 @@ class FabricService:
         slow_log_threshold: int | None = None,
         slow_log_size: int = 256,
     ) -> None:
-        from repro.core.reconfig import ReconfigurationManager
-        from repro.core.routing import AdaptiveGreediestRouting
-        from repro.core.topology import StringFigureTopology
-        from repro.energy.power_gating import PowerManager
-        from repro.faults.detector import FaultDetector, GraphRepair, TableRepair
-        from repro.faults.injector import FaultInjector
-        from repro.faults.layer import FaultLayer
-        from repro.faults.recovery import RecoveryOrchestrator
-        from repro.memory.address import AddressMapper
-        from repro.memory.migration import MigrationEngine, PageDirectory
-        from repro.memory.node import MemoryNodePool
+        from repro.fabric import build_fabric
         from repro.memory.requests import MemoryRequestPath
-        from repro.network.config import NetworkConfig
-        from repro.network.elastic import LiveReconfigurator
-        from repro.network.policies import GreedyPolicy
-        from repro.network.simulator import NetworkSimulator
         from repro.topologies.registry import make_topology
 
         if footprint_pages < 1:
@@ -259,87 +248,43 @@ class FabricService:
             "slow_log_threshold": slow_log_threshold,
             "slow_log_size": slow_log_size,
         }
-        config = NetworkConfig(emergency_stall_threshold=16)
         topology = make_topology(
             design, nodes, seed=topology_seed, ports=ports
         )
         self.topology = topology
-        is_sf = (
-            isinstance(topology, StringFigureTopology)
-            and topology.with_shortcuts
+        fabric = build_fabric(
+            topology,
+            sample_free=True,
+            qos=qos,
+            footprint_pages=footprint_pages,
+            page_bytes=page_bytes,
+            mig_rate_limit=mig_rate_limit,
+            faults=True,
+            retransmit_timeout=retransmit_timeout,
+            max_retries=max_retries,
+            detection_timeout=detection_timeout,
+            mirrored=mirrored,
+            seed=seed,
         )
-        manager = None
-        if is_sf:
-            routing = AdaptiveGreediestRouting(topology)
-            policy = GreedyPolicy(routing)
-        else:
-            policy = topology.make_policy(adaptive=True)
-        self.sim = NetworkSimulator(topology, policy, config, sample_free=True)
+        self.sim = fabric.sim
         #: Installed QoS class table (None = classless; the classless
         #: request path, admission, digests, and replay stay
-        #: bit-identical to the pre-QoS service).
-        self._qos = None
-        background_class = 0
-        if qos:
-            from repro.network.qos import BACKGROUND_CLASS, QoSConfig
-
-            self._qos = QoSConfig.default()
-            self.sim.install_qos(self._qos)
-            background_class = BACKGROUND_CLASS
+        #: bit-identical to the pre-QoS service).  Under a class table
+        #: page moves and retransmissions ride the background class.
+        self._qos = fabric.qos
         #: Tenant name -> class id; unmapped tenants ride the default
         #: (latency-critical) class 0.
         self.tenant_classes: dict[str, int] = dict(tenant_classes or {})
-        self.layer = FaultLayer(
-            self.sim,
-            retransmit_timeout=retransmit_timeout,
-            max_retries=max_retries,
-            # Retry storms are shaped below foreground traffic.
-            retransmit_class=background_class if qos else None,
-        )
-
-        active = list(topology.active_nodes)
-        self.mapper = AddressMapper(active, interleave_bytes=page_bytes)
-        self.directory = PageDirectory()
-        self.directory.populate(self.mapper, footprint_pages)
+        self.layer = fabric.layer
+        self.mapper = fabric.mapper
+        self.directory = fabric.directory
         #: The banked DRAM controllers, shared with the migration engine.
-        self.memory_node = MemoryNodePool(self.sim)
-        self.engine = MigrationEngine(
-            self.sim,
-            self.mapper,
-            self.directory,
-            self.memory_node,
-            rate_limit_bytes_per_cycle=mig_rate_limit,
-            # Page moves are bulk background work under a class table.
-            tclass=background_class,
-        )
-        self.live = None
-        if is_sf:
-            manager = ReconfigurationManager(topology, routing)
-            power = PowerManager(manager, config=config)
-            self.live = LiveReconfigurator(
-                self.sim, manager, policy, power=power, migrator=self.engine
-            )
-            repair = TableRepair(routing, policy)
-        else:
-            repair = GraphRepair(self.sim, topology, self.layer)
-        self.recovery = RecoveryOrchestrator(
-            self.sim,
-            self.layer,
-            live=self.live,
-            graph_repair=None if is_sf else repair,
-            engine=self.engine,
-            directory=self.directory,
-            mirrored=mirrored,
-        )
-        self.detector = FaultDetector(
-            self.sim, self.layer, repair,
-            recovery=self.recovery, live=self.live,
-            detection_timeout=detection_timeout,
-        )
-        self.fault_injector = FaultInjector(
-            self.sim, self.layer, self.detector, topology,
-            manager=manager, seed=seed,
-        )
+        self.memory_node = fabric.memory_node
+        self.engine = fabric.engine
+        self.live = fabric.live
+        self.recovery = fabric.recovery
+        self.detector = fabric.detector
+        self.fault_injector = fabric.fault_injector
         self.requests = MemoryRequestPath(
             self.sim, self.directory, self.mapper, self.memory_node,
             self._complete, on_fail=self._fail, on_serve=self._on_serve,

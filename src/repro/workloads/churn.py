@@ -21,11 +21,11 @@ injector: sources stop injecting while they are gated and re-draw
 destinations that are currently unusable, so traffic tracks the elastic
 network exactly the way processors tracking memory hotplug would.
 
-:func:`run_churn` assembles the whole stack and returns a
-:class:`ChurnResult` whose :meth:`~ChurnResult.payload` is flat and
-JSON-safe — the experiment engine's ``churn`` task kind is a thin
-wrapper around it, which is what makes churn sweeps parallel and
-cacheable.
+:func:`run_churn` builds the stack with :func:`repro.fabric.build_fabric`,
+runs the scenario and returns a :class:`ChurnResult` whose
+:meth:`~ChurnResult.payload` is flat and JSON-safe — the experiment
+engine's ``churn`` task kind is a thin wrapper around it, which is what
+makes churn sweeps parallel and cacheable.
 """
 
 from __future__ import annotations
@@ -33,21 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import AdaptiveGreediestRouting
 from repro.core.topology import StringFigureTopology
-from repro.energy.power_gating import PowerManager
-from repro.network.config import NetworkConfig
+from repro.fabric import build_fabric
 from repro.network.elastic import (
-    DEFAULT_REVALIDATE_CYCLES,
     LiveReconfigEvent,
     LiveReconfigurator,
     WindowedLatencyProbe,
     disturbance_metrics,
 )
 from repro.network.packet import Packet, PacketKind
-from repro.network.policies import GreedyPolicy
-from repro.network.simulator import NetworkSimulator
 from repro.network.stats import SimStats
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import make_pattern
@@ -60,6 +54,9 @@ __all__ = [
     "ChurnResult",
     "run_churn",
 ]
+
+#: Destination draws per injection before a source gives the slot up.
+MAX_REDRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -136,12 +133,10 @@ class ChurnInjector(BernoulliInjector):
         self,
         *args,
         reconfig: LiveReconfigurator | None,
-        max_redraws: int = 64,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
         self.reconfig = reconfig
-        self.max_redraws = max_redraws
         self.skipped_sources = 0
         self.redraws = 0
 
@@ -157,7 +152,7 @@ class ChurnInjector(BernoulliInjector):
         return self.reconfig is None or self.reconfig.usable(node)
 
     def _draw_destination(self, node: int, rng) -> int | None:
-        for _ in range(self.max_redraws):
+        for _ in range(MAX_REDRAWS):
             dst = self.pattern.destination(node, rng)
             if dst != node and self._usable_dest(dst):
                 return dst
@@ -349,17 +344,13 @@ def run_churn(
     rate: float = 0.2,
     schedule: ChurnSchedule | None = None,
     controller_params: dict[str, Any] | None = None,
-    config: NetworkConfig | None = None,
     warmup: int = 300,
     measure: int = 2000,
     drain_limit: int = 40_000,
     seed: int | None = 0,
     payload_bytes: int = 64,
     window_cycles: int = 200,
-    revalidate_cycles: int = DEFAULT_REVALIDATE_CYCLES,
-    enforce_granularity: bool = False,
     granularity_ns: float | None = None,
-    routing: AdaptiveGreediestRouting | None = None,
     instrument=None,
 ) -> ChurnResult:
     """One churn scenario, start to full drain.
@@ -369,34 +360,12 @@ def run_churn(
     memoized instances).  Injection stops at ``warmup + measure``;
     the drain phase then lets every in-flight packet deliver, which is
     what makes the conservation invariant (``sent == delivered``)
-    checkable at the end of every run.
-
-    Unless an explicit ``config`` says otherwise, churn runs enable the
-    simulator's emergency stall escalation: the reconfiguration
-    transient can leave a saturated network in a cyclic credit stall
-    the bounded reserve slots cannot break, and the delivery guarantee
-    ("no packet is ever dropped") outranks the hard buffering bound
-    during churn.
+    checkable at the end of every run.  ``granularity_ns`` overrides
+    the power manager's reconfiguration granularity, which the
+    utilization controller respects.
     """
-    if config is None:
-        config = NetworkConfig(emergency_stall_threshold=16)
-    if routing is None:
-        routing = AdaptiveGreediestRouting(topology)
-    policy = GreedyPolicy(routing)
-    sim = NetworkSimulator(topology, policy, config)
-    if instrument is not None:
-        instrument(sim)
-    manager = ReconfigurationManager(topology, routing)
-    power_kwargs = {} if granularity_ns is None else {"granularity_ns": granularity_ns}
-    power = PowerManager(manager, config=sim.config, **power_kwargs)
-    live = LiveReconfigurator(
-        sim,
-        manager,
-        policy,
-        power=power,
-        revalidate_cycles=revalidate_cycles,
-        enforce_granularity=enforce_granularity,
-    )
+    fabric = build_fabric(topology, instrument=instrument, granularity_ns=granularity_ns)
+    sim, live = fabric.sim, fabric.live
     probe = WindowedLatencyProbe(sim, window_cycles=window_cycles)
     traffic = make_pattern(pattern, topology.active_nodes)
     injector = ChurnInjector(

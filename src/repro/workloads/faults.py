@@ -38,10 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import AdaptiveGreediestRouting
-from repro.core.topology import StringFigureTopology
-from repro.faults.detector import FaultDetector, GraphRepair, TableRepair
+from repro.fabric import build_fabric
+from repro.faults.detector import FaultDetector
 from repro.faults.injector import (
     FAULT_KINDS,
     FaultInjector,
@@ -50,18 +48,9 @@ from repro.faults.injector import (
 )
 from repro.faults.layer import FaultLayer
 from repro.faults.recovery import RecoveryOrchestrator
-from repro.memory.address import AddressMapper
-from repro.memory.migration import MigrationEngine, PageDirectory
-from repro.memory.node import MemoryNodePool
-from repro.network.config import NetworkConfig
-from repro.network.elastic import (
-    LiveReconfigurator,
-    WindowedLatencyProbe,
-    disturbance_metrics,
-)
+from repro.memory.migration import PageDirectory
+from repro.network.elastic import WindowedLatencyProbe, disturbance_metrics
 from repro.network.packet import PacketKind
-from repro.network.policies import GreedyPolicy
-from repro.network.simulator import NetworkSimulator
 from repro.network.stats import SimStats, phase_latency
 from repro.traffic.patterns import make_pattern
 from repro.workloads.churn import ChurnInjector
@@ -244,7 +233,6 @@ def run_faults(
     page_bytes: int = 4096,
     mirrored: bool = True,
     mig_rate_limit: float = 64.0,
-    config: NetworkConfig | None = None,
     warmup: int = 300,
     measure: int = 4000,
     drain_limit: int = 60_000,
@@ -268,67 +256,20 @@ def run_faults(
     page layer (``footprint_pages > 0``) — every page resident on a
     live node or explicitly lost.
     """
-    if config is None:
-        config = NetworkConfig(emergency_stall_threshold=16)
-    is_sf = isinstance(topology, StringFigureTopology)
-    if is_sf and not topology.with_shortcuts:
-        raise ValueError(
-            "fault recovery on String Figure requires shortcut wires "
-            "(crash excision patches the space-0 ring)"
-        )
-
-    live = None
-    manager = None
-    if is_sf:
-        routing = AdaptiveGreediestRouting(topology)
-        policy = GreedyPolicy(routing)
-        sim = NetworkSimulator(topology, policy, config)
-        manager = ReconfigurationManager(topology, routing)
-        live = LiveReconfigurator(sim, manager, policy)
-        repair = TableRepair(routing, policy)
-    else:
-        policy = topology.make_policy(adaptive=True)
-        sim = NetworkSimulator(topology, policy, config)
-    if instrument is not None:
-        instrument(sim)
-
-    layer = FaultLayer(
-        sim, retransmit_timeout=retransmit_timeout, max_retries=max_retries
-    )
-    if not is_sf:
-        repair = GraphRepair(sim, topology, layer)
-
-    directory = None
-    engine = None
-    recovery = None
-    if footprint_pages > 0:
-        active = list(topology.active_nodes)
-        mapper = AddressMapper(active, interleave_bytes=page_bytes)
-        directory = PageDirectory()
-        directory.populate(mapper, footprint_pages)
-        engine = MigrationEngine(
-            sim,
-            mapper,
-            directory,
-            MemoryNodePool(sim),
-            rate_limit_bytes_per_cycle=mig_rate_limit,
-        )
-    recovery = RecoveryOrchestrator(
-        sim,
-        layer,
-        live=live,
-        graph_repair=None if is_sf else repair,
-        engine=engine,
-        directory=directory,
-        mirrored=mirrored,
-    )
-    detector = FaultDetector(
-        sim, layer, repair, recovery=recovery, live=live,
+    fabric = build_fabric(
+        topology,
+        instrument=instrument,
+        footprint_pages=footprint_pages,
+        page_bytes=page_bytes,
+        mig_rate_limit=mig_rate_limit,
+        faults=True,
+        retransmit_timeout=retransmit_timeout,
+        max_retries=max_retries,
         detection_timeout=detection_timeout,
+        mirrored=mirrored,
+        seed=seed,
     )
-    injector = FaultInjector(
-        sim, layer, detector, topology, manager=manager, seed=seed
-    )
+    sim, layer, injector = fabric.sim, fabric.layer, fabric.fault_injector
     if plan is None:
         if schedule == "crash":
             at = crash_at if crash_at is not None else warmup + measure // 4
@@ -359,7 +300,7 @@ def run_faults(
         payload_bytes=payload_bytes,
         seed=seed,
         layer=layer,
-        reconfig=live,
+        reconfig=fabric.live,
     )
 
     samples: list[tuple[int, int]] = []
@@ -416,9 +357,9 @@ def run_faults(
         layer=layer,
         injector=foreground,
         fault_injector=injector,
-        detector=detector,
-        recovery=recovery,
-        directory=directory,
+        detector=fabric.detector,
+        recovery=fabric.recovery,
+        directory=fabric.directory,
         num_nodes=topology.num_nodes,
         footprint_pages=footprint_pages,
         mirrored=mirrored,

@@ -19,7 +19,8 @@ request-by-request and split into *baseline / during / after* phases
 around the reconfiguration disturbance, which is what
 ``bench_migration_cost.py`` compares against the ``teleport`` baseline.
 
-:func:`run_migration` assembles the whole stack and returns a
+:func:`run_migration` builds the stack with
+:func:`repro.fabric.build_fabric`, runs the scenario and returns a
 :class:`MigrationRunResult` whose :meth:`~MigrationRunResult.payload`
 is flat and JSON-safe — the experiment engine's ``migration`` task kind
 wraps it, making migration sweeps parallel and cacheable.
@@ -31,21 +32,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import AdaptiveGreediestRouting
 from repro.core.topology import StringFigureTopology
-from repro.energy.power_gating import PowerManager
+from repro.fabric import build_fabric
 from repro.memory.address import AddressMapper
-from repro.memory.migration import MigrationEngine, MigrationRecord, PageDirectory
-from repro.memory.node import MemoryNodePool
+from repro.memory.migration import MigrationRecord, PageDirectory
 from repro.memory.requests import MemoryRequest, MemoryRequestPath
 from repro.network.config import NetworkConfig
-from repro.network.elastic import (
-    DEFAULT_REVALIDATE_CYCLES,
-    LiveReconfigEvent,
-    LiveReconfigurator,
-)
-from repro.network.policies import GreedyPolicy
+from repro.network.elastic import LiveReconfigEvent, LiveReconfigurator
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import SimStats, phase_latency
 from repro.utils.rng import derive_rng
@@ -221,12 +214,10 @@ def run_migration(
     max_inflight_pages: int = 4,
     chunk_bytes: int = 512,
     mode: str = "migrate",
-    config: NetworkConfig | None = None,
     warmup: int = 300,
     measure: int = 6000,
     drain_limit: int = 80_000,
     seed: int | None = 0,
-    revalidate_cycles: int = DEFAULT_REVALIDATE_CYCLES,
     instrument=None,
 ) -> MigrationRunResult:
     """One gate-off/wake cycle with real data migration, start to drain.
@@ -239,12 +230,10 @@ def run_migration(
     drains fully so both conservation invariants (``sent == delivered``
     and ``issued == completed``) are checkable at the end.
     """
-    if config is None:
-        config = NetworkConfig(emergency_stall_threshold=16)
-    if page_bytes < config.cacheline_bytes:
+    line = NetworkConfig.cacheline_bytes
+    if page_bytes < line:
         raise ValueError(
-            f"page_bytes ({page_bytes}) must be at least one cache line "
-            f"({config.cacheline_bytes})"
+            f"page_bytes ({page_bytes}) must be at least one cache line ({line})"
         )
     if footprint_pages < 1:
         raise ValueError(f"footprint_pages must be >= 1, got {footprint_pages}")
@@ -255,42 +244,22 @@ def run_migration(
     if not gate_at < wake_at:
         raise ValueError(f"gate_at ({gate_at}) must precede wake_at ({wake_at})")
 
-    routing = AdaptiveGreediestRouting(topology)
-    policy = GreedyPolicy(routing)
-    sim = NetworkSimulator(topology, policy, config)
-    if instrument is not None:
-        instrument(sim)
-    manager = ReconfigurationManager(topology, routing)
-    power = PowerManager(manager, config=sim.config)
-
-    active = list(topology.active_nodes)
-    mapper = AddressMapper(active, interleave_bytes=page_bytes)
-    directory = PageDirectory()
-    directory.populate(mapper, footprint_pages)
-    memory_node = MemoryNodePool(sim)
-    engine = MigrationEngine(
-        sim,
-        mapper,
-        directory,
-        memory_node,
-        rate_limit_bytes_per_cycle=rate_limit,
+    fabric = build_fabric(
+        topology,
+        instrument=instrument,
+        footprint_pages=footprint_pages,
+        page_bytes=page_bytes,
+        mig_rate_limit=rate_limit,
         max_inflight_pages=max_inflight_pages,
         chunk_bytes=chunk_bytes,
         mode=mode,
     )
-    live = LiveReconfigurator(
-        sim,
-        manager,
-        policy,
-        power=power,
-        revalidate_cycles=revalidate_cycles,
-        migrator=engine,
-    )
+    sim, live, engine = fabric.sim, fabric.live, fabric.engine
     foreground = ForegroundMemoryTraffic(
         sim,
-        directory,
-        mapper,
-        memory_node,
+        fabric.directory,
+        fabric.mapper,
+        fabric.memory_node,
         rate,
         footprint_pages,
         warmup=warmup,
@@ -339,7 +308,7 @@ def run_migration(
         events=live.events,
         records=engine.records,
         foreground=foreground,
-        directory=directory,
+        directory=fabric.directory,
         mode=mode,
         num_nodes=topology.num_nodes,
         footprint_pages=footprint_pages,

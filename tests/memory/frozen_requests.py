@@ -10,14 +10,22 @@ that refactor must not change, as the sha256 of the canonical JSON of:
   ``payload()`` in ``migrate`` and ``teleport`` modes, two seeds each;
 * ``faults/crash/<mirrored|unmirrored>`` — :func:`run_faults` with one
   node crash and a page layer, with and without replicas;
+* ``faults/dm/crash`` — the same crash on a DM mesh with a page
+  layer (graph repair instead of table repair);
+* ``faults/sf/random`` — a random link flap/down and crash schedule on
+  String Figure, so a table repair is re-imposed after the crash
+  excision's reconfiguration completes;
 * ``churn`` — :func:`run_churn` (no page layer: it must not move at
   all);
-* ``service/<classless|qos>`` — a synthetic multi-tenant schedule with
-  scale-down, scale-up and an unmirrored node crash driven through a
-  :class:`FabricService` (tight admission, so requests queue, shed and
+* ``churn/controller`` — :func:`run_churn` driven by the utilization
+  controller, which reads the power manager's granularity;
+* ``service/<classless|qos|dm>`` — a synthetic multi-tenant schedule
+  with scale-down, scale-up and an unmirrored node crash driven through
+  a :class:`FabricService` (tight admission, so requests queue, shed and
   time out), covering the completion ``digest()``, the drain report,
   ``snapshot()``, ``latency_summary()`` and ``class_summary()``.  The QoS run maps
-  tenants onto every class and installs the probes and slow log.
+  tenants onto every class and installs the probes and slow log; the DM
+  run refuses the scale verbs and repairs the crash on the mesh graph.
 
 Regenerate (only when one of these results intentionally changes)::
 
@@ -58,11 +66,11 @@ def migration_payload(mode: str, seed: int) -> dict[str, Any]:
     return result.payload()
 
 
-def faults_payload(mirrored: bool) -> dict[str, Any]:
+def faults_payload(mirrored: bool, design: str = "SF") -> dict[str, Any]:
     from repro.topologies.registry import make_topology
     from repro.workloads.faults import run_faults
 
-    topo = make_topology("SF", 36, seed=0)
+    topo = make_topology(design, 36, seed=0)
     result = run_faults(
         topo,
         rate=0.08,
@@ -73,6 +81,25 @@ def faults_payload(mirrored: bool) -> dict[str, Any]:
         measure=2500,
         drain_limit=30_000,
         seed=2,
+    )
+    return result.payload()
+
+
+def random_faults_payload() -> dict[str, Any]:
+    from repro.topologies.registry import make_topology
+    from repro.workloads.faults import run_faults
+
+    topo = make_topology("SF", 36, seed=0)
+    result = run_faults(
+        topo,
+        rate=0.08,
+        schedule="random",
+        kinds=("link_flap", "link_down", "node_crash"),
+        fault_rate=0.003,
+        warmup=150,
+        measure=2500,
+        drain_limit=30_000,
+        seed=0,
     )
     return result.payload()
 
@@ -94,12 +121,30 @@ def churn_payload() -> dict[str, Any]:
     return result.payload()
 
 
-def service_payload(qos: bool) -> dict[str, Any]:
+def controller_churn_payload() -> dict[str, Any]:
+    from repro.topologies.registry import make_topology
+    from repro.workloads.churn import run_churn
+
+    topo = make_topology("SF", 48, seed=5)
+    result = run_churn(
+        topo,
+        rate=0.03,
+        controller_params=dict(interval=800, low_util=0.05, high_util=0.5, gate_step=4),
+        warmup=200,
+        measure=4000,
+        seed=1,
+        granularity_ns=4000.0,
+    )
+    return {**result.payload(), "controller_log": result.controller_log}
+
+
+def service_payload(qos: bool, design: str = "SF") -> dict[str, Any]:
     from repro.service.core import FabricService
     from repro.workloads.service import synthetic_schedule
 
     service = FabricService(
         nodes=36,
+        design=design,
         footprint_pages=48,
         mirrored=False,
         max_outstanding=24,
@@ -160,9 +205,13 @@ SCENARIOS = {
     },
     "faults/crash/mirrored": (faults_payload, (True,)),
     "faults/crash/unmirrored": (faults_payload, (False,)),
+    "faults/dm/crash": (faults_payload, (True, "DM")),
+    "faults/sf/random": (random_faults_payload, ()),
     "churn": (churn_payload, ()),
+    "churn/controller": (controller_churn_payload, ()),
     "service/classless": (service_payload, (False,)),
     "service/qos": (service_payload, (True,)),
+    "service/dm": (service_payload, (False, "DM")),
 }
 
 
