@@ -48,9 +48,19 @@ from repro.core.topology import LinkDirection, StringFigureTopology
 __all__ = [
     "GreediestRouting",
     "AdaptiveGreediestRouting",
+    "RingBrokenError",
     "RouteResult",
     "RouteState",
 ]
+
+
+class RingBrokenError(RuntimeError):
+    """The space-0 ring walk can make no clockwise progress at a router.
+
+    Raised by the fallback hop when failures or reconfiguration left
+    the active ring unpatchable there; a simulator with a fault layer
+    counts the packet as lost instead of aborting the run.
+    """
 
 
 class RouteState:
@@ -590,7 +600,7 @@ class GreediestRouting:
         """
         view = self._views[current]
         if view.nbr_ids.size == 0:
-            raise RuntimeError(f"node {current} has no usable neighbors")
+            raise RingBrokenError(f"node {current} has no usable neighbors")
         target = float(dst_vec[0])
         d = (target - view.nbr_coords[:, 0]) % 1.0
         best = int(np.argmin(d))
@@ -598,7 +608,7 @@ class GreediestRouting:
             float(self._coord_matrix[current][0]), target
         )
         if float(d[best]) >= my_dcw:
-            raise RuntimeError(
+            raise RingBrokenError(
                 f"space-0 ring broken at node {current}: no clockwise progress "
                 "(reconfiguration left the network unpatchable)"
             )

@@ -131,6 +131,9 @@ class StringFigureTopology:
 
         # Activation overlay ----------------------------------------------
         self.node_active: list[bool] = [True] * num_nodes
+        #: set_node_active calls so far: caches of the active set
+        #: rebuild when it moves.
+        self.activation_changes = 0
         self._active_shortcuts: set[tuple[int, int]] = set()
 
         # Adjacency indexes (base links only; shortcuts tracked separately
@@ -295,6 +298,7 @@ class StringFigureTopology:
     def set_node_active(self, node: int, active: bool) -> None:
         """Power/mount state change (use the ReconfigurationManager)."""
         self.node_active[node] = active
+        self.activation_changes += 1
 
     def activate_shortcut(self, u: int, v: int) -> None:
         """Switch the shortcut wire between *u* and *v* into the ports."""

@@ -11,7 +11,7 @@ live in :mod:`repro.faults.detector` and :mod:`repro.faults.recovery`.
 Loss model
 ----------
 
-A packet can be lost three ways, all counted in ``stats.dropped`` so
+A packet can be lost four ways, all counted in ``stats.dropped`` so
 ``sent == delivered + dropped`` is a checkable conservation law at the
 end of every drained run:
 
@@ -23,7 +23,11 @@ end of every drained run:
 * **unreachable** — it is destined to a node the detector has ruled
   dead (dropped at its next arrival anywhere; before detection such
   packets pile into the dead node's neighbors' buffers, which is the
-  realistic pre-detection damage).
+  realistic pre-detection damage);
+* **stranded** — greedy routing fell back to the space-0 ring walk at
+  a router where failed links and a crash excision left the ring with
+  no clockwise progress (reason ``ring_broken``, listed in ``drops``
+  once it first happens).
 
 Retransmission
 --------------
@@ -176,6 +180,11 @@ class FaultLayer:
         return False
 
     # -- loss + retransmission ---------------------------------------------
+
+    def drop_stranded(self, packet: Packet, from_link) -> None:
+        """Lose an arrival the ring walk cannot route onward."""
+        self.drops.setdefault("ring_broken", 0)
+        self._drop(packet, from_link, "ring_broken")
 
     def _drop(self, packet: Packet, from_link, reason: str) -> None:
         self.sim.drop_packet(packet, from_link)

@@ -67,14 +67,20 @@ retry, wake and stall for classless and class-aware ports alike; an
 installed QoS table changes only which queue it selects and how that
 queue's credit is charged.
 
-Fused wake-to-wire hop: most ``WAKE`` events of a classless run (92%
-of them in an SF-1296 uniform-random episode, 83% in the elastic
-migration one) find a single-channel port holding exactly one
-head-ready packet, a free wire and a credit.  On the classless,
-unprobed path :meth:`run` dequeues that packet straight from the
-dispatch and hands it to :meth:`_transmit` — the one transmit tail,
-shared with :meth:`_try_send` — instead of paying the full arbitration
-prologue; every other case falls through to :meth:`_try_send`.
+Fused wake-to-wire hop: most ``WAKE`` events (92% of them in an
+SF-1296 uniform-random episode, 83% in the elastic migration one, 88%
+in the SF-648 incast one under QoS) find a single-channel port holding
+exactly one head-ready packet, a free wire and a credit.  :meth:`run`
+dequeues that packet straight from the dispatch — replaying, under a
+class table, exactly the deficit, rotation and credit effects
+:meth:`_try_send`'s selection has for a lone packet, and calling the
+dequeue hook as it does — and hands it to :meth:`_transmit`, the one
+transmit tail; every other case falls through to :meth:`_try_send`.
+
+A single-channel port whose ``free_armed[0]`` is set has a busy wire
+and a queued LINK_FREE retry, so a send attempt there can do nothing:
+the arrival, the credit release and the send loop itself end before
+the loop's prologue.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ import math
 from collections import deque
 from collections.abc import Callable
 
+from repro.core.routing import RingBrokenError
 from repro.core.virtual_channels import partition_credits
 from repro.network.config import NetworkConfig
 from repro.network.packet import Packet
@@ -120,7 +127,11 @@ class _OutPort:
     ``(free_at, free_seq)`` pair sorts after the simulator's current
     processing point ``(now, cur_seq)`` — no per-transmission queued
     event needed.  ``free_armed`` marks channels with a LINK_FREE
-    retry event outstanding.  The port also owns the link's credit
+    retry event outstanding.  Invariant: an armed channel is busy —
+    a retry is armed only on a busy channel, at its release point,
+    and the retry disarms it before the send loop runs — so on a
+    single-channel port ``free_armed[0]`` alone says that no send can
+    start until that retry fires.  The port also owns the link's credit
     counters, queued-packet count, and precomputed SerDes + wire
     latency, so the simulator touches exactly one object per link
     event.
@@ -290,6 +301,8 @@ class NetworkSimulator:
         self._class_load_cbs: tuple = ()
         self._qos_bands: tuple = ()
         self._qos_band_of: tuple = ()
+        #: per class, the classes of every higher-priority band.
+        self._qos_above: tuple = ()
         self._qos_weights: tuple = ()
         self._qos_quantum = 0
         n = self._n
@@ -501,6 +514,10 @@ class NetworkSimulator:
             for cls_id in members:
                 band_of[cls_id] = band_idx
         self._qos_band_of = tuple(band_of)
+        self._qos_above = tuple(
+            tuple(k for members in bands[: band_of[c]] for k in members)
+            for c in range(qos.num_classes)
+        )
         self._qos_weights = tuple(cls.weight for cls in qos.classes)
         self._qos_quantum = qos.drr_quantum
         for port in self._ports.values():
@@ -687,7 +704,7 @@ class NetworkSimulator:
         removed = len(taken)
         port.count -= removed
         if port.cls_count is not None:
-            port.cls_count = [0] * len(port.cls_count)
+            port.cls_count[:] = [0] * len(port.cls_count)
         return taken
 
     def _busy_channels(self, port: _OutPort) -> int:
@@ -883,7 +900,17 @@ class NetworkSimulator:
                     packet.commit = -1
         if nxt < 0:
             load = self._port_load_cb if qos is None else self._class_load_cbs[packet.tclass]
-            nxt = policy.forward(node, packet, load, first_hop)
+            try:
+                nxt = policy.forward(node, packet, load, first_hop)
+            except RingBrokenError:
+                if fault is None:
+                    raise
+                # Stranded where failures broke the ring: a loss the
+                # fault layer retransmits or abandons like any other.
+                fault.drop_stranded(packet, from_link)
+                if probes is not None:
+                    probes.on_hold(packet, self.now)
+                return
         port = self._ports.get(node * self._n + nxt)
         if port is None:
             port = self._port(node, nxt)
@@ -906,24 +933,29 @@ class NetworkSimulator:
             hook = self._hook_enqueue
             if hook is not None:
                 hook(port, packet, now)
-        if was_empty and rc and port.channels == 1:
-            # Dominant case inlined: the packet just queued on an empty
-            # single-channel port and cannot be ready before
-            # ``now + router_cycles``, so a full _try_send scan can only
-            # ever arm one retry event.  Replicates exactly its two
-            # reachable outcomes: wire free -> arm the head-ready wake;
-            # wire busy -> arm the channel's LINK_FREE retry.
-            fa = port.free_at[0]
-            if fa < now or (fa == now and port.free_seq[0] <= self._cur_seq):
-                ready = now + rc
-                if port.wake_at is None or port.wake_at > ready:
-                    port.wake_at = ready
-                    self._push(ready, _WAKE, port, None)
-            elif not port.free_armed[0]:
-                port.free_armed[0] = True
-                self._link_events_elided -= 1
-                self._push_reserved(fa, port.free_seq[0], _LINK_FREE, port, 0)
-            return
+        if port.channels == 1:
+            armed = port.free_armed
+            if armed[0]:
+                return  # wire busy, retry queued: nothing can send
+            if was_empty and rc:
+                # Dominant case inlined: the packet just queued on an
+                # empty single-channel port and cannot be ready before
+                # ``now + router_cycles``, so a full _try_send scan can
+                # only ever arm one retry event.  Replicates exactly its
+                # two reachable outcomes: wire free -> arm the
+                # head-ready wake; wire busy -> arm the channel's
+                # LINK_FREE retry.
+                fa = port.free_at[0]
+                if fa < now or (fa == now and port.free_seq[0] <= self._cur_seq):
+                    ready = now + rc
+                    if port.wake_at is None or port.wake_at > ready:
+                        port.wake_at = ready
+                        self._push(ready, _WAKE, port, None)
+                else:
+                    armed[0] = True
+                    self._link_events_elided -= 1
+                    self._push_reserved(fa, port.free_seq[0], _LINK_FREE, port, 0)
+                return
         self._try_send(port)
 
     def _release_credit(self, port: _OutPort, vc: int, tclass: int = 0) -> None:
@@ -957,7 +989,7 @@ class NetworkSimulator:
                     cls_credits[flat] += 1
                 else:
                     port.shared_credits[vc] += 1
-        if port.count:
+        if port.count and not (port.free_armed[0] and port.channels == 1):
             self._try_send(port)
 
     def _try_send(self, port: _OutPort) -> None:
@@ -991,9 +1023,12 @@ class NetworkSimulator:
         # transmission), with everything loop-invariant hoisted.  The
         # hoisted lists are mutated in place everywhere, so re-entrant
         # cascades stay visible through them.  The cheap guards run
-        # before the prologue: roughly half the calls (credit releases
-        # into empty ports, retries on frozen links) do no work at all.
-        if not port.count or not port.channels:
+        # before the prologue: calls on an empty port, a frozen link or
+        # a single wire that is busy with its retry armed do no work.
+        channels = port.channels
+        if not port.count or not channels or (
+            channels == 1 and port.free_armed[0]
+        ):
             return
         now = self.now
         cur_seq = self._cur_seq
@@ -1009,6 +1044,7 @@ class NetworkSimulator:
         if not classless:
             cls_credits = port.cls_credits
             shared = port.shared_credits
+            cls_count = port.cls_count
             cls_rr = port.cls_rr
             deficit = port.deficit
             band_pos = port.band_pos
@@ -1086,32 +1122,33 @@ class NetworkSimulator:
                     pos = band_pos[band_idx]
                     for _step in range(m):
                         cls = members[pos]
-                        rr = cls_rr[cls]
-                        base = cls * num_vcs
-                        for i in range(num_vcs):
-                            vc = rr + i
-                            if vc >= num_vcs:
-                                vc -= num_vcs
-                            queue = queues[base + vc]
-                            if not queue:
-                                continue
-                            ready = queue[0][0]
-                            if ready > now:
-                                if min_ready is None or ready < min_ready:
-                                    min_ready = ready
-                                continue
-                            if cls_credits[base + vc] <= 0 and shared[vc] <= 0:
-                                credit_blocked = True
-                                continue  # retried on credit release
-                            chosen_vc = vc
-                            break
-                        if chosen_vc >= 0:
-                            if deficit[cls] <= 0:
-                                deficit[cls] += quantum * weights[cls]
-                            chosen_cls = cls
-                            flat = base + chosen_vc
-                            band_pos[band_idx] = pos
-                            break
+                        if cls_count[cls]:
+                            rr = cls_rr[cls]
+                            base = cls * num_vcs
+                            for i in range(num_vcs):
+                                vc = rr + i
+                                if vc >= num_vcs:
+                                    vc -= num_vcs
+                                queue = queues[base + vc]
+                                if not queue:
+                                    continue
+                                ready = queue[0][0]
+                                if ready > now:
+                                    if min_ready is None or ready < min_ready:
+                                        min_ready = ready
+                                    continue
+                                if cls_credits[base + vc] <= 0 and shared[vc] <= 0:
+                                    credit_blocked = True
+                                    continue  # retried on credit release
+                                chosen_vc = vc
+                                break
+                            if chosen_vc >= 0:
+                                if deficit[cls] <= 0:
+                                    deficit[cls] += quantum * weights[cls]
+                                chosen_cls = cls
+                                flat = base + chosen_vc
+                                band_pos[band_idx] = pos
+                                break
                         # Nothing sendable for this class right now:
                         # drop its leftover deficit (standard DRR — an
                         # idle or blocked class must not hoard service)
@@ -1171,7 +1208,7 @@ class NetworkSimulator:
             if classless:
                 port.rr = next_vc
             else:
-                port.cls_count[chosen_cls] -= 1
+                cls_count[chosen_cls] -= 1
                 cls_rr[chosen_cls] = next_vc
                 if cls_credits[flat] > 0:
                     cls_credits[flat] -= 1
@@ -1349,10 +1386,15 @@ class NetworkSimulator:
         if probes is not None:
             counts = probes.event_counts
             on_event = probes.event_hook()
-        # The fused wake-to-wire hop stands in for the classless,
-        # unprobed _try_send only (probes and QoS keep the unfused one).
-        fused = self._qos is None and probes is None
+        # Hook slots and the class table change only between calls.
+        dequeue_hook = self._hook_dequeue
+        classless = self._qos is None
         num_vcs = self._num_vcs
+        bands = self._qos_bands
+        band_of = self._qos_band_of
+        above = self._qos_above
+        weights = self._qos_weights
+        quantum = self._qos_quantum
         while times:
             time = times[0]
             if time > limit:
@@ -1381,7 +1423,7 @@ class NetworkSimulator:
                     process_arrival(a, b)
                 elif code == _WAKE:
                     a.wake_at = None
-                    if fused and a.count == 1 and a.channels == 1:
+                    if a.count == 1 and a.channels == 1:
                         # Fused hop: one queued packet, a free wire and
                         # a credit make _try_send's arbitration trivial,
                         # so send it from here, effect for effect and
@@ -1389,20 +1431,72 @@ class NetworkSimulator:
                         fa = a.free_at[0]
                         if fa < time or (fa == time and a.free_seq[0] <= seq):
                             queues = a.queues
-                            vc = 0
+                            flat = 0
                             vq = queues[0]
                             while not vq:
-                                vc += 1
-                                vq = queues[vc]
+                                flat += 1
+                                vq = queues[flat]
                             ready, packet, from_link = vq[0]
-                            credits = a.credits
-                            if ready <= time and credits[vc] > 0:
-                                vq.popleft()
-                                a.count = 0
-                                a.rr = vc + 1 if vc + 1 < num_vcs else 0
-                                credits[vc] -= 1
-                                transmit(a, 0, packet, from_link)
-                                continue
+                            if ready <= time:
+                                credits = a.credits
+                                if classless:
+                                    if credits[flat] > 0:
+                                        vq.popleft()
+                                        a.count = 0
+                                        a.rr = flat + 1 if flat + 1 < num_vcs else 0
+                                        credits[flat] -= 1
+                                        if dequeue_hook is not None:
+                                            dequeue_hook(a, packet, ready, time)
+                                        transmit(a, 0, packet, from_link)
+                                        continue
+                                else:
+                                    cls, vc = divmod(flat, num_vcs)
+                                    cls_credits = a.cls_credits
+                                    shared = a.shared_credits
+                                    if cls_credits[flat] > 0 or shared[vc] > 0:
+                                        # _try_send's selection for a
+                                        # lone packet: every class it
+                                        # passes (higher bands, then its
+                                        # own band's rotation up to the
+                                        # class) drops its deficit.
+                                        deficit = a.deficit
+                                        for k in above[cls]:
+                                            deficit[k] = 0
+                                        band_idx = band_of[cls]
+                                        members = bands[band_idx]
+                                        band_pos = a.band_pos
+                                        pos = band_pos[band_idx]
+                                        k = members[pos]
+                                        while k != cls:
+                                            deficit[k] = 0
+                                            pos += 1
+                                            if pos == len(members):
+                                                pos = 0
+                                            k = members[pos]
+                                        left = deficit[cls]
+                                        if left <= 0:
+                                            left += quantum * weights[cls]
+                                        vq.popleft()
+                                        a.count = 0
+                                        a.cls_count[cls] = 0
+                                        a.cls_rr[cls] = vc + 1 if vc + 1 < num_vcs else 0
+                                        credits[vc] -= 1
+                                        if cls_credits[flat] > 0:
+                                            cls_credits[flat] -= 1
+                                        else:
+                                            shared[vc] -= 1
+                                        left -= packet.size_flits
+                                        deficit[cls] = left
+                                        if left <= 0:
+                                            # Quantum spent: rotate past.
+                                            pos += 1
+                                            if pos == len(members):
+                                                pos = 0
+                                        band_pos[band_idx] = pos
+                                        if dequeue_hook is not None:
+                                            dequeue_hook(a, packet, ready, time)
+                                        transmit(a, 0, packet, from_link)
+                                        continue
                     try_send(a)
                 elif code == _CALL:
                     a(time)

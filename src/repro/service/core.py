@@ -252,6 +252,9 @@ class FabricService:
             design, nodes, seed=topology_seed, ports=ports
         )
         self.topology = topology
+        #: The source ring and the activation count it was built at.
+        self._ring: list[int] = []
+        self._ring_changes = -1
         fabric = build_fabric(
             topology,
             sample_free=True,
@@ -492,14 +495,19 @@ class FabricService:
         The tenant hashes (CRC32 — stable across processes, unlike
         ``hash``) onto a ring position; if that node is gated, crashed,
         or hung, the next usable ring node takes over.  The ring is
-        derived from the topology's *current* active set on every pick:
-        a ring frozen at construction kept hashing tenants onto the
-        pre-scale node count, so tenants first seen after an unmount or
-        a scale-up landed on stale positions (and could map onto
-        excised nodes forever).  Deterministic given identical fabric
-        state, which replay guarantees.
+        the topology's *current* active set, rebuilt whenever its
+        ``activation_changes`` count moves: a ring frozen at
+        construction kept hashing tenants onto the pre-scale node
+        count, so tenants first seen after an unmount or a scale-up
+        landed on stale positions (and could map onto excised nodes
+        forever).  Deterministic given identical fabric state, which
+        replay guarantees.
         """
-        ring = sorted(self.topology.active_nodes)
+        topology = self.topology
+        if self._ring_changes != topology.activation_changes:
+            self._ring = sorted(topology.active_nodes)
+            self._ring_changes = topology.activation_changes
+        ring = self._ring
         if not ring:
             return None
         start = zlib.crc32(tenant.encode()) % len(ring)

@@ -40,6 +40,10 @@ class BaseTopology(ABC):
 
     # -- node set ------------------------------------------------------------
 
+    #: Changes to the active set so far (String Figure counts its
+    #: ``set_node_active`` calls); a baseline's never changes.
+    activation_changes = 0
+
     @property
     def active_nodes(self) -> list[int]:
         """Baselines have no power gating: every node is active."""

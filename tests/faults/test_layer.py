@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.routing import RingBrokenError
 from repro.faults.layer import FaultLayer
 from repro.network.packet import Packet, PacketKind
 from repro.network.simulator import NetworkSimulator
@@ -279,3 +280,57 @@ class TestWireOccupancyInvariant:
             assert last_tail
             assert not violations, (seed, violations)
             assert sim.stats.sent == sim.stats.delivered
+
+
+class TestRingBroken:
+    """An arrival the space-0 ring walk cannot route onward is a loss
+    under a fault layer and an error without one."""
+
+    @staticmethod
+    def _break_routing(sim, at_node):
+        forward = sim.policy.forward
+
+        def broken(node, packet, load, first_hop):
+            if node == at_node:
+                raise RingBrokenError(f"space-0 ring broken at node {node}")
+            return forward(node, packet, load, first_hop)
+
+        sim.policy.forward = broken
+
+    def test_stranded_packet_is_dropped_and_retried(self):
+        topo, sim, layer = build_sim(max_retries=2, retransmit_timeout=8)
+        src = topo.active_nodes[0]
+        dst = topo.active_nodes[-1]
+        self._break_routing(sim, src)
+        send_one(sim, src, dst)
+        sim.drain()
+        # The original and both retries strand at the source.
+        assert layer.drops["ring_broken"] == 3
+        assert layer.abandoned_retries == 1
+        assert sim.stats.sent == sim.stats.delivered + sim.stats.dropped
+        assert sim.inflight_to(dst) == 0
+
+    def test_without_a_fault_layer_the_error_propagates(self):
+        topo = make_topology("SF", 32, seed=0)
+        sim = NetworkSimulator(topo, make_policy(topo))
+        src = topo.active_nodes[0]
+        self._break_routing(sim, src)
+        send_one(sim, src, topo.active_nodes[-1])
+        with pytest.raises(RingBrokenError):
+            sim.drain()
+
+    def test_fault_run_with_a_broken_ring_completes(self):
+        # A failed link plus a crash excision leave node 8's ring walk
+        # with no clockwise progress; the run used to abort there.
+        from repro.workloads.faults import run_faults
+
+        result = run_faults(
+            make_topology("SF", 36, seed=0), rate=0.08, schedule="random",
+            kinds=("link_flap", "link_down", "node_crash"),
+            fault_rate=0.003, warmup=150, measure=2500,
+            drain_limit=30_000, seed=4,
+        )
+        stats = result.stats
+        assert result.layer.drops["ring_broken"] > 0
+        assert stats.sent == stats.delivered + stats.dropped
+        assert result.payload()["conserved"]

@@ -9,7 +9,8 @@ recovery).
 
 A second, smaller grid pins the class-aware (QoS) arbitration path:
 ``golden_qos.json`` digests interference runs under the default class
-table, plus one with two classes sharing a priority band — SimStats,
+table, plus two (probed and bare) with two classes sharing a priority
+band — SimStats,
 each class's latency samples and, where the latency anatomy rides
 along, its per-class component totals.  It was recorded with the
 simulator as it stood before the QoS arbiter was folded into the one
@@ -143,8 +144,10 @@ QOS_GRID: list[tuple[str, int, str, float, dict, bool, bool]] = [
     ("ODM", 36, "burst", 0.4, {}, False, False),  # multi-channel links
     ("SF", 64, "incast", 0.5, {}, True, False),  # with the latency anatomy
     # Latency and bulk in one priority band: the default table gives
-    # every class its own band, so only this point pins DRR weighting.
+    # every class its own band, so only these two points pin DRR
+    # weighting, with the latency anatomy and bare.
     ("SF", 64, "noise", 0.3, {}, True, True),
+    ("SF", 64, "noise", 0.3, {}, False, True),
 ]
 
 

@@ -4,10 +4,12 @@
 golden grid cannot see: strict-priority bands, DRR within a band and
 per-class credit reservations with class-attributed deadlock loans.
 Each point is an interference run under the default class table, or,
-for one point, a table whose latency and bulk classes share a priority
-band so that DRR weighting decides between them; the digest covers every SimStats field, each class's latency samples (in
-delivery order) and, for the anatomy point, the per-class component
-totals, which split the head-ready wait by the class on the wire.
+for two points (with the latency anatomy and bare), a table whose
+latency and bulk classes share a priority band so that DRR weighting
+decides between them; the digest covers every SimStats field, each
+class's latency samples (in delivery order) and, for the anatomy
+points, the per-class component totals, which split the head-ready
+wait by the class on the wire.
 """
 
 from __future__ import annotations

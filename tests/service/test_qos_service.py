@@ -54,6 +54,39 @@ class TestSourceRingRefresh:
         }
         assert reachable - set(shrunk), "woken nodes never selected"
 
+    def test_cached_ring_moves_with_scaling(self):
+        """The ring is cached until the active set changes: picks
+        between requests around a scale-down and a scale-up match a
+        ring rebuilt from the active set on every pick."""
+        svc = FabricService(nodes=36, footprint_pages=64)
+        tenants = [f"tenant-{i}" for i in range(48)]
+
+        def rebuilt(tenant):
+            ring = sorted(svc.topology.active_nodes)
+            start = zlib.crc32(tenant.encode()) % len(ring)
+            for step in range(len(ring)):
+                node = ring[(start + step) % len(ring)]
+                if svc.layer.usable_source(node) and svc.live.usable(node):
+                    return node
+            return None
+
+        def picks():
+            got = [svc._pick_source(tenant) for tenant in tenants]
+            assert got == [rebuilt(tenant) for tenant in tenants]
+            return got
+
+        _drive(svc, [(f"t{i % 3}", "read", i % 64) for i in range(10)])
+        first = picks()
+        assert svc.scale_down(count=4)["ok"]
+        svc.advance(200_000)
+        _drive(svc, [(f"t{i % 3}", "read", i % 64) for i in range(10)])
+        shrunk = picks()
+        assert shrunk != first
+        svc.scale_up()
+        svc.advance(200_000)
+        _drive(svc, [(f"t{i % 3}", "read", i % 64) for i in range(10)])
+        assert picks() != shrunk
+
     def test_replay_digest_stable_across_scaling(self):
         svc = FabricService(nodes=36, footprint_pages=64)
         _drive(svc, [(f"t{i % 3}", "read", i % 64) for i in range(20)])
