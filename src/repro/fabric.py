@@ -16,7 +16,7 @@ see "Fabric assembly" in ``docs/ARCHITECTURE.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.reconfig import ReconfigurationManager
@@ -40,7 +40,10 @@ __all__ = ["Fabric", "build_fabric"]
 
 @dataclass(eq=False)
 class Fabric:
-    """The assembled stack; sub-stacks a caller did not choose are None."""
+    """The assembled stack; sub-stacks a caller did not choose are None.
+
+    ``gated`` holds the batches gate-off and unmount ops took out, in gate order.
+    """
 
     sim: NetworkSimulator
     qos: QoSConfig | None = None
@@ -53,6 +56,7 @@ class Fabric:
     recovery: RecoveryOrchestrator | None = None
     detector: FaultDetector | None = None
     fault_injector: FaultInjector | None = None
+    gated: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def build_fabric(

@@ -11,9 +11,9 @@ lose data?
 
 * :class:`FaultLayer` — the simulator-attached loss/parking/retransmit
   semantics (the physics of failure).
-* :class:`FaultInjector` / :class:`FaultPlan` / :class:`FaultEvent` /
-  :class:`FaultRecord` — scheduling failures into the event loop and
-  recording their timelines.
+* :class:`FaultInjector` / :class:`FaultPlan` / :class:`FaultRecord` —
+  failures as ``fault`` ops (:mod:`repro.ops`) fired into the event
+  loop, and their recorded timelines.
 * :class:`FaultDetector` + :class:`TableRepair` / :class:`GraphRepair`
   — timeout-delayed detection and the emergency reroute (local table
   bit flips on String Figure, global recompute on baselines).
@@ -28,7 +28,6 @@ The scenario gluing all of it under foreground traffic is
 from repro.faults.detector import FaultDetector, GraphRepair, TableRepair
 from repro.faults.injector import (
     FAULT_KINDS,
-    FaultEvent,
     FaultInjector,
     FaultPlan,
     FaultRecord,
@@ -38,7 +37,6 @@ from repro.faults.recovery import RecoveryOrchestrator
 
 __all__ = [
     "FAULT_KINDS",
-    "FaultEvent",
     "FaultPlan",
     "FaultRecord",
     "FaultInjector",

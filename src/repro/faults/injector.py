@@ -1,9 +1,10 @@
 """Scheduling unplanned failures into the event loop.
 
-A :class:`FaultPlan` is a time-ordered list of :class:`FaultEvent`
-declarations — *what* fails and *when*, with targets either pinned
-explicitly or left open for deterministic runtime selection.  The
-:class:`FaultInjector` executes the plan: at each event time it
+A :class:`FaultPlan` is a time-ordered list of ``fault``
+:class:`~repro.ops.Op` declarations — *what* fails and *when*, with
+targets either pinned explicitly or left open for deterministic runtime
+selection.  :func:`repro.ops.schedule` checks the plan and gives each
+op one event at its cycle, where :meth:`FaultInjector.fire`
 resolves the victim against the then-current network (seeded RNG, so
 runs are bit-reproducible at any worker count), applies the physical
 effect through the :class:`~repro.faults.layer.FaultLayer` — no drain,
@@ -35,48 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.ops import FAULT_KINDS, Op
 from repro.utils.rng import derive_rng
 
-__all__ = ["FaultEvent", "FaultPlan", "FaultRecord", "FaultInjector"]
-
-FAULT_KINDS = ("link_down", "link_flap", "node_crash", "node_hang")
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One declared failure.
-
-    ``node``/``link`` may be None: the injector then picks a victim at
-    fire time (deterministically, from the run's seed).  ``duration``
-    applies to transient kinds (cycles until a flapped link restores /
-    a hung node resumes).
-    """
-
-    time: int
-    kind: str
-    node: int | None = None
-    link: tuple[int, int] | None = None
-    duration: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}"
-            )
-        if self.kind in ("link_flap", "node_hang") and self.duration <= 0:
-            raise ValueError(f"{self.kind} needs a positive duration")
+__all__ = ["FAULT_KINDS", "FaultPlan", "FaultRecord", "FaultInjector"]
 
 
 @dataclass
 class FaultPlan:
-    """A time-ordered failure schedule."""
+    """A time-ordered failure schedule of ``fault`` ops."""
 
-    events: list[FaultEvent] = field(default_factory=list)
+    ops: list[Op] = field(default_factory=list)
 
     @classmethod
     def single_crash(cls, at: int, node: int | None = None) -> "FaultPlan":
         """One unannounced node crash (the acceptance scenario)."""
-        return cls([FaultEvent(time=at, kind="node_crash", node=node)])
+        return cls([Op(at, "fault", fault_kind="node_crash", node=node)])
 
     @classmethod
     def random(
@@ -102,13 +77,10 @@ class FaultPlan:
             return cls([])
         if not kinds:
             raise ValueError("need at least one fault kind")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
         import math
 
         rng = derive_rng(seed, "fault-plan")
-        events: list[FaultEvent] = []
+        ops: list[Op] = []
         t = start
         crashes = 0
         index = 0
@@ -136,8 +108,8 @@ class FaultPlan:
                 else hang_cycles if kind == "node_hang"
                 else 0
             )
-            events.append(FaultEvent(time=t, kind=kind, duration=duration))
-        return cls(events)
+            ops.append(Op(t, "fault", fault_kind=kind, duration=duration))
+        return cls(ops)
 
 
 @dataclass
@@ -206,7 +178,7 @@ class FaultRecord:
 
 
 class FaultInjector:
-    """Fires a :class:`FaultPlan` against a live simulation."""
+    """Fires ``fault`` ops (see :func:`repro.ops.apply`) into a live simulation."""
 
     def __init__(
         self,
@@ -225,12 +197,6 @@ class FaultInjector:
         self.rng = derive_rng(seed, "fault-victims")
         self.records: list[FaultRecord] = []
         self.skipped_events = 0
-
-    def apply(self, plan: FaultPlan) -> None:
-        for event in plan.events:
-            self.sim.schedule(
-                event.time, lambda now, e=event: self._fire(now, e)
-            )
 
     # -- victim selection ---------------------------------------------------
 
@@ -288,10 +254,11 @@ class FaultInjector:
 
     # -- firing --------------------------------------------------------------
 
-    def _fire(self, now: int, event: FaultEvent) -> None:
-        kind = event.kind
+    def fire(self, now: int, op: Op) -> None:
+        """Resolve *op*'s victim against the network now and fail it."""
+        kind = op.fault_kind
         if kind in ("node_crash", "node_hang"):
-            node = event.node
+            node = op.node
             if node is None:
                 node = (
                     self._pick_crash_victim()
@@ -304,7 +271,7 @@ class FaultInjector:
                 self.skipped_events += 1
                 return
             record = FaultRecord(
-                kind=kind, t_fault=now, node=node, duration=event.duration
+                kind=kind, t_fault=now, node=node, duration=op.duration
             )
             neighbors = list(self.topology.neighbors(node))
             in_nbrs = getattr(self.topology, "in_neighbors", None)
@@ -317,14 +284,14 @@ class FaultInjector:
             else:
                 self.layer.hang_node(node, neighbors)
                 self.sim.schedule(
-                    now + event.duration,
+                    now + op.duration,
                     lambda t, r=record, nbrs=neighbors: self._resume(t, r, nbrs),
                 )
             self.records.append(record)
             self.detector.notice(record)
             return
         # link faults
-        link = event.link
+        link = op.link
         if link is not None:
             u, v = link
             if not self._link_is_eligible(u, v):
@@ -336,12 +303,12 @@ class FaultInjector:
             return
         u, v = link
         record = FaultRecord(
-            kind=kind, t_fault=now, link=(u, v), duration=event.duration
+            kind=kind, t_fault=now, link=(u, v), duration=op.duration
         )
         record.lost_mid_wire = self.layer.fail_link_pair(u, v)
         if kind == "link_flap":
             self.sim.schedule(
-                now + event.duration,
+                now + op.duration,
                 lambda t, r=record: self._restore_link(t, r),
             )
         self.records.append(record)

@@ -52,6 +52,7 @@ from repro.core.reconfig import ReconfigEvent, ReconfigurationManager
 from repro.energy.power_gating import PowerManager
 from repro.network.packet import Packet
 from repro.network.simulator import NetworkSimulator
+from repro.ops import node_list_error
 
 __all__ = [
     "LiveReconfigEvent",
@@ -218,18 +219,13 @@ class LiveReconfigurator:
         """
         return self.manager.topology.is_active(node) and node not in self._unstable
 
-    def select_victims(
-        self,
-        fraction: float | None = None,
-        count: int | None = None,
-        min_spacing: int = 2,
-    ) -> list[int]:
-        """Well-spaced cleanly-gateable victims (see ``gate_candidates``)."""
+    def select_victims(self, fraction: float | None = None, count: int | None = None) -> list[int]:
+        """Cleanly-gateable victims two ring slots apart (``gate_candidates``)."""
         if count is None:
             if fraction is None:
                 raise ValueError("give either fraction or count")
             count = int(len(self.manager.topology.active_nodes) * fraction)
-        return self.manager.gate_candidates(count, min_spacing=min_spacing)
+        return self.manager.gate_candidates(count, min_spacing=2)
 
     def gate_off(self, nodes, at: int | None = None) -> None:
         """Schedule an online power-down of *nodes* (one batch)."""
@@ -265,9 +261,9 @@ class LiveReconfigurator:
             return
         # A bad batch would otherwise fail only at the switch, inside a
         # simulator event, with the operation's window already open.
-        num_nodes = self.manager.topology.num_nodes
-        if len(set(nodes)) != len(nodes) or not all(0 <= n < num_nodes for n in nodes):
-            raise ValueError(f"{kind}: {nodes} must be distinct node ids of this network")
+        error = node_list_error(nodes, self.manager.topology.num_nodes)
+        if error is not None:
+            raise ValueError(f"{kind} {nodes}: {error}")
 
         def enqueue(now: int) -> None:
             self._queue.append((kind, nodes))

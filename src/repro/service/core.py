@@ -13,8 +13,9 @@ event-loop runs:
 
 * :meth:`submit` — one read/write page request, stamped at the current
   simulated cycle and appended to the request log;
-* the control verbs (:meth:`scale_down`, :meth:`scale_up`,
-  :meth:`inject_fault`, :meth:`drain`) — likewise stamped and logged.
+* :meth:`apply` — one control :class:`~repro.ops.Op` (gate off, wake,
+  fault, drain; :meth:`scale_down`, :meth:`scale_up` and
+  :meth:`inject_fault` build one), likewise stamped and logged.
 
 Callers alternate ``advance_to(t)`` / ``submit(...)`` so every
 submission happens at a quiescent cycle boundary.  Under that
@@ -51,30 +52,16 @@ from __future__ import annotations
 import hashlib
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
+
+from repro.ops import Op
+from repro.ops import apply as apply_op
 
 __all__ = ["FabricService", "ServiceRequest", "TenantStats"]
 
 #: Terminal request states (``ServiceRequest.status`` values).
 TERMINAL_STATES = ("done", "shed", "failed", "timeout", "error")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number_error(
-    name: str, value: Any, top: float, integral: bool = False
-) -> str | None:
-    """Why *value* is not an absent or in-range ``[0, top]`` argument."""
-    if value is None:
-        return None
-    if _is_int(value) or (not integral and isinstance(value, float)):
-        if 0 <= value <= top:
-            return None
-    kind = "an integer" if integral else "a number"
-    return f"{name} must be {kind} in [0, {top}]"
 
 
 @dataclass(eq=False)
@@ -269,6 +256,7 @@ class FabricService:
             mirrored=mirrored,
             seed=seed,
         )
+        self.fabric = fabric
         self.sim = fabric.sim
         #: Installed QoS class table (None = classless; the classless
         #: request path, admission, digests, and replay stay
@@ -279,17 +267,13 @@ class FabricService:
         #: (latency-critical) class 0.
         self.tenant_classes: dict[str, int] = dict(tenant_classes or {})
         self.layer = fabric.layer
-        self.mapper = fabric.mapper
         self.directory = fabric.directory
-        #: The banked DRAM controllers, shared with the migration engine.
-        self.memory_node = fabric.memory_node
         self.engine = fabric.engine
         self.live = fabric.live
         self.recovery = fabric.recovery
-        self.detector = fabric.detector
         self.fault_injector = fabric.fault_injector
         self.requests = MemoryRequestPath(
-            self.sim, self.directory, self.mapper, self.memory_node,
+            self.sim, self.directory, fabric.mapper, fabric.memory_node,
             self._complete, on_fail=self._fail, on_serve=self._on_serve,
             tag="svc",
         )
@@ -318,7 +302,6 @@ class FabricService:
         self._pump_scheduled = False
         self._pumping = False
         self._reaper_scheduled = False
-        self._gated: list[int] = []
         #: Queued-request count per traffic class (QoS admission only).
         self._queued_by_class: dict[int, int] = (
             {cls.id: 0 for cls in self._qos.classes} if self._qos is not None else {}
@@ -711,152 +694,44 @@ class FabricService:
 
     # -- control verbs -------------------------------------------------------
 
-    def scale_down(
-        self,
-        fraction: float | None = None,
-        count: int | None = None,
-        nodes: list[int] | None = None,
-    ) -> dict[str, Any]:
-        """Gate off nodes through the live pipeline, pages migrating out.
+    def apply(self, op: Op) -> dict[str, Any]:
+        """Apply one control op at the current cycle (the control door).
 
-        Victims default to the reconfiguration manager's well-spaced
-        candidates.  The operation is asynchronous inside the simulator
-        (block / migrate / switch / revalidate / unblock); poll
-        ``stats`` for ``active_nodes`` to observe completion.  Malformed
-        arguments, and victims that are inactive or already gated, are
-        refused with ``ok: false`` before anything is logged.
+        The op is stamped with the current cycle and checked by
+        :func:`repro.ops.apply`; a refused op is answered ``ok: false``
+        before anything is logged.  ``drain`` is the service's own
+        checkpoint (:meth:`drain`).
         """
-        if self.live is None:
-            return {"ok": False, "error": "scale requires a String Figure fabric"}
-        if nodes is None:
-            error = _number_error("fraction", fraction, 1.0) or _number_error(
-                "count", count, self.topology.num_nodes, integral=True
-            )
-            if error is None and fraction is None and count is None:
-                error = "give fraction, count or nodes"
-            if error is not None:
-                return {"ok": False, "error": error}
-            victims = self.live.select_victims(fraction=fraction, count=count)
-        else:
-            error = self._node_list_error(nodes)
-            if error is not None:
-                return {"ok": False, "error": error}
-            victims = list(nodes)
-        if not victims:
-            return {"ok": False, "error": "no gateable victims"}
-        gated = set(self._gated)
-        for node in victims:
-            if node in gated or not self.topology.is_active(node):
-                return {
-                    "ok": False,
-                    "error": f"node {node} is not active or is already gated",
-                }
-        self.log_entries.append({
-            "kind": "control", "t": self.sim.now, "verb": "scale_down",
-            "nodes": list(victims),
-        })
-        self._gated.extend(victims)
-        self.live.gate_off(victims)
-        return {"ok": True, "verb": "scale_down", "nodes": list(victims)}
+        op = replace(op, t=self.sim.now)
+        if op.verb == "drain":
+            return self.drain()
+        return apply_op(self.fabric, op, log=self.log_entries)
+
+    def scale_down(
+        self, fraction: float | None = None, count: int | None = None, nodes: list | None = None
+    ) -> dict[str, Any]:
+        """Gate off nodes (a ``gate_off`` op), pages migrating out.
+
+        The operation is asynchronous inside the simulator; poll
+        ``stats`` for ``active_nodes`` to observe completion.
+        """
+        now = self.sim.now
+        return self.apply(Op(now, "gate_off", fraction=fraction, count=count, nodes=nodes))
 
     def scale_up(self, nodes: list[int] | None = None) -> dict[str, Any]:
-        """Wake previously gated nodes, pages migrating back in.
-
-        *nodes* must all be gated; anything else is refused with
-        ``ok: false`` before anything is logged.
-        """
-        if self.live is None:
-            return {"ok": False, "error": "scale requires a String Figure fabric"}
-        if nodes is None:
-            victims = list(self._gated)
-        else:
-            error = self._node_list_error(nodes)
-            if error is not None:
-                return {"ok": False, "error": error}
-            victims = list(nodes)
-            for node in victims:
-                if node not in self._gated:
-                    return {"ok": False, "error": f"node {node} is not gated"}
-        if not victims:
-            return {"ok": False, "error": "no gated nodes to wake"}
-        self.log_entries.append({
-            "kind": "control", "t": self.sim.now, "verb": "scale_up",
-            "nodes": list(victims),
-        })
-        self._gated = [n for n in self._gated if n not in set(victims)]
-        self.live.gate_on(victims)
-        return {"ok": True, "verb": "scale_up", "nodes": list(victims)}
-
-    def _node_list_error(self, nodes: Any) -> str | None:
-        """Why *nodes* is not a list of distinct node ids of this fabric."""
-        n = self.topology.num_nodes
-        if not isinstance(nodes, (list, tuple)) or not all(
-            _is_int(node) and 0 <= node < n for node in nodes
-        ):
-            return f"nodes must be a list of node ids in [0, {n})"
-        if len(set(nodes)) != len(nodes):
-            return "nodes must not repeat"
-        return None
+        """Wake gated nodes (a ``gate_on`` op), pages migrating back in."""
+        return self.apply(Op(self.sim.now, "gate_on", nodes=nodes))
 
     def inject_fault(
-        self,
-        kind: str,
-        node: int | None = None,
-        link: list[int] | tuple[int, int] | None = None,
-        duration: int = 0,
+        self, kind: str, node: int | None = None, link: list | None = None, duration: int = 0
     ) -> dict[str, Any]:
-        """Fire one unplanned fault (PR-5 stack) at the current cycle."""
-        from repro.faults.injector import FaultEvent, FaultPlan
-
-        n = self.topology.num_nodes
-        if not _is_int(duration):
-            return {"ok": False, "error": "duration must be an integer"}
-        if node is not None and not (_is_int(node) and 0 <= node < n):
-            return {"ok": False, "error": f"node must be a node id in [0, {n})"}
-        if link is not None and (
-            not isinstance(link, (list, tuple))
-            or len(link) != 2
-            or not all(_is_int(end) and 0 <= end < n for end in link)
-        ):
-            return {"ok": False, "error": f"link must be two node ids in [0, {n})"}
-        try:
-            event = FaultEvent(
-                time=self.sim.now,
-                kind=kind,
-                node=node,
-                link=tuple(link) if link is not None else None,
-                duration=duration,
-            )
-        except ValueError as exc:
-            return {"ok": False, "error": str(exc)}
-        self.log_entries.append({
-            "kind": "control", "t": self.sim.now, "verb": "fault",
-            "fault_kind": kind, "node": node,
-            "link": list(link) if link is not None else None,
-            "duration": duration,
-        })
-        self.fault_injector.apply(FaultPlan([event]))
-        return {"ok": True, "verb": "fault", "fault_kind": kind}
+        """Fire one unplanned fault (a ``fault`` op) at the current cycle."""
+        op = Op(self.sim.now, "fault", fault_kind=kind, node=node, link=link, duration=duration)
+        return self.apply(op)
 
     def apply_control(self, entry: dict[str, Any]) -> dict[str, Any]:
         """Apply one logged control entry (the replay dispatcher)."""
-        verb = entry["verb"]
-        if verb == "scale_down":
-            return self.scale_down(
-                fraction=entry.get("fraction"),
-                count=entry.get("count"),
-                nodes=entry.get("nodes"),
-            )
-        if verb == "scale_up":
-            return self.scale_up(nodes=entry.get("nodes"))
-        if verb == "fault":
-            return self.inject_fault(
-                entry["fault_kind"], node=entry.get("node"),
-                link=entry.get("link"), duration=entry.get("duration", 0),
-            )
-        if verb == "drain":
-            return self.drain()
-        raise ValueError(f"unknown control verb {verb!r}")
+        return self.apply(Op.from_entry(entry))
 
     # -- drain / conservation ------------------------------------------------
 
@@ -870,9 +745,7 @@ class FabricService:
         Admission re-opens afterwards, so an operator ``drain`` is a
         checkpoint, not a shutdown.
         """
-        self.log_entries.append({
-            "kind": "control", "t": self.sim.now, "verb": "drain",
-        })
+        self.log_entries.append(Op(self.sim.now, "drain").to_entry())
         self.admitting = False
         flushed = 0
         for _ in range(max_rounds):
@@ -1019,7 +892,7 @@ class FabricService:
 
             probes = FabricProbes()
         probes.attach_sim(self.sim)
-        probes.attach_detector(self.detector)
+        probes.attach_detector(self.fabric.detector)
         probes.attach_migration(self.engine, self.directory)
         probes.attach_service(self)
         if anatomy:

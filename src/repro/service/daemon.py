@@ -299,35 +299,23 @@ class FabricDaemon:
 
     def _apply_control(self, message: dict, writer) -> bool:
         """Apply one control verb; returns True when it was ``shutdown``."""
-        verb = message["op"]
-        mid = message.get("id")
-        if verb == "scale":
-            direction = message.get("direction", "down")
-            if direction == "down":
-                result = self.service.scale_down(
-                    fraction=message.get("fraction"),
-                    count=message.get("count"),
-                    nodes=message.get("nodes"),
-                )
-            else:
-                result = self.service.scale_up(nodes=message.get("nodes"))
-            self._reply(writer, {**result, "id": mid})
-            return False
-        if verb == "fault":
+        verb, get = message["op"], message.get
+        direction = get("direction", "down")
+        if verb == "scale" and direction == "down":
+            result = self.service.scale_down(get("fraction"), get("count"), get("nodes"))
+        elif verb == "scale" and direction == "up":
+            result = self.service.scale_up(get("nodes"))
+        elif verb == "scale":
+            result = {"ok": False, "error": 'direction must be "down" or "up"'}
+        elif verb == "fault":
             result = self.service.inject_fault(
-                message.get("kind", "node_crash"),
-                node=message.get("node"),
-                link=message.get("link"),
-                duration=message.get("duration", 0),
+                get("kind", "node_crash"), get("node"), get("link"), get("duration", 0)
             )
-            self._reply(writer, {**result, "id": mid})
-            return False
-        if verb == "drain":
+        else:
+            # drain, or shutdown: drain first so conservation is checked
+            # exactly once, then report and stop the daemon.
             result = self.service.drain()
-            self._reply(writer, {**result, "id": mid})
-            return False
-        # shutdown: drain first so conservation is checked exactly once,
-        # then report and stop the daemon.
-        result = self.service.drain()
-        self._reply(writer, {**result, "verb": "shutdown", "id": mid})
-        return True
+            if verb == "shutdown":
+                result = {**result, "verb": "shutdown"}
+        self._reply(writer, {**result, "id": get("id")})
+        return verb == "shutdown"

@@ -11,7 +11,7 @@ resulting :meth:`~repro.service.core.FabricService.digest` matches the
 original bit-for-bit.
 
 The file format is JSONL (one object per line) so logs stream, diff,
-and `grep` cleanly::
+and `grep` cleanly (``control`` entries: :meth:`repro.ops.Op.to_entry`)::
 
     {"kind": "header", "version": 1, "config": {...constructor args...}}
     {"kind": "request", "t": 120, "tenant": "c3", "op": "read", ...}
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from typing import TYPE_CHECKING, Any, Iterable
+
+from repro.ops import Op
 
 if TYPE_CHECKING:
     from repro.service.core import FabricService
@@ -107,7 +109,7 @@ def drive(
                 req_id=entry.get("req_id"),
             )
         elif entry["kind"] == "control":
-            service.apply_control(entry)
+            service.apply(Op.from_entry(entry))
         else:
             raise ValueError(f"unknown log entry kind {entry['kind']!r}")
 

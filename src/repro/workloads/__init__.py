@@ -13,7 +13,6 @@ network's boundary.
 
 from repro.workloads.cache import CacheHierarchy, CacheLevel
 from repro.workloads.churn import (
-    ChurnAction,
     ChurnInjector,
     ChurnResult,
     ChurnSchedule,
@@ -32,7 +31,6 @@ from repro.workloads.trace import MemoryAccess, WorkloadTrace, collect_trace
 __all__ = [
     "CacheHierarchy",
     "CacheLevel",
-    "ChurnAction",
     "ChurnInjector",
     "ChurnResult",
     "ChurnSchedule",

@@ -5,10 +5,9 @@ while nodes power off and on mid-flight through the online
 reconfiguration pipeline (:mod:`repro.network.elastic`).  Two ways to
 drive the churn:
 
-* **Scripted schedules** (:class:`ChurnSchedule`) — gate/wake actions
-  at fixed times, e.g. one gate-off/wake cycle or a periodic duty
-  cycle.  Victim counts can be given as fractions; victims are selected
-  when the action fires, from the then-current network.
+* **Scripted schedules** (:class:`ChurnSchedule`) — gate/wake ops
+  (:mod:`repro.ops`) at fixed times, e.g. one gate-off/wake cycle or a
+  periodic duty cycle.
 * **Utilization-driven** (:class:`UtilizationController`) — a periodic
   controller samples delivered throughput per active node and gates a
   step of nodes when the network is underutilized (waking them back
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.topology import StringFigureTopology
-from repro.fabric import build_fabric
+from repro.fabric import Fabric, build_fabric
 from repro.network.elastic import (
     LiveReconfigEvent,
     LiveReconfigurator,
@@ -43,11 +42,12 @@ from repro.network.elastic import (
 )
 from repro.network.packet import Packet, PacketKind
 from repro.network.stats import SimStats
+from repro.ops import Op, apply
+from repro.ops import schedule as schedule_ops
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import make_pattern
 
 __all__ = [
-    "ChurnAction",
     "ChurnSchedule",
     "ChurnInjector",
     "UtilizationController",
@@ -59,44 +59,23 @@ __all__ = [
 MAX_REDRAWS = 64
 
 
-@dataclass(frozen=True)
-class ChurnAction:
-    """One scheduled churn step.
-
-    ``kind`` is ``gate_off``/``gate_on``/``unmount``/``mount``.  For
-    power-downs give either explicit ``nodes``, a victim ``count``, or
-    a ``fraction`` of the then-active network; a power-up with no
-    explicit nodes wakes everything the schedule gated so far.
-    """
-
-    time: int
-    kind: str
-    fraction: float | None = None
-    count: int | None = None
-    nodes: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gate_off", "gate_on", "unmount", "mount"):
-            raise ValueError(f"unknown churn action kind {self.kind!r}")
-
-
 @dataclass
 class ChurnSchedule:
-    """A time-ordered list of churn actions."""
+    """A time-ordered list of gate/wake (or unmount/mount) ops.
 
-    actions: list[ChurnAction] = field(default_factory=list)
+    Victim counts can be given as fractions; victims are chosen when
+    the op runs, from the then-current network.  A wake with no nodes
+    wakes every gated node, in gate order.
+    """
+
+    ops: list[Op] = field(default_factory=list)
 
     @classmethod
     def cycle(cls, gate_at: int, wake_at: int, fraction: float) -> "ChurnSchedule":
         """One gate-off of *fraction* of the nodes, then one full wake."""
         if wake_at <= gate_at:
             raise ValueError("wake_at must come after gate_at")
-        return cls(
-            [
-                ChurnAction(time=gate_at, kind="gate_off", fraction=fraction),
-                ChurnAction(time=wake_at, kind="gate_on"),
-            ]
-        )
+        return cls([Op(gate_at, "gate_off", fraction=fraction), Op(wake_at, "gate_on")])
 
     @classmethod
     def periodic(
@@ -110,12 +89,12 @@ class ChurnSchedule:
         """*cycles* gate/wake rounds: gated for ``duty`` of each period."""
         if not 0.0 < duty < 1.0:
             raise ValueError(f"duty must be in (0, 1), got {duty}")
-        actions: list[ChurnAction] = []
+        ops: list[Op] = []
         for i in range(cycles):
             t0 = start + i * period
-            actions.append(ChurnAction(time=t0, kind="gate_off", fraction=fraction))
-            actions.append(ChurnAction(time=t0 + int(duty * period), kind="gate_on"))
-        return cls(actions)
+            ops.append(Op(t0, "gate_off", fraction=fraction))
+            ops.append(Op(t0 + int(duty * period), "gate_on"))
+        return cls(ops)
 
 
 class ChurnInjector(BernoulliInjector):
@@ -178,42 +157,6 @@ class ChurnInjector(BernoulliInjector):
             )
 
 
-class _ScheduleDriver:
-    """Fires a :class:`ChurnSchedule` against a live reconfigurator."""
-
-    def __init__(self, live: LiveReconfigurator) -> None:
-        self.live = live
-        self.gated_batches: list[tuple[int, ...]] = []
-
-    def apply(self, schedule: ChurnSchedule) -> None:
-        for action in schedule.actions:
-            self.live.sim.schedule(action.time, lambda t, a=action: self._fire(t, a))
-
-    def _fire(self, now: int, action: ChurnAction) -> None:
-        if action.kind in ("gate_off", "unmount"):
-            nodes = list(action.nodes) or self.live.select_victims(
-                fraction=action.fraction, count=action.count
-            )
-            if not nodes:
-                return
-            if action.kind == "gate_off":
-                self.live.gate_off(nodes)
-            else:
-                self.live.unmount(nodes)
-            self.gated_batches.append(tuple(nodes))
-        else:
-            nodes = list(action.nodes)
-            if not nodes:
-                while self.gated_batches:
-                    nodes.extend(self.gated_batches.pop())
-            if not nodes:
-                return
-            if action.kind == "gate_on":
-                self.live.gate_on(nodes)
-            else:
-                self.live.mount(nodes)
-
-
 class UtilizationController:
     """Closed-loop power management driven by delivered throughput.
 
@@ -221,14 +164,15 @@ class UtilizationController:
     delivered packets per active node per cycle over the last interval.
     Below ``low_util`` it gates ``gate_step`` well-spaced victims (never
     dropping under ``min_active_fraction`` of the full network); above
-    ``high_util`` it wakes the most recently gated batch.  Actions
-    respect the power manager's reconfiguration granularity and never
-    overlap a reconfiguration already in flight.
+    ``high_util`` it wakes the most recently gated batch of the
+    fabric's gated record.  Both are ops through :func:`repro.ops.apply`;
+    they respect the power manager's reconfiguration granularity and
+    never overlap a reconfiguration already in flight.
     """
 
     def __init__(
         self,
-        live: LiveReconfigurator,
+        fabric: Fabric,
         interval: int = 2000,
         low_util: float = 0.01,
         high_util: float = 0.05,
@@ -236,7 +180,8 @@ class UtilizationController:
         min_active_fraction: float = 0.5,
         stop_at: int | None = None,
     ) -> None:
-        self.live = live
+        self.fabric = fabric
+        self.live = fabric.live
         self.interval = interval
         self.low_util = low_util
         self.high_util = high_util
@@ -244,7 +189,6 @@ class UtilizationController:
         self.min_active_fraction = min_active_fraction
         self.stop_at = stop_at
         self.decisions: list[dict[str, Any]] = []
-        self._gated: list[tuple[int, ...]] = []
         self._last_delivered = 0
 
     def start(self) -> None:
@@ -277,15 +221,13 @@ class UtilizationController:
             room = active - floor
             if room <= 0:
                 return "at_floor"
-            victims = self.live.select_victims(count=min(self.gate_step, room))
-            if not victims:
+            reply = apply(self.fabric, Op(now, "gate_off", count=min(self.gate_step, room)))
+            if not reply["ok"]:
                 return "no_candidates"
-            self.live.gate_off(victims)
-            self._gated.append(tuple(victims))
-            return f"gate_off:{len(victims)}"
-        if util > self.high_util and self._gated:
-            batch = self._gated.pop()
-            self.live.gate_on(batch)
+            return f"gate_off:{len(reply['nodes'])}"
+        if util > self.high_util and self.fabric.gated:
+            batch = self.fabric.gated[-1]
+            apply(self.fabric, Op(now, "gate_on", nodes=batch))
             return f"gate_on:{len(batch)}"
         return "hold"
 
@@ -380,14 +322,13 @@ def run_churn(
     )
     injector.start()
 
-    driver = _ScheduleDriver(live)
     if schedule is not None:
-        driver.apply(schedule)
+        schedule_ops(fabric, schedule.ops)
     controller = None
     if controller_params is not None:
         params = dict(controller_params)
         params.setdefault("stop_at", warmup + measure)
-        controller = UtilizationController(live, **params)
+        controller = UtilizationController(fabric, **params)
         controller.start()
 
     initial_active = len(topology.active_nodes)

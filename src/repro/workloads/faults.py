@@ -52,6 +52,7 @@ from repro.memory.migration import PageDirectory
 from repro.network.elastic import WindowedLatencyProbe, disturbance_metrics
 from repro.network.packet import PacketKind
 from repro.network.stats import SimStats, phase_latency
+from repro.ops import schedule as schedule_ops
 from repro.traffic.patterns import make_pattern
 from repro.workloads.churn import ChurnInjector
 
@@ -287,7 +288,7 @@ def run_faults(
             )
         else:
             raise ValueError(f"unknown fault schedule kind {schedule!r}")
-    injector.apply(plan)
+    schedule_ops(fabric, plan.ops)
 
     probe = WindowedLatencyProbe(sim, window_cycles=window_cycles)
     traffic = make_pattern(pattern, topology.active_nodes)

@@ -41,6 +41,7 @@ from repro.network.config import NetworkConfig
 from repro.network.elastic import LiveReconfigEvent, LiveReconfigurator
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import SimStats, phase_latency
+from repro.ops import Op, schedule
 from repro.utils.rng import derive_rng
 
 __all__ = ["ForegroundMemoryTraffic", "MigrationRunResult", "run_migration"]
@@ -269,20 +270,7 @@ def run_migration(
     )
     foreground.start()
 
-    gated: list[int] = []
-
-    def do_gate(now: int) -> None:
-        victims = live.select_victims(fraction=gate_fraction)
-        if victims:
-            gated.extend(victims)
-            live.gate_off(victims)
-
-    def do_wake(now: int) -> None:
-        if gated:
-            live.gate_on(list(gated))
-
-    sim.schedule(gate_at, do_gate)
-    sim.schedule(wake_at, do_wake)
+    schedule(fabric, [Op(gate_at, "gate_off", fraction=gate_fraction), Op(wake_at, "gate_on")])
 
     sim.run(until=warmup + measure)
     sim.run(until=warmup + measure + drain_limit)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.ops import Op
 from repro.utils.rng import derive_rng
 
 __all__ = ["synthetic_schedule", "run_service", "ServiceRunResult"]
@@ -64,24 +65,14 @@ def synthetic_schedule(
                 "page": rng.randrange(footprint_pages), "offset": 0,
                 "size": size, "req_id": f"{name}/{i}",
             }))
-    controls: list[tuple[int, int, int, dict[str, Any]]] = []
+    controls: list[Op] = []
     if scale_at is not None and scale_count > 0:
-        controls.append((scale_at, -1, 0, {
-            "kind": "control", "t": scale_at, "verb": "scale_down",
-            "count": scale_count,
-        }))
+        controls.append(Op(scale_at, "gate_off", count=scale_count))
         if scale_back_after is not None:
-            back = scale_at + scale_back_after
-            controls.append((back, -1, 1, {
-                "kind": "control", "t": back, "verb": "scale_up",
-            }))
+            controls.append(Op(scale_at + scale_back_after, "gate_on"))
     if fault_at is not None:
-        controls.append((fault_at, -1, 2, {
-            "kind": "control", "t": fault_at, "verb": "fault",
-            "fault_kind": fault_kind, "node": fault_node, "link": None,
-            "duration": 0,
-        }))
-    keyed.extend(controls)
+        controls.append(Op(fault_at, "fault", fault_kind=fault_kind, node=fault_node))
+    keyed.extend((op.t, -1, i, op.to_entry()) for i, op in enumerate(controls))
     keyed.sort(key=lambda item: item[:3])
     return [entry for _, _, _, entry in keyed]
 

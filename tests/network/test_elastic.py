@@ -31,7 +31,8 @@ from repro.network.elastic import (
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
-from repro.workloads.churn import ChurnAction, ChurnInjector, ChurnSchedule, run_churn
+from repro.ops import Op
+from repro.workloads.churn import ChurnInjector, ChurnSchedule, run_churn
 
 NODES = 48
 CONFIG = NetworkConfig(emergency_stall_threshold=16)
@@ -68,8 +69,8 @@ class TestConservation:
         topo = StringFigureTopology(NODES, 4, seed=7)
         schedule = ChurnSchedule(
             [
-                ChurnAction(time=800, kind="unmount", fraction=0.2),
-                ChurnAction(time=1800, kind="mount"),
+                Op(800, "unmount", fraction=0.2),
+                Op(1800, "mount"),
             ]
         )
         result = run_churn(

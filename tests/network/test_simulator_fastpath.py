@@ -116,16 +116,17 @@ class TestLongChurnConservation:
         unobservable: entries stayed behind forever (the dict only
         ever grew) and there was no non-negativity check.
         """
-        from repro.workloads.churn import ChurnSchedule, _ScheduleDriver
+        from repro.fabric import Fabric
+        from repro.ops import schedule
+        from repro.workloads.churn import ChurnSchedule
 
         topo, sim, live, injector = _churn_stack(
             num_nodes=48, seed=5, rate=0.1, measure=5200
         )
         injector.start()
-        driver = _ScheduleDriver(live)
-        driver.apply(ChurnSchedule.periodic(
+        schedule(Fabric(sim=sim, live=live), ChurnSchedule.periodic(
             start=300, period=1600, duty=0.4, fraction=0.15, cycles=3
-        ))
+        ).ops)
         sim.run(until=100 + 5200)
         sim.drain(limit=300_000)
 

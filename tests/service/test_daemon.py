@@ -131,6 +131,8 @@ def test_hostile_control_verbs_refused_and_daemon_keeps_serving():
             {"op": "scale", "direction": "down", "nodes": "ab"},
             {"op": "scale", "direction": "down", "nodes": [3, 3]},
             {"op": "scale", "direction": "up", "nodes": [5]},
+            {"op": "scale", "direction": "sideways"},
+            {"op": "scale", "direction": 5},
             {"op": "fault", "kind": "link_flap", "duration": "x"},
             {"op": "fault", "kind": "node_crash", "node": 999},
             {"op": "fault", "kind": "link_down", "link": 7},
@@ -140,7 +142,7 @@ def test_hostile_control_verbs_refused_and_daemon_keeps_serving():
             assert reply["ok"] is False and reply["id"] == i, reply
             assert reply["error"]
         assert service.log_entries == []
-        assert service._gated == []
+        assert service.fabric.gated == []
         assert service.live.pending_operations == 0
         good = await rpc({"op": "read", "page": 2, "id": "ok"})
         assert good["ok"] and good["status"] == "done"

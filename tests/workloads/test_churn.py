@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.topology import StringFigureTopology
+from repro.ops import Op
 from repro.workloads.churn import (
-    ChurnAction,
     ChurnSchedule,
     UtilizationController,
     run_churn,
@@ -16,8 +16,8 @@ from repro.workloads.churn import (
 class TestSchedules:
     def test_cycle_builds_two_actions(self):
         schedule = ChurnSchedule.cycle(gate_at=100, wake_at=500, fraction=0.25)
-        assert [a.kind for a in schedule.actions] == ["gate_off", "gate_on"]
-        assert schedule.actions[0].fraction == 0.25
+        assert [op.verb for op in schedule.ops] == ["gate_off", "gate_on"]
+        assert schedule.ops[0].fraction == 0.25
 
     def test_cycle_rejects_wake_before_gate(self):
         with pytest.raises(ValueError, match="wake_at"):
@@ -27,7 +27,7 @@ class TestSchedules:
         schedule = ChurnSchedule.periodic(
             start=1000, period=2000, duty=0.5, fraction=0.1, cycles=3
         )
-        times = [(a.time, a.kind) for a in schedule.actions]
+        times = [(op.t, op.verb) for op in schedule.ops]
         assert times == [
             (1000, "gate_off"),
             (2000, "gate_on"),
@@ -42,8 +42,9 @@ class TestSchedules:
             ChurnSchedule.periodic(start=0, period=100, duty=1.5, fraction=0.1, cycles=1)
 
     def test_action_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown churn action"):
-            ChurnAction(time=0, kind="explode")
+        topo = StringFigureTopology(32, 4, seed=5)
+        with pytest.raises(ValueError, match="unknown verb 'explode'"):
+            run_churn(topo, schedule=ChurnSchedule([Op(0, "explode")]), measure=100)
 
 
 class TestPeriodicChurn:
@@ -112,6 +113,7 @@ class TestUtilizationController:
         from repro.core.reconfig import ReconfigurationManager
         from repro.core.routing import AdaptiveGreediestRouting
         from repro.energy.power_gating import PowerManager
+        from repro.fabric import Fabric
         from repro.network.elastic import LiveReconfigurator
         from repro.network.policies import GreedyPolicy
         from repro.network.simulator import NetworkSimulator
@@ -126,7 +128,9 @@ class TestUtilizationController:
             policy,
             power=PowerManager(manager, config=sim.config, granularity_ns=1.0),
         )
-        controller = UtilizationController(live, low_util=0.01, high_util=0.1, gate_step=2)
+        controller = UtilizationController(
+            Fabric(sim=sim, live=live), low_util=0.01, high_util=0.1, gate_step=2
+        )
         decision = controller._decide(100, util=0.0, active=48, total=48)
         assert decision.startswith("gate_off")
         sim.run(until=20_000)  # let the gate-off complete

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.injector import FaultEvent, FaultPlan
+from repro.faults.injector import FaultPlan
+from repro.ops import Op
 from repro.topologies.registry import make_policy, make_topology
 from repro.workloads.faults import run_faults
 
@@ -116,8 +117,8 @@ def test_explicit_plan_targets_fire_as_declared():
     )
     victim = manager.gate_candidates(1)[0]
     plan = FaultPlan([
-        FaultEvent(time=700, kind="node_hang", node=victim, duration=200),
-        FaultEvent(time=1500, kind="node_crash", node=victim),
+        Op(700, "fault", fault_kind="node_hang", node=victim, duration=200),
+        Op(1500, "fault", fault_kind="node_crash", node=victim),
     ])
     result = run_faults(
         topo, rate=0.08, plan=plan, footprint_pages=16,
