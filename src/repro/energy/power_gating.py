@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.reconfig import ReconfigEvent, ReconfigurationManager
 from repro.network.config import NetworkConfig
+from repro.ops import VICTIM_SPACING
 
 __all__ = ["PowerGatingPlan", "PowerManager"]
 
@@ -88,15 +89,14 @@ class PowerManager:
 
     # -- actions ------------------------------------------------------------------
 
-    def gate_fraction(
-        self, fraction: float, now_ns: float = 0.0, min_spacing: int = 2
-    ) -> PowerGatingPlan:
+    def gate_fraction(self, fraction: float, now_ns: float = 0.0) -> PowerGatingPlan:
         """Power off ~*fraction* of the active nodes (cleanly gateable).
 
         Victims come from the reconfiguration manager's well-spaced
-        candidate selection; the plan records how many were actually
-        gateable (dense fractions may fall short of the request — the
-        plan's ``gated`` list is authoritative).
+        candidate selection, ``VICTIM_SPACING`` ring slots apart; the
+        plan records how many were actually gateable (dense fractions
+        may fall short of the request — the plan's ``gated`` list is
+        authoritative).
         """
         if not 0.0 <= fraction < 1.0:
             raise ValueError(f"fraction must be in [0, 1), got {fraction}")
@@ -109,7 +109,7 @@ class PowerManager:
         want = int(active * fraction)
         if want == 0:
             return plan
-        victims = self.manager.gate_candidates(want, min_spacing=min_spacing)
+        victims = self.manager.gate_candidates(want, min_spacing=VICTIM_SPACING)
         plan.events = self.manager.power_gate(*victims)
         plan.gated = victims
         self.gated.extend(victims)

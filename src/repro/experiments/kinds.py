@@ -10,7 +10,17 @@ about one family of simulation points:
   the outermost loop; ``patterns`` and ``rates`` sit between ``nodes``
   and ``seeds``.  Axes a kind does not list are ignored.
 * ``run`` — the runner in :mod:`repro.experiments.worker`, a pure
-  function of the task (plus an optional ``instrument`` callback).
+  function of the task, its ``sim_params`` and an ``instrument``
+  callback (or ``None``).
+* ``params`` — the ``sim_params`` keys the kind reads.  Each is a
+  keyword parameter of the function the kind wraps (``run_synthetic``,
+  ``run_churn`` ...), passed by name, so that signature holds its one
+  default; only ``window`` (``window_cycles``), the ``trace_*`` keys
+  and churn's schedule keys build an argument instead.  A key the kind
+  does not read is refused with a :class:`TypeError` before any point
+  runs or any cache entry is read or written (:func:`task_params`).
+* ``defaults`` — the few sweep defaults that differ on purpose from the
+  wrapped function's own.
 * ``columns`` — the report columns, each ``(header, source, fmt)``.
   ``source`` is a task field (one of :data:`TASK_FIELDS`), a payload
   key, or a callable of the payload; ``fmt`` formats float cells.
@@ -78,12 +88,15 @@ the CLI's ``--kind`` choices and :data:`TASK_KINDS` all read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.experiments import worker
 
-__all__ = ["KINDS", "TASK_FIELDS", "TASK_KINDS", "Column", "ExperimentKind"]
+__all__ = [
+    "KINDS", "TASK_FIELDS", "TASK_KINDS", "Column", "ExperimentKind",
+    "task_params",
+]
 
 #: Task fields a report column may name as its source.
 TASK_FIELDS = ("design", "nodes", "pattern", "rate", "seed", "workload")
@@ -99,13 +112,15 @@ class Column(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """Grid axes, runner, report columns and traceability of one kind."""
+    """Grid axes, runner, parameters, report columns and traceability."""
 
     name: str
     axes: tuple[str, ...]
     run: Callable[..., dict[str, Any]]
+    params: tuple[str, ...]
     columns: tuple[Column, ...]
     traceable: bool = False
+    defaults: Mapping[str, Any] = field(default_factory=dict)
 
 
 _DESIGN = (Column("design", "design"), Column("N", "nodes"))
@@ -116,6 +131,13 @@ _RATE_POINT = (*_DESIGN, _RATE, _SEED)
 _PATTERN_RATE_POINT = (*_DESIGN, _PATTERN, _RATE, _SEED)
 _SWEPT = ("patterns", "rates")
 
+_TIMING = ("warmup", "measure", "drain_limit")
+_INTERFERENCE = (
+    *_TIMING, "mode", "fg_rate", "qos", "payload_bytes", "noise_fraction",
+    "hotspot_count", "burst_period", "burst_duty", "incast_degree",
+    "incast_period",
+)
+
 
 def _drained_and_conserved(payload: dict[str, Any]) -> bool:
     return bool(payload.get("conserved")) and bool(payload.get("drained"))
@@ -124,6 +146,7 @@ def _drained_and_conserved(payload: dict[str, Any]) -> bool:
 _KINDS = (
     ExperimentKind(
         "synthetic", _SWEPT, worker._run_synthetic,
+        (*_TIMING, "payload_bytes"),
         (*_PATTERN_RATE_POINT,
          Column("avg_lat", "avg_latency", ".1f"),
          Column("p95_lat", "p95_latency", ".1f"),
@@ -133,11 +156,15 @@ _KINDS = (
     ),
     ExperimentKind(
         "saturation", ("patterns",), worker._run_saturation,
+        (*_TIMING, "low_rate", "latency_factor", "accept_threshold",
+         "resolution"),
         (*_DESIGN, _PATTERN, _SEED,
          Column("sat_rate", "saturation_rate")),
     ),
     ExperimentKind(
         "workload", ("workloads",), worker._run_workload,
+        ("trace_accesses", "trace_scale", "trace_seed", "max_cpu_accesses",
+         "cpi", "sockets", "mlp"),
         (Column("workload", "workload"), *_DESIGN, _SEED,
          Column("ops/kcycle", "throughput_ops_per_kcycle", ".1f"),
          Column("read_lat", "avg_read_latency", ".1f"),
@@ -145,6 +172,7 @@ _KINDS = (
     ),
     ExperimentKind(
         "path_stats", (), worker._run_path_stats,
+        ("use_two_hop", "sample_pairs"),
         (*_DESIGN, _SEED,
          Column("mean_hops", "mean_hops"),
          Column("p90", "p90_hops", ".1f"),
@@ -152,6 +180,11 @@ _KINDS = (
     ),
     ExperimentKind(
         "churn", _SWEPT, worker._run_churn,
+        (*_TIMING, "payload_bytes", "window", "granularity_ns",
+         "schedule", "gate_fraction", "gate_at", "wake_at",
+         "start", "period", "duty", "cycles",
+         "interval", "low_util", "high_util", "gate_step",
+         "min_active_fraction"),
         (*_PATTERN_RATE_POINT,
          Column("events", "num_events"),
          Column("avg_lat", "avg_latency", ".1f"),
@@ -160,9 +193,15 @@ _KINDS = (
          Column("parked", "parked_total"),
          Column("conserved", lambda p: p.get("sent") == p.get("delivered"))),
         traceable=True,
+        # A longer run than run_churn's own measure and drain_limit, and
+        # a faster controller than UtilizationController's interval.
+        defaults={"measure": 4000, "drain_limit": 60_000, "interval": 1000},
     ),
     ExperimentKind(
         "migration", _SWEPT, worker._run_migration,
+        (*_TIMING, "gate_fraction", "gate_at", "wake_at", "footprint_pages",
+         "page_bytes", "rate_limit", "max_inflight_pages", "chunk_bytes",
+         "mode"),
         (*_RATE_POINT,
          Column("mode", "mode"),
          Column("pages", "pages_moved"),
@@ -180,6 +219,10 @@ _KINDS = (
     ),
     ExperimentKind(
         "faults", _SWEPT, worker._run_faults,
+        (*_TIMING, "payload_bytes", "window", "schedule", "fault_rate",
+         "kinds", "flap_cycles", "hang_cycles", "max_crashes", "crash_at",
+         "detection_timeout", "retransmit_timeout", "max_retries",
+         "footprint_pages", "page_bytes", "mirrored", "mig_rate_limit"),
         (*_RATE_POINT,
          Column("faults", "num_faults"),
          Column("lost", "lost"),
@@ -194,6 +237,10 @@ _KINDS = (
     ),
     ExperimentKind(
         "service", _SWEPT, worker._run_service,
+        ("tenants", "requests_per_tenant", "footprint_pages",
+         "read_fraction", "size", "max_outstanding", "queue_depth",
+         "node_watermark", "scale_at", "scale_count", "scale_back_after",
+         "fault_at", "fault_kind", "fault_node"),
         (*_RATE_POINT,
          Column("submitted", "submitted"),
          Column("done", "completed"),
@@ -208,7 +255,7 @@ _KINDS = (
         traceable=True,
     ),
     ExperimentKind(
-        "interference", _SWEPT, worker._run_interference,
+        "interference", _SWEPT, worker._run_interference, _INTERFERENCE,
         (*_RATE_POINT,
          Column("mode", "mode"),
          Column("qos", "qos"),
@@ -224,7 +271,7 @@ _KINDS = (
     ExperimentKind(
         # The per-component fractions, hot links and interference cells
         # ride in as ``obs_``-prefixed auto-columns.
-        "anatomy", _SWEPT, worker._run_anatomy,
+        "anatomy", _SWEPT, worker._run_anatomy, _INTERFERENCE,
         (*_RATE_POINT,
          Column("mode", "mode"),
          Column("qos", "qos"),
@@ -240,3 +287,24 @@ _KINDS = (
 KINDS: dict[str, ExperimentKind] = {kind.name: kind for kind in _KINDS}
 
 TASK_KINDS = tuple(KINDS)
+
+
+def task_params(task) -> dict[str, Any]:
+    """The keyword arguments *task*'s ``sim_params`` give its runner.
+
+    The task's own values sit over its kind's sweep ``defaults``.  A key
+    the kind does not read raises :class:`TypeError` naming the kind and
+    the key, as a misspelt keyword argument would; so does an unknown
+    kind (a :class:`ValueError`).
+    """
+    kind = KINDS.get(task.kind)
+    if kind is None:
+        raise ValueError(f"unknown task kind {task.kind!r}")
+    unknown = [key for key, _ in task.sim_params if key not in kind.params]
+    if unknown:
+        raise TypeError(
+            f"kind {kind.name!r} does not read sim_params "
+            f"{', '.join(map(repr, unknown))}; it reads "
+            f"{', '.join(sorted(kind.params))}"
+        )
+    return {**kind.defaults, **dict(task.sim_params)}

@@ -21,10 +21,17 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.experiments.cache import ResultCache
+from repro.experiments.kinds import task_params
 from repro.experiments.spec import ExperimentSpec, ExperimentTask
 from repro.experiments.worker import execute_task
 
 __all__ = ["ParallelRunner", "SweepResult"]
+
+#: Keep the per-process construction memos warm after a sweep.  Off, so
+#: a long session's memory stays bounded by one sweep's working set;
+#: memoization within a sweep — the part that matters — is unaffected,
+#: and reuse is exact either way.
+KEEP_MEMO = False
 
 
 @dataclass
@@ -93,17 +100,10 @@ class ParallelRunner:
         per CPU.  Results are identical for every value.
     cache:
         Optional :class:`ResultCache`; hits skip simulation entirely.
-    keep_memo:
-        Keep the per-process construction memos warm after a sweep
-        finishes.  Off by default so a long session's memory stays
-        bounded by one sweep's working set (memoization within a sweep
-        — the part that matters — is unaffected, and reuse is exact
-        either way).
     """
 
     workers: int = 1
     cache: ResultCache | None = None
-    keep_memo: bool = False
     _pool_broken: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -137,6 +137,9 @@ class ParallelRunner:
         seen: set[str] = set()
         for task in tasks:
             if task.key() not in seen:
+                # A sim_params key the kind does not read is refused
+                # here, before any cache entry is read or written.
+                task_params(task)
                 seen.add(task.key())
                 ordered.append(task)
 
@@ -157,7 +160,7 @@ class ParallelRunner:
                 if self.cache is not None:
                     self.cache.put(task, payload)
         finally:
-            if pending and not self.keep_memo:
+            if pending and not KEEP_MEMO:
                 from repro.experiments.memo import clear_memo
 
                 clear_memo()

@@ -156,13 +156,6 @@ class ExperimentTask:
             object.__setattr__(self, "_key", cached)
         return cached
 
-    def sim(self, name: str, default: Any = None) -> Any:
-        """Look up one entry of ``sim_params``."""
-        for key, value in self.sim_params:
-            if key == name:
-                return value
-        return default
-
     def label(self) -> str:
         """Human-readable one-line identity (tables, progress, errors)."""
         bits = [self.kind, self.design, f"N={self.nodes}"]

@@ -62,24 +62,48 @@ def _stats_payload(stats) -> dict[str, Any]:
 def execute_task(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     """Run one task to completion and return its payload.
 
+    The task's ``sim_params`` reach its kind's runner by keyword name
+    (:func:`repro.experiments.kinds.task_params`); a key the kind does
+    not read raises :class:`TypeError` before anything runs.
+
     ``instrument`` (optional) is forwarded to runners that build a
     simulator or service: it is called with the freshly built object
     before traffic starts, which is how ``repro trace`` attaches
     observability probes.  Kinds the registry does not mark
     ``traceable`` ignore it.
     """
-    from repro.experiments.kinds import KINDS
+    from repro.experiments.kinds import KINDS, task_params
 
-    kind = KINDS.get(task.kind)
-    if kind is None:
-        raise ValueError(f"unknown task kind {task.kind!r}")
-    return kind.run(task, instrument)
+    params = task_params(task)
+    try:
+        return KINDS[task.kind].run(task, params, instrument)
+    except _Unsupported as exc:
+        return {"unsupported": True, "error": str(exc)}
+
+
+def _take(params: dict[str, Any], *names: str) -> dict[str, Any]:
+    """Pop the *names* that *params* sets, as a dict of their own."""
+    return {name: params.pop(name) for name in names if name in params}
+
+
+def _window(params: dict[str, Any]) -> dict[str, Any]:
+    """Spec key ``window`` is the runners' ``window_cycles``."""
+    if "window" in params:
+        params["window_cycles"] = params.pop("window")
+    return params
+
+
+class _Unsupported(Exception):
+    """A grid point the design cannot realize (data, not an error)."""
 
 
 def _build_policy(task: ExperimentTask):
-    return memo_policy(
-        task.design, task.nodes, task.topology_seed, task.topology_params
-    )
+    try:
+        return memo_policy(
+            task.design, task.nodes, task.topology_seed, task.topology_params
+        )
+    except ValueError as exc:
+        raise _Unsupported(str(exc)) from None
 
 
 def _fresh_topology(task: ExperimentTask):
@@ -94,89 +118,58 @@ def _fresh_topology(task: ExperimentTask):
 
     kwargs = dict(task.topology_params)
     ports = kwargs.pop("ports", None)
-    return make_topology(
-        task.design, task.nodes, seed=task.topology_seed, ports=ports,
-        **kwargs,
-    )
+    try:
+        return make_topology(
+            task.design, task.nodes, seed=task.topology_seed, ports=ports,
+            **kwargs,
+        )
+    except ValueError as exc:
+        raise _Unsupported(str(exc)) from None
 
 
-def _run_synthetic(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _no_shortcuts(task: ExperimentTask, what: str) -> _Unsupported:
+    return _Unsupported(f"{what} requires shortcut wires; {task.design} has none")
+
+
+def _run_synthetic(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     from repro.traffic.injection import run_synthetic
     from repro.traffic.patterns import make_pattern
 
-    try:
-        topo, policy = _build_policy(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
+    topo, policy = _build_policy(task)
     pattern = make_pattern(task.pattern, topo.active_nodes)
     stats = run_synthetic(
-        topo,
-        policy,
-        pattern,
-        task.rate,
-        warmup=task.sim("warmup", 300),
-        measure=task.sim("measure", 1000),
-        drain_limit=task.sim("drain_limit", 40_000),
-        payload_bytes=task.sim("payload_bytes", 64),
-        seed=task.seed,
-        instrument=instrument,
+        topo, policy, pattern, task.rate, seed=task.seed,
+        instrument=instrument, **params,
     )
-    payload = _stats_payload(stats)
-    payload["radix"] = _radix_of(topo)
-    return payload
+    return {**_stats_payload(stats), "radix": _radix_of(topo)}
 
 
-def _run_saturation(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_saturation(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     from repro.analysis.saturation import find_saturation
     from repro.traffic.patterns import make_pattern
 
-    try:
-        topo, policy = _build_policy(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
+    topo, policy = _build_policy(task)
     pattern = make_pattern(task.pattern, topo.active_nodes)
-    rate = find_saturation(
-        topo,
-        policy,
-        pattern,
-        low_rate=task.sim("low_rate", 0.02),
-        latency_factor=task.sim("latency_factor", 3.0),
-        accept_threshold=task.sim("accept_threshold", 0.95),
-        warmup=task.sim("warmup", 200),
-        measure=task.sim("measure", 500),
-        drain_limit=task.sim("drain_limit", 20_000),
-        resolution=task.sim("resolution", 0.05),
-        seed=task.seed,
-    )
+    rate = find_saturation(topo, policy, pattern, seed=task.seed, **params)
     return {"saturation_rate": rate}
 
 
-def _run_workload(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_workload(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     from repro.workloads.runner import run_workload
 
-    try:
-        topo, policy = _build_policy(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
+    topo, policy = _build_policy(task)
     # Trace collection is the only stochastic input of a replay, so the
     # task's seed axis drives it unless the spec pins an explicit
     # trace_seed — this is what makes `seeds=(0, 1, 2)` produce real
     # replicates rather than three identical runs.
     trace = memo_trace(
         task.workload,
-        max_memory_accesses=task.sim("trace_accesses", 2000),
-        scale=task.sim("trace_scale", 0.02),
-        seed=task.sim("trace_seed", task.seed),
-        max_cpu_accesses=task.sim("max_cpu_accesses"),
-        cpi=task.sim("cpi", 1.0),
+        max_memory_accesses=params.pop("trace_accesses", 2000),
+        scale=params.pop("trace_scale", 0.02),
+        seed=params.pop("trace_seed", task.seed),
+        **_take(params, "max_cpu_accesses", "cpi"),
     )
-    result = run_workload(
-        topo,
-        policy,
-        trace,
-        sockets=task.sim("sockets", 4),
-        mlp=task.sim("mlp", 8),
-    )
+    result = run_workload(topo, policy, trace, **params)
     return {
         "workload": result.workload,
         "topology": result.topology,
@@ -199,7 +192,7 @@ def _run_workload(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     }
 
 
-def _run_churn(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_churn(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     """One live-reconfiguration scenario under synthetic traffic.
 
     Reconfiguration mutates topology and routing tables, so this runner
@@ -207,49 +200,44 @@ def _run_churn(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     see the :mod:`repro.experiments.memo` reuse contract).  The run is
     still a pure function of the task fields, so caching stays sound.
     """
+    import inspect
+
     from repro.core.topology import StringFigureTopology
     from repro.workloads.churn import ChurnSchedule, run_churn
 
-    try:
-        topo = _fresh_topology(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
-    if not (
-        isinstance(topo, StringFigureTopology) and topo.with_shortcuts
-    ):
-        return {
-            "unsupported": True,
-            "error": f"churn requires shortcut wires; {task.design} has none",
-        }
-
-    warmup = task.sim("warmup", 300)
-    measure = task.sim("measure", 4000)
-    fraction = task.sim("gate_fraction", 0.25)
-    kind = task.sim("schedule", "cycle")
-    schedule = None
-    controller_params = None
+    topo = _fresh_topology(task)
+    if not (isinstance(topo, StringFigureTopology) and topo.with_shortcuts):
+        raise _no_shortcuts(task, "churn")
+    # The schedule keys build run_churn's schedule or controller; the
+    # default times follow the run's own warmup and measure.
+    kind = params.pop("schedule", "cycle")
+    fraction = params.pop("gate_fraction", 0.25)
+    times = _take(params, "gate_at", "wake_at", "start", "period", "duty", "cycles")
+    controller = _take(
+        params, "interval", "low_util", "high_util", "gate_step",
+        "min_active_fraction",
+    )
+    warmup = params.get(
+        "warmup", inspect.signature(run_churn).parameters["warmup"].default
+    )
+    measure = params["measure"]
+    schedule = controller_params = None
     if kind == "cycle":
         schedule = ChurnSchedule.cycle(
-            gate_at=task.sim("gate_at", warmup + measure // 4),
-            wake_at=task.sim("wake_at", warmup + measure // 2),
+            gate_at=times.get("gate_at", warmup + measure // 4),
+            wake_at=times.get("wake_at", warmup + measure // 2),
             fraction=fraction,
         )
     elif kind == "periodic":
         schedule = ChurnSchedule.periodic(
-            start=task.sim("start", warmup),
-            period=task.sim("period", measure // 2),
-            duty=task.sim("duty", 0.5),
+            start=times.get("start", warmup),
+            period=times.get("period", measure // 2),
+            duty=times.get("duty", 0.5),
             fraction=fraction,
-            cycles=task.sim("cycles", 2),
+            cycles=times.get("cycles", 2),
         )
     elif kind == "utilization":
-        controller_params = {
-            "interval": task.sim("interval", 1000),
-            "low_util": task.sim("low_util", 0.01),
-            "high_util": task.sim("high_util", 0.05),
-            "gate_step": task.sim("gate_step", 2),
-            "min_active_fraction": task.sim("min_active_fraction", 0.5),
-        }
+        controller_params = controller
     else:
         raise ValueError(f"unknown churn schedule kind {kind!r}")
 
@@ -259,21 +247,14 @@ def _run_churn(task: ExperimentTask, instrument=None) -> dict[str, Any]:
         rate=task.rate,
         schedule=schedule,
         controller_params=controller_params,
-        warmup=warmup,
-        measure=measure,
-        drain_limit=task.sim("drain_limit", 60_000),
         seed=task.seed,
-        payload_bytes=task.sim("payload_bytes", 64),
-        window_cycles=task.sim("window", 200),
-        granularity_ns=task.sim("granularity_ns"),
         instrument=instrument,
+        **_window(params),
     )
-    payload = result.payload()
-    payload["radix"] = _radix_of(topo)
-    return payload
+    return {**result.payload(), "radix": _radix_of(topo)}
 
 
-def _run_migration(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_migration(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     """One gate-off/wake cycle with real (or teleported) data movement.
 
     Like ``churn``, the scenario mutates topology and routing tables,
@@ -283,44 +264,16 @@ def _run_migration(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     from repro.core.topology import StringFigureTopology
     from repro.workloads.migration import run_migration
 
-    try:
-        topo = _fresh_topology(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
-    if not (
-        isinstance(topo, StringFigureTopology) and topo.with_shortcuts
-    ):
-        return {
-            "unsupported": True,
-            "error": f"migration requires shortcut wires; {task.design} has none",
-        }
-
-    warmup = task.sim("warmup", 300)
-    measure = task.sim("measure", 6000)
+    topo = _fresh_topology(task)
+    if not (isinstance(topo, StringFigureTopology) and topo.with_shortcuts):
+        raise _no_shortcuts(task, "migration")
     result = run_migration(
-        topo,
-        rate=task.rate,
-        gate_fraction=task.sim("gate_fraction", 0.25),
-        gate_at=task.sim("gate_at"),
-        wake_at=task.sim("wake_at"),
-        footprint_pages=task.sim("footprint_pages", 128),
-        page_bytes=task.sim("page_bytes", 4096),
-        rate_limit=task.sim("rate_limit", 32.0),
-        max_inflight_pages=task.sim("max_inflight_pages", 4),
-        chunk_bytes=task.sim("chunk_bytes", 512),
-        mode=task.sim("mode", "migrate"),
-        warmup=warmup,
-        measure=measure,
-        drain_limit=task.sim("drain_limit", 80_000),
-        seed=task.seed,
-        instrument=instrument,
+        topo, rate=task.rate, seed=task.seed, instrument=instrument, **params
     )
-    payload = result.payload()
-    payload["radix"] = _radix_of(topo)
-    return payload
+    return {**result.payload(), "radix": _radix_of(topo)}
 
 
-def _run_faults(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_faults(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     """One unplanned-failure scenario under synthetic traffic.
 
     Faults mutate the topology (crash excision), routing tables, and —
@@ -337,55 +290,27 @@ def _run_faults(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     from repro.core.topology import StringFigureTopology
     from repro.workloads.faults import run_faults
 
-    try:
-        topo = _fresh_topology(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
+    topo = _fresh_topology(task)
     if isinstance(topo, StringFigureTopology) and not topo.with_shortcuts:
-        return {
-            "unsupported": True,
-            "error": (
-                f"fault recovery requires shortcut wires; "
-                f"{task.design} has none"
-            ),
-        }
-
-    warmup = task.sim("warmup", 300)
-    measure = task.sim("measure", 4000)
-    kinds = task.sim("kinds")
+        raise _no_shortcuts(task, "fault recovery")
+    # An empty (or null) kinds list means every fault kind.
+    kinds = params.pop("kinds", None)
+    if kinds:
+        params["kinds"] = tuple(kinds)
+    if "mirrored" in params:
+        params["mirrored"] = bool(params["mirrored"])
     result = run_faults(
         topo,
         pattern=task.pattern,
         rate=task.rate,
-        schedule=task.sim("schedule", "random"),
-        fault_rate=task.sim("fault_rate", 0.001),
-        kinds=tuple(kinds) if kinds else ("link_down", "link_flap",
-                                          "node_crash", "node_hang"),
-        flap_cycles=task.sim("flap_cycles", 300),
-        hang_cycles=task.sim("hang_cycles", 500),
-        max_crashes=task.sim("max_crashes", 1),
-        crash_at=task.sim("crash_at"),
-        detection_timeout=task.sim("detection_timeout", 200),
-        retransmit_timeout=task.sim("retransmit_timeout", 64),
-        max_retries=task.sim("max_retries", 8),
-        footprint_pages=task.sim("footprint_pages", 0),
-        page_bytes=task.sim("page_bytes", 4096),
-        mirrored=bool(task.sim("mirrored", True)),
-        mig_rate_limit=task.sim("mig_rate_limit", 64.0),
-        warmup=warmup,
-        measure=measure,
-        drain_limit=task.sim("drain_limit", 60_000),
         seed=task.seed,
-        payload_bytes=task.sim("payload_bytes", 64),
-        window_cycles=task.sim("window", 200),
         instrument=instrument,
+        **_window(params),
     )
-    payload = result.payload()
-    payload["radix"] = _radix_of(topo)
-    return payload
+    return {**result.payload(), "radix": _radix_of(topo)}
 
 
-def _run_path_stats(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_path_stats(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     from repro.analysis.paths import greedy_path_stats
     from repro.core.topology import StringFigureTopology
 
@@ -395,17 +320,13 @@ def _run_path_stats(task: ExperimentTask, instrument=None) -> dict[str, Any]:
             task.nodes,
             task.topology_seed,
             task.topology_params,
-            use_two_hop=task.sim("use_two_hop", True),
+            **_take(params, "use_two_hop"),
         )
     except ValueError as exc:
         # Unrealizable scale or a table-routed baseline (no greediest
         # protocol) — an unsupported point either way.
-        return {"unsupported": True, "error": str(exc)}
-    stats = greedy_path_stats(
-        routing,
-        sample_pairs=task.sim("sample_pairs", 2000),
-        seed=task.seed,
-    )
+        raise _Unsupported(str(exc)) from None
+    stats = greedy_path_stats(routing, seed=task.seed, **params)
     payload: dict[str, Any] = {
         "mean_hops": stats.mean,
         "p10_hops": stats.p10,
@@ -420,7 +341,7 @@ def _run_path_stats(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     return payload
 
 
-def _run_service(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_service(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     """One multi-tenant fabric-service load point (offline, no sockets).
 
     Builds the full resident-service stack fresh (the control verbs
@@ -442,30 +363,17 @@ def _run_service(task: ExperimentTask, instrument=None) -> dict[str, Any]:
             ports=ports,
             topology_seed=task.topology_seed,
             seed=task.seed,
-            tenants=task.sim("tenants", 8),
-            requests_per_tenant=task.sim("requests_per_tenant", 64),
             rate=task.rate,
-            footprint_pages=task.sim("footprint_pages", 512),
-            read_fraction=task.sim("read_fraction", 0.7),
-            size=task.sim("size", 64),
-            max_outstanding=task.sim("max_outstanding", 256),
-            queue_depth=task.sim("queue_depth", 512),
-            node_watermark=task.sim("node_watermark", 32),
-            scale_at=task.sim("scale_at"),
-            scale_count=task.sim("scale_count", 0),
-            scale_back_after=task.sim("scale_back_after"),
-            fault_at=task.sim("fault_at"),
-            fault_kind=task.sim("fault_kind", "node_crash"),
-            fault_node=task.sim("fault_node"),
             instrument=instrument,
+            **params,
         )
     except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
+        raise _Unsupported(str(exc)) from None
     return result.payload()
 
 
 def _run_interference(
-    task: ExperimentTask, instrument=None, anatomy: bool = False,
+    task: ExperimentTask, params, instrument, anatomy: bool = False,
 ) -> dict[str, Any]:
     """One multi-tenant interference point: foreground vs interferer.
 
@@ -478,37 +386,22 @@ def _run_interference(
     """
     from repro.workloads.interference import run_interference
 
-    try:
-        topo = _fresh_topology(task)
-    except ValueError as exc:
-        return {"unsupported": True, "error": str(exc)}
+    topo = _fresh_topology(task)
+    if "qos" in params:
+        params["qos"] = bool(params["qos"])
     result = run_interference(
         topo,
-        mode=task.sim("mode", "noise"),
         rate=task.rate,
-        fg_rate=task.sim("fg_rate", 0.05),
         pattern=task.pattern,
-        qos=bool(task.sim("qos", True)),
-        warmup=task.sim("warmup", 300),
-        measure=task.sim("measure", 2000),
-        drain_limit=task.sim("drain_limit", 60_000),
         seed=task.seed,
-        payload_bytes=task.sim("payload_bytes", 64),
-        noise_fraction=task.sim("noise_fraction", 0.5),
-        hotspot_count=task.sim("hotspot_count", 4),
-        burst_period=task.sim("burst_period", 256),
-        burst_duty=task.sim("burst_duty", 0.25),
-        incast_degree=task.sim("incast_degree", 16),
-        incast_period=task.sim("incast_period", 64),
         instrument=instrument,
         anatomy=anatomy,
+        **params,
     )
-    payload = result.payload()
-    payload["radix"] = _radix_of(topo)
-    return payload
+    return {**result.payload(), "radix": _radix_of(topo)}
 
 
-def _run_anatomy(task: ExperimentTask, instrument=None) -> dict[str, Any]:
+def _run_anatomy(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     """One interference point with the latency anatomy installed.
 
     Identical grid/knobs to ``interference``; the payload additionally
@@ -519,5 +412,5 @@ def _run_anatomy(task: ExperimentTask, instrument=None) -> dict[str, Any]:
     results — and therefore the cache identity — are bit-identical to
     the uninstrumented point.
     """
-    return _run_interference(task, instrument, anatomy=True)
+    return _run_interference(task, params, instrument, anatomy=True)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.ops import FAULT_KINDS, Op
+from repro.ops import FAULT_KINDS, VICTIM_SPACING, Op
 from repro.utils.rng import derive_rng
 
 __all__ = ["FAULT_KINDS", "FaultPlan", "FaultRecord", "FaultInjector"]
@@ -211,7 +211,7 @@ class FaultInjector:
         if self.manager is not None:
             candidates = [
                 n for n in self.manager.gate_candidates(
-                    len(self.topology.active_nodes), min_spacing=2
+                    len(self.topology.active_nodes), min_spacing=VICTIM_SPACING
                 )
                 if n not in self.layer.crashed and n not in self.layer.hung
             ]

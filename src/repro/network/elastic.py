@@ -52,7 +52,7 @@ from repro.core.reconfig import ReconfigEvent, ReconfigurationManager
 from repro.energy.power_gating import PowerManager
 from repro.network.packet import Packet
 from repro.network.simulator import NetworkSimulator
-from repro.ops import node_list_error
+from repro.ops import VICTIM_SPACING, node_list_error
 
 __all__ = [
     "LiveReconfigEvent",
@@ -220,12 +220,12 @@ class LiveReconfigurator:
         return self.manager.topology.is_active(node) and node not in self._unstable
 
     def select_victims(self, fraction: float | None = None, count: int | None = None) -> list[int]:
-        """Cleanly-gateable victims two ring slots apart (``gate_candidates``)."""
+        """Cleanly-gateable victims ``VICTIM_SPACING`` ring slots apart."""
         if count is None:
             if fraction is None:
                 raise ValueError("give either fraction or count")
             count = int(len(self.manager.topology.active_nodes) * fraction)
-        return self.manager.gate_candidates(count, min_spacing=2)
+        return self.manager.gate_candidates(count, min_spacing=VICTIM_SPACING)
 
     def gate_off(self, nodes, at: int | None = None) -> None:
         """Schedule an online power-down of *nodes* (one batch)."""

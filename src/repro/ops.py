@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.fabric import Fabric
 
-__all__ = ["FAULT_KINDS", "VERBS", "Op", "apply", "node_list_error", "schedule"]
+__all__ = ["FAULT_KINDS", "VERBS", "VICTIM_SPACING", "Op", "apply", "node_list_error", "schedule"]
 
 VERBS = ("gate_off", "gate_on", "unmount", "mount", "fault", "drain")
 FAULT_KINDS = ("link_down", "link_flap", "node_crash", "node_hang")
@@ -26,6 +26,8 @@ FAULT_KINDS = ("link_down", "link_flap", "node_crash", "node_hang")
 #: Verbs that take nodes out of the network, and those that bring them back.
 _DOWN = ("gate_off", "unmount")
 _UP = ("gate_on", "mount")
+#: Ring slots kept between the victims a gate-off chooses itself.
+VICTIM_SPACING = 2
 #: Request-log names of the verbs whose log name differs (log version 1).
 _LOG_VERB = {"gate_off": "scale_down", "gate_on": "scale_up"}
 _OP_VERB = {name: verb for verb, name in _LOG_VERB.items()}
@@ -159,6 +161,30 @@ def _state_error(verb: str, nodes: list[int], active: set[int], gated: list[int]
     return None if nodes else "no gated nodes to wake"
 
 
+def _victims(fabric: "Fabric", op: Op, gated: list[int]) -> list[int]:
+    """The victims of a gate-off by ``count`` or ``fraction``.
+
+    They are :meth:`~repro.network.elastic.LiveReconfigurator.select_victims`'s
+    picks, less any within ``VICTIM_SPACING`` ring slots of a gated node
+    whose gate-off has not run yet (so never such a node itself).  The
+    picks are that far apart too, so each queued node rules out at most
+    two of them: two more are asked for per queued node.
+    """
+    topology = fabric.sim.topology
+    coords, slots = topology.coords, topology.num_nodes
+    queued = [coords.ring_position(n, 0) for n in gated if topology.is_active(n)]
+    count = op.count
+    if count is None:
+        count = int(len(topology.active_nodes) * op.fraction)
+
+    def clear(node: int) -> bool:
+        pos = coords.ring_position(node, 0)
+        return all(min((pos - q) % slots, (q - pos) % slots) >= VICTIM_SPACING for q in queued)
+
+    picks = fabric.live.select_victims(count=count + 2 * len(queued))
+    return [node for node in picks if clear(node)][:count]
+
+
 def apply(fabric: "Fabric", op: Op, log: list[dict[str, Any]] | None = None) -> dict[str, Any]:
     """Check *op* against the fabric as it stands and run it now.
 
@@ -174,7 +200,7 @@ def apply(fabric: "Fabric", op: Op, log: list[dict[str, Any]] | None = None) -> 
         if op.nodes is not None:
             nodes = list(op.nodes)
         elif op.verb in _DOWN:
-            nodes = fabric.live.select_victims(fraction=op.fraction, count=op.count)
+            nodes = _victims(fabric, op, gated)
         else:
             nodes = gated
         error = _state_error(op.verb, nodes, set(fabric.sim.topology.active_nodes), gated)

@@ -63,6 +63,9 @@ __all__ = ["FabricService", "ServiceRequest", "TenantStats"]
 #: Terminal request states (``ServiceRequest.status`` values).
 TERMINAL_STATES = ("done", "shed", "failed", "timeout", "error")
 
+#: Most event-loop drain / fault-layer flush rounds one ``drain`` runs.
+DRAIN_ROUNDS = 64
+
 
 @dataclass(eq=False)
 class ServiceRequest:
@@ -735,7 +738,7 @@ class FabricService:
 
     # -- drain / conservation ------------------------------------------------
 
-    def drain(self, max_rounds: int = 64) -> dict[str, Any]:
+    def drain(self) -> dict[str, Any]:
         """Stop admitting, run everything to quiescence, check the laws.
 
         Alternates event-loop drains with fault-layer flushes (a flush
@@ -748,7 +751,7 @@ class FabricService:
         self.log_entries.append(Op(self.sim.now, "drain").to_entry())
         self.admitting = False
         flushed = 0
-        for _ in range(max_rounds):
+        for _ in range(DRAIN_ROUNDS):
             if self.sim.pending_events:
                 self.sim.drain()
             self._pump_queue(self.sim.now)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ExperimentSpec, ParallelRunner, clear_memo
+from repro.experiments import runner as runner_module
 
 SPEC = ExperimentSpec(
     name="determinism",
@@ -33,9 +34,10 @@ def test_serial_and_parallel_payloads_identical():
         assert parallel.payload(task) == payload, task.label()
 
 
-def test_repeat_runs_identical_with_warm_memo():
+def test_repeat_runs_identical_with_warm_memo(monkeypatch):
     clear_memo()
-    runner = ParallelRunner(workers=1, keep_memo=True)
+    monkeypatch.setattr(runner_module, "KEEP_MEMO", True)
+    runner = ParallelRunner(workers=1)
     cold = runner.run(SPEC)
     # Second serial run reuses memoized topologies/policies in-process;
     # reuse must be observationally invisible.

@@ -13,6 +13,8 @@ from repro.experiments import (
     execute_task,
     memo_sizes,
 )
+from repro.experiments import runner as runner_module
+from repro.experiments.kinds import KINDS
 
 QUICK_SIM = {"warmup": 30, "measure": 80, "drain_limit": 2000}
 
@@ -72,17 +74,48 @@ class TestSerialExecution:
             ParallelRunner(workers=-2)
 
     def test_programmer_errors_propagate(self):
-        # A typo'd topology kwarg is a bug, not an unsupported point —
-        # it must raise, serially and through the pool alike.
-        spec = ExperimentSpec(
+        # A typo'd topology or sim_params key is a bug, not an
+        # unsupported point — it must raise, serially and through the
+        # pool alike.
+        base = ExperimentSpec(
             name="typo", kind="path_stats", designs=("SF",),
-            nodes=(16, 24), topology_params={"cord_bits": 5},
-            sim_params={"sample_pairs": 20},
+            nodes=(16, 24), sim_params={"sample_pairs": 20},
         )
-        with pytest.raises(TypeError):
-            ParallelRunner().run(spec)
-        with pytest.raises(TypeError):
-            ParallelRunner(workers=2).run(spec)
+        for typo in (
+            {"topology_params": {"cord_bits": 5}},
+            {"sim_params": {"sample_pair": 5}},
+        ):
+            spec = base.with_overrides(**typo)
+            with pytest.raises(TypeError):
+                ParallelRunner().run(spec)
+            with pytest.raises(TypeError):
+                ParallelRunner(workers=2).run(spec)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_sim_param_refused_before_cache(self, kind, tmp_path):
+        calls = []
+
+        class WatchedCache(ResultCache):
+            def get(self, task):
+                calls.append("get")
+                return super().get(task)
+
+            def put(self, task, payload):
+                calls.append("put")
+                super().put(task, payload)
+
+        spec = ExperimentSpec(
+            name="unknown-key", kind=kind, designs=("SF",), nodes=(16,),
+            rates=(0.05,), workloads=("redis",),
+            sim_params={"mesure": 50},
+        )
+        runner = ParallelRunner(cache=WatchedCache(tmp_path))
+        match = f"kind '{kind}' does not read sim_params 'mesure'"
+        with pytest.raises(TypeError, match=match):
+            runner.run(spec)
+        with pytest.raises(TypeError, match=match):
+            execute_task(spec.tasks()[0])
+        assert calls == []
 
 
 class TestCaching:
@@ -160,9 +193,10 @@ class TestCaching:
 
 
 class TestMemoization:
-    def test_topology_built_once_per_grid(self):
+    def test_topology_built_once_per_grid(self, monkeypatch):
         clear_memo()
-        ParallelRunner(keep_memo=True).run(
+        monkeypatch.setattr(runner_module, "KEEP_MEMO", True)
+        ParallelRunner().run(
             quick_spec(rates=(0.05, 0.1, 0.2, 0.3))
         )
         sizes = memo_sizes()
@@ -176,9 +210,10 @@ class TestMemoization:
         ParallelRunner().run(quick_spec())
         assert memo_sizes()["topologies"] == 0
 
-    def test_distinct_topology_params_not_conflated(self):
+    def test_distinct_topology_params_not_conflated(self, monkeypatch):
         clear_memo()
-        runner = ParallelRunner(keep_memo=True)
+        monkeypatch.setattr(runner_module, "KEEP_MEMO", True)
+        runner = ParallelRunner()
         base = ExperimentSpec(
             name="ps", kind="path_stats", designs=("SF",), nodes=(24,),
             seeds=(1,), topology_params={"ports": 4},

@@ -224,6 +224,24 @@ class TestSweep:
         assert "resilience comparison" in out
         assert "worst during-fault p99" in out
 
+    def test_timing_flag_refused_by_kind_that_ignores_it(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(TypeError, match="kind 'path_stats'.*'warmup'"):
+            main([
+                "sweep", "--kind", "path_stats", "--nodes", "16",
+                "--warmup", "5", "--cache-dir", str(cache_dir),
+            ])
+        assert not list(cache_dir.rglob("*.json"))
+
+    def test_trace_refuses_timing_flag_of_service(self, tmp_path):
+        out_dir = tmp_path / "trace"
+        with pytest.raises(TypeError, match="kind 'service'.*'warmup'"):
+            main([
+                "trace", "--kind", "service", "--nodes", "36",
+                "--warmup", "5", "--out-dir", str(out_dir),
+            ])
+        assert not out_dir.exists()
+
     def test_sweep_from_spec_file(self, capsys, tmp_path):
         from repro.experiments import ExperimentSpec
 

@@ -154,3 +154,22 @@ def test_drain_belongs_to_the_service():
     service = FabricService(nodes=36, footprint_pages=64)
     assert service.apply(Op(0, "drain"))["all_conserved"]
     assert service.log_entries == [LOG_ENTRIES[-1] | {"t": 0}]
+
+
+def test_back_to_back_scale_downs_choose_disjoint_victims():
+    service = FabricService(nodes=36, footprint_pages=64)
+    first = service.scale_down(count=2)
+    second = service.scale_down(count=2)
+    assert first["ok"] and second["ok"]
+    assert not set(first["nodes"]) & set(second["nodes"])
+    # The second batch keeps two ring slots from the queued first one.
+    coords = service.sim.topology.coords
+    slots = [coords.ring_position(n, 0) for n in first["nodes"] + second["nodes"]]
+    for i, p in enumerate(slots):
+        for q in slots[i + 1 :]:
+            assert min((p - q) % 36, (q - p) % 36) >= 2
+    service.drain()
+    victims = {*first["nodes"], *second["nodes"]}
+    assert {n for batch in service.fabric.gated for n in batch} == victims
+    assert not victims & set(service.sim.topology.active_nodes)
+    assert service.fabric.live.refused == []
