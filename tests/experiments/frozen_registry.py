@@ -12,11 +12,20 @@ refactor must not change:
 * ``parse_defaults`` — ``vars(parse_args([cmd]))`` for every CLI
   subcommand;
 * ``trace_kinds`` / ``sweep_kinds`` — the ``--kind`` choices of
-  ``repro trace`` and ``repro sweep``.
+  ``repro trace`` and ``repro sweep``;
+* ``sweep_flags`` — every parser action of the five sweep subcommands:
+  option strings, dest, default, const, choices, help and metavar (the
+  fields, not the rendered ``--help``, which differs across Pythons);
+* ``sweep_specs`` — for each argv of :data:`SWEEP_ARGVS`, every spec the
+  command hands ``_run_spec_command`` as (name, ``spec_hash()``, task
+  keys), plus the names of its report and summary callables.  A
+  recorder stands in for ``_run_spec_command``, so nothing simulates.
 
-Regenerate (only when one of these surfaces intentionally changes)::
+Regenerate (only when one of these surfaces intentionally changes),
+naming the keys to re-record; the others keep their recorded bytes::
 
-    PYTHONPATH=src python tests/experiments/frozen_registry.py --write
+    PYTHONPATH=src python tests/experiments/frozen_registry.py \
+        --write sweep_flags sweep_specs
 """
 
 from __future__ import annotations
@@ -47,6 +56,107 @@ COMMANDS: dict[str, list[str]] = {
     "hotspots": ["hotspots"],
     "serve": ["serve"],
 }
+
+
+#: The sweep subcommands, whose flags and specs are pinned.
+SWEEP_COMMANDS = ("sweep", "churn", "migrate", "faults", "interference")
+
+#: Spec files ``repro sweep --spec`` reads in :data:`SWEEP_ARGVS`,
+#: substituted for ``{name}`` placeholders: the README and LATENCY.md
+#: demos and the spec of ``tests/test_cli.py``.
+SPEC_FILES = {
+    "my_sweep": {
+        "name": "demo", "kind": "synthetic", "designs": ["SF", "ODM"],
+        "nodes": [64], "patterns": ["uniform_random"], "rates": [0.1],
+        "seeds": [0],
+    },
+    "anatomy_spec": {
+        "name": "anatomy-demo", "kind": "anatomy",
+        "designs": ["SF"], "nodes": [36], "rates": [0.2], "seeds": [0],
+        "sim_params": {"warmup": 60, "measure": 300, "drain_limit": 8000,
+                       "mode": "incast"},
+    },
+    "filed": {
+        "name": "filed", "kind": "path_stats", "designs": ["SF"],
+        "nodes": [24], "seeds": [1], "sim_params": {"sample_pairs": 100},
+    },
+}
+
+#: The sweep command lines the CLI serves: every one in README.md,
+#: docs/*.md, tests/test_cli.py and the CI workflow (cache and output
+#: flags dropped; they shape no spec), and one per collapse or
+#: conversion rule.
+SWEEP_ARGVS = (
+    # README.md and docs/*.md
+    "churn --nodes 64 --gate-fraction 0.25",
+    "migrate --nodes 64 --gate-fraction 0.25",
+    "faults --nodes 64 --designs SF",
+    "interference --nodes 36 --rates 0.3 --baseline",
+    "sweep --designs SF,ODM --nodes 64 --rates 0.05,0.2,0.4 --workers 4",
+    "sweep --kind saturation --designs DM,SF --nodes 36,64",
+    "sweep --kind workload --workloads redis,grep --designs SF,ODM",
+    "sweep --kind path_stats --designs SF --nodes 64,128",
+    "sweep --spec {my_sweep} --workers 0",
+    "faults --nodes 64",
+    "faults --designs SF --nodes 648 --schedule crash",
+    "faults --fault-rates 0.0005,0.002 --detection-timeouts 100,400",
+    "sweep --kind service --designs SF --nodes 64 --rates 0.05",
+    "interference --designs SF,DM --nodes 36 --modes incast"
+    " --rates 0.1,0.4 --measure 800 --baseline",
+    "sweep --kind service --designs SF --nodes 64 --rates 0.05 --no-cache",
+    "sweep --spec {anatomy_spec} --no-cache",
+    # tests/test_cli.py
+    "sweep --designs SF,DM --rates 0.1,0.2",
+    "faults --nodes 64 --schedule crash",
+    "sweep --designs SF,DM --nodes 16 --rates 0.05,0.1 --warmup 30"
+    " --measure 80 --drain-limit 2000",
+    "churn --nodes 32 --gate-fraction 0.2 --rates 0.1 --warmup 150"
+    " --measure 1500 --drain-limit 20000",
+    "migrate --nodes 32 --gate-fraction 0.25 --rates 0.08 --rate-limits 64"
+    " --footprint-pages 64 --warmup 150 --measure 2000 --drain-limit 30000",
+    "migrate --nodes 32 --mode teleport --rates 0.08 --footprint-pages 64"
+    " --warmup 150 --measure 1500 --drain-limit 20000",
+    "faults --designs SF --nodes 32 --schedule crash --rates 0.08"
+    " --footprint-pages 32 --warmup 150 --measure 2500 --drain-limit 30000",
+    "faults --designs SF,DM --nodes 32 --rates 0.08 --footprint-pages 0"
+    " --warmup 150 --measure 2000 --drain-limit 20000",
+    "sweep --kind path_stats --nodes 16 --warmup 5",
+    "sweep --spec {filed} --no-cache",
+    # .github/workflows/ci.yml
+    "sweep --designs SF,DM --nodes 16 --rates 0.05,0.1 --warmup 50"
+    " --measure 150 --drain-limit 4000 --workers 2",
+    "churn --nodes 32 --gate-fraction 0.25 --rates 0.1 --warmup 150"
+    " --measure 1500 --drain-limit 20000 --workers 2",
+    "migrate --nodes 32 --gate-fraction 0.25 --rates 0.08 --rate-limits 64"
+    " --footprint-pages 64 --warmup 150 --measure 2000 --drain-limit 30000"
+    " --workers 2",
+    "faults --nodes 32 --rates 0.08 --footprint-pages 32 --warmup 150"
+    " --measure 2500 --drain-limit 30000 --workers 2",
+    "faults --designs SF --nodes 32 --schedule crash --rates 0.08"
+    " --footprint-pages 32 --warmup 150 --measure 2500 --drain-limit 30000"
+    " --workers 2",
+    "sweep --kind service --designs SF,S2,DM --nodes 36 --rates 0.1"
+    " --workers 2",
+    "interference --designs SF,DM --nodes 36 --modes incast --rates 0.1,0.4"
+    " --baseline --warmup 200 --measure 800 --workers 2",
+    "migrate --nodes 1296 --mode migrate --seeds 0 --rates 0.1"
+    " --rate-limits 128 --footprint-pages 1296 --warmup 300 --measure 2000"
+    " --drain-limit 80000 --workers 1 --no-cache",
+    # every default, and each collapse and conversion rule
+    "sweep", "churn", "migrate", "faults", "interference",
+    "migrate --mode both --rate-limits 16,64 --page-bytes 2048,4096",
+    "migrate --mode teleport --rate-limits 16,64 --page-bytes 2048,4096",
+    "faults --schedule crash --fault-rates 0.001,0.002"
+    " --detection-timeouts 100,400",
+    "faults --no-mirror --kinds link_down",
+    "interference --no-qos",
+    "interference --baseline",
+    "interference --no-qos --baseline",
+    "interference --modes noise,incast",
+    "sweep --kind workload --workloads redis,grep",
+    "churn --ports 4 --topology-seed 3 --seeds 0,1 --schedule periodic"
+    " --pattern tornado",
+)
 
 
 def grid_specs() -> list:
@@ -164,6 +274,71 @@ def parse_defaults() -> dict[str, dict[str, Any]]:
     }
 
 
+def _subparser(command: str):
+    from repro.cli import build_parser
+
+    return next(
+        action for action in build_parser()._actions
+        if action.dest == "command"
+    ).choices[command]
+
+
+def sweep_flags() -> dict[str, list[dict[str, Any]]]:
+    """Every parser action of each sweep subcommand, in parser order."""
+    return {
+        command: [
+            {
+                "option_strings": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "const": action.const,
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "help": action.help,
+                "metavar": action.metavar,
+            }
+            for action in _subparser(command)._actions
+        ]
+        for command in SWEEP_COMMANDS
+    }
+
+
+def sweep_specs() -> dict[str, dict[str, Any]]:
+    """What each argv of :data:`SWEEP_ARGVS` hands ``_run_spec_command``."""
+    import tempfile
+    from unittest import mock
+
+    import repro.cli
+
+    calls: list[dict[str, Any]] = []
+
+    def record(args, specs, report=None, summary=None) -> int:
+        calls.append({
+            "specs": [
+                [spec.name, spec.spec_hash(),
+                 [task.key() for task in spec.tasks()]]
+                for spec in specs
+            ],
+            "report": None if report is None else report.__name__,
+            "summary": None if summary is None else summary.__name__,
+        })
+        return 0
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, data in SPEC_FILES.items():
+            files[name] = Path(tmp) / f"{name}.json"
+            files[name].write_text(json.dumps(data))
+        with mock.patch.object(repro.cli, "_run_spec_command", record):
+            for argv in SWEEP_ARGVS:
+                calls.clear()
+                assert repro.cli.main(argv.format(**files).split()) == 0
+                (out[argv],) = calls
+    return out
+
+
 def capture() -> dict[str, Any]:
     return {
         "task_keys": task_keys(),
@@ -171,6 +346,8 @@ def capture() -> dict[str, Any]:
         "parse_defaults": parse_defaults(),
         "trace_kinds": choices("trace", "kind"),
         "sweep_kinds": choices("sweep", "kind"),
+        "sweep_flags": sweep_flags(),
+        "sweep_specs": sweep_specs(),
     }
 
 
@@ -179,7 +356,12 @@ if __name__ == "__main__":
 
     data = capture()
     if "--write" in sys.argv:
-        FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {FIXTURE}")
+        keys = sys.argv[sys.argv.index("--write") + 1:] or list(data)
+        recorded = json.loads(FIXTURE.read_text())
+        recorded.update({key: data[key] for key in keys})
+        FIXTURE.write_text(
+            json.dumps(recorded, indent=1, sort_keys=True) + "\n"
+        )
+        print(f"wrote {', '.join(keys)} to {FIXTURE}")
     else:
         print(json.dumps(data, indent=1, sort_keys=True))

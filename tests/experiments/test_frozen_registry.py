@@ -1,6 +1,7 @@
 """The kind registry reproduces the engine surface recorded before it.
 
-See :mod:`tests.experiments.frozen_registry` for what the fixture pins.
+See :mod:`tests.experiments.frozen_registry` for what the fixture pins,
+the sweep commands' flags and specs among it.
 The only recorded difference allowed is the retired ``perf`` kind,
 which ``repro trace --kind`` no longer offers.
 """
@@ -49,3 +50,14 @@ def test_sweep_kinds_are_the_registry(fixture):
     choices = frozen.choices("sweep", "kind")
     assert set(fixture["sweep_kinds"]) <= set(choices)
     assert choices == list(frozen.KINDS)
+
+
+def test_sweep_flags_unchanged(fixture):
+    current = json.loads(json.dumps(frozen.sweep_flags()))
+    assert current == fixture["sweep_flags"]
+
+
+def test_sweep_specs_unchanged(fixture):
+    assert len(set(frozen.SWEEP_ARGVS)) == len(frozen.SWEEP_ARGVS)
+    current = json.loads(json.dumps(frozen.sweep_specs()))
+    assert current == fixture["sweep_specs"]
