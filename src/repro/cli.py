@@ -45,60 +45,179 @@ Each subcommand covers one of the library's main entry points:
   live ``scale``/``fault``/``drain`` control verbs, request-log
   capture, and bit-identical ``--replay``; ``--selftest`` runs the
   full socket-level load test in-process (see ``docs/SERVICE.md``).
+
+The five sweep commands are one :class:`Sweep` declaration each, in
+:data:`SWEEPS`: one function builds their parsers and one turns their
+parsed flags into the specs they run (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import operator
+import string
 import sys
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
+
+from repro.experiments.kinds import TASK_KINDS
 
 __all__ = ["main", "build_parser"]
 
 
-def _add_sweep_flags(
-    parser: argparse.ArgumentParser,
-    *,
-    ports: bool = True,
-    warmup: int | None = None,
-    measure: int | None = None,
-    drain_limit: int | None = None,
-) -> None:
-    """The grid, timing and execution flags every sweep subcommand takes.
+class Flag(NamedTuple):
+    """One option of a sweep command and the spec value it sets.
 
-    ``None`` timing defaults leave the kind's own ``sim_params``
-    defaults in force.
+    ``sets`` names a spec field (``kind``, an axis or
+    ``topology_seed``), the topology parameter ``ports``, or else a
+    ``sim_params`` key; ``None`` marks an option that sets none of
+    them (``--spec``, the execution flags, and switches a collapse rule
+    reads).  ``form`` says how the parsed value becomes the spec value:
+
+    * ``"one"`` — the value as parsed (``type`` converts it); an axis
+      gets it as its only value, and ``None`` leaves the field unset;
+    * ``"list"`` — one tuple of the comma-separated items, each
+      converted by ``type``;
+    * ``"each"`` — the same items, but each becomes its own spec (a
+      ``type`` returning a tuple gives several items);
+    * ``"switch"`` — a ``store_true`` flag; one that sets a value maps
+      it through ``type`` (``operator.not_`` inverts it).
     """
-    parser.add_argument(
-        "--nodes", default="64", help="comma-separated node counts"
+
+    option: str
+    sets: str | None
+    default: Any = None
+    type: Callable[[Any], Any] | None = None
+    form: str = "one"
+    help: str | None = None
+    choices: Sequence[str] | None = None
+    metavar: str | None = None
+
+
+class Sweep(NamedTuple):
+    """One sweep subcommand: its flags, its specs and its report.
+
+    ``name`` is the spec-name template; its ``{field}``s are the
+    ``"each"`` flags' keys, in the nesting order of the specs they
+    expand to, and a ``-``-separated part whose field a variant lacks
+    is left out.  ``fixed`` holds the spec fields no flag sets and
+    ``timing`` the ``--warmup/--measure/--drain-limit`` defaults, which
+    every spec carries in its ``sim_params`` and so in its cache keys.
+    ``rule`` maps the variant dicts (the ``sim_params`` each spec adds)
+    before the specs are made.
+    """
+
+    help: str
+    name: str
+    flags: tuple[Flag, ...]
+    fixed: Mapping[str, Any]
+    timing: tuple[int | None, int | None, int | None] = (None, None, None)
+    ports: bool = True
+    rule: Callable[[argparse.Namespace, list[dict]], list[dict]] | None = None
+    report: Callable[[Any], None] | None = None
+    summary: Callable[[Any], None] | None = None
+
+
+#: Spec fields a flag may set; the axes among them take a tuple.
+_AXES = ("designs", "nodes", "patterns", "rates", "seeds", "workloads")
+_SPEC_FIELDS = (*_AXES, "kind", "topology_seed")
+
+
+def _all_flags(sweep: Sweep) -> tuple[Flag, ...]:
+    """The command's own flags, then the grid, timing and execution ones."""
+    warmup, measure, drain_limit = sweep.timing
+    return (
+        *sweep.flags,
+        Flag("--nodes", "nodes", "64", int, "list", help="comma-separated node counts"),
+        *((Flag("--ports", "ports", type=int),) if sweep.ports else ()),
+        Flag("--seeds", "seeds", "0", int, "list", help="comma-separated seeds"),
+        Flag("--topology-seed", "topology_seed", 0, int),
+        Flag("--warmup", "warmup", warmup, int),
+        Flag("--measure", "measure", measure, int),
+        Flag("--drain-limit", "drain_limit", drain_limit, int),
+        Flag("--workers", None, 1, int, help="process count (0 = one per CPU; results identical)"),
+        Flag("--cache-dir", None,
+             help="result cache directory (default: benchmarks/results/cache "
+                  "when run from the repo, else ~/.cache/string-figure-repro)"),
+        Flag("--no-cache", None, form="switch",
+             help="run every point even if cached, and store nothing"),
+        Flag("--output", None, metavar="FILE", help="also dump raw task payloads as JSON"),
     )
-    if ports:
-        parser.add_argument("--ports", type=int, default=None)
-    parser.add_argument("--seeds", default="0", help="comma-separated seeds")
-    parser.add_argument("--topology-seed", type=int, default=0)
-    parser.add_argument("--warmup", type=int, default=warmup)
-    parser.add_argument("--measure", type=int, default=measure)
-    parser.add_argument("--drain-limit", type=int, default=drain_limit)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process count (0 = one per CPU; results identical)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default: benchmarks/results/cache "
-             "when run from the repo, else ~/.cache/string-figure-repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="run every point even if cached, and store nothing",
-    )
-    parser.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also dump raw task payloads as JSON",
-    )
+
+
+def _add_sweep_parser(sub, name: str, sweep: Sweep) -> None:
+    parser = sub.add_parser(name, help=sweep.help)
+    for flag in _all_flags(sweep):
+        if flag.form == "switch":
+            parser.add_argument(flag.option, action="store_true", help=flag.help)
+        else:
+            parser.add_argument(
+                flag.option, default=flag.default, help=flag.help, choices=flag.choices,
+                metavar=flag.metavar,
+                **({"type": flag.type} if flag.form == "one" and flag.type else {}),
+            )
+
+
+def _items(flag: Flag, text: str) -> list:
+    """The comma-separated items of *text*, converted by the flag's type
+    (a type that returns a tuple gives several items)."""
+    items = [(flag.type or str)(item.strip()) for item in text.split(",") if item.strip()]
+    return [v for item in items for v in (item if isinstance(item, tuple) else (item,))]
+
+
+class _SpecName(string.Formatter):
+    """Spec-name templates, where ``{qos:qos/raw}`` spells a boolean."""
+
+    def format_field(self, value: Any, format_spec: str) -> str:
+        if isinstance(value, bool):
+            return format_spec.split("/")[not value]
+        return super().format_field(value, format_spec)
+
+
+def _fields(template: str) -> list[str]:
+    return [field for _, field, _, _ in string.Formatter().parse(template) if field]
+
+
+def _sweep_specs(sweep: Sweep, args: argparse.Namespace) -> list:
+    """The specs a parsed sweep command line declares, in run order."""
+    from repro.experiments import ExperimentSpec
+
+    if getattr(args, "spec", None):
+        return [ExperimentSpec.from_file(args.spec)]
+    spec_fields, topology, sim, axes = dict(sweep.fixed), {}, {}, {}
+    for flag in _all_flags(sweep):
+        value = getattr(args, flag.option[2:].replace("-", "_"))
+        if flag.sets is None or (value is None and flag.form == "one"):
+            continue
+        if flag.form == "each":
+            axes[flag.sets] = _items(flag, value)
+            continue
+        if flag.form == "list":
+            value = tuple(_items(flag, value))
+        elif flag.form == "switch":
+            value = flag.type(value)
+        elif flag.sets in _AXES:
+            value = (value,)
+        target = (
+            spec_fields if flag.sets in _SPEC_FIELDS else topology if flag.sets == "ports" else sim
+        )
+        target[flag.sets] = value
+    order = [key for key in _fields(sweep.name) if key in axes]
+    variants = [dict(zip(order, point)) for point in itertools.product(*map(axes.get, order))]
+    specs = []
+    for variant in sweep.rule(args, variants) if sweep.rule else variants:
+        parts = [part for part in sweep.name.split("-") if set(_fields(part)) <= set(variant)]
+        specs.append(ExperimentSpec(
+            name=_SpecName().format("-".join(parts), **variant),
+            sim_params={**sim, **variant},
+            topology_params=topology,
+            **spec_fields,
+        ))
+    return specs
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments.kinds import KINDS, TASK_KINDS
+    from repro.experiments.kinds import KINDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -135,163 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     reconf.add_argument("--fraction", type=float, default=0.25)
     reconf.add_argument("--seed", type=int, default=0)
 
-    sweep = sub.add_parser(
-        "sweep", help="declarative experiment grid (parallel + cached)"
-    )
-    sweep.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help="JSON ExperimentSpec file (grid flags below are ignored)",
-    )
-    sweep.add_argument("--kind", default="synthetic", choices=TASK_KINDS)
-    sweep.add_argument(
-        "--designs", default="SF",
-        help="comma-separated topology names (default: SF)",
-    )
-    sweep.add_argument(
-        "--patterns", default="uniform_random",
-        help="comma-separated traffic patterns",
-    )
-    sweep.add_argument(
-        "--rates", default="0.1,0.2,0.4",
-        help="comma-separated injection rates (synthetic kind)",
-    )
-    sweep.add_argument(
-        "--workloads", default="redis",
-        help="comma-separated Table IV workloads (workload kind)",
-    )
-    _add_sweep_flags(sweep, ports=False)
-
-    churn = sub.add_parser(
-        "churn", help="live elasticity under load (parallel + cached)"
-    )
-    churn.add_argument(
-        "--gate-fraction", type=float, default=0.25,
-        help="fraction of active nodes to power-gate per event",
-    )
-    churn.add_argument(
-        "--schedule", default="cycle",
-        choices=("cycle", "periodic", "utilization"),
-        help="cycle: one gate-off + wake; periodic: duty-cycled churn; "
-             "utilization: closed-loop controller",
-    )
-    churn.add_argument("--pattern", default="uniform_random")
-    churn.add_argument(
-        "--rates", default="0.15", help="comma-separated injection rates"
-    )
-    _add_sweep_flags(churn, warmup=300, measure=4000, drain_limit=60_000)
-
-    mig = sub.add_parser(
-        "migrate",
-        help="data migration cost of elastic scaling (parallel + cached)",
-    )
-    mig.add_argument(
-        "--gate-fraction", type=float, default=0.25,
-        help="fraction of active nodes to power-gate (and later wake)",
-    )
-    mig.add_argument(
-        "--rates", default="0.1", help="comma-separated foreground request rates"
-    )
-    mig.add_argument(
-        "--rate-limits", default="32,128",
-        help="comma-separated migration bandwidth budgets (bytes/cycle); "
-             "each becomes one sweep variant",
-    )
-    mig.add_argument(
-        "--page-bytes", default="4096",
-        help="comma-separated page sizes (power-of-two bytes); "
-             "each becomes one sweep variant",
-    )
-    mig.add_argument(
-        "--footprint-pages", type=int, default=128,
-        help="resident working-set size, in pages",
-    )
-    mig.add_argument(
-        "--mode", default="both", choices=("migrate", "teleport", "both"),
-        help="pay the real movement cost, use the PR-2 instant remap, "
-             "or run both and compare (default)",
-    )
-    _add_sweep_flags(mig, warmup=300, measure=6000, drain_limit=80_000)
-
-    faults = sub.add_parser(
-        "faults",
-        help="unplanned failures: crash/hang/flap resilience "
-             "(parallel + cached)",
-    )
-    faults.add_argument(
-        "--designs", default="SF,DM,Jellyfish",
-        help="comma-separated topology names (the resilience comparison)",
-    )
-    faults.add_argument(
-        "--schedule", default="random", choices=("random", "crash"),
-        help="random: mixed fault arrivals at --fault-rates; "
-             "crash: one unannounced node crash (the recovery benchmark)",
-    )
-    faults.add_argument(
-        "--fault-rates", default="0.001",
-        help="comma-separated fault arrival rates (faults/cycle); "
-             "each becomes one sweep variant",
-    )
-    faults.add_argument(
-        "--detection-timeouts", default="200",
-        help="comma-separated detection latencies (cycles); "
-             "each becomes one sweep variant",
-    )
-    faults.add_argument(
-        "--kinds", default="link_down,link_flap,node_crash,node_hang",
-        help="comma-separated fault kinds for the random schedule",
-    )
-    faults.add_argument("--pattern", default="uniform_random")
-    faults.add_argument(
-        "--rates", default="0.1", help="comma-separated injection rates"
-    )
-    faults.add_argument(
-        "--footprint-pages", type=int, default=64,
-        help="resident pages tracked through crash recovery (0 = no "
-             "page layer)",
-    )
-    faults.add_argument(
-        "--no-mirror", action="store_true",
-        help="pages have no replica: a crash loses them (lost-page "
-             "accounting instead of recovery)",
-    )
-    faults.add_argument(
-        "--retransmit-timeout", type=int, default=64,
-        help="cycles a source waits before re-sending a lost packet",
-    )
-    faults.add_argument("--max-retries", type=int, default=8)
-    _add_sweep_flags(faults, warmup=300, measure=4000, drain_limit=60_000)
-
-    inter = sub.add_parser(
-        "interference",
-        help="multi-tenant QoS: per-class p99 vs offered interference "
-             "load (parallel + cached)",
-    )
-    inter.add_argument(
-        "--designs", default="SF,DM,Jellyfish",
-        help="comma-separated topology names",
-    )
-    inter.add_argument(
-        "--modes", default="noise",
-        help="comma-separated interference shapes: noise, burst, incast",
-    )
-    inter.add_argument(
-        "--rates", default="0.1,0.3,0.5",
-        help="comma-separated offered interference loads (the swept axis)",
-    )
-    inter.add_argument(
-        "--fg-rate", type=float, default=0.05,
-        help="latency-critical foreground injection rate",
-    )
-    inter.add_argument(
-        "--no-qos", action="store_true",
-        help="classless baseline only (no class table installed)",
-    )
-    inter.add_argument(
-        "--baseline", action="store_true",
-        help="also run the classless baseline variant for comparison",
-    )
-    inter.add_argument("--pattern", default="uniform_random")
-    _add_sweep_flags(inter, warmup=300, measure=2000, drain_limit=60_000)
+    for name, sweep in SWEEPS.items():
+        _add_sweep_parser(sub, name, sweep)
 
     trace = sub.add_parser(
         "trace",
@@ -590,10 +554,6 @@ def _cmd_reconfigure(args) -> int:
     return 0
 
 
-def _split(text: str, convert=str) -> list:
-    return [convert(item.strip()) for item in text.split(",") if item.strip()]
-
-
 def _resolve_cache_dir(cache_dir):
     if cache_dir is not None:
         return cache_dir
@@ -604,36 +564,6 @@ def _resolve_cache_dir(cache_dir):
         repo_default
         if repo_default.parent.parent.is_dir()
         else Path.home() / ".cache" / "string-figure-repro"
-    )
-
-
-def _timing(args) -> dict:
-    """The ``--warmup/--measure/--drain-limit`` values that are set."""
-    return {
-        key: getattr(args, key)
-        for key in ("warmup", "measure", "drain_limit")
-        if getattr(args, key) is not None
-    }
-
-
-def _topology_params(args) -> dict:
-    ports = getattr(args, "ports", None)
-    return {} if ports is None else {"ports": ports}
-
-
-def _sweep_spec(args, name: str, kind: str, sim_params=None, **axes):
-    """One spec from the shared sweep flags plus the command's own axes."""
-    from repro.experiments import ExperimentSpec
-
-    return ExperimentSpec(
-        name=name,
-        kind=kind,
-        nodes=_split(args.nodes, int),
-        seeds=_split(args.seeds, int),
-        topology_seed=args.topology_seed,
-        sim_params={**_timing(args), **(sim_params or {})},
-        topology_params=_topology_params(args),
-        **axes,
     )
 
 
@@ -680,22 +610,6 @@ def _run_spec_command(args, specs, report=None, summary=None) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from repro.experiments import ExperimentSpec
-
-    if args.spec:
-        spec = ExperimentSpec.from_file(args.spec)
-    else:
-        spec = _sweep_spec(
-            args, "cli-sweep", args.kind,
-            designs=_split(args.designs),
-            patterns=_split(args.patterns),
-            rates=_split(args.rates, float),
-            workloads=_split(args.workloads),
-        )
-    return _run_spec_command(args, [spec])
-
-
 def _churn_report(result) -> None:
     """Per-event detail under the churn summary table."""
     for task, payload in _supported(result):
@@ -720,17 +634,6 @@ def _churn_report(result) -> None:
                   f"{recovery}")
 
 
-def _cmd_churn(args) -> int:
-    spec = _sweep_spec(
-        args, "cli-churn", "churn",
-        {"gate_fraction": args.gate_fraction, "schedule": args.schedule},
-        designs=("SF",),
-        patterns=(args.pattern,),
-        rates=_split(args.rates, float),
-    )
-    return _run_spec_command(args, [spec], report=_churn_report)
-
-
 def _migrate_summary(pairs) -> None:
     by_mode: dict[str, list[dict]] = {}
     for _, payload in _supported(pairs):
@@ -749,35 +652,6 @@ def _migrate_summary(pairs) -> None:
         f"worst foreground p99 {worst_p99('migrate'):.0f} vs "
         f"{worst_p99('teleport'):.0f} cycles"
     )
-
-
-def _cmd_migrate(args) -> int:
-    """Migration-cost sweep: rate limits x page sizes (x teleport)."""
-    modes = ("migrate", "teleport") if args.mode == "both" else (args.mode,)
-    rate_limits = _split(args.rate_limits, float)
-    specs = []
-    for mode in modes:
-        for page_bytes in _split(args.page_bytes, int):
-            # Teleport moves zero bytes, so its rate limit is moot: one
-            # baseline variant per page size is enough.
-            limits = rate_limits if mode == "migrate" else rate_limits[:1]
-            for rate_limit in limits:
-                specs.append(_sweep_spec(
-                    args,
-                    f"cli-migrate-{mode}-pb{page_bytes}-rl{rate_limit:g}",
-                    "migration",
-                    {
-                        "gate_fraction": args.gate_fraction,
-                        "footprint_pages": args.footprint_pages,
-                        "mode": mode,
-                        "page_bytes": page_bytes,
-                        "rate_limit": rate_limit,
-                    },
-                    designs=("SF",),
-                    patterns=("uniform_random",),
-                    rates=_split(args.rates, float),
-                ))
-    return _run_spec_command(args, specs, summary=_migrate_summary)
 
 
 def _faults_report(result) -> None:
@@ -839,41 +713,6 @@ def _faults_summary(pairs) -> None:
         )
 
 
-def _cmd_faults(args) -> int:
-    """Resilience sweep: fault rate x detection timeout x topology."""
-    base_params = {
-        "schedule": args.schedule,
-        "kinds": tuple(_split(args.kinds)),
-        "footprint_pages": args.footprint_pages,
-        "mirrored": not args.no_mirror,
-        "retransmit_timeout": args.retransmit_timeout,
-        "max_retries": args.max_retries,
-    }
-    specs = []
-    # A single-crash schedule ignores the arrival rate, so it gets one
-    # variant per detection timeout — and the unused rate stays out of
-    # the spec name *and* sim_params, or identical crash runs would
-    # hash to different cache keys.
-    fault_rates = _split(args.fault_rates, float)
-    rates_axis = fault_rates if args.schedule == "random" else [None]
-    for fault_rate in rates_axis:
-        for timeout in _split(args.detection_timeouts, int):
-            variant = {"detection_timeout": timeout}
-            name = f"cli-faults-dt{timeout}"
-            if fault_rate is not None:
-                variant["fault_rate"] = fault_rate
-                name = f"cli-faults-fr{fault_rate:g}-dt{timeout}"
-            specs.append(_sweep_spec(
-                args, name, "faults", {**base_params, **variant},
-                designs=_split(args.designs),
-                patterns=(args.pattern,),
-                rates=_split(args.rates, float),
-            ))
-    return _run_spec_command(
-        args, specs, report=_faults_report, summary=_faults_summary,
-    )
-
-
 def _interference_summary(pairs) -> None:
     by_design: dict[str, list[dict]] = {}
     for task, payload in _supported(pairs):
@@ -899,25 +738,139 @@ def _interference_summary(pairs) -> None:
         print(line)
 
 
-def _cmd_interference(args) -> int:
-    """Multi-tenant QoS sweep: per-class p99 vs interference load."""
-    qos_variants = [False] if args.no_qos else [True]
-    if args.baseline and not args.no_qos:
-        qos_variants.append(False)
-    specs = [
-        _sweep_spec(
-            args,
-            f"cli-interference-{mode}-{'qos' if qos else 'raw'}",
-            "interference",
-            {"fg_rate": args.fg_rate, "mode": mode, "qos": qos},
-            designs=_split(args.designs),
-            patterns=(args.pattern,),
-            rates=_split(args.rates, float),
-        )
-        for mode in _split(args.modes)
-        for qos in qos_variants
+def _teleport_once(args, variants: list[dict]) -> list[dict]:
+    """Teleport moves zero bytes, so its rate limit is moot: one
+    baseline variant per page size, at the first rate limit."""
+    first = [variant["rate_limit"] for variant in variants[:1]]
+    return [v for v in variants if v["mode"] == "migrate" or v["rate_limit"] in first]
+
+
+def _crash_drops_fault_rate(args, variants: list[dict]) -> list[dict]:
+    """A single crash ignores the arrival rate, so it gets one variant
+    per detection timeout, and the unused rate stays out of the spec
+    name and ``sim_params``, or identical crash runs would hash to
+    different cache keys."""
+    if args.schedule == "random":
+        return variants
+    first = [variant["fault_rate"] for variant in variants[:1]]
+    return [
+        {key: value for key, value in v.items() if key != "fault_rate"}
+        for v in variants if v["fault_rate"] in first
     ]
-    return _run_spec_command(args, specs, summary=_interference_summary)
+
+
+def _qos_variants(args, variants: list[dict]) -> list[dict]:
+    """``--no-qos`` runs the classless baseline only; ``--baseline``
+    adds it beside the QoS run."""
+    qos = [False] if args.no_qos else [True, False] if args.baseline else [True]
+    return [{**variant, "qos": q} for variant in variants for q in qos]
+
+
+_RATES = "comma-separated injection rates"
+_EACH = "each becomes one sweep variant"
+_DESIGNS = "comma-separated topology names"
+_PATTERN = Flag("--pattern", "patterns", "uniform_random")
+
+#: Every sweep subcommand, in ``repro --help`` order.
+SWEEPS: dict[str, Sweep] = {
+    "sweep": Sweep(
+        "declarative experiment grid (parallel + cached)", "cli-sweep", (
+            Flag("--spec", None, metavar="FILE",
+                 help="JSON ExperimentSpec file (grid flags below are ignored)"),
+            Flag("--kind", "kind", "synthetic", choices=TASK_KINDS),
+            Flag("--designs", "designs", "SF", form="list", help=f"{_DESIGNS} (default: SF)"),
+            Flag("--patterns", "patterns", "uniform_random", form="list",
+                 help="comma-separated traffic patterns"),
+            Flag("--rates", "rates", "0.1,0.2,0.4", float, "list",
+                 help=f"{_RATES} (synthetic kind)"),
+            Flag("--workloads", "workloads", "redis", form="list",
+                 help="comma-separated Table IV workloads (workload kind)"),
+        ),
+        fixed={}, ports=False,
+    ),
+    "churn": Sweep(
+        "live elasticity under load (parallel + cached)", "cli-churn", (
+            Flag("--gate-fraction", "gate_fraction", 0.25, float,
+                 help="fraction of active nodes to power-gate per event"),
+            Flag("--schedule", "schedule", "cycle", choices=("cycle", "periodic", "utilization"),
+                 help="cycle: one gate-off + wake; periodic: duty-cycled churn; "
+                      "utilization: closed-loop controller"),
+            _PATTERN,
+            Flag("--rates", "rates", "0.15", float, "list", help=_RATES),
+        ),
+        fixed={"kind": "churn", "designs": ("SF",)},
+        timing=(300, 4000, 60_000), report=_churn_report,
+    ),
+    "migrate": Sweep(
+        "data migration cost of elastic scaling (parallel + cached)",
+        "cli-migrate-{mode}-pb{page_bytes}-rl{rate_limit:g}", (
+            Flag("--gate-fraction", "gate_fraction", 0.25, float,
+                 help="fraction of active nodes to power-gate (and later wake)"),
+            Flag("--rates", "rates", "0.1", float, "list",
+                 help="comma-separated foreground request rates"),
+            Flag("--rate-limits", "rate_limit", "32,128", float, "each",
+                 help=f"comma-separated migration bandwidth budgets (bytes/cycle); {_EACH}"),
+            Flag("--page-bytes", "page_bytes", "4096", int, "each",
+                 help=f"comma-separated page sizes (power-of-two bytes); {_EACH}"),
+            Flag("--footprint-pages", "footprint_pages", 128, int,
+                 help="resident working-set size, in pages"),
+            Flag("--mode", "mode", "both",
+                 lambda mode: ("migrate", "teleport") if mode == "both" else mode, "each",
+                 choices=("migrate", "teleport", "both"),
+                 help="pay the real movement cost, use the PR-2 instant remap, "
+                      "or run both and compare (default)"),
+        ),
+        fixed={"kind": "migration", "designs": ("SF",), "patterns": ("uniform_random",)},
+        timing=(300, 6000, 80_000), rule=_teleport_once, summary=_migrate_summary,
+    ),
+    "faults": Sweep(
+        "unplanned failures: crash/hang/flap resilience (parallel + cached)",
+        "cli-faults-fr{fault_rate:g}-dt{detection_timeout}", (
+            Flag("--designs", "designs", "SF,DM,Jellyfish", form="list",
+                 help=f"{_DESIGNS} (the resilience comparison)"),
+            Flag("--schedule", "schedule", "random", choices=("random", "crash"),
+                 help="random: mixed fault arrivals at --fault-rates; "
+                      "crash: one unannounced node crash (the recovery benchmark)"),
+            Flag("--fault-rates", "fault_rate", "0.001", float, "each",
+                 help=f"comma-separated fault arrival rates (faults/cycle); {_EACH}"),
+            Flag("--detection-timeouts", "detection_timeout", "200", int, "each",
+                 help=f"comma-separated detection latencies (cycles); {_EACH}"),
+            Flag("--kinds", "kinds", "link_down,link_flap,node_crash,node_hang", form="list",
+                 help="comma-separated fault kinds for the random schedule"),
+            _PATTERN,
+            Flag("--rates", "rates", "0.1", float, "list", help=_RATES),
+            Flag("--footprint-pages", "footprint_pages", 64, int,
+                 help="resident pages tracked through crash recovery (0 = no page layer)"),
+            Flag("--no-mirror", "mirrored", type=operator.not_, form="switch",
+                 help="pages have no replica: a crash loses them (lost-page "
+                      "accounting instead of recovery)"),
+            Flag("--retransmit-timeout", "retransmit_timeout", 64, int,
+                 help="cycles a source waits before re-sending a lost packet"),
+            Flag("--max-retries", "max_retries", 8, int),
+        ),
+        fixed={"kind": "faults"}, timing=(300, 4000, 60_000),
+        rule=_crash_drops_fault_rate, report=_faults_report, summary=_faults_summary,
+    ),
+    "interference": Sweep(
+        "multi-tenant QoS: per-class p99 vs offered interference load (parallel + cached)",
+        "cli-interference-{mode}-{qos:qos/raw}", (
+            Flag("--designs", "designs", "SF,DM,Jellyfish", form="list", help=_DESIGNS),
+            Flag("--modes", "mode", "noise", form="each",
+                 help="comma-separated interference shapes: noise, burst, incast"),
+            Flag("--rates", "rates", "0.1,0.3,0.5", float, "list",
+                 help="comma-separated offered interference loads (the swept axis)"),
+            Flag("--fg-rate", "fg_rate", 0.05, float,
+                 help="latency-critical foreground injection rate"),
+            Flag("--no-qos", None, form="switch",
+                 help="classless baseline only (no class table installed)"),
+            Flag("--baseline", None, form="switch",
+                 help="also run the classless baseline variant for comparison"),
+            _PATTERN,
+        ),
+        fixed={"kind": "interference"}, timing=(300, 2000, 60_000),
+        rule=_qos_variants, summary=_interference_summary,
+    ),
+}
 
 
 def _cmd_trace(args) -> int:
@@ -939,8 +892,12 @@ def _cmd_trace(args) -> int:
         rates=(args.rate,),
         seeds=(args.seed,),
         topology_seed=args.topology_seed,
-        sim_params=_timing(args),
-        topology_params=_topology_params(args),
+        sim_params={
+            key: getattr(args, key)
+            for key in ("warmup", "measure", "drain_limit")
+            if getattr(args, key) is not None
+        },
+        topology_params={} if args.ports is None else {"ports": args.ports},
     )
     task = spec.tasks()[0]
 
@@ -1294,11 +1251,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "workload": _cmd_workload,
     "reconfigure": _cmd_reconfigure,
-    "sweep": _cmd_sweep,
-    "churn": _cmd_churn,
-    "migrate": _cmd_migrate,
-    "faults": _cmd_faults,
-    "interference": _cmd_interference,
     "trace": _cmd_trace,
     "hotspots": _cmd_hotspots,
     "serve": _cmd_serve,
@@ -1308,7 +1260,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    sweep = SWEEPS.get(args.command)
+    if sweep is None:
+        return _COMMANDS[args.command](args)
+    return _run_spec_command(
+        args, _sweep_specs(sweep, args), sweep.report, sweep.summary
+    )
 
 
 if __name__ == "__main__":

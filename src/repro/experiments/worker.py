@@ -354,8 +354,13 @@ def _run_service(task: ExperimentTask, params, instrument) -> dict[str, Any]:
     """
     from repro.workloads.service import run_service
 
-    kwargs = dict(task.topology_params)
-    ports = kwargs.pop("ports", None)
+    topology = dict(task.topology_params)
+    ports = topology.pop("ports", None)
+    if topology:
+        raise TypeError(
+            f"kind 'service' does not read topology_params "
+            f"{', '.join(map(repr, topology))}; it reads ports"
+        )
     try:
         result = run_service(
             nodes=task.nodes,

@@ -52,6 +52,9 @@ class BernoulliInjector:
         the run is classless).
     """
 
+    #: Label of the per-source RNG streams (:func:`derive_rng`).
+    stream = "inject"
+
     def __init__(
         self,
         sim: NetworkSimulator,
@@ -96,7 +99,7 @@ class BernoulliInjector:
     def start(self) -> None:
         """Schedule every source's injection process."""
         for node in self.sources:
-            self._start_source(node, derive_rng(self.seed, "inject", node))
+            self._start_source(node, derive_rng(self.seed, self.stream, node))
 
     def _start_source(self, node: int, rng) -> None:
         """Run *node*'s injection process: one callback, built once,

@@ -28,7 +28,6 @@ wraps it, making migration sweeps parallel and cacheable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,23 +41,27 @@ from repro.network.elastic import LiveReconfigEvent, LiveReconfigurator
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import SimStats, phase_latency
 from repro.ops import Op, schedule
-from repro.utils.rng import derive_rng
+from repro.traffic.injection import BernoulliInjector
 
 __all__ = ["ForegroundMemoryTraffic", "MigrationRunResult", "run_migration"]
 
 
-class ForegroundMemoryTraffic:
+class ForegroundMemoryTraffic(BernoulliInjector):
     """Per-node Bernoulli read-request load over the page footprint.
 
     Every active node issues reads to uniformly drawn pages through the
     shared :class:`~repro.memory.requests.MemoryRequestPath`, so the
     load follows the data as it migrates: requests racing a migration
     are served, forwarded after their page, or stalled until it lands.
-    Completions are recorded as ``(issue, latency)`` pairs for post-hoc
-    phase analysis.  No request is ever dropped; ``issued ==
-    completed`` after drain is the scenario's conservation invariant
-    alongside ``sent == delivered``.
+    The slots come from the injector's geometric clock, on this
+    traffic's own ``"mig-fg"`` RNG streams; each issues one read
+    instead of sending a packet.  Completions are recorded as
+    ``(issue, latency)`` pairs for post-hoc phase analysis.  No request
+    is ever dropped; ``issued == completed`` after drain is the
+    scenario's conservation invariant alongside ``sent == delivered``.
     """
+
+    stream = "mig-fg"
 
     def __init__(
         self,
@@ -74,21 +77,14 @@ class ForegroundMemoryTraffic:
         sources: list[int] | None = None,
         reconfig: LiveReconfigurator | None = None,
     ) -> None:
-        if not 0.0 < rate <= 1.0:
-            raise ValueError(f"rate must be in (0, 1], got {rate}")
-        self.sim = sim
+        super().__init__(
+            sim, None, rate, warmup=warmup, measure=measure, seed=seed,
+            sources=sources,
+        )
         self.reconfig = reconfig
-        self.rate = rate
         self.footprint_pages = footprint_pages
         self.page_bytes = mapper.interleave_bytes
-        self.warmup = warmup
-        self.measure = measure
-        self.seed = seed
-        self.sources = (
-            list(sim.topology.active_nodes) if sources is None else list(sources)
-        )
         self._line = sim.config.cacheline_bytes
-        self._stop = warmup + measure
         self.issued = 0
         self.completed = 0
         self.skipped_sources = 0
@@ -107,30 +103,8 @@ class ForegroundMemoryTraffic:
             reply_to_forwarder=True,
         )
 
-    # -- injection ----------------------------------------------------------
-
-    def start(self) -> None:
-        for node in self.sources:
-            rng = derive_rng(self.seed, "mig-fg", node)
-            self._schedule_next(node, rng, 0)
-
-    def _schedule_next(self, node: int, rng, now: int) -> None:
-        u = rng.random()
-        if self.rate >= 1.0:
-            gap = 1
-        else:
-            gap = max(1, math.ceil(math.log(1.0 - u) / math.log(1.0 - self.rate)))
-        t = now + gap
-        if t >= self._stop:
-            return
-
-        def fire(current_time: int, node=node, rng=rng) -> None:
-            self._issue(node, rng, current_time)
-            self._schedule_next(node, rng, current_time)
-
-        self.sim.schedule(t, fire)
-
-    def _issue(self, node: int, rng, now: int) -> None:
+    def _fire(self, node: int, rng, now: int) -> None:
+        """One injection slot of *node* at cycle *now*: issue a read."""
         if self.reconfig is not None and not self.reconfig.usable(node):
             # The node is gated (or draining/revalidating): its cores
             # are asleep too, so it skips this injection slot.

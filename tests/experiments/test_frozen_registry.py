@@ -1,9 +1,9 @@
 """The kind registry reproduces the engine surface recorded before it.
 
 See :mod:`tests.experiments.frozen_registry` for what the fixture pins,
-the sweep commands' flags and specs among it.
-The only recorded difference allowed is the retired ``perf`` kind,
-which ``repro trace --kind`` no longer offers.
+the sweep commands' flags and specs included.  The only recorded
+difference allowed is the retired ``perf`` kind, which
+``repro trace --kind`` no longer offers.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments import ExperimentSpec, ParallelRunner
 from repro.experiments.report import sweep_table
 from repro.experiments.worker import execute_task
@@ -55,3 +57,19 @@ def test_sweep_table_renders_service_section():
     result = ParallelRunner(workers=1, cache=None).run(spec)
     table = sweep_table(result)
     assert "req/kcyc" in table and "conserved" in table
+
+
+def test_unread_topology_param_refused():
+    task = make_spec(topology_params={"cord_bits": 5}).tasks()[0]
+    with pytest.raises(TypeError, match="kind 'service'.*'cord_bits'"):
+        execute_task(task)
+
+
+def test_ports_topology_param_runs():
+    # SF-36 has 4 ports by default, so only a different count changes
+    # the run.
+    default = execute_task(make_spec().tasks()[0])
+    four = execute_task(make_spec(topology_params={"ports": 4}).tasks()[0])
+    six = execute_task(make_spec(topology_params={"ports": 6}).tasks()[0])
+    assert four == default
+    assert six["conserved"] is True and six != default
