@@ -219,9 +219,11 @@ class ReconfigurationManager:
         pre_neighbors = set(topo.neighbors(node)) | set(topo.in_neighbors(node))
         affected = self._radius2(pre_neighbors | {node})
 
-        # Step 1: block.
+        # Step 1: block.  An unbuilt table is the fresh one, which
+        # step 3 resets and step 4 unblocks, so only built ones flip.
+        built = self.routing.built_tables
         for router in affected:
-            table = self.routing.tables.get(router)
+            table = built.get(router)
             if table is not None:
                 table.block_all()
         event.blocked_routers = sorted(affected)
@@ -272,8 +274,9 @@ class ReconfigurationManager:
         self.routing.rebuild(sorted(updated))
 
         # Step 4: unblock.
+        built = self.routing.built_tables
         for router in updated.union(*(event.blocked_routers for event in events)):
-            table = self.routing.tables.get(router)
+            table = built.get(router)
             if table is not None:
                 table.unblock_all()
 

@@ -36,13 +36,14 @@ networks).
 
 from __future__ import annotations
 
+import itertools
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.coordinates import clockwise_distance
-from repro.core.routing_table import RoutingTable
+from repro.core.routing_table import RoutingTable, active_out
 from repro.core.topology import LinkDirection, StringFigureTopology
 
 __all__ = [
@@ -170,6 +171,84 @@ class _NodeView:
         self.id_to_nbr_index = {node: i for i, node in enumerate(ids[:k])}
 
 
+def _fresh_windows(
+    topology, out: dict[int, list[int]], rows: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The usable windows of *rows*' freshly built tables, vectorized.
+
+    *out* maps each row to :func:`active_out` of it; the rows' one-hop
+    neighbors are added to it.  Returns the arrays
+    :meth:`GreediestRouting._put_rows` stores, in the order
+    :meth:`RoutingTable.usable_window` lists a table with every bit
+    clear: one-hop entries, then the two-hop nodes (active out-neighbors
+    of one-hop entries, other than the router and its one-hop entries),
+    each ascending.
+    """
+    n = topology.num_nodes
+    for v in rows:
+        for w in out[v]:
+            if w not in out:
+                out[w] = active_out(topology, w)
+    lens = np.fromiter(map(len, out.values()), np.intp, len(out))
+    p = max(int(lens.max(initial=0)), 1)
+    # Row v: v's active out-neighbors, N-padded; row N is all padding.
+    adj = np.full((n + 1, p), n, dtype=np.intp)
+    flat = np.fromiter(itertools.chain.from_iterable(out.values()), np.intp)
+    adj[
+        np.repeat(np.fromiter(out, np.intp, len(out)), lens),
+        np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens),
+    ] = flat
+    owner = np.array(rows, dtype=np.intp)
+    one = adj[owner]
+    k = (one < n).sum(axis=1)
+    # Column c of a row's candidates is reached through one-hop slot
+    # c // p; the router itself and its one-hop entries are no
+    # two-hop targets.
+    cand = adj[one].reshape(len(rows), p * p)
+    cand[(cand == owner[:, None]) | (cand[:, :, None] == one[:, None, :]).any(axis=2)] = n
+    order = np.argsort(cand, axis=1, kind="stable")
+    cand = np.take_along_axis(cand, order, axis=1)
+    via_of = order // p
+    valid = cand < n
+    first = valid.copy()
+    first[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    slot = k[:, None] + first.cumsum(axis=1) - 1
+    width = max(int((k + first.sum(axis=1)).max(initial=0)), p)
+    win = np.full((len(rows), width), n, dtype=np.intp)
+    win[:, :p] = one
+    r, c = np.nonzero(first)
+    win[r, slot[r, c]] = cand[r, c]
+    via = np.zeros((len(rows), width, p), dtype=bool)
+    diag = np.arange(p)
+    via[:, diag, diag] = diag < k[:, None]
+    r, c = np.nonzero(valid)
+    via[r, slot[r, c], via_of[r, c]] = True
+    return k, win, via
+
+
+class _Tables(Mapping):
+    """Read-through map over the active routers (the keys of
+    ``nbr_index``): reading a router builds its table on first access
+    (:meth:`GreediestRouting._build`).  Iteration, ``len`` and ``in``
+    build nothing."""
+
+    def __init__(self, routing: GreediestRouting) -> None:
+        self._routing = routing
+
+    def __getitem__(self, node: int) -> RoutingTable:
+        table = self._routing.built_tables.get(node)
+        return self._routing._build(node) if table is None else table
+
+    def __contains__(self, node) -> bool:
+        return node in self._routing.nbr_index
+
+    def __iter__(self):
+        return iter(list(self._routing.nbr_index))
+
+    def __len__(self) -> int:
+        return len(self._routing.nbr_index)
+
+
 class _DecisionColumns:
     """Padded window arrays that decide every router's greedy hop
     toward one destination at a time.
@@ -179,19 +258,20 @@ class _DecisionColumns:
     routing is off.  Every row is at least one slot longer than the
     longest window; padding slots, and the rows of inactive or
     neighborless routers, read MD ``inf``, so they never win a minimum
-    or pass the progress test.  Built from the views alone, once per
-    routing ``version``.
+    or pass the progress test.  Cut from the routing's window rows
+    (:meth:`GreediestRouting._put_rows`), once per routing ``version``.
     """
 
     def __init__(self, routing: GreediestRouting) -> None:
         n = routing.topology.num_nodes
-        use_two_hop = routing.use_two_hop
-        views = [(r, v) for r, v in routing._views.items() if v.k]
-        k_max = max((v.k for _r, v in views), default=1)
-        width = 1 + max(
-            (len(v.window) if use_two_hop else v.k for _r, v in views),
-            default=0,
-        )
+        stored = routing._win
+        k_of = routing._win_k
+        m_of = (stored < n).sum(axis=1) if routing.use_two_hop else k_of
+        k_max = max(int(k_of.max(initial=0)), 1)
+        width = 1 + int(m_of.max(initial=0))
+        w = min(width, stored.shape[1])
+        slot = np.arange(w)
+        live = slot < m_of[:, None]
         self.uni = routing._uni
         #: (spaces, N): each space's coordinates contiguous.
         self.coord_cols = np.ascontiguousarray(routing._coord_matrix.T)
@@ -200,20 +280,16 @@ class _DecisionColumns:
         self.md = np.full(n + 1, np.inf)
         #: Window node ids, N in padding slots.
         win_idx = self.win_idx = np.full((n, width), n, dtype=np.intp)
+        win_idx[:, :w] = np.where(live, stored[:, :w], n)
         two_hop = np.zeros((n, width), dtype=bool)
+        two_hop[:, :w] = live & (slot >= k_of[:, None])
         # is_via[r, j, i]: one-hop slot i is a usable via of slot j.
         is_via = np.zeros((n, width, k_max), dtype=bool)
-        k_of = np.zeros(n, dtype=np.intp)
-        for r, view in views:
-            k = k_of[r] = view.k
-            if use_two_hop:
-                m = len(view.window)
-                win_idx[r, :m] = view.win_ids
-                two_hop[r, :m] = view.win_hop == 2
-                is_via[r, :m, :k] = view.inf_mask.T == 0.0
-            else:
-                win_idx[r, :k] = view.nbr_ids
-                is_via[r, range(k), range(k)] = True
+        if routing.use_two_hop:
+            is_via[:, :w] = routing._win_via[:, :w, :k_max] & live[:, :, None]
+        else:
+            diag = np.arange(k_max)
+            is_via[:, diag, diag] = diag < k_of[:, None]
         self.win_md = np.empty((n, width))
         self.flat_idx = win_idx.ravel()
         self.flat_md = self.win_md.ravel()
@@ -321,11 +397,15 @@ class GreediestRouting:
     #: touched destination holds one 4-byte entry per router, 4 * N
     #: bytes (16 KiB per destination and at most 64 MiB in all at 4096
     #: nodes), beside padded window arrays of 17 + 2 * vias bytes per
-    #: window slot (~2 MB at N=1296) shared by every column.  A column also costs one pass over
-    #: every router's window, which a cold sweep of a much larger
-    #: network reads too few times per destination to amortize.  Above
-    #: the gate every lookup takes the scalar path, which stays
-    #: bit-identical by construction.
+    #: window slot (~2 MB at N=1296) shared by every column.  Those are
+    #: cut from the window rows every router keeps, 8 + p bytes per
+    #: slot for p-port routers (1.3 MB at N=1296); only a router that
+    #: was read adds its table and view, ~42 KB (55 MB had all 1296
+    #: been built).  A column also costs one pass over every router's
+    #: window, which a cold sweep of a much larger network reads too
+    #: few times per destination to amortize.  Above the gate every
+    #: lookup takes the scalar path, which stays bit-identical by
+    #: construction.
     kernel_max_nodes = 4096
 
     def __init__(
@@ -336,15 +416,27 @@ class GreediestRouting:
         self.topology = topology
         self.use_two_hop = use_two_hop
         self._uni = topology.direction is LinkDirection.UNI
-        self.tables: dict[int, RoutingTable] = {}
+        n = topology.num_nodes
+        #: The tables built so far; :attr:`tables` builds the rest on
+        #: first read.  A built table is the source of its router's
+        #: usable window until a :meth:`rebuild` lists the router.
+        self.built_tables: dict[int, RoutingTable] = {}
         self._views: dict[int, _NodeView] = {}
-        #: Bumped on every table/view (re)build so memos keyed on the old
-        #: tables (the decision columns, GreedyPolicy's candidate memo)
-        #: auto-invalidate — offline reconfiguration never tells
-        #: policies about itself.
+        #: Every active router's table, built on first read.
+        self.tables: Mapping[int, RoutingTable] = _Tables(self)
+        #: Every router's usable window as padded rows (see
+        #: :meth:`_put_rows`): the fresh window from the topology, or a
+        #: built table's usable window once a refresh finds it changed.
+        self._win_k = np.zeros(n, dtype=np.intp)
+        self._win = np.empty((n, 0), dtype=np.intp)
+        self._win_via = np.empty((n, 0, 0), dtype=bool)
+        #: Bumped on every rebuild and view refresh so memos keyed on
+        #: the old windows (the decision columns, GreedyPolicy's
+        #: candidate memo) auto-invalidate — offline reconfiguration
+        #: never tells policies about itself.
         self.version = 0
         self._coord_matrix = np.array(
-            [topology.coords.vector(v) for v in range(topology.num_nodes)],
+            [topology.coords.vector(v) for v in range(n)],
             dtype=np.float64,
         )
         #: dst -> packed decision of every router (see :meth:`column`),
@@ -352,58 +444,113 @@ class GreediestRouting:
         #: Both are dropped whenever ``version`` moves; the dict is
         #: cleared in place, so a reader may hold on to it.
         self.columns: dict[int, array] = {}
-        self.column_stride = topology.num_nodes + 1
+        self.column_stride = n + 1
         self._kernel_state: _DecisionColumns | None = None
-        #: router -> {usable one-hop neighbor: index} of its view.
+        #: active router -> {usable one-hop neighbor: index} of its
+        #: window; its keys are the routers :attr:`tables` covers.
         self.nbr_index: dict[int, dict[int, int]] = {}
         self.rebuild()
 
     # -- table management -----------------------------------------------------
 
-    def rebuild(self, nodes: Sequence[int] | None = None) -> None:
-        """(Re)build routing tables for *nodes* (default: every active node).
+    def rebuild(self, nodes: Iterable[int] | None = None) -> None:
+        """Reset *nodes* (default: every router) to the topology.
 
-        Afterwards every listed active router's table equals a fresh
-        :meth:`RoutingTable.build` with every bit clear, and inactive
-        routers are dropped.  A table whose neighborhood is unchanged
-        since its last build, and which carries no repair mutation, is
-        kept with its blocking bits cleared instead of being rebuilt.
+        Afterwards a listed active router's table, when next read,
+        equals a fresh :meth:`RoutingTable.build` with every bit clear,
+        and inactive routers are dropped.  Only the fresh windows and
+        neighbor maps are computed here; tables and views are built on
+        first read.
         """
         self._new_version()
         topo = self.topology
-        targets = topo.active_nodes if nodes is None else nodes
-        active_out: dict[int, tuple[int, ...]] = {}
-        for v in targets:
-            if not topo.is_active(v):
-                self.tables.pop(v, None)
-                self._views.pop(v, None)
-                self.nbr_index.pop(v, None)
-                continue
-            neighborhood = RoutingTable.neighborhood(topo, v, active_out)
-            table = self.tables.get(v)
-            if table is None or table.mutated or table.built_from != neighborhood:
-                table = self.tables[v] = RoutingTable.build(topo, v, neighborhood)
+        rows = list(range(topo.num_nodes) if nodes is None else nodes)
+        for v in rows:
+            self.built_tables.pop(v, None)
+            self._views.pop(v, None)
+        out = {v: active_out(topo, v) for v in rows}
+        for v in rows:
+            if topo.is_active(v):
+                self.nbr_index[v] = {w: i for i, w in enumerate(out[v])}
             else:
-                table.unblock_all()
-            self._snapshot(v, table.fresh_window)
+                self.nbr_index.pop(v, None)
+        self._put_rows(rows, *_fresh_windows(topo, out, rows))
 
-    def refresh_views(self, nodes: Sequence[int] | None = None) -> None:
-        """Re-snapshot vectorized views after manual table bit flips."""
+    def refresh_views(self, nodes: Iterable[int] | None = None) -> None:
+        """Re-snapshot built tables' views after direct bit flips (an
+        unbuilt table has none to show)."""
         self._new_version()
-        for v in list(self.tables if nodes is None else nodes):
-            table = self.tables.get(v)
+        built = self.built_tables
+        for v in list(built if nodes is None else nodes):
+            table = built.get(v)
             if table is not None:
                 self._snapshot(v, table.usable_window())
 
-    def _snapshot(self, node: int, window: tuple) -> None:
-        """Rebuild *node*'s view only if its usable *window* changed."""
+    def _build(self, node: int) -> RoutingTable:
+        """Build *node*'s table from the topology (KeyError for a router
+        :attr:`tables` does not cover).  It equals the router's fresh
+        window, so nothing is invalidated."""
+        if node not in self.nbr_index:
+            raise KeyError(node)
+        table = self.built_tables[node] = RoutingTable.build(self.topology, node)
+        return table
+
+    def _view(self, node: int) -> _NodeView:
+        """*node*'s view, snapshotted from its table on first read."""
+        view = self._views.get(node)
+        if view is None:
+            view = self._snapshot(node, self.tables[node].usable_window())
+        return view
+
+    def _snapshot(self, node: int, window: tuple) -> _NodeView:
+        """Rebuild *node*'s view, neighbor map and window row if it has
+        no view or its usable *window* changed."""
         view = self._views.get(node)
         if view is None or view.window != window:
             view = self._views[node] = _NodeView(window, self._coord_matrix, node)
             self.nbr_index[node] = view.id_to_nbr_index
+            self._put_rows(
+                [node],
+                np.array([view.k]),
+                view.win_ids[None],
+                (view.inf_mask.T == 0.0)[None],
+            )
+        return view
+
+    def _put_rows(
+        self, rows: list[int], k: np.ndarray, win: np.ndarray, via: np.ndarray
+    ) -> None:
+        """Store the usable windows of *rows*: one-hop counts ``k``,
+        window ids ``win`` (one-hop entries first, then two-hop, N in
+        padding) and ``via[r, j, i]``, whether one-hop slot ``i`` is a
+        usable via of slot ``j``.  The store widens as needed."""
+        n = self.topology.num_nodes
+        width, kk = win.shape[1], via.shape[2]
+        dw = max(width - self._win.shape[1], 0)
+        dk = max(kk - self._win_via.shape[2], 0)
+        if dw or dk:
+            self._win = np.pad(self._win, ((0, 0), (0, dw)), constant_values=n)
+            self._win_via = np.pad(self._win_via, ((0, 0), (0, dw), (0, dk)))
+        self._win[rows] = n
+        self._win[rows, :width] = win
+        self._win_via[rows] = False
+        self._win_via[rows, :width, :kk] = via
+        self._win_k[rows] = k
+
+    def routers_listing(self, nodes: Iterable[int]) -> list[int]:
+        """Every active router whose table can list one of the active
+        *nodes*: their active in-neighbors and those neighbors' own,
+        ascending.  Nothing is built."""
+        in_neighbors = self.topology.in_neighbors
+        found: set[int] = set()
+        for x in nodes:
+            for r in in_neighbors(x):
+                found.add(r)
+                found.update(in_neighbors(r))
+        return sorted(found)
 
     def _new_version(self) -> None:
-        """Bump ``version``; drop the columns built from the old views."""
+        """Bump ``version``; drop the columns built from the old windows."""
         self.version += 1
         self.columns.clear()
         self._kernel_state = None
@@ -489,7 +636,7 @@ class GreediestRouting:
         whose score strictly improves on the current node's ``MD`` are
         included (the paper's set ``W`` used for adaptive routing).
         """
-        view = self._views[current]
+        view = self._view(current)
         k = view.k
         if k == 0:
             return []
@@ -522,7 +669,7 @@ class GreediestRouting:
         The commit is set when the best window target is a two-hop
         neighbor whose via does not itself make strict progress.
         """
-        view = self._views[current]
+        view = self._view(current)
         k = view.k
         if k == 0:
             return None
@@ -560,7 +707,7 @@ class GreediestRouting:
         """
         if state is None:
             state = RouteState()
-        view = self._views[current]
+        view = self._view(current)
         dst_vec = (
             self._coord_matrix[dst]
             if dst_coords is None
@@ -598,7 +745,7 @@ class GreediestRouting:
         distance strictly decreases; a non-decreasing choice means the
         ring is broken and delivery cannot be guaranteed.
         """
-        view = self._views[current]
+        view = self._view(current)
         if view.nbr_ids.size == 0:
             raise RingBrokenError(f"node {current} has no usable neighbors")
         target = float(dst_vec[0])
@@ -681,7 +828,7 @@ class AdaptiveGreediestRouting(GreediestRouting):
             state = RouteState()
         if not first_hop or state.commit is not None or state.in_fallback:
             return self.next_hop(current, dst, dst_coords, state)
-        view = self._views[current]
+        view = self._view(current)
         if dst in view.id_to_nbr_index:
             return dst, RouteState()
         candidates = self.candidate_set(current, dst, dst_coords)

@@ -27,7 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["TableEntry", "RoutingTable", "entry_bits", "table_bits"]
+__all__ = ["TableEntry", "RoutingTable", "active_out", "entry_bits", "table_bits"]
+
+
+def active_out(topology, node: int) -> list[int]:
+    """*node*'s active out-neighbors, ascending: the one-hop rows of
+    its table."""
+    return sorted(w for w in topology.neighbors(node) if topology.is_active(w))
 
 
 @dataclass(slots=True)
@@ -53,85 +59,33 @@ class TableEntry:
 
 
 class RoutingTable:
-    """The one- and two-hop neighbor table of a single router.
-
-    A table made by :meth:`build` remembers the :meth:`neighborhood` it
-    was built from (``built_from``) and its :meth:`usable_window` as
-    built (``fresh_window``); both are ``None`` for a hand-assembled
-    table.  ``mutated`` is set by the repair primitives
-    (:meth:`invalidate`, :meth:`drop_via`, :meth:`set_hop`) whose effect
-    clearing the blocking bits cannot undo.  While it is clear, the
-    table equals a fresh build of ``built_from`` up to blocking bits.
-    """
+    """The one- and two-hop neighbor table of a single router."""
 
     def __init__(self, owner: int, num_ports: int) -> None:
         self.owner = owner
         self.num_ports = num_ports
         self._entries: dict[int, TableEntry] = {}
-        self.built_from: tuple | None = None
-        self.fresh_window: tuple | None = None
-        self.mutated = False
 
     # -- construction --------------------------------------------------------
 
-    @staticmethod
-    def neighborhood(topology, owner: int, cache: dict | None = None) -> tuple:
-        """Everything a table for *owner* is built from: its active
-        out-neighbors, and the active out-neighbors of each of them, in
-        ascending order.
-
-        *cache* memoizes each node's active out-neighbors across calls
-        made while the topology does not change.
-        """
-        if cache is None:
-            cache = {}
-
-        def active_out(v: int) -> tuple[int, ...]:
-            nbrs = cache.get(v)
-            if nbrs is None:
-                nbrs = cache[v] = tuple(
-                    sorted(w for w in topology.neighbors(v) if topology.is_active(w))
-                )
-            return nbrs
-
-        one_hop = active_out(owner)
-        return one_hop, tuple(active_out(w) for w in one_hop)
-
     @classmethod
-    def build(
-        cls, topology, owner: int, neighborhood: tuple | None = None
-    ) -> "RoutingTable":
-        """Populate a table from a topology's current active neighborhood.
-
-        *neighborhood* is :meth:`neighborhood` of *owner*, when the
-        caller has already computed it.
-        """
-        if neighborhood is None:
-            neighborhood = cls.neighborhood(topology, owner)
+    def build(cls, topology, owner: int) -> "RoutingTable":
+        """Populate a table from a topology's current active neighborhood:
+        *owner*'s active out-neighbors, and the active out-neighbors of
+        each of them."""
         table = cls(owner, topology.num_ports)
-        table.built_from = neighborhood
         vector = topology.coords.vector
         entries = table._entries
-        one_hop, two_hop = neighborhood
+        one_hop = active_out(topology, owner)
         for w in one_hop:
             entries[w] = TableEntry(w, 1, vector(w), {w})
-        # Two-hop node -> positions in one_hop of its vias, ascending.
-        via_pos: dict[int, list[int]] = {}
-        for i, nbrs in enumerate(two_hop):
-            for x in nbrs:
+        vias: dict[int, set[int]] = {}
+        for w in one_hop:
+            for x in active_out(topology, w):
                 if x != owner and x not in entries:
-                    pos = via_pos.get(x)
-                    if pos is None:
-                        via_pos[x] = [i]
-                    else:
-                        pos.append(i)
-        for x, pos in via_pos.items():
-            entries[x] = TableEntry(x, 2, vector(x), {one_hop[i] for i in pos})
-        # What usable_window() returns while every bit is clear.
-        table.fresh_window = tuple(
-            [(w, 1, (i,)) for i, w in enumerate(one_hop)]
-            + [(x, 2, tuple(via_pos[x])) for x in sorted(via_pos)]
-        )
+                    vias.setdefault(x, set()).add(w)
+        for x, via in vias.items():
+            entries[x] = TableEntry(x, 2, vector(x), via)
         return table
 
     # -- queries ---------------------------------------------------------------
@@ -239,7 +193,6 @@ class RoutingTable:
         entry = self._entries.get(node)
         if entry is not None:
             entry.valid = False
-            self.mutated = True
 
     def validate(self, node: int) -> None:
         """Set the valid bit on the entry for *node* (step 3/4, reverse)."""
@@ -252,7 +205,6 @@ class RoutingTable:
         entry = self._entries.get(node)
         if entry is None:
             raise KeyError(f"router {self.owner} has no entry for node {node}")
-        self.mutated = True
         entry.hop = hop
         if vias is not None:
             entry.vias = set(vias)
@@ -262,7 +214,6 @@ class RoutingTable:
         entry = self._entries.get(node)
         if entry is None:
             return
-        self.mutated = True
         entry.vias.discard(via)
         if not entry.vias:
             entry.valid = False

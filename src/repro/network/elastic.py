@@ -341,7 +341,9 @@ class LiveReconfigurator:
         """Step 1 (online): set blocking bits; open the parking window."""
         event.t_blocked = now
         victims = set(nodes)
-        for router, table in self.routing.tables.items():
+        tables = self.routing.tables
+        for router in self.routing.routers_listing(victims):
+            table = tables[router]
             touched = False
             for victim in victims:
                 if victim in table:
@@ -433,7 +435,7 @@ class LiveReconfigurator:
 
     def _finish(self, now: int, event: LiveReconfigEvent) -> None:
         """Step 4 (online): unblock, release parked traffic, close out."""
-        tables = self.routing.tables
+        tables = self.routing.built_tables
         for router, victim in self._blocked_pairs:
             table = tables.get(router)
             if table is not None:

@@ -165,9 +165,9 @@ def test_live_gate_off_rebuilds_once(monkeypatch):
         rebuilds.append(nodes)
         return rebuild(nodes)
 
-    def counting_build(cls, topology, owner, neighborhood=None):
+    def counting_build(cls, topology, owner):
         builds.append(owner)
-        return build(cls, topology, owner, neighborhood)
+        return build(cls, topology, owner)
 
     monkeypatch.setattr(routing, "rebuild", counting_rebuild)
     monkeypatch.setattr(RoutingTable, "build", classmethod(counting_build))

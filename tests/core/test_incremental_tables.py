@@ -1,13 +1,13 @@
-"""Incremental routing-table maintenance.
+"""On-demand routing state.
 
-``GreediestRouting.rebuild(nodes)`` promises that every listed active
-router's table equals a fresh ``RoutingTable.build`` with every bit
-clear, however little it actually rebuilds: a table whose neighborhood
-did not change, and which carries no repair mutation, is kept with its
-blocking bits cleared, and a view is re-snapshotted only when its
-usable window changed.  These tests hold the shortcut paths to that
-contract entry for entry and array for array, and check that they do
-save work.
+``GreediestRouting`` keeps every router's usable window as padded rows
+and builds a router's ``RoutingTable`` and ``_NodeView`` only when
+something reads them.  ``rebuild(nodes)`` promises that every listed
+active router's table, when next read, equals a fresh
+``RoutingTable.build`` with every bit clear.  These tests hold the rows,
+the tables built on access and the views to that contract entry for
+entry and array for array, and check that construction and offline
+reconfiguration build nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, _NodeView
 from repro.core.routing_table import RoutingTable
-from repro.core.topology import StringFigureTopology
+from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.faults.detector import TableRepair
 from repro.network.elastic import LiveReconfigurator
 from repro.network.policies import GreedyPolicy
@@ -47,29 +47,58 @@ def view_arrays(view):
     }
 
 
+def stored_window(routing, node):
+    """*node*'s stored window row, as ``usable_window()`` lists it."""
+    n = routing.topology.num_nodes
+    ids = routing._win[node]
+    k = int(routing._win_k[node])
+    return tuple(
+        (
+            int(ids[j]),
+            1 if j < k else 2,
+            tuple(np.flatnonzero(routing._win_via[node, j, :k]).tolist()),
+        )
+        for j in range(int((ids < n).sum()))
+    )
+
+
 def assert_views_current(routing):
-    """Each router's view equals one freshly built from its table."""
-    for node, table in routing.tables.items():
+    """Each built table's view and neighbor map equal ones freshly made
+    from the table, and every active router's stored row is the usable
+    window of its table: the built one, else a fresh build."""
+    for node, table in routing.built_tables.items():
         fresh = _NodeView(table.usable_window(), routing._coord_matrix, node)
-        assert view_arrays(routing._views[node]) == view_arrays(fresh), node
+        assert view_arrays(routing._view(node)) == view_arrays(fresh), node
+        assert routing.nbr_index[node] == fresh.id_to_nbr_index, node
+    for node in routing.tables:
+        table = routing.built_tables.get(node)
+        if table is None:
+            table = RoutingTable.build(routing.topology, node)
+        assert stored_window(routing, node) == table.usable_window(), node
 
 
 def assert_same_tables(routing, reference):
     assert sorted(routing.tables) == sorted(reference.tables)
     for node, table in routing.tables.items():
         assert table_rows(table) == table_rows(reference.tables[node]), node
-        assert view_arrays(routing._views[node]) == view_arrays(
-            reference._views[node]
+        assert view_arrays(routing._view(node)) == view_arrays(
+            reference._view(node)
         ), node
 
 
 class TestBuild:
     def test_fresh_window_is_the_usable_window_of_a_fresh_table(self):
-        topo = make_topology("SF", 144, seed=0)
-        for node in topo.active_nodes:
-            table = RoutingTable.build(topo, node)
-            assert table.fresh_window == table.usable_window()
-            assert not table.mutated
+        for topo in (
+            make_topology("SF", 144, seed=0),
+            StringFigureTopology(96, 6, seed=2, direction=LinkDirection.UNI),
+        ):
+            routing = GreediestRouting(topo)
+            for node in topo.active_nodes:
+                table = RoutingTable.build(topo, node)
+                assert stored_window(routing, node) == table.usable_window()
+                one_hop = [e.node for e in table.one_hop()]
+                assert routing.nbr_index[node] == {w: i for i, w in enumerate(one_hop)}
+            assert routing.built_tables == {}
 
     def test_view_matches_the_table_entries(self):
         """Reconstruct each view from the entries, independently of the
@@ -80,7 +109,7 @@ class TestBuild:
         table = routing.tables[node]
         table.block(table.one_hop()[0].node)
         routing.refresh_views([node])
-        view = routing._views[node]
+        view = routing._view(node)
         one_hop = [e.node for e in table.one_hop()]
         window = one_hop + [
             e.node for e in table.two_hop() if e.vias & set(one_hop)
@@ -95,15 +124,19 @@ class TestBuild:
             finite = np.flatnonzero(np.isfinite(view.inf_mask[:, j])).tolist()
             assert finite == expected
 
-    def test_repair_primitives_mark_the_table(self):
-        topo = StringFigureTopology(32, 4, seed=1)
-        table = RoutingTable.build(topo, 0)
-        table.block_all()
-        table.unblock_all()
-        assert not table.mutated
-        two_hop = table.two_hop()[0]
-        table.drop_via(two_hop.node, next(iter(two_hop.vias)))
-        assert table.mutated
+    def test_tables_build_on_first_read(self):
+        topo = StringFigureTopology(64, 4, seed=3)
+        routing = GreediestRouting(topo)
+        version = routing.version
+        assert len(routing.tables) == len(topo.active_nodes)
+        assert routing.built_tables == {}
+        node = topo.active_nodes[7]
+        table = routing.tables[node]
+        assert routing.built_tables == {node: table}
+        assert routing._view(node) is routing._view(node)
+        assert routing.version == version
+        assert routing.tables.get(-1) is None
+        assert_views_current(routing)
 
 
 class TestWorkSaved:
@@ -111,25 +144,28 @@ class TestWorkSaved:
         topo = make_topology("SF", 144, seed=0)
         routing = GreediestRouting(topo)
         manager = ReconfigurationManager(topo, routing)
-        before = dict(routing.tables)
-        neighborhoods = {
-            v: RoutingTable.neighborhood(topo, v) for v in topo.active_nodes
+        victim = manager.gate_candidates(1)[0]
+        # Tables built near the victim and far from it.
+        before = {
+            node: routing.tables[node]
+            for node in topo.active_nodes[::5] + topo.neighbors(victim)
         }
         builds = []
         build = RoutingTable.build.__func__
 
-        def counting_build(cls, topology, owner, neighborhood=None):
+        def counting_build(cls, topology, owner):
             builds.append(owner)
-            return build(cls, topology, owner, neighborhood)
+            return build(cls, topology, owner)
 
         monkeypatch.setattr(RoutingTable, "build", classmethod(counting_build))
-        victim = manager.gate_candidates(1)[0]
         (event,) = manager.power_gate(victim)
-        assert 0 < len(builds) < len(event.tables_updated)
-        assert set(builds) <= set(event.tables_updated)
+        assert builds == []
+        updated = set(event.tables_updated) | {victim}
+        for node, table in before.items():
+            kept = routing.built_tables.get(node) is table
+            assert kept == (node not in updated), node
+        monkeypatch.undo()
         for node in topo.active_nodes:
-            unchanged = RoutingTable.neighborhood(topo, node) == neighborhoods[node]
-            assert (routing.tables[node] is before[node]) == unchanged, node
             assert table_rows(routing.tables[node]) == table_rows(
                 RoutingTable.build(topo, node)
             ), node
@@ -138,12 +174,15 @@ class TestWorkSaved:
     def test_unchanged_windows_keep_their_views(self):
         topo = make_topology("SF", 144, seed=0)
         routing = GreediestRouting(topo)
-        views = dict(routing._views)
+        active = topo.active_nodes
+        views = {v: routing._view(v) for v in active[:40]}
         version = routing.version
         routing.refresh_views()
-        routing.rebuild()
+        routing.rebuild(active[20:60])
         assert routing.version == version + 2
-        assert all(routing._views[v] is views[v] for v in views)
+        assert all(routing._view(v) is views[v] for v in active[:20])
+        assert set(routing.built_tables) == set(active[:20])
+        assert_views_current(routing)
 
 
 def test_prune_beside_live_gate_off_then_restore_link():
@@ -168,7 +207,10 @@ def test_prune_beside_live_gate_off_then_restore_link():
     y = next(w for w in topo.neighbors(x) if w not in (victim, u, v))
     repair.route_around_link(u, v)
     repair.route_around_link(x, y)
-    assert any(routing.tables[r].mutated for r in topo.neighbors(u))
+    assert any(
+        routing.tables[r].usable_window() != RoutingTable.build(topo, r).usable_window()
+        for r in topo.neighbors(u)
+    )
 
     live.gate_off([victim], at=10)
     sim.run(until=50_000)

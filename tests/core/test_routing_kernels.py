@@ -115,13 +115,13 @@ def test_kernel_equals_scalar_unequal_windows(use_two_hop):
     # entries, so both padded dimensions hold real padding.
     topo = StringFigureTopology(648, 8, seed=0)
     routing = GreediestRouting(topo, use_two_hop=use_two_hop)
-    views = routing._views.values()
+    views = [routing._view(r) for r in routing.tables]
     assert len({v.k for v in views}) > 1
     assert len({len(v.window) for v in views}) > 1
     active = topo.active_nodes
     # Every destination of a sample of routers that covers both the
     # shortest and the longest windows.
-    by_window = sorted(active, key=lambda r: (len(routing._views[r].window), r))
+    by_window = sorted(active, key=lambda r: (len(routing._view(r).window), r))
     sample = set(by_window[:4] + by_window[-4:] + active[::97])
     for current in sorted(sample):
         for dst in active:

@@ -143,7 +143,7 @@ class ReconfigMachine(RuleBasedStateMachine):
             view = _NodeView(
                 fresh.usable_window(), self.routing._coord_matrix, node
             )
-            assert arrays(self.routing._views[node]) == arrays(view), node
+            assert arrays(self.routing._view(node)) == arrays(view), node
 
     @invariant()
     def sampled_pairs_routable(self):
