@@ -23,6 +23,7 @@ from repro import (
     make_policy,
 )
 from repro.analysis.paths import greedy_path_stats, shortest_path_stats
+from repro.core.routing_table import max_entries
 from repro.energy.model import EnergyModel
 from repro.traffic.injection import run_synthetic
 from repro.traffic.patterns import make_pattern
@@ -44,13 +45,14 @@ def tiny_example() -> None:
     print(f"greediest route 7 -> 2: {' -> '.join(map(str, result.path))} "
           f"({result.hops} hops)")
 
-    table = routing.table(7)
-    print(f"node 7 routing table: {len(table)} entries "
-          f"(hardware bound p(p+1) = {table.max_entries})")
-    for entry in table.entries()[:4]:
-        coords = ", ".join(f"{c:.2f}" for c in entry.coords)
-        print(f"  -> node {entry.node}: hop={entry.hop} via={sorted(entry.vias)} "
-              f"coords=<{coords}>")
+    window = routing.window(7)
+    one_hop = [node for node, hop, _vias in window if hop == 1]
+    print(f"node 7 routing table: {len(window)} usable entries "
+          f"(hardware bound p(p+1) = {max_entries(topo.num_ports)})")
+    print(f"  one-hop: {one_hop}")
+    for node, hop, vias in window:
+        if hop == 2:
+            print(f"  two-hop: node {node} via {[one_hop[i] for i in vias]}")
 
 
 def scale_example() -> None:

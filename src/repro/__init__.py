@@ -27,7 +27,6 @@ from repro.core.coordinates import (
 )
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
-from repro.core.routing_table import RoutingTable, TableEntry
 from repro.core.topology import LinkDirection, S2Topology, StringFigureTopology
 from repro.network.config import NetworkConfig
 from repro.network.elastic import LiveReconfigurator
@@ -43,10 +42,8 @@ __all__ = [
     "NetworkConfig",
     "NetworkSimulator",
     "ReconfigurationManager",
-    "RoutingTable",
     "S2Topology",
     "StringFigureTopology",
-    "TableEntry",
     "circular_distance",
     "clockwise_distance",
     "make_policy",

@@ -7,7 +7,7 @@
 * :mod:`repro.core.shortcuts` — 2-/4-hop clockwise shortcut generation
   (paper Figure 3c).
 * :mod:`repro.core.routing_table` — the per-router 1-/2-hop neighbor
-  table with blocking/valid/hop bits (paper Figure 6b).
+  table's storage accounting (paper Figure 6b).
 * :mod:`repro.core.routing` — greediest and adaptive greediest routing
   (paper §III-B).
 * :mod:`repro.core.virtual_channels` — two-VC deadlock avoidance
@@ -25,17 +25,14 @@ from repro.core.coordinates import (
     min_circular_distance,
 )
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
-from repro.core.routing_table import RoutingTable, TableEntry
 from repro.core.topology import S2Topology, StringFigureTopology
 
 __all__ = [
     "AdaptiveGreediestRouting",
     "CoordinateSystem",
     "GreediestRouting",
-    "RoutingTable",
     "S2Topology",
     "StringFigureTopology",
-    "TableEntry",
     "circular_distance",
     "clockwise_distance",
     "min_circular_distance",

@@ -17,6 +17,13 @@ atomic steps:
    pass per node.
 4. **Unblock** the entries.
 
+A router's window here is a function of the active topology, the
+failed wires and the blocked nodes (:meth:`GreediestRouting.rebuild`),
+so step 3 recomputes the affected windows.  Offline, no packet reads a
+window between steps 1 and 4, so they are only recorded
+(``blocked_routers``); online, :mod:`repro.network.elastic` blocks by
+adding the victims to ``GreediestRouting.blocked``.
+
 *Dynamic* reconfiguration (power management) performs the steps online
 and pays sleep/wake latencies (:mod:`repro.energy.power_gating`).
 *Static* expansion/reduction (design reuse) performs them offline when
@@ -219,13 +226,9 @@ class ReconfigurationManager:
         pre_neighbors = set(topo.neighbors(node)) | set(topo.in_neighbors(node))
         affected = self._radius2(pre_neighbors | {node})
 
-        # Step 1: block.  An unbuilt table is the fresh one, which
-        # step 3 resets and step 4 unblocks, so only built ones flip.
-        built = self.routing.built_tables
-        for router in affected:
-            table = built.get(router)
-            if table is not None:
-                table.block_all()
+        # Step 1: block.  Offline, no packet reads a window before
+        # step 3 recomputes every one of these, so the block is only
+        # recorded.
         event.blocked_routers = sorted(affected)
 
         # Step 2: enable/disable connections.
@@ -259,27 +262,21 @@ class ReconfigurationManager:
 
         Steps 1 and 2 run per node exactly as for a lone node, so every
         event's fields match a one-call-per-node sequence.  Steps 3 and
-        4 then run once over the union: no packet can read a table
-        between the per-node switches, and a rebuild equals a fresh
-        build of the final topology.
+        4 then run once over the union: no packet can read a window
+        between the per-node switches, and a recomputed window is a
+        function of the final topology.
         """
         self.check_batch(nodes, activate, kind)
         if not nodes:
             return []
         events = [self._switch_node(node, activate, kind) for node in nodes]
 
-        # Step 3: validate/invalidate (rebuild local tables — semantically
-        # the paper's bit flips, with via-sets refreshed for consistency).
+        # Step 3: validate/invalidate — recompute the local windows from
+        # the new topology (semantically the paper's bit flips).  Step 4,
+        # unblock, has nothing left to do: the recomputed windows never
+        # held the block.
         updated = set(nodes).union(*(event.tables_updated for event in events))
         self.routing.rebuild(sorted(updated))
-
-        # Step 4: unblock.
-        built = self.routing.built_tables
-        for router in updated.union(*(event.blocked_routers for event in events)):
-            table = built.get(router)
-            if table is not None:
-                table.unblock_all()
-
         self.events.extend(events)
         return events
 

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.coordinates import clockwise_distance
-from repro.core.routing_table import RoutingTable, active_out
+from repro.core.routing_table import active_out
 from repro.core.topology import LinkDirection, StringFigureTopology
 
 __all__ = [
@@ -109,80 +109,25 @@ class RouteResult:
         return f"RouteResult(hops={self.hops}, fallback={self.fallback_hops})"
 
 
-class _NodeView:
-    """Vectorized snapshot of one router's usable table window.
-
-    All per-decision distance math runs over ``all_coords`` — one
-    contiguous ``(1 + window, width)`` matrix whose row 0 is the owning
-    router and whose next ``k`` rows are its one-hop neighbors (the
-    window lists one-hop entries first) — so a forwarding decision
-    costs a single vectorized MD kernel instead of three separate
-    array builds.  ``via_idx``/``inf_mask`` are the per-target via
-    positions and the masked-min penalty matrix, precomputed once per
-    (re)build rather than per packet.  ``window`` is the
-    :meth:`RoutingTable.usable_window` the view was built from: it
-    determines every array, so an equal window means an equal view.
-    """
-
-    __slots__ = (
-        "window",
-        "k",
-        "nbr_ids",
-        "nbr_coords",
-        "win_ids",
-        "win_hop",
-        "via_idx",
-        "inf_mask",
-        "all_coords",
-        "scratch",
-        "scratch2",
-        "md_out",
-        "id_to_nbr_index",
-    )
-
-    def __init__(self, window, coord_matrix: np.ndarray, owner: int) -> None:
-        self.window = window
-        ids, hops, self.via_idx = zip(*window) if window else ((), (), ())
-        k = self.k = hops.count(1)
-        m = len(window)
-        # Row 0 is the owner; indexing with an id array copies every row
-        # out of the shared coordinate matrix, so the result is contiguous.
-        all_ids = np.array((owner, *ids), dtype=np.int64)
-        self.win_ids = all_ids[1:]
-        self.nbr_ids = all_ids[1 : k + 1]
-        self.win_hop = np.array(hops, dtype=np.int64)
-        self.all_coords = coord_matrix[all_ids]
-        self.nbr_coords = self.all_coords[1 : k + 1]
-        # Adding this to a broadcast win_md row reproduces
-        # np.where(mask, win_md, inf) without building the where() per
-        # decision (x + 0.0 == x exactly; x + inf == inf).  It is filled
-        # in one assignment from the window's via positions.
-        self.inf_mask = np.full((k, m), np.inf)
-        self.inf_mask[
-            [i for vias in self.via_idx for i in vias],
-            [j for j, vias in enumerate(self.via_idx) for _ in vias],
-        ] = 0.0
-        # Per-decision scratch space for the fused MD kernel: the
-        # result buffer is valid only until the next call on this view,
-        # which every caller satisfies (consume-before-recompute).
-        self.scratch = np.empty_like(self.all_coords)
-        self.scratch2 = np.empty_like(self.all_coords)
-        self.md_out = np.empty(self.all_coords.shape[0], dtype=np.float64)
-        self.id_to_nbr_index = {node: i for i, node in enumerate(ids[:k])}
-
-
 def _fresh_windows(
-    topology, out: dict[int, list[int]], rows: list[int]
+    topology,
+    out: dict[int, list[int]],
+    rows: list[int],
+    failed_links: set[tuple[int, int]],
+    blocked: set[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The usable windows of *rows*' freshly built tables, vectorized.
+    """The usable windows of *rows*, vectorized from the three inputs.
 
     *out* maps each row to :func:`active_out` of it; the rows' one-hop
     neighbors are added to it.  Returns the arrays
-    :meth:`GreediestRouting._put_rows` stores, in the order
-    :meth:`RoutingTable.usable_window` lists a table with every bit
-    clear: one-hop entries, then the two-hop nodes (active out-neighbors
-    of one-hop entries, other than the router and its one-hop entries),
-    each ascending.
+    :meth:`GreediestRouting._put_rows` stores: usable one-hop entries,
+    then the usable two-hop nodes (active out-neighbors of one-hop
+    entries, other than the router and its one-hop entries), each
+    ascending.  An entry ``x`` of router ``r`` is unusable when ``x``
+    is in *blocked* or the wire ``{r, x}`` is in *failed_links*,
+    whatever its hop; an unusable one-hop neighbor is no via and never
+    a two-hop target; a two-hop entry loses via ``a`` when ``{a, x}``
+    failed, and drops when it has no usable via left.
     """
     n = topology.num_nodes
     for v in rows:
@@ -200,12 +145,29 @@ def _fresh_windows(
     ] = flat
     owner = np.array(rows, dtype=np.intp)
     one = adj[owner]
+    masked = bool(failed_links or blocked)
+    if masked:
+        off = np.zeros(n + 1, dtype=bool)
+        off[list(blocked)] = True
+        # Both orientations of each failed wire, as codes a * (N + 1) + b
+        # (padding N never forms a failed code).
+        wires = np.array(sorted(failed_links), dtype=np.intp).reshape(-1, 2)
+        failed = np.concatenate((wires @ [n + 1, 1], wires @ [1, n + 1]))
+
+        def cut(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return off[b] | np.isin(a * (n + 1) + b, failed)
+
+        # Padding sorts last, so the usable one-hop entries stay ascending.
+        one = np.sort(np.where(cut(owner[:, None], one), n, one), axis=1)
     k = (one < n).sum(axis=1)
     # Column c of a row's candidates is reached through one-hop slot
-    # c // p; the router itself and its one-hop entries are no
-    # two-hop targets.
+    # c // p; the router itself and its one-hop entries are no two-hop
+    # targets, and an unusable one-hop neighbor is cut as one below.
     cand = adj[one].reshape(len(rows), p * p)
-    cand[(cand == owner[:, None]) | (cand[:, :, None] == one[:, None, :]).any(axis=2)] = n
+    drop = (cand == owner[:, None]) | (cand[:, :, None] == one[:, None, :]).any(axis=2)
+    if masked:
+        drop |= cut(owner[:, None], cand) | cut(np.repeat(one, p, axis=1), cand)
+    cand[drop] = n
     order = np.argsort(cand, axis=1, kind="stable")
     cand = np.take_along_axis(cand, order, axis=1)
     via_of = order // p
@@ -226,34 +188,49 @@ def _fresh_windows(
     return k, win, via
 
 
-class _Tables(Mapping):
-    """Read-through map over the active routers (the keys of
-    ``nbr_index``): reading a router builds its table on first access
-    (:meth:`GreediestRouting._build`).  Iteration, ``len`` and ``in``
-    build nothing."""
+class _Row:
+    """One router's stored window row as the arrays scalar decisions read.
 
-    def __init__(self, routing: GreediestRouting) -> None:
-        self._routing = routing
+    A cache: cut from the rows on a router's first scalar read after a
+    ``version`` bump, dropped with the decision columns at the next one
+    (:meth:`GreediestRouting.refresh_views`), and never written back.
+    ``coords`` is one contiguous ``(1 + window, spaces)`` matrix whose
+    row 0 is the router and whose rows ``1..k`` are its one-hop entries,
+    so a decision costs one fused MD kernel; ``inf_mask`` is the
+    masked-min penalty matrix of the via relation.
+    """
 
-    def __getitem__(self, node: int) -> RoutingTable:
-        table = self._routing.built_tables.get(node)
-        return self._routing._build(node) if table is None else table
+    __slots__ = ("k", "ids", "vias", "inf_mask", "coords", "scratch", "scratch2", "md_out")
 
-    def __contains__(self, node) -> bool:
-        return node in self._routing.nbr_index
-
-    def __iter__(self):
-        return iter(list(self._routing.nbr_index))
-
-    def __len__(self) -> int:
-        return len(self._routing.nbr_index)
+    def __init__(self, routing: GreediestRouting, node: int) -> None:
+        row = routing._win[node]
+        m = int((row < routing.topology.num_nodes).sum())
+        k = self.k = int(routing._win_k[node])
+        is_via = routing._win_via[node, :m, :k]
+        # Row 0 is the owner; indexing with an id array copies every row
+        # out of the shared coordinate matrix, so the result is contiguous.
+        ids = np.concatenate(([node], row[:m]))
+        self.ids = ids[1:]
+        #: Each entry's usable via positions, ascending.
+        self.vias = [np.flatnonzero(v).tolist() for v in is_via]
+        # Adding this to a broadcast window-MD row reproduces
+        # np.where(mask, md, inf) without building the where() per
+        # decision (x + 0.0 == x exactly; x + inf == inf).
+        self.inf_mask = np.where(is_via.T, 0.0, np.inf)
+        self.coords = routing._coord_matrix[ids]
+        # Scratch space for the fused MD kernel: the result buffer is
+        # valid only until the next call on this row, which every
+        # caller satisfies (consume-before-recompute).
+        self.scratch = np.empty_like(self.coords)
+        self.scratch2 = np.empty_like(self.coords)
+        self.md_out = np.empty(m + 1)
 
 
 class _DecisionColumns:
     """Padded window arrays that decide every router's greedy hop
     toward one destination at a time.
 
-    Row ``r`` holds router ``r``'s usable window in its view's order
+    Row ``r`` holds router ``r``'s usable window in its row's order
     (one-hop entries first), or only its one-hop entries when two-hop
     routing is off.  Every row is at least one slot longer than the
     longest window; padding slots, and the rows of inactive or
@@ -399,13 +376,13 @@ class GreediestRouting:
     #: nodes), beside padded window arrays of 17 + 2 * vias bytes per
     #: window slot (~2 MB at N=1296) shared by every column.  Those are
     #: cut from the window rows every router keeps, 8 + p bytes per
-    #: slot for p-port routers (1.3 MB at N=1296); only a router that
-    #: was read adds its table and view, ~42 KB (55 MB had all 1296
-    #: been built).  A column also costs one pass over every router's
-    #: window, which a cold sweep of a much larger network reads too
-    #: few times per destination to amortize.  Above the gate every
-    #: lookup takes the scalar path, which stays bit-identical by
-    #: construction.
+    #: slot for p-port routers (1.3 MB at N=1296), the only routing
+    #: state; a router a scalar decision reads adds its row arrays
+    #: (:class:`_Row`, ~17 KB at N=1296) until the next ``version``
+    #: bump.  A column also costs one pass over every router's window,
+    #: which a cold sweep of a much larger network reads too few times
+    #: per destination to amortize.  Above the gate every lookup takes
+    #: the scalar path, which stays bit-identical by construction.
     kernel_max_nodes = 4096
 
     def __init__(
@@ -417,21 +394,20 @@ class GreediestRouting:
         self.use_two_hop = use_two_hop
         self._uni = topology.direction is LinkDirection.UNI
         n = topology.num_nodes
-        #: The tables built so far; :attr:`tables` builds the rest on
-        #: first read.  A built table is the source of its router's
-        #: usable window until a :meth:`rebuild` lists the router.
-        self.built_tables: dict[int, RoutingTable] = {}
-        self._views: dict[int, _NodeView] = {}
-        #: Every active router's table, built on first read.
-        self.tables: Mapping[int, RoutingTable] = _Tables(self)
+        #: With the active topology, the two inputs every window is a
+        #: function of (:meth:`rebuild`): the failed wires routed
+        #: around, as ``(min, max)`` pairs, and the nodes a live
+        #: gate-off blocked.  A writer records its change here, then
+        #: rebuilds the rows of the routers it touched.
+        self.failed_links: set[tuple[int, int]] = set()
+        self.blocked: set[int] = set()
         #: Every router's usable window as padded rows (see
-        #: :meth:`_put_rows`): the fresh window from the topology, or a
-        #: built table's usable window once a refresh finds it changed.
+        #: :meth:`_put_rows`).
         self._win_k = np.zeros(n, dtype=np.intp)
         self._win = np.empty((n, 0), dtype=np.intp)
         self._win_via = np.empty((n, 0, 0), dtype=bool)
-        #: Bumped on every rebuild and view refresh so memos keyed on
-        #: the old windows (the decision columns, GreedyPolicy's
+        #: Bumped on every rebuild so memos keyed on the old windows
+        #: (the decision columns, the scalar row arrays, GreedyPolicy's
         #: candidate memo) auto-invalidate — offline reconfiguration
         #: never tells policies about itself.
         self.version = 0
@@ -446,76 +422,48 @@ class GreediestRouting:
         self.columns: dict[int, array] = {}
         self.column_stride = n + 1
         self._kernel_state: _DecisionColumns | None = None
+        #: router -> its row arrays for scalar decisions, dropped with
+        #: the columns.
+        self._rows: dict[int, _Row] = {}
         #: active router -> {usable one-hop neighbor: index} of its
-        #: window; its keys are the routers :attr:`tables` covers.
+        #: window.  Updated in place: GreedyPolicy holds this dict.
         self.nbr_index: dict[int, dict[int, int]] = {}
         self.rebuild()
 
-    # -- table management -----------------------------------------------------
+    # -- window rows -------------------------------------------------------------
 
     def rebuild(self, nodes: Iterable[int] | None = None) -> None:
-        """Reset *nodes* (default: every router) to the topology.
+        """Recompute the rows of *nodes* (default: every router).
 
-        Afterwards a listed active router's table, when next read,
-        equals a fresh :meth:`RoutingTable.build` with every bit clear,
-        and inactive routers are dropped.  Only the fresh windows and
-        neighbor maps are computed here; tables and views are built on
-        first read.
+        A router's row is a function of the active topology,
+        :attr:`failed_links` and :attr:`blocked` (:func:`_fresh_windows`);
+        inactive routers drop out of ``nbr_index``.  Every writer of
+        those inputs calls this with the routers whose rows can have
+        changed, and the call bumps ``version``.
         """
-        self._new_version()
+        self.refresh_views()
         topo = self.topology
         rows = list(range(topo.num_nodes) if nodes is None else nodes)
-        for v in rows:
-            self.built_tables.pop(v, None)
-            self._views.pop(v, None)
+        if not rows:
+            return
         out = {v: active_out(topo, v) for v in rows}
-        for v in rows:
+        k, win, via = _fresh_windows(topo, out, rows, self.failed_links, self.blocked)
+        for v, kv, row in zip(rows, k.tolist(), win):
             if topo.is_active(v):
-                self.nbr_index[v] = {w: i for i, w in enumerate(out[v])}
+                # The usable one-hop entries are out[v] less any cut ones.
+                ids = out[v] if kv == len(out[v]) else row[:kv].tolist()
+                self.nbr_index[v] = {w: i for i, w in enumerate(ids)}
             else:
                 self.nbr_index.pop(v, None)
-        self._put_rows(rows, *_fresh_windows(topo, out, rows))
+        self._put_rows(rows, k, win, via)
 
-    def refresh_views(self, nodes: Iterable[int] | None = None) -> None:
-        """Re-snapshot built tables' views after direct bit flips (an
-        unbuilt table has none to show)."""
-        self._new_version()
-        built = self.built_tables
-        for v in list(built if nodes is None else nodes):
-            table = built.get(v)
-            if table is not None:
-                self._snapshot(v, table.usable_window())
-
-    def _build(self, node: int) -> RoutingTable:
-        """Build *node*'s table from the topology (KeyError for a router
-        :attr:`tables` does not cover).  It equals the router's fresh
-        window, so nothing is invalidated."""
-        if node not in self.nbr_index:
-            raise KeyError(node)
-        table = self.built_tables[node] = RoutingTable.build(self.topology, node)
-        return table
-
-    def _view(self, node: int) -> _NodeView:
-        """*node*'s view, snapshotted from its table on first read."""
-        view = self._views.get(node)
-        if view is None:
-            view = self._snapshot(node, self.tables[node].usable_window())
-        return view
-
-    def _snapshot(self, node: int, window: tuple) -> _NodeView:
-        """Rebuild *node*'s view, neighbor map and window row if it has
-        no view or its usable *window* changed."""
-        view = self._views.get(node)
-        if view is None or view.window != window:
-            view = self._views[node] = _NodeView(window, self._coord_matrix, node)
-            self.nbr_index[node] = view.id_to_nbr_index
-            self._put_rows(
-                [node],
-                np.array([view.k]),
-                view.win_ids[None],
-                (view.inf_mask.T == 0.0)[None],
-            )
-        return view
+    def refresh_views(self) -> None:
+        """Bump ``version``; drop the decision columns and scalar row
+        arrays cut from the old rows."""
+        self.version += 1
+        self.columns.clear()
+        self._kernel_state = None
+        self._rows.clear()
 
     def _put_rows(
         self, rows: list[int], k: np.ndarray, win: np.ndarray, via: np.ndarray
@@ -537,10 +485,23 @@ class GreediestRouting:
         self._win_via[rows, :width, :kk] = via
         self._win_k[rows] = k
 
+    def window(self, node: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """*node*'s usable window as ``(node, hop, vias)`` rows: one-hop
+        entries, then two-hop entries, each ascending; ``vias`` holds
+        the positions, ascending, of the entry's usable vias among the
+        one-hop rows (a one-hop entry is its own via)."""
+        ids = self._win[node]
+        k = int(self._win_k[node])
+        m = int((ids < self.topology.num_nodes).sum())
+        return tuple(
+            (int(ids[j]), 1 if j < k else 2, tuple(np.flatnonzero(vias[:k]).tolist()))
+            for j, vias in enumerate(self._win_via[node, :m])
+        )
+
     def routers_listing(self, nodes: Iterable[int]) -> list[int]:
-        """Every active router whose table can list one of the active
+        """Every active router whose window can list one of the active
         *nodes*: their active in-neighbors and those neighbors' own,
-        ascending.  Nothing is built."""
+        ascending."""
         in_neighbors = self.topology.in_neighbors
         found: set[int] = set()
         for x in nodes:
@@ -549,15 +510,15 @@ class GreediestRouting:
                 found.update(in_neighbors(r))
         return sorted(found)
 
-    def _new_version(self) -> None:
-        """Bump ``version``; drop the columns built from the old windows."""
-        self.version += 1
-        self.columns.clear()
-        self._kernel_state = None
-
-    def table(self, node: int) -> RoutingTable:
-        """Routing table of *node*."""
-        return self.tables[node]
+    def _row(self, node: int) -> _Row:
+        """*node*'s row arrays, cut on first read after a bump (KeyError
+        for an inactive router, which has no window)."""
+        row = self._rows.get(node)
+        if row is None:
+            if node not in self.nbr_index:
+                raise KeyError(node)
+            row = self._rows[node] = _Row(self, node)
+        return row
 
     # -- distance helpers --------------------------------------------------------
 
@@ -576,7 +537,7 @@ class GreediestRouting:
         """MD between two nodes using this topology's distance convention."""
         return float(self._md_array(self._coord_matrix[a], self._coord_matrix[b]))
 
-    def _window_md(self, view: _NodeView, dst_vec: np.ndarray) -> np.ndarray:
+    def _window_md(self, row: _Row, dst_vec: np.ndarray) -> np.ndarray:
         """MD to *dst_vec* of ``[owner, *window]`` in one vectorized pass.
 
         Row 0 is the owning router's own MD; rows ``1..k`` are the
@@ -586,17 +547,17 @@ class GreediestRouting:
         the fusion only removes per-call dispatch overhead, which is
         what the simulator fast path leans on.
         """
-        coords = view.all_coords
-        d = view.scratch
+        coords = row.coords
+        d = row.scratch
         if self._uni:
             np.subtract(dst_vec, coords, out=d)
             np.mod(d, 1.0, out=d)
         else:
             np.subtract(coords, dst_vec, out=d)
             np.abs(d, out=d)
-            wrap = np.subtract(1.0, d, out=view.scratch2)
+            wrap = np.subtract(1.0, d, out=row.scratch2)
             np.minimum(d, wrap, out=d)
-        return d.min(axis=1, out=view.md_out)
+        return d.min(axis=1, out=row.md_out)
 
     # -- destination-major decision columns ------------------------------------
 
@@ -604,7 +565,7 @@ class GreediestRouting:
         """*dst*'s packed decision column (:meth:`_DecisionColumns.column`:
         exactly ``dst * column_stride`` where *dst* is a usable neighbor),
         or ``None`` above ``kernel_max_nodes``.  The only memo of greedy
-        decisions; every table or view rebuild drops it.
+        decisions; every ``version`` bump drops it.
         """
         column = self.columns.get(dst)
         if column is None:
@@ -636,8 +597,8 @@ class GreediestRouting:
         whose score strictly improves on the current node's ``MD`` are
         included (the paper's set ``W`` used for adaptive routing).
         """
-        view = self._view(current)
-        k = view.k
+        row = self._row(current)
+        k = row.k
         if k == 0:
             return []
         dst_vec = (
@@ -645,17 +606,17 @@ class GreediestRouting:
             if dst_coords is None
             else np.asarray(dst_coords, dtype=np.float64)
         )
-        md = self._window_md(view, dst_vec)
+        md = self._window_md(row, dst_vec)
         my_md = md[0]
         nbr_md = md[1 : k + 1]
         if self.use_two_hop:
             # win_md + inf_mask == np.where(via_mask, win_md, inf),
             # with the mask matrix hoisted out of the packet path.
-            scores = np.minimum(nbr_md, (md[1:] + view.inf_mask).min(axis=1))
+            scores = np.minimum(nbr_md, (md[1:] + row.inf_mask).min(axis=1))
         else:
             scores = nbr_md
         result = [
-            (float(scores[i]), int(view.nbr_ids[i]))
+            (float(scores[i]), int(row.ids[i]))
             for i in np.flatnonzero(scores < my_md)
         ]
         result.sort(key=lambda item: (item[0], item[1]))
@@ -669,28 +630,28 @@ class GreediestRouting:
         The commit is set when the best window target is a two-hop
         neighbor whose via does not itself make strict progress.
         """
-        view = self._view(current)
-        k = view.k
+        row = self._row(current)
+        k = row.k
         if k == 0:
             return None
-        md = self._window_md(view, dst_vec)
+        md = self._window_md(row, dst_vec)
         my_md = md[0]
         nbr_md = md[1 : k + 1]
         if not self.use_two_hop:
             best = int(nbr_md.argmin())
             if nbr_md[best] >= my_md:
                 return None
-            return int(view.nbr_ids[best]), None
+            return int(row.ids[best]), None
         win_md = md[1:]
         target = int(win_md.argmin())
         if win_md[target] >= my_md:
             return None
         # First minimum over ascending via positions, as argmin would.
-        via = min(view.via_idx[target], key=nbr_md.__getitem__)
-        via_id = int(view.nbr_ids[via])
-        if view.win_hop[target] == 1:
+        via = min(row.vias[target], key=nbr_md.__getitem__)
+        via_id = int(row.ids[via])
+        if target < k:
             return via_id, None
-        commit = int(view.win_ids[target]) if nbr_md[via] >= my_md else None
+        commit = int(row.ids[target]) if nbr_md[via] >= my_md else None
         return via_id, commit
 
     def next_hop(
@@ -707,19 +668,19 @@ class GreediestRouting:
         """
         if state is None:
             state = RouteState()
-        view = self._view(current)
+        usable = self.nbr_index[current]
         dst_vec = (
             self._coord_matrix[dst]
             if dst_coords is None
             else np.asarray(dst_coords, dtype=np.float64)
         )
         # Direct delivery always wins.
-        if dst in view.id_to_nbr_index:
+        if dst in usable:
             return dst, RouteState()
         # Honor a pending two-hop commit if it is still a usable neighbor.
         if state.commit is not None:
             commit = state.commit
-            if commit in view.id_to_nbr_index:
+            if commit in usable:
                 return commit, RouteState(fallback_md=state.fallback_md)
             state = RouteState(fallback_md=state.fallback_md)
         # Leave fallback mode once MD has improved past the entry value.
@@ -745,11 +706,11 @@ class GreediestRouting:
         distance strictly decreases; a non-decreasing choice means the
         ring is broken and delivery cannot be guaranteed.
         """
-        view = self._view(current)
-        if view.nbr_ids.size == 0:
+        row = self._row(current)
+        if row.k == 0:
             raise RingBrokenError(f"node {current} has no usable neighbors")
         target = float(dst_vec[0])
-        d = (target - view.nbr_coords[:, 0]) % 1.0
+        d = (target - row.coords[1 : row.k + 1, 0]) % 1.0
         best = int(np.argmin(d))
         my_dcw = clockwise_distance(
             float(self._coord_matrix[current][0]), target
@@ -759,7 +720,7 @@ class GreediestRouting:
                 f"space-0 ring broken at node {current}: no clockwise progress "
                 "(reconfiguration left the network unpatchable)"
             )
-        return int(view.nbr_ids[best])
+        return int(row.ids[best])
 
     def route(self, src: int, dst: int, max_hops: int | None = None) -> RouteResult:
         """Compute the full greediest route from *src* to *dst*."""
@@ -828,8 +789,7 @@ class AdaptiveGreediestRouting(GreediestRouting):
             state = RouteState()
         if not first_hop or state.commit is not None or state.in_fallback:
             return self.next_hop(current, dst, dst_coords, state)
-        view = self._view(current)
-        if dst in view.id_to_nbr_index:
+        if dst in self.nbr_index[current]:
             return dst, RouteState()
         candidates = self.candidate_set(current, dst, dst_coords)
         if not candidates:

@@ -141,7 +141,7 @@ def build_fabric(
             retransmit_class=BACKGROUND_CLASS if qos else None,
         )
         if is_sf:
-            repair = TableRepair(policy.routing, policy)
+            repair = TableRepair(policy.routing)
         else:
             repair = GraphRepair(sim, topology, layer)
         fabric.recovery = RecoveryOrchestrator(

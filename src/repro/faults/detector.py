@@ -16,11 +16,11 @@ topology owns, and the packets left queued on failed links are swept
 back to their routers to be re-forwarded (or dropped, if their
 destination died with the fault):
 
-* **String Figure** (:class:`TableRepair`) — the affected entries are
-  blocked/unblocked in the neighbors' routing tables and the
-  routing-generation counter is bumped, which drops the routing's
-  decision columns and the policy's candidate memo; this is the
-  paper's local-bit-flip repair, no global
+* **String Figure** (:class:`TableRepair`) — the failed wire joins the
+  routing's failed set and only the windows that list its endpoints
+  are recomputed, which bumps the routing-generation counter and so
+  drops the routing's decision columns and the policy's candidate
+  memo; this is the paper's local-bit-flip repair, no global
   recomputation.  Node crashes escalate to the
   :class:`~repro.faults.recovery.RecoveryOrchestrator`, which runs the
   reconfiguration pipeline to formally excise the node (ring patched,
@@ -52,86 +52,48 @@ SWEEP_HORIZON = 100_000
 
 
 class TableRepair:
-    """String Figure repair: block entries, bump the routing generation.
+    """String Figure repair: route every window around a failed wire.
 
     A failed wire ``u - v`` corrupts routing state in two places, and
     both must be fixed or greedy forwarding can cycle:
 
-    * the endpoints' own one-hop entries (``u``'s entry for ``v`` and
-      vice versa) — these are *blocked*;
+    * the endpoints' entries for each other (``u``'s entry for ``v`` and
+      vice versa, whatever their hop) become unusable;
     * the **two-hop look-ahead of the endpoints' neighbors**: a router
       ``r`` adjacent to ``u`` may list ``v`` as a two-hop target *via
       u*.  With the wire dead, ``r`` would keep committing packets to
       an impossible hop — ``u`` cannot honor the commit, re-runs
       greedy, sends the packet back toward ``r``'s neighborhood, and
       the commit/re-commit pair livelocks.  The stale via is therefore
-      *pruned* (``drop_via``; the entry invalidates when its last via
-      goes).
+      dropped (the entry leaves the window when its last via goes).
 
-    Because other machinery (crash excision, flap restore) rebuilds
-    tables from the topology — which still physically contains every
-    failed wire — the repair records its failed-link set and
-    :meth:`reapply` re-imposes every block/prune after any rebuild.
+    The failed wires are one of the three inputs every window is a
+    function of (``GreediestRouting.failed_links``, with the topology
+    and the blocked nodes), so a repair records the wire there and
+    recomputes the windows that list an endpoint; every later rebuild
+    (crash excision, reconfiguration) keeps the wire out by
+    construction.  The recompute bumps the routing generation, which
+    drops the routing's decision columns and the policy's candidate
+    memo.
     """
 
-    def __init__(self, routing, policy) -> None:
+    def __init__(self, routing) -> None:
         self.routing = routing
-        self.policy = policy
-        self.failed_links: set[tuple[int, int]] = set()
 
-    def _apply_link(self, u: int, v: int) -> None:
-        """Impose one failed wire on the current tables."""
-        tables = self.routing.tables
-        topo = self.routing.topology
-        in_nbrs = getattr(topo, "in_neighbors", None)
-        for a, b in ((u, v), (v, u)):
-            table = tables.get(a)
-            if table is not None and b in table:
-                table.block(b)
-            # Prune r -- a -- b look-ahead: only routers adjacent to a
-            # can hold a as a via, so the scan is O(radix), not O(n).
-            holders = set(topo.neighbors(a))
-            if in_nbrs is not None:
-                holders.update(in_nbrs(a))
-            for r in holders:
-                if r in (a, b):
-                    continue
-                rtable = tables.get(r)
-                if rtable is None:
-                    continue
-                entry = rtable.lookup(b)
-                if entry is not None and entry.hop == 2 and a in entry.vias:
-                    rtable.drop_via(b, a)
+    @property
+    def failed_links(self) -> set[tuple[int, int]]:
+        """The wires routed around, as ``(min, max)`` pairs."""
+        return self.routing.failed_links
 
     def route_around_link(self, u: int, v: int) -> None:
         """Drop the failed wire from every router's window."""
         self.failed_links.add((min(u, v), max(u, v)))
-        self._apply_link(u, v)
-        self.policy.on_reconfigure()
+        self.routing.rebuild(self.routing.routers_listing((u, v)))
 
     def restore_link(self, u: int, v: int) -> None:
-        """Re-admit a flapped wire after it proves healthy again.
-
-        Blocking is reversible bit-by-bit, but via pruning is not, so
-        the neighborhood's tables are rebuilt from the (physically
-        intact) topology and the *still*-failed links re-imposed.
-        """
+        """Re-admit a flapped wire after it proves healthy again."""
         self.failed_links.discard((min(u, v), max(u, v)))
-        topo = self.routing.topology
-        region = {u, v}
-        for endpoint in (u, v):
-            region.update(topo.neighbors(endpoint))
-            in_nbrs = getattr(topo, "in_neighbors", None)
-            if in_nbrs is not None:
-                region.update(in_nbrs(endpoint))
-        self.routing.rebuild(sorted(region))
-        self.reapply()
-
-    def reapply(self) -> None:
-        """Re-impose every live failure (call after any table rebuild)."""
-        for u, v in self.failed_links:
-            self._apply_link(u, v)
-        self.policy.on_reconfigure()
+        self.routing.rebuild(self.routing.routers_listing((u, v)))
 
 
 class GraphRepair:
@@ -237,16 +199,12 @@ class FaultDetector:
         #: always-on accounting surfaced by the observability probes.
         self.detection_latency = QuantileSketch()
         if live is not None and isinstance(repair, TableRepair):
-            # Reconfiguration rebuilds tables from the physically
-            # intact topology, resurrecting entries for failed wires;
-            # re-impose the failure set (and re-sweep anything that
-            # slipped onto a dead port meanwhile) after every event.
+            # Windows never list a failed wire, across every rebuild;
+            # still, re-sweep anything that slipped onto a dead port
+            # meanwhile after every event.
             live.on_complete.append(self._on_reconfig_complete)
 
     def _on_reconfig_complete(self, event) -> None:
-        if not self.repair.failed_links:
-            return
-        self.repair.reapply()
         for u, v in sorted(self.repair.failed_links):
             self.layer.sweep_link(u, v)
             self.layer.sweep_link(v, u)

@@ -226,9 +226,9 @@ class FaultLayer:
                 measured=False,
                 context=packet.context,
             )
+            self.sim.send(clone, now)
             self._retry_meta[clone.pid] = (first, attempts + 1)
             self.retransmits += 1
-            self.sim.send(clone, now)
 
         self.sim.schedule(self.sim.now + self.retransmit_timeout, resend)
 

@@ -12,8 +12,8 @@ One power-down operation runs as a timed pipeline:
    stop targeting them and the operation waits (polling) until each
    victim is quiescent: nothing destined to it, nothing queued on its
    ports, nothing mid-wire around it.
-2. **Block** — the routing-table entries that will change (every entry
-   referencing a victim) get their blocking bit set; packets route
+2. **Block** — the victims join the routing's blocked set, and every
+   window that lists a victim is recomputed without it; packets route
    around the blocked links through the greediest protocol's usual
    adaptive/fallback machinery.  A packet that genuinely cannot make
    progress during this window (the ring patch is not switched in yet)
@@ -135,8 +135,9 @@ class LiveReconfigurator:
         The offline :class:`ReconfigurationManager` that owns the
         topology/table mechanics (this class adds the online timing).
     policy:
-        The simulator's routing policy; its ``on_reconfigure`` is
-        called whenever tables or blocking bits change.
+        The simulator's routing policy: arrivals at a probed router
+        try its ``forward`` while the window is open, and its
+        ``on_reconfigure`` is called after every switch.
     power:
         Optional :class:`PowerManager` supplying sleep/wake latencies;
         each completed operation is noted on it, so its
@@ -200,7 +201,6 @@ class LiveReconfigurator:
         self._blocked_dsts: set[int] = set()
         self._probe_routers: set[int] = set()
         self._hold_routers: set[int] = set()
-        self._blocked_pairs: list[tuple[int, int]] = []
         # from_link entries are the simulator's opaque inbound-link
         # tokens (always None for parked packets — their credit was
         # released at park time).
@@ -338,22 +338,22 @@ class LiveReconfigurator:
     def _block_phase(
         self, now: int, kind: str, nodes: tuple[int, ...], event: LiveReconfigEvent
     ) -> None:
-        """Step 1 (online): set blocking bits; open the parking window."""
+        """Step 1 (online): block the victims; open the parking window.
+
+        The routers whose windows list a victim are probed on arrival
+        and are the only windows the block changes.
+        """
         event.t_blocked = now
-        victims = set(nodes)
-        tables = self.routing.tables
-        for router in self.routing.routers_listing(victims):
-            table = tables[router]
-            touched = False
-            for victim in victims:
-                if victim in table:
-                    table.block(victim)
-                    self._blocked_pairs.append((router, victim))
-                    touched = True
-            if touched:
-                self._probe_routers.add(router)
-        self._blocked_dsts |= victims
-        self.policy.on_reconfigure()
+        routing = self.routing
+        self._probe_routers = {
+            router
+            for victim in nodes
+            for router in routing.routers_listing((victim,))
+            if router != victim
+        }
+        routing.blocked.update(nodes)
+        routing.rebuild(sorted(self._probe_routers))
+        self._blocked_dsts.update(nodes)
         self._window_active = True
         delay = self.sleep_cycles if kind == "gate_off" else 0
         self.sim.schedule(now + delay, lambda t: self._switch_off(t, kind, nodes, event))
@@ -399,12 +399,12 @@ class LiveReconfigurator:
     def _after_switch(self, now: int, event: LiveReconfigEvent) -> None:
         event.rerouted_packets = self._reroute_disabled(event.offline_events)
         self.policy.on_reconfigure()
-        tables = self.routing.tables
+        active = self.routing.nbr_index
         self._hold_routers = {
             router
             for offline in event.offline_events
             for router in offline.tables_updated
-            if router in tables
+            if router in active
         }
         self.sim.schedule(now + REVALIDATE_CYCLES, lambda t: self._finish(t, event))
 
@@ -435,14 +435,10 @@ class LiveReconfigurator:
 
     def _finish(self, now: int, event: LiveReconfigEvent) -> None:
         """Step 4 (online): unblock, release parked traffic, close out."""
-        tables = self.routing.built_tables
-        for router, victim in self._blocked_pairs:
-            table = tables.get(router)
-            if table is not None:
-                table.unblock(victim)
-        if self._blocked_pairs:
-            self.policy.on_reconfigure()
-        self._blocked_pairs.clear()
+        routing = self.routing
+        if routing.blocked:
+            routing.blocked.difference_update(event.nodes)
+            routing.rebuild(routing.routers_listing(event.nodes))
         self._probe_routers.clear()
         self._hold_routers.clear()
         self._blocked_dsts.clear()

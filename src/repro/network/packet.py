@@ -10,15 +10,11 @@ saturation.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 __all__ = ["Packet", "PacketKind"]
-
-_packet_ids = itertools.count()
-
 
 class PacketKind(str, Enum):
     """What a packet carries; determines size and memory-side behaviour."""
@@ -58,7 +54,8 @@ class Packet:
     vc: int = 0
     inject_time: int = 0
     measured: bool = True
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    #: Set by :meth:`NetworkSimulator.send`; -1 until the packet is sent.
+    pid: int = -1
     hops: int = 0
     fallback_hops: int = 0
     arrive_time: int | None = None

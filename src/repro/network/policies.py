@@ -90,7 +90,7 @@ class GreedyPolicy(RoutingPolicy):
         n = self._key_n = routing.topology.num_nodes
         self.vc_keys = [routing.topology.coords.coordinate(v, 0) for v in range(n)]
         #: Routing generation the candidate memo and load probes were
-        #: filled against; a table rebuild anywhere (including
+        #: filled against; a window rebuild anywhere (including
         #: *offline* reconfiguration, which never calls on_reconfigure)
         #: bumps ``routing.version`` and invalidates them on the next
         #: forward.

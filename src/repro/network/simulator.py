@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from collections import deque
 from collections.abc import Callable
@@ -250,6 +251,10 @@ class NetworkSimulator:
         self.stats = SimStats.sample_free() if sample_free else SimStats()
         self.stats.num_nodes = len(topology.active_nodes)
         self.now = 0
+        #: Packet ids, numbered in send order from 0 by each simulator,
+        #: so a run's ids (and a tracer's sample) never depend on the
+        #: runs made before it in the same process.
+        self._packet_ids = itertools.count()
         #: calendar event queue: cycle -> deque of (seq, code, a, b),
         #: sorted by seq; ``_times`` is a heap of exactly its keys.
         self._cal: dict[int, deque] = {}
@@ -799,13 +804,15 @@ class NetworkSimulator:
         self._push(max(time, self.now), _CALL, callback, None)
 
     def send(self, packet: Packet, time: int | None = None) -> None:
-        """Inject *packet* into the network at *time* (default: now).
+        """Inject *packet* into the network at *time* (default: now),
+        giving it this simulator's next packet id.
 
         Injection enters through the terminal port, so it consumes no
         network credits; the source router makes its (adaptive)
         decision when the packet arrives at the head of the NIC.
         """
         t = self.now if time is None else max(time, self.now)
+        packet.pid = next(self._packet_ids)
         packet.inject_time = t
         # The policy's select_vc, as an array read.
         policy = self.policy

@@ -2,12 +2,11 @@
 
 ``ReconfigurationManager`` runs the paper's four steps over a batch of
 nodes: each node is blocked, switched and diffed in order exactly as a
-lone node would be, and the union of their tables is rebuilt once at
-the end.  Because ``rebuild`` equals a fresh build of the final
-topology, a batch must leave everything a one-call-per-node sequence
-leaves: the same tables bit for bit, the same vectorized views, the
-same active shortcuts, the same live hold sets and the same event
-records.  A batch is also checked whole before any of it runs, so a
+lone node would be, and the union of their windows is recomputed once
+at the end.  Because a window is a function of the final topology, a
+batch must leave everything a one-call-per-node sequence leaves: the
+same window rows, the same active shortcuts, the same live hold sets
+and the same event records.  A batch is also checked whole before any of it runs, so a
 bad node leaves the network untouched.
 
 ``HYPOTHESIS_PROFILE=ci`` runs more, derandomized examples.
@@ -23,13 +22,12 @@ from hypothesis import strategies as st
 
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import GreediestRouting
-from repro.core.routing_table import RoutingTable
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.network.config import NetworkConfig
 from repro.network.elastic import LiveReconfigurator
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
-from tests.core.test_incremental_tables import assert_same_tables, assert_views_current
+from tests.core.test_incremental_tables import assert_rows_current, assert_same_rows
 from tests.core.test_routing_kernels import assert_pair_matches_scalar
 
 _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
@@ -43,18 +41,15 @@ def make_system(nodes, ports, seed, direction=LinkDirection.BI):
 
 def hold_set(events, routing):
     """The routers a live switch holds arrivals at (``_after_switch``)."""
-    return {r for e in events for r in e.tables_updated if r in routing.tables}
+    return {r for e in events for r in e.tables_updated if r in routing.nbr_index}
 
 
 def assert_same_state(one, batch):
     (topo_a, routing_a, manager_a), (topo_b, routing_b, manager_b) = one, batch
     assert topo_a.node_active == topo_b.node_active
     assert topo_a.active_shortcuts == topo_b.active_shortcuts
-    assert_same_tables(routing_b, routing_a)
-    assert {v: view.window for v, view in routing_b._views.items()} == {
-        v: view.window for v, view in routing_a._views.items()
-    }
-    assert_views_current(routing_b)
+    assert_same_rows(routing_b, routing_a)
+    assert_rows_current(routing_b)
     assert manager_b.events == manager_a.events
 
 
@@ -109,12 +104,14 @@ class TestBatchChecked:
 
     def assert_untouched(self, system, op, *nodes, match=None):
         topo, routing, manager = system
-        active, tables, version = list(topo.node_active), dict(routing.tables), routing.version
+        windows = [routing.window(v) for v in range(topo.num_nodes)]
+        active, version = list(topo.node_active), routing.version
         with pytest.raises(ValueError, match=match):
             op(*nodes)
         assert topo.node_active == active
-        assert routing.tables == tables and routing.version == version
-        assert not any(e.blocked for t in routing.tables.values() for e in t.entries())
+        assert [routing.window(v) for v in range(topo.num_nodes)] == windows
+        assert routing.version == version
+        assert routing.blocked == set()
         assert manager.events == []
 
     def test_repeated_node(self, system):
@@ -145,8 +142,10 @@ class TestBatchChecked:
 
 
 def test_live_gate_off_rebuilds_once(monkeypatch):
-    """One live gate-off of k nodes: one rebuild, at most one table
-    build per active router."""
+    """One live gate-off of k nodes recomputes rows three times: the
+    block phase the routers listing a victim, the switch the union of
+    the updated rows, once for the whole batch, and the unblock none
+    (no active router lists a gated victim)."""
     topo = StringFigureTopology(144, 4, seed=0)
     routing = GreediestRouting(topo)
     policy = GreedyPolicy(routing)
@@ -157,23 +156,24 @@ def test_live_gate_off_rebuilds_once(monkeypatch):
     assert len(victims) > 1
     active = len(topo.active_nodes)
 
-    rebuilds, builds = [], []
+    listing = {
+        r for v in victims for r in routing.routers_listing((v,)) if r != v
+    }
+    rebuilds = []
     rebuild = routing.rebuild
-    build = RoutingTable.build.__func__
 
     def counting_rebuild(nodes=None):
-        rebuilds.append(nodes)
+        rebuilds.append(list(nodes))
         return rebuild(nodes)
 
-    def counting_build(cls, topology, owner):
-        builds.append(owner)
-        return build(cls, topology, owner)
-
     monkeypatch.setattr(routing, "rebuild", counting_rebuild)
-    monkeypatch.setattr(RoutingTable, "build", classmethod(counting_build))
     live.gate_off(victims, at=10)
     sim.run(until=5_000)
     (event,) = live.events
     assert len(event.offline_events) == len(victims)
-    assert len(rebuilds) == 1
-    assert 0 < len(builds) <= active
+    block, switch, unblock = rebuilds
+    assert block == sorted(listing) and 0 < len(block) <= active
+    updated = set(victims).union(*(e.tables_updated for e in event.offline_events))
+    assert switch == sorted(updated)
+    assert unblock == []
+    assert_rows_current(routing)

@@ -1,13 +1,13 @@
-"""On-demand routing state.
+"""Window rows, recomputed where a writer touched them.
 
-``GreediestRouting`` keeps every router's usable window as padded rows
-and builds a router's ``RoutingTable`` and ``_NodeView`` only when
-something reads them.  ``rebuild(nodes)`` promises that every listed
-active router's table, when next read, equals a fresh
-``RoutingTable.build`` with every bit clear.  These tests hold the rows,
-the tables built on access and the views to that contract entry for
-entry and array for array, and check that construction and offline
-reconfiguration build nothing.
+``GreediestRouting`` keeps one state per router, its usable window as
+a padded row, which is a function of the active topology, the failed
+wires and the blocked nodes.  ``rebuild(nodes)`` recomputes the listed
+rows from those inputs.  These tests hold the rows to the per-entry
+table oracle (:mod:`tests.core.routing_oracle`) entry for entry, check
+that the scalar row arrays are a cache cut from the rows and dropped at
+every ``version`` bump, and that offline reconfiguration recomputes
+only the rows it updates.
 """
 
 from __future__ import annotations
@@ -15,75 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, _NodeView
-from repro.core.routing_table import RoutingTable
+from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.faults.detector import TableRepair
 from repro.network.elastic import LiveReconfigurator
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
 from repro.topologies.registry import make_topology
+from tests.core.routing_oracle import RoutingTable, oracle_tables
 
 
-def table_rows(table):
-    """Every entry as (node, hop, coords, vias, valid, blocked)."""
-    return [
-        (e.node, e.hop, e.coords, sorted(e.vias), e.valid, e.blocked)
-        for e in table.entries()
-    ]
+def assert_rows_current(routing, failed_links=(), blocked=()):
+    """Every active router's row and neighbor map equal the usable
+    window of its oracle table, and inactive routers have none."""
+    tables = oracle_tables(routing.topology, failed_links, blocked)
+    assert sorted(routing.nbr_index) == sorted(tables)
+    for node, table in tables.items():
+        window = table.usable_window()
+        assert routing.window(node) == window, node
+        one_hop = [w for w, hop, _vias in window if hop == 1]
+        assert routing.nbr_index[node] == {w: i for i, w in enumerate(one_hop)}, node
 
 
-def view_arrays(view):
-    return {
-        "k": view.k,
-        "nbr_ids": view.nbr_ids.tolist(),
-        "nbr_coords": view.nbr_coords.tolist(),
-        "win_ids": view.win_ids.tolist(),
-        "win_hop": view.win_hop.tolist(),
-        "via_idx": [list(vias) for vias in view.via_idx],
-        "inf_mask": view.inf_mask.tolist(),
-        "all_coords": view.all_coords.tolist(),
-        "id_to_nbr_index": view.id_to_nbr_index,
-    }
-
-
-def stored_window(routing, node):
-    """*node*'s stored window row, as ``usable_window()`` lists it."""
-    n = routing.topology.num_nodes
-    ids = routing._win[node]
-    k = int(routing._win_k[node])
-    return tuple(
-        (
-            int(ids[j]),
-            1 if j < k else 2,
-            tuple(np.flatnonzero(routing._win_via[node, j, :k]).tolist()),
-        )
-        for j in range(int((ids < n).sum()))
-    )
-
-
-def assert_views_current(routing):
-    """Each built table's view and neighbor map equal ones freshly made
-    from the table, and every active router's stored row is the usable
-    window of its table: the built one, else a fresh build."""
-    for node, table in routing.built_tables.items():
-        fresh = _NodeView(table.usable_window(), routing._coord_matrix, node)
-        assert view_arrays(routing._view(node)) == view_arrays(fresh), node
-        assert routing.nbr_index[node] == fresh.id_to_nbr_index, node
-    for node in routing.tables:
-        table = routing.built_tables.get(node)
-        if table is None:
-            table = RoutingTable.build(routing.topology, node)
-        assert stored_window(routing, node) == table.usable_window(), node
-
-
-def assert_same_tables(routing, reference):
-    assert sorted(routing.tables) == sorted(reference.tables)
-    for node, table in routing.tables.items():
-        assert table_rows(table) == table_rows(reference.tables[node]), node
-        assert view_arrays(routing._view(node)) == view_arrays(
-            reference._view(node)
-        ), node
+def assert_same_rows(routing, reference):
+    assert routing.nbr_index == reference.nbr_index
+    for node in range(routing.topology.num_nodes):
+        assert routing.window(node) == reference.window(node), node
 
 
 class TestBuild:
@@ -94,112 +51,121 @@ class TestBuild:
         ):
             routing = GreediestRouting(topo)
             for node in topo.active_nodes:
-                table = RoutingTable.build(topo, node)
-                assert stored_window(routing, node) == table.usable_window()
-                one_hop = [e.node for e in table.one_hop()]
+                window = RoutingTable.build(topo, node).usable_window()
+                assert routing.window(node) == window
+                one_hop = [w for w, hop, _vias in window if hop == 1]
                 assert routing.nbr_index[node] == {w: i for i, w in enumerate(one_hop)}
-            assert routing.built_tables == {}
+            assert routing._rows == {}
 
     def test_view_matches_the_table_entries(self):
-        """Reconstruct each view from the entries, independently of the
-        window: one-hop rows, reachable two-hop rows, via relation."""
+        """Reconstruct a router's scalar row arrays from the oracle's
+        entries, independently of its window: one-hop rows, reachable
+        two-hop rows, via relation."""
         topo = StringFigureTopology(64, 4, seed=3)
         routing = GreediestRouting(topo)
         node = topo.active_nodes[5]
-        table = routing.tables[node]
-        table.block(table.one_hop()[0].node)
-        routing.refresh_views([node])
-        view = routing._view(node)
-        one_hop = [e.node for e in table.one_hop()]
-        window = one_hop + [
-            e.node for e in table.two_hop() if e.vias & set(one_hop)
-        ]
-        assert view.nbr_ids.tolist() == one_hop
-        assert view.win_ids.tolist() == window
-        assert view.all_coords[0].tolist() == list(topo.coords.vector(node))
+        blocked = topo.neighbors(node)[0]
+        routing.blocked.add(blocked)
+        routing.rebuild(routing.routers_listing([blocked]))
+        table = oracle_tables(topo, (), {blocked})[node]
+        entries = table._entries
+        usable = [e for _n, e in sorted(entries.items()) if e.valid and not e.blocked]
+        one_hop = [e.node for e in usable if e.hop == 1]
+        window = one_hop + [e.node for e in usable if e.hop == 2 and e.vias & set(one_hop)]
+        row = routing._row(node)
+        assert row.k == len(one_hop)
+        assert row.ids.tolist() == window
+        assert row.coords[0].tolist() == list(topo.coords.vector(node))
+        assert row.coords[1:].tolist() == [list(topo.coords.vector(w)) for w in window]
         for j, target in enumerate(window):
-            vias = table.lookup(target).vias
-            expected = [i for i, via in enumerate(one_hop) if via in vias]
-            assert list(view.via_idx[j]) == expected
-            finite = np.flatnonzero(np.isfinite(view.inf_mask[:, j])).tolist()
+            expected = [i for i, via in enumerate(one_hop) if via in entries[target].vias]
+            assert row.vias[j] == expected
+            finite = np.flatnonzero(np.isfinite(row.inf_mask[:, j])).tolist()
             assert finite == expected
 
     def test_tables_build_on_first_read(self):
+        """Scalar row arrays are cut on a router's first scalar read and
+        dropped at the next ``version`` bump; the rows stay."""
         topo = StringFigureTopology(64, 4, seed=3)
         routing = GreediestRouting(topo)
         version = routing.version
-        assert len(routing.tables) == len(topo.active_nodes)
-        assert routing.built_tables == {}
+        assert routing._rows == {}
         node = topo.active_nodes[7]
-        table = routing.tables[node]
-        assert routing.built_tables == {node: table}
-        assert routing._view(node) is routing._view(node)
+        row = routing._row(node)
+        assert routing._rows == {node: row}
+        assert routing._row(node) is row
         assert routing.version == version
-        assert routing.tables.get(-1) is None
-        assert_views_current(routing)
+        routing.candidate_set(node, topo.active_nodes[0])
+        assert routing._rows == {node: row}
+        routing.refresh_views()
+        assert routing._rows == {} and routing.columns == {}
+        assert_rows_current(routing)
 
 
 class TestWorkSaved:
     def test_power_gate_builds_fewer_tables_than_it_updates(self, monkeypatch):
+        """A gate recomputes exactly the rows it updates, once, and
+        leaves every other row as it was."""
         topo = make_topology("SF", 144, seed=0)
         routing = GreediestRouting(topo)
         manager = ReconfigurationManager(topo, routing)
         victim = manager.gate_candidates(1)[0]
-        # Tables built near the victim and far from it.
-        before = {
-            node: routing.tables[node]
-            for node in topo.active_nodes[::5] + topo.neighbors(victim)
-        }
-        builds = []
-        build = RoutingTable.build.__func__
+        for node in topo.active_nodes[::5]:
+            routing._row(node)
+        before = {v: routing.window(v) for v in range(topo.num_nodes)}
+        rebuilt = []
+        rebuild = routing.rebuild
 
-        def counting_build(cls, topology, owner):
-            builds.append(owner)
-            return build(cls, topology, owner)
+        def counting_rebuild(nodes=None):
+            rebuilt.append(list(nodes))
+            return rebuild(nodes)
 
-        monkeypatch.setattr(RoutingTable, "build", classmethod(counting_build))
+        monkeypatch.setattr(routing, "rebuild", counting_rebuild)
         (event,) = manager.power_gate(victim)
-        assert builds == []
         updated = set(event.tables_updated) | {victim}
-        for node, table in before.items():
-            kept = routing.built_tables.get(node) is table
-            assert kept == (node not in updated), node
-        monkeypatch.undo()
-        for node in topo.active_nodes:
-            assert table_rows(routing.tables[node]) == table_rows(
-                RoutingTable.build(topo, node)
-            ), node
-        assert_views_current(routing)
+        assert rebuilt == [sorted(updated)]
+        assert len(updated) < len(topo.active_nodes)
+        assert routing._rows == {}
+        for node, window in before.items():
+            if node not in updated:
+                assert routing.window(node) == window, node
+        assert_rows_current(routing)
 
     def test_unchanged_windows_keep_their_views(self):
+        """Recomputing rows whose inputs did not change leaves every row
+        as it was; the scalar row arrays go with the bump."""
         topo = make_topology("SF", 144, seed=0)
         routing = GreediestRouting(topo)
         active = topo.active_nodes
-        views = {v: routing._view(v) for v in active[:40]}
+        for v in active[:40]:
+            routing._row(v)
+        win, via, k = routing._win.copy(), routing._win_via.copy(), routing._win_k.copy()
         version = routing.version
         routing.refresh_views()
         routing.rebuild(active[20:60])
         assert routing.version == version + 2
-        assert all(routing._view(v) is views[v] for v in active[:20])
-        assert set(routing.built_tables) == set(active[:20])
-        assert_views_current(routing)
+        assert routing._rows == {}
+        assert (routing._win == win).all() and (routing._win_via == via).all()
+        assert (routing._win_k == k).all()
+        assert_rows_current(routing)
 
 
-def test_prune_beside_live_gate_off_then_restore_link():
-    """A fault-repair prune next to a live gate-off, then one of its
-    links restored: the tables must equal a full rebuild followed by
-    ``reapply()`` of the links still failed.  A rebuild that kept a
-    pruned table because its neighborhood looked unchanged would leave
-    the restored link's look-ahead pruned."""
-    topo = StringFigureTopology(48, 4, seed=7)
+def live_system(nodes, ports, seed):
+    topo = StringFigureTopology(nodes, ports, seed=seed)
     routing = AdaptiveGreediestRouting(topo)
     policy = GreedyPolicy(routing)
     sim = NetworkSimulator(topo, policy)
     manager = ReconfigurationManager(topo, routing)
     live = LiveReconfigurator(sim, manager, policy)
-    repair = TableRepair(routing, policy)
-    live.on_complete.append(lambda event: repair.reapply())
+    return topo, routing, sim, manager, live, TableRepair(routing)
 
+
+def test_prune_beside_live_gate_off_then_restore_link():
+    """A fault-repair prune next to a live gate-off, then one of its
+    links restored: the rows must equal the oracle's tables with only
+    the links still failed imposed.  Recomputing only the restored
+    link's rows must not leave its look-ahead pruned."""
+    topo, routing, sim, manager, live, repair = live_system(48, 4, 7)
     victim = manager.gate_candidates(1)[0]
     u = topo.neighbors(victim)[0]
     v = next(w for w in topo.neighbors(u) if w != victim)
@@ -208,8 +174,7 @@ def test_prune_beside_live_gate_off_then_restore_link():
     repair.route_around_link(u, v)
     repair.route_around_link(x, y)
     assert any(
-        routing.tables[r].usable_window() != RoutingTable.build(topo, r).usable_window()
-        for r in topo.neighbors(u)
+        routing.window(r) != RoutingTable.build(topo, r).usable_window() for r in topo.neighbors(u)
     )
 
     live.gate_off([victim], at=10)
@@ -221,8 +186,7 @@ def test_prune_beside_live_gate_off_then_restore_link():
     assert repair.failed_links == {(min(x, y), max(x, y))}
 
     reference = AdaptiveGreediestRouting(topo)
-    ref_repair = TableRepair(reference, GreedyPolicy(reference))
-    ref_repair.failed_links = set(repair.failed_links)
-    ref_repair.reapply()
-    assert_same_tables(routing, reference)
-    assert_views_current(routing)
+    reference.failed_links.add((min(x, y), max(x, y)))
+    reference.rebuild()
+    assert_same_rows(routing, reference)
+    assert_rows_current(routing, repair.failed_links)

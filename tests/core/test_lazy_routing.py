@@ -1,17 +1,21 @@
-"""On-demand routing state against an eager reference.
+"""The declared routing state against the per-entry table oracle.
 
-``GreediestRouting`` builds a router's ``RoutingTable`` and
-``_NodeView`` only when something reads them; until then the router is
-a row of padded window arrays made from the topology.  The reference
-here keeps every active router's table, built from scratch, and
-replays the same operations on it: offline gate/wake batches, live
-gate-offs (block, then switch and unblock), failed and restored links
-through ``TableRepair``.  After every step each active router's table
-(built on access), view, ``nbr_index`` entry and every decision column
-must equal the reference's.
+``GreediestRouting`` keeps one state per router: its usable window, a
+row computed from the active topology, the failed wires and the blocked
+nodes, and recomputed only where a writer touched it.  The reference
+here is :mod:`tests.core.routing_oracle`: every active router's table
+built from scratch, with the failed wires and blocked nodes imposed bit
+by bit.  It replays the same operations on a twin topology, keeping its
+own failed and blocked sets: offline gate/wake batches, live gate-offs
+(checked mid-window, with links failed and restored inside the open
+window), and failed and restored links through ``TableRepair``, with
+failures carried across later batches.  After every step each active
+router's row and ``nbr_index`` entry must equal the oracle's, every
+decision column must equal one cut from rows recomputed from scratch,
+and sampled columns must agree with the scalar ``next_hop``.
 
-The guard tests count builds: construction builds none, and a uniform
-episode pins how many routers it builds.
+The guard tests count scalar row arrays: construction cuts none, and a
+uniform episode, whose every hop a decision column answers, cuts none.
 
 ``HYPOTHESIS_PROFILE=ci`` runs more, derandomized examples.
 """
@@ -25,9 +29,9 @@ import types
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import routing as routing_module
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import GreediestRouting, _NodeView
-from repro.core.routing_table import RoutingTable
+from repro.core.routing import GreediestRouting
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.faults.detector import TableRepair
 from repro.network.elastic import LiveReconfigurator
@@ -36,39 +40,9 @@ from repro.network.simulator import NetworkSimulator
 from repro.topologies.registry import make_policy, make_topology
 from repro.traffic.injection import run_synthetic
 from repro.traffic.patterns import make_pattern
-from tests.core.test_incremental_tables import stored_window, table_rows, view_arrays
+from tests.core.routing_oracle import oracle_tables
 
 _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
-
-
-class EagerRouting:
-    """Every active router's table, built from scratch by ``rebuild``;
-    what ``ReconfigurationManager`` and ``TableRepair`` use of a
-    routing."""
-
-    def __init__(self, topology: StringFigureTopology) -> None:
-        self.topology = topology
-        self.tables: dict[int, RoutingTable] = {}
-        self.built_tables = self.tables
-        self.rebuild()
-
-    def rebuild(self, nodes=None) -> None:
-        topo = self.topology
-        for v in range(topo.num_nodes) if nodes is None else nodes:
-            if topo.is_active(v):
-                self.tables[v] = RoutingTable.build(topo, v)
-            else:
-                self.tables.pop(v, None)
-
-    def live_block(self, victims) -> list[tuple[int, int]]:
-        """A live gate-off's block phase, scanning every table."""
-        pairs = []
-        for router, table in self.tables.items():
-            for victim in victims:
-                if victim in table:
-                    table.block(victim)
-                    pairs.append((router, victim))
-        return pairs
 
 
 class Twin:
@@ -81,17 +55,21 @@ class Twin:
         self.sim = NetworkSimulator(topo, policy)
         self.manager = ReconfigurationManager(topo, self.routing)
         self.live = LiveReconfigurator(self.sim, self.manager, policy)
-        self.repair = TableRepair(self.routing, policy)
-        self.live.on_complete.append(lambda event: self.repair.reapply())
-        ref_topo = StringFigureTopology(nodes, ports, seed=seed, direction=direction)
-        self.reference = EagerRouting(ref_topo)
-        self.ref_manager = ReconfigurationManager(ref_topo, self.reference)
-        stub = types.SimpleNamespace(on_reconfigure=lambda: None)
-        self.ref_repair = TableRepair(self.reference, stub)
+        self.repair = TableRepair(self.routing)
+        self.ref_topo = StringFigureTopology(nodes, ports, seed=seed, direction=direction)
+        # The oracle is rebuilt from scratch at every check, so the
+        # reference manager's rebuilds have nothing to do.
+        stub = types.SimpleNamespace(rebuild=lambda nodes=None: None)
+        self.ref_manager = ReconfigurationManager(self.ref_topo, stub)
+        self.ref_failed: set[tuple[int, int]] = set()
+        self.ref_blocked: set[int] = set()
 
     @property
     def topo(self) -> StringFigureTopology:
         return self.routing.topology
+
+    def oracle(self):
+        return oracle_tables(self.ref_topo, self.ref_failed, self.ref_blocked)
 
     def gate(self, pick) -> None:
         candidates = self.manager.gate_candidates(4)
@@ -104,6 +82,8 @@ class Twin:
         assert self.manager.power_on(*woken) == self.ref_manager.power_on(*woken)
 
     def live_gate_off(self, pick) -> None:
+        """Block, check mid-window (also after failing or restoring a
+        link inside the window), then switch and unblock."""
         candidates = self.manager.gate_candidates(2)
         if not candidates:
             return
@@ -111,71 +91,65 @@ class Twin:
         sim, live = self.sim, self.live
         live.gate_off(victims, at=sim.now + 1)
         sim.run(until=sim.now + 2)
-        assert live._window_active and live._blocked_pairs
-        pairs = self.reference.live_block(victims)
-        assert sorted(live._blocked_pairs) == sorted(pairs)
+        assert live._window_active and self.routing.blocked == set(victims)
+        self.ref_blocked = set(victims)
+        tables = self.oracle()
+        assert live._probe_routers == {
+            r for r, table in tables.items() if any(x in table for x in victims)
+        }
         self.check(pick)
+        for step in pick.sample((self.fail_link, self.restore_link), pick.randint(0, 2)):
+            step(pick)
+            self.check(pick)
         sim.run(until=sim.now + live.sleep_cycles + 1_000)
         assert live.pending_operations == 0
         self.ref_manager.power_gate(*victims)
-        for router, victim in pairs:
-            table = self.reference.tables.get(router)
-            if table is not None:
-                table.unblock(victim)
-        self.ref_repair.reapply()
+        self.ref_blocked = set()
 
     def fail_link(self, pick) -> None:
         links = [
             (u, v)
             for u in self.topo.active_nodes
             for v in self.topo.neighbors(u)
-            if (min(u, v), max(u, v)) not in self.repair.failed_links
+            if (min(u, v), max(u, v)) not in self.ref_failed
         ]
         if links:
             u, v = pick.choice(links)
             self.repair.route_around_link(u, v)
-            self.ref_repair.route_around_link(u, v)
+            self.ref_failed.add((min(u, v), max(u, v)))
 
     def restore_link(self, pick) -> None:
-        if self.repair.failed_links:
-            u, v = pick.choice(sorted(self.repair.failed_links))
+        if self.ref_failed:
+            u, v = pick.choice(sorted(self.ref_failed))
             self.repair.restore_link(u, v)
-            self.ref_repair.restore_link(u, v)
+            self.ref_failed.discard((u, v))
 
     def read(self, pick) -> None:
-        """Scalar decisions: each builds the router it reads."""
+        """Scalar decisions: each cuts the row arrays of the router it reads."""
         active = self.topo.active_nodes
         for _ in range(3):
             self.routing.candidate_set(pick.choice(active), pick.choice(active))
 
     def check(self, pick) -> None:
-        routing, reference = self.routing, self.reference
+        routing = self.routing
         active = self.topo.active_nodes
-        assert active == reference.topology.active_nodes
-        assert sorted(routing.tables) == sorted(routing.nbr_index) == active
-        assert sorted(reference.tables) == active
+        assert active == self.ref_topo.active_nodes
+        assert sorted(routing.nbr_index) == active
+        tables = self.oracle()
         for v in active:
-            window = reference.tables[v].usable_window()
-            assert stored_window(routing, v) == window, v
+            window = tables[v].usable_window()
+            assert routing.window(v) == window, v
+            one_hop = [node for node, hop, _vias in window if hop == 1]
+            assert routing.nbr_index[v] == {w: i for i, w in enumerate(one_hop)}, v
         columns = {dst: list(routing.column(dst)) for dst in active}
-        # Every router read on a copy, so the system under test stays
-        # as unbuilt as its operations left it.
-        eager = copy.deepcopy(routing)
-        for v in active:
-            table = reference.tables[v]
-            view = _NodeView(table.usable_window(), routing._coord_matrix, v)
-            assert table_rows(eager.tables[v]) == table_rows(table), v
-            assert view_arrays(eager._view(v)) == view_arrays(view), v
-            assert routing.nbr_index[v] == view.id_to_nbr_index, v
-        # Every row of the copy is now a built table's view; once the
-        # refresh drops the copied columns, its columns are the eager
-        # ones, and they agree with the scalar path on its views.
-        eager.refresh_views()
-        assert {dst: list(eager.column(dst)) for dst in active} == columns
+        # Every row recomputed at once from the same three inputs.
+        scratch = copy.deepcopy(routing)
+        scratch.rebuild()
+        assert {dst: list(scratch.column(dst)) for dst in active} == columns
         for dst in pick.sample(active, min(len(active), 4)):
             for current in active:
                 if current != dst:
-                    assert_entry_is_scalar(eager, columns[dst][current], current, dst)
+                    assert_entry_is_scalar(routing, columns[dst][current], current, dst)
 
 
 def assert_entry_is_scalar(routing, entry, current, dst):
@@ -215,37 +189,54 @@ def test_on_demand_state_equals_eager_reference(nodes, ports, seed, uni, use_two
         twin.check(pick)
 
 
-class Builds:
-    """Counts ``RoutingTable.build`` calls and ``_NodeView`` inits."""
+@settings(max_examples=10 if _CI else 3, deadline=None, derandomize=_CI)
+@given(
+    nodes=st.integers(16, 144),
+    seed=st.integers(0, 2**16),
+    uni=st.booleans(),
+    steps=st.lists(
+        st.sampled_from(("gate", "wake", "fail_link", "restore_link")),
+        min_size=2,
+        max_size=8,
+    ),
+    pick=st.randoms(use_true_random=False),
+)
+def test_failures_carried_across_offline_batches(nodes, seed, uni, steps, pick):
+    """Failed wires stay out of every recomputed window while offline
+    batches gate and wake nodes around them."""
+    direction = LinkDirection.UNI if uni else LinkDirection.BI
+    twin = Twin(nodes, 4, seed, direction, True)
+    twin.fail_link(pick)
+    for step in steps:
+        getattr(twin, step)(pick)
+        twin.check(pick)
+
+
+class Cuts:
+    """Counts the scalar row arrays cut (``_Row`` inits)."""
 
     def __init__(self, monkeypatch) -> None:
-        self.tables = self.views = 0
-        build = RoutingTable.build.__func__
-        view_init = _NodeView.__init__
+        self.rows = 0
+        row_init = routing_module._Row.__init__
 
-        def counting_build(cls, topology, owner):
-            self.tables += 1
-            return build(cls, topology, owner)
+        def counting_row(row, *args):
+            self.rows += 1
+            row_init(row, *args)
 
-        def counting_view(view, *args):
-            self.views += 1
-            view_init(view, *args)
-
-        monkeypatch.setattr(RoutingTable, "build", classmethod(counting_build))
-        monkeypatch.setattr(_NodeView, "__init__", counting_view)
+        monkeypatch.setattr(routing_module._Row, "__init__", counting_row)
 
 
 def test_paper_scale_policy_builds_no_table_or_view(monkeypatch):
-    builds = Builds(monkeypatch)
+    cuts = Cuts(monkeypatch)
     policy = make_policy(make_topology("SF", 1296, seed=0))
     assert policy.routing.column(7) is not None
-    assert (builds.tables, builds.views) == (0, 0)
+    assert cuts.rows == 0
 
 
 def test_uniform_episode_builds_no_router(monkeypatch):
     """Every hop of a seed-0 uniform episode is answered by a decision
-    column, so no router's table or view is ever built."""
-    builds = Builds(monkeypatch)
+    column, so no router's scalar row arrays are ever cut."""
+    cuts = Cuts(monkeypatch)
     topo = make_topology("SF", 256, seed=0)
     stats = run_synthetic(
         topo,
@@ -259,4 +250,4 @@ def test_uniform_episode_builds_no_router(monkeypatch):
         sample_free=True,
     )
     assert stats.delivered > 0
-    assert (builds.tables, builds.views) == (0, 0)
+    assert cuts.rows == 0

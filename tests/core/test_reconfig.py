@@ -8,6 +8,7 @@ import pytest
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import GreediestRouting
 from repro.core.topology import S2Topology, StringFigureTopology
+from tests.core.test_incremental_tables import assert_rows_current
 
 
 @pytest.fixture
@@ -172,24 +173,25 @@ class TestTableConsistencyAfterReconfig:
             mgr.power_gate(v)
         gated = set(victims)
         for node in topo.active_nodes:
-            table = routing.tables[node]
-            for entry in table.one_hop() + table.two_hop():
-                assert entry.node not in gated
-                assert not (entry.vias & gated)
+            window = routing.window(node)
+            one_hop = [w for w, hop, _vias in window if hop == 1]
+            for w, _hop, vias in window:
+                assert w not in gated
+                assert not {one_hop[i] for i in vias} & gated
 
     def test_tables_unblocked_after_reconfig(self, system):
         topo, routing, mgr = system
         victim = mgr.gate_candidates(1)[0]
         mgr.power_gate(victim)
-        for node in topo.active_nodes:
-            for entry in routing.tables[node].entries():
-                assert not entry.blocked
+        assert routing.blocked == set()
+        assert_rows_current(routing)
 
     def test_gated_node_has_no_table(self, system):
         topo, routing, mgr = system
         victim = mgr.gate_candidates(1)[0]
         mgr.power_gate(victim)
-        assert victim not in routing.tables
+        assert victim not in routing.nbr_index
+        assert routing.window(victim) == ()
 
 
 class TestConnectivityValidation:

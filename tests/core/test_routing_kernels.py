@@ -25,7 +25,6 @@ from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.faults.detector import TableRepair
-from repro.network.policies import GreedyPolicy
 
 _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
 
@@ -115,13 +114,12 @@ def test_kernel_equals_scalar_unequal_windows(use_two_hop):
     # entries, so both padded dimensions hold real padding.
     topo = StringFigureTopology(648, 8, seed=0)
     routing = GreediestRouting(topo, use_two_hop=use_two_hop)
-    views = [routing._view(r) for r in routing.tables]
-    assert len({v.k for v in views}) > 1
-    assert len({len(v.window) for v in views}) > 1
     active = topo.active_nodes
+    assert len({len(routing.nbr_index[r]) for r in active}) > 1
+    assert len({len(routing.window(r)) for r in active}) > 1
     # Every destination of a sample of routers that covers both the
     # shortest and the longest windows.
-    by_window = sorted(active, key=lambda r: (len(routing._view(r).window), r))
+    by_window = sorted(active, key=lambda r: (len(routing.window(r)), r))
     sample = set(by_window[:4] + by_window[-4:] + active[::97])
     for current in sorted(sample):
         for dst in active:
@@ -186,8 +184,7 @@ def test_tables_invalidate_on_reconfiguration():
 def test_tables_invalidate_on_fault_repair():
     topo = StringFigureTopology(64, 4, seed=0)
     routing = AdaptiveGreediestRouting(topo)
-    policy = GreedyPolicy(routing)
-    repair = TableRepair(routing, policy)
+    repair = TableRepair(routing)
     u = topo.active_nodes[0]
     v = topo.neighbors(u)[0]
     # Warm, then find a destination the warm table answers via the
@@ -236,7 +233,7 @@ def test_kernel_matches_scalar_across_reconfiguration(
     topo = StringFigureTopology(nodes, ports, seed=seed, direction=direction)
     routing = GreediestRouting(topo, use_two_hop=use_two_hop)
     manager = ReconfigurationManager(topo, routing)
-    repair = TableRepair(routing, GreedyPolicy(routing))
+    repair = TableRepair(routing)
     failed: list[tuple[int, int]] = []
 
     def check():

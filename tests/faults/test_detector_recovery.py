@@ -12,6 +12,7 @@ from repro.memory.migration import PageDirectory
 from repro.network.policies import GreedyPolicy
 from repro.network.simulator import NetworkSimulator
 from repro.topologies.registry import make_topology
+from tests.core.routing_oracle import oracle_tables
 
 
 def sf_stack(n=32):
@@ -28,7 +29,7 @@ class TestTableRepair:
         topo, routing, policy, sim, layer = sf_stack()
         u = topo.active_nodes[0]
         v = topo.neighbors(u)[0]
-        repair = TableRepair(routing, policy)
+        repair = TableRepair(routing)
         repair.route_around_link(u, v)
         assert not routing.is_direct(u, v)
         assert not routing.is_direct(v, u)
@@ -45,26 +46,29 @@ class TestTableRepair:
         u = topo.active_nodes[0]
         v = topo.neighbors(u)[0]
         stale = [
-            r for r, table in routing.tables.items()
+            r for r, table in oracle_tables(topo, (), ()).items()
             if r not in (u, v)
-            and (entry := table.lookup(v)) is not None
+            and (entry := table._entries.get(v)) is not None
             and entry.hop == 2
             and u in entry.vias
         ]
         assert stale, "need at least one r -- u -- v chain to test"
-        repair = TableRepair(routing, policy)
+        repair = TableRepair(routing)
         repair.route_around_link(u, v)
         for r in stale:
-            entry = routing.tables[r].lookup(v)
-            assert u not in entry.vias
-            assert entry.vias or not entry.usable
+            window = routing.window(r)
+            one_hop = [w for w, hop, _vias in window if hop == 1]
+            for w, _hop, vias in window:
+                if w == v:
+                    assert u not in [one_hop[i] for i in vias]
+                    assert vias
 
     def test_restore_rebuilds_and_reimposes_other_failures(self):
         topo, routing, policy, sim, layer = sf_stack()
         u = topo.active_nodes[0]
         nbrs = topo.neighbors(u)
         v, w = nbrs[0], nbrs[1]
-        repair = TableRepair(routing, policy)
+        repair = TableRepair(routing)
         repair.route_around_link(u, v)
         repair.route_around_link(u, w)
         repair.restore_link(u, v)
@@ -80,7 +84,7 @@ class TestTableRepair:
         u = topo.active_nodes[0]
         v = topo.neighbors(u)[0]
         before = routing.version
-        TableRepair(routing, policy).route_around_link(u, v)
+        TableRepair(routing).route_around_link(u, v)
         assert routing.version > before
 
 
@@ -120,7 +124,7 @@ class TestGraphRepair:
 class TestDetectorTimeline:
     def test_detection_lags_by_timeout(self):
         topo, routing, policy, sim, layer = sf_stack()
-        repair = TableRepair(routing, policy)
+        repair = TableRepair(routing)
         detector = FaultDetector(
             sim, layer, repair, detection_timeout=150
         )
@@ -150,7 +154,7 @@ class TestDetectorTimeline:
         topo, routing, policy, sim, layer = sf_stack()
         u = topo.active_nodes[0]
         v = topo.neighbors(u)[0]
-        repair = TableRepair(routing, policy)
+        repair = TableRepair(routing)
         detector = FaultDetector(sim, layer, repair, detection_timeout=400)
         record = FaultRecord(kind="link_flap", t_fault=0, link=(u, v), duration=300)
         layer.fail_link_pair(u, v)
@@ -171,7 +175,7 @@ class TestDetectorTimeline:
 
     def test_fast_flap_is_absorbed(self):
         topo, routing, policy, sim, layer = sf_stack()
-        repair = TableRepair(routing, policy)
+        repair = TableRepair(routing)
         detector = FaultDetector(sim, layer, repair, detection_timeout=200)
         u = topo.active_nodes[0]
         v = topo.neighbors(u)[0]

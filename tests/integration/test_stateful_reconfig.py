@@ -6,10 +6,10 @@ network and checks the global invariants after every step:
 
 * the active network stays connected;
 * every active pair remains routable (sampled);
-* routing tables reference only active nodes;
-* every active router's table equals a fresh build, entry for entry,
-  and its vectorized view equals one freshly built from that table
-  (the incremental rebuild skips work, never changes the result);
+* routing windows reference only active nodes;
+* every active router's window row equals the usable window of a
+  freshly built table (the incremental recompute skips work, never
+  changes the result), and its scalar row arrays list that window;
 * port budgets are never exceeded;
 * restoring all nodes returns to the pristine link set.
 
@@ -51,9 +51,9 @@ settings.register_profile(
 )
 
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import GreediestRouting, _NodeView
-from repro.core.routing_table import RoutingTable
+from repro.core.routing import GreediestRouting
 from repro.core.topology import StringFigureTopology
+from tests.core.routing_oracle import RoutingTable
 
 NUM_NODES = 32
 
@@ -106,44 +106,22 @@ class ReconfigMachine(RuleBasedStateMachine):
         if not hasattr(self, "routing"):
             return
         active = set(self.topo.active_nodes)
-        for node in list(self.routing.tables):
-            assert node in active
-            table = self.routing.tables[node]
-            for entry in table.one_hop() + table.two_hop():
-                assert entry.node in active
+        assert set(self.routing.nbr_index) == active
+        for node in range(NUM_NODES):
+            for entry, _hop, _vias in self.routing.window(node):
+                assert node in active and entry in active
 
     @invariant()
     def tables_equal_fresh_builds(self):
         if not hasattr(self, "routing"):
             return
-
-        def rows(table):
-            return [
-                (e.node, e.hop, e.coords, sorted(e.vias), e.valid, e.blocked)
-                for e in table.entries()
-            ]
-
-        def arrays(view):
-            return (
-                view.k,
-                view.nbr_ids.tolist(),
-                view.nbr_coords.tolist(),
-                view.win_ids.tolist(),
-                view.win_hop.tolist(),
-                [list(vias) for vias in view.via_idx],
-                view.inf_mask.tolist(),
-                view.all_coords.tolist(),
-                view.id_to_nbr_index,
-            )
-
-        assert sorted(self.routing.tables) == self.topo.active_nodes
-        for node, table in self.routing.tables.items():
+        for node in self.topo.active_nodes:
             fresh = RoutingTable.build(self.topo, node)
-            assert rows(table) == rows(fresh), node
-            view = _NodeView(
-                fresh.usable_window(), self.routing._coord_matrix, node
-            )
-            assert arrays(self.routing._view(node)) == arrays(view), node
+            assert self.routing.window(node) == fresh.usable_window(), node
+        # The scalar row arrays are cut from those rows on demand.
+        node = self.topo.active_nodes[0]
+        row = self.routing._row(node)
+        assert row.ids.tolist() == [w for w, _hop, _vias in self.routing.window(node)]
 
     @invariant()
     def sampled_pairs_routable(self):

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
 from repro.core.topology import LinkDirection, StringFigureTopology
+from repro.faults.detector import TableRepair
 from repro.network.elastic import LiveReconfigurator
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy, MinimalPolicy
@@ -227,8 +228,7 @@ class TestCommittedHop:
         topo, routing, sim, calls = self._setup()
         other = min(routing.usable_neighbors(0))
         dst = _beyond(routing, topo, other)
-        routing.tables[0].block(other)
-        routing.refresh_views()
+        TableRepair(routing).route_around_link(0, other)
         routing.column(dst)
         want, state = routing.next_hop(0, dst, state=RouteState(commit=other))
         packet = Packet(src=0, dst=dst, commit=other)

@@ -351,15 +351,16 @@ class TestGuards:
 
     def test_router_with_fully_blocked_neighborhood_survives(self):
         """A router whose every neighbor is a victim gets an *empty*
-        usable window mid-reconfiguration; view construction and the
-        parking probe must both cope (regression: reshape(0, -1))."""
+        usable window mid-reconfiguration; the row recompute, the scalar
+        row arrays and the parking probe must all cope (regression:
+        reshape(0, -1))."""
         topo = StringFigureTopology(32, 4, seed=0)
         routing = AdaptiveGreediestRouting(topo)
         some_node = topo.active_nodes[0]
-        for table in routing.tables.values():
-            for neighbor in topo.neighbors(some_node):
-                table.block(neighbor)
-        routing.refresh_views()  # must not raise
+        routing.blocked.update(topo.neighbors(some_node))
+        routing.rebuild()  # must not raise
+        assert routing.window(some_node) == ()
+        assert routing.candidate_set(some_node, topo.active_nodes[-1]) == []
         # The CLI-scale scenario that originally crashed: 32 nodes,
         # a quarter gated, live.
         topo = StringFigureTopology(32, 4, seed=0)

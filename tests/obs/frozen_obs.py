@@ -282,14 +282,6 @@ def run_case(name: str):
     *anatomy* is the one installed at the end, or, for the removal
     case, the one that was removed.
     """
-    import itertools
-
-    from repro.network import packet
-
-    # Packet ids come from one process-wide counter and the tracer
-    # samples by id: restart it so a record never depends on the runs
-    # made before it.
-    packet._packet_ids = itertools.count()
     run, factory = CASES[name]
     probes = factory()
     first = probes.anatomy

@@ -101,3 +101,38 @@ class TestExports:
         tracer.write_jsonl(jsonl)
         assert "traceEvents" in json.loads(chrome.read_text())
         assert len(jsonl.read_text().splitlines()) == 4
+
+
+class TestPacketIdsPerSimulator:
+    """Packet ids are numbered per simulator, so a traced run samples the
+    same packets whatever ran before it in the same process."""
+
+    @staticmethod
+    def _traced_run():
+        from repro.obs import FabricProbes
+        from repro.topologies.registry import make_policy, make_topology
+        from repro.traffic.injection import run_synthetic
+        from repro.traffic.patterns import make_pattern
+
+        topo = make_topology("SF", 16, seed=0)
+        probes = FabricProbes(tracer=PacketTracer(fraction=0.2, seed=1))
+        run_synthetic(
+            topo,
+            make_policy(topo),
+            make_pattern("uniform_random", topo.active_nodes),
+            0.1,
+            warmup=20,
+            measure=100,
+            drain_limit=2_000,
+            seed=0,
+            instrument=probes.attach_sim,
+        )
+        return probes.tracer.records
+
+    def test_same_run_traces_same_packet_ids(self):
+        first = self._traced_run()
+        assert first
+        self._traced_run()  # another run in the same process
+        assert self._traced_run() == first
+        pids = {record[2] for record in first}
+        assert min(pids) < 50
