@@ -20,9 +20,9 @@ atomic steps:
 A router's window here is a function of the active topology, the
 failed wires and the blocked nodes (:meth:`GreediestRouting.rebuild`),
 so step 3 recomputes the affected windows.  Offline, no packet reads a
-window between steps 1 and 4, so they are only recorded
-(``blocked_routers``); online, :mod:`repro.network.elastic` blocks by
-adding the victims to ``GreediestRouting.blocked``.
+window between steps 1 and 4, so they are no-ops: step 3 rebuilds every
+router they would block.  Online, :mod:`repro.network.elastic` blocks
+by adding the victims to ``GreediestRouting.blocked``.
 
 *Dynamic* reconfiguration (power management) performs the steps online
 and pays sleep/wake latencies (:mod:`repro.energy.power_gating`).
@@ -68,7 +68,6 @@ class ReconfigEvent:
 
     kind: str  # "gate_off", "gate_on", "unmount", "mount"
     node: int
-    blocked_routers: list[int] = field(default_factory=list)
     links_disabled: list[tuple[int, int]] = field(default_factory=list)
     links_enabled: list[tuple[int, int]] = field(default_factory=list)
     shortcuts_activated: list[tuple[int, int]] = field(default_factory=list)
@@ -217,19 +216,12 @@ class ReconfigurationManager:
             seen.add(node)
 
     def _switch_node(self, node: int, activate: bool, kind: str) -> ReconfigEvent:
-        """Steps 1 and 2 for one node.  The event's ``tables_updated``
-        names the tables step 3 must rebuild for it."""
+        """Step 2 for one node (step 1 is a no-op offline); the event's
+        ``tables_updated`` names the tables step 3 must rebuild."""
         topo = self.topology
         event = ReconfigEvent(kind=kind, node=node)
 
-        # Pre-change neighborhood (routers whose tables mention `node`).
         pre_neighbors = set(topo.neighbors(node)) | set(topo.in_neighbors(node))
-        affected = self._radius2(pre_neighbors | {node})
-
-        # Step 1: block.  Offline, no packet reads a window before
-        # step 3 recomputes every one of these, so the block is only
-        # recorded.
-        event.blocked_routers = sorted(affected)
 
         # Step 2: enable/disable connections.
         if activate:

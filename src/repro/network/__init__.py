@@ -10,7 +10,6 @@ from repro.network.config import DramTiming, NetworkConfig
 from repro.network.elastic import (
     LiveReconfigEvent,
     LiveReconfigurator,
-    WindowedLatencyProbe,
     disturbance_metrics,
 )
 from repro.network.packet import Packet, PacketKind
@@ -31,7 +30,6 @@ __all__ = [
     "PacketKind",
     "RoutingPolicy",
     "SimStats",
-    "WindowedLatencyProbe",
     "disturbance_metrics",
     "zero_load_latency",
 ]

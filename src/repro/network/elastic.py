@@ -52,13 +52,15 @@ from repro.core.reconfig import ReconfigEvent, ReconfigurationManager
 from repro.energy.power_gating import PowerManager
 from repro.network.packet import Packet
 from repro.network.simulator import NetworkSimulator
+from repro.network.stats import LatencyBook
 from repro.ops import VICTIM_SPACING, node_list_error
 
 __all__ = [
     "LiveReconfigEvent",
     "LiveReconfigurator",
-    "WindowedLatencyProbe",
+    "delivery_book",
     "disturbance_metrics",
+    "window_series",
 ]
 
 #: Cycles a router needs to rewrite + revalidate its table entries
@@ -508,52 +510,37 @@ class LiveReconfigurator:
             packet.commit, packet.fallback_md, packet.fallback_hops = saved
 
 
-class WindowedLatencyProbe:
-    """Bins measured delivered-packet latency by delivery time.
+def delivery_book(sim: NetworkSimulator, window_cycles: int) -> LatencyBook:
+    """A book of measured delivered-packet latency, keyed by delivery
+    window ``now // window_cycles`` and fed from *sim*'s delivery hook.
 
-    The churn benchmarks read the resulting series to quantify how much
-    a reconfiguration event disturbs latency and how long the network
-    takes to recover (:func:`disturbance_metrics`).
+    The churn and fault benchmarks read it to quantify how much an
+    event disturbs latency and how long the network takes to recover
+    (:func:`disturbance_metrics`).
     """
+    if window_cycles <= 0:
+        raise ValueError(f"window_cycles must be positive, got {window_cycles}")
+    book = LatencyBook()
 
-    def __init__(self, sim: NetworkSimulator, window_cycles: int = 200) -> None:
-        if window_cycles <= 0:
-            raise ValueError(f"window_cycles must be positive, got {window_cycles}")
-        self.window_cycles = window_cycles
-        self._bins: dict[int, list[float]] = {}
-        sim.on_delivery(self._record)
+    def record(packet: Packet, now: int) -> None:
+        if packet.measured:
+            book.add(now // window_cycles, packet.latency)
 
-    def _record(self, packet: Packet, now: int) -> None:
-        if not packet.measured:
-            return
-        acc = self._bins.setdefault(now // self.window_cycles, [0, 0.0])
-        acc[0] += 1
-        acc[1] += packet.latency
+    sim.on_delivery(record)
+    return book
 
-    def series(self) -> list[dict[str, float]]:
-        """Per-window delivery count and mean latency, time-ordered."""
-        return [
-            {
-                "window_start": b * self.window_cycles,
-                "count": int(acc[0]),
-                "mean_latency": acc[1] / acc[0],
-            }
-            for b, acc in sorted(self._bins.items())
-        ]
 
-    def mean_between(self, t0: int, t1: int) -> float:
-        """Mean latency of deliveries in windows fully inside [t0, t1)."""
-        count, total = 0, 0.0
-        for b, acc in self._bins.items():
-            start = b * self.window_cycles
-            if start >= t0 and start + self.window_cycles <= t1:
-                count += acc[0]
-                total += acc[1]
-        return total / count if count else 0.0
+def window_series(book: LatencyBook, window_cycles: int) -> list[dict[str, float]]:
+    """Per-window delivery count and mean latency, time-ordered."""
+    return [
+        {"window_start": key * window_cycles, "count": sketch.count, "mean_latency": sketch.mean}
+        for key, sketch in sorted(book.sketches.items())
+    ]
 
 
 def disturbance_metrics(
-    probe: WindowedLatencyProbe,
+    book: LatencyBook,
+    window_cycles: int,
     start: int,
     clear: int,
 ) -> dict[str, Any]:
@@ -568,14 +555,15 @@ def disturbance_metrics(
     :data:`RECOVERY_TOLERANCE` x baseline (``recovered`` is False when
     that never happens inside the horizon).
     """
-    w = probe.window_cycles
-    baseline = probe.mean_between(start - BASELINE_WINDOWS * w, start)
+    w = window_cycles
+    # The windows lying wholly inside [start - BASELINE_WINDOWS * w, start).
+    baseline = book.merged(-((BASELINE_WINDOWS * w - start) // w), start // w).mean
     peak = 0.0
     recovery_cycles: int | None = None
     recovered = False
     saw_post_window = False
     horizon_end = clear + HORIZON_CYCLES
-    for entry in probe.series():
+    for entry in window_series(book, w):
         window = entry["window_start"]
         if window + w <= start or window >= horizon_end:
             continue

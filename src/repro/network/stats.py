@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-__all__ = ["LatencyAccumulator", "QuantileSketch", "SimStats", "percentile", "phase_latency"]
+__all__ = [
+    "LatencyAccumulator", "LatencyBook", "QuantileSketch", "SimStats", "percentile", "phase_latency"
+]
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -25,36 +28,31 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 def phase_latency(
-    samples: list[tuple[int, int]], warmup: int, start: int, end: int
+    book: LatencyBook, warmup: int, start: int, end: int
 ) -> dict[str, float | int]:
-    """p50/p99 of ``(issued, latency)`` samples around a disturbance.
+    """p50/p99 around a disturbance, from a book keyed by issue cycle.
 
-    Samples issued before *warmup* are skipped; the rest split into
-    *baseline* (issued before *start*), *during* (``[start, end)``) and
-    *after*.  ``fg_slowdown_p99`` is the during-to-baseline p99 ratio
-    (0 without a baseline).
+    Keys before *warmup* are skipped; the rest split into *baseline*
+    (issued before *start*), *during* (``[start, end)``) and *after*,
+    exactly, however late the boundaries were chosen.
+    ``fg_slowdown_p99`` is the during-to-baseline p99 ratio (0 without
+    a baseline).
     """
-    overall: list[int] = []
-    phases: dict[str, list[int]] = {"baseline": [], "during": [], "after": []}
-    for issued, latency in samples:
-        if issued < warmup:
-            continue
-        overall.append(latency)
-        if issued < start:
-            phases["baseline"].append(latency)
-        elif issued < end:
-            phases["during"].append(latency)
-        else:
-            phases["after"].append(latency)
+    overall = book.merged(warmup, None)
     out: dict[str, float | int] = {
-        "fg_requests": len(overall),
-        "fg_p50_overall": percentile(overall, 50),
-        "fg_p99_overall": percentile(overall, 99),
+        "fg_requests": overall.count,
+        "fg_p50_overall": overall.percentile(50),
+        "fg_p99_overall": overall.percentile(99),
     }
-    for name, values in phases.items():
-        out[f"fg_{name}_requests"] = len(values)
-        out[f"fg_p50_{name}"] = percentile(values, 50)
-        out[f"fg_p99_{name}"] = percentile(values, 99)
+    phases = {
+        "baseline": book.merged(warmup, start),
+        "during": book.merged(max(warmup, start), end),
+        "after": book.merged(max(warmup, start, end), None),
+    }
+    for name, sketch in phases.items():
+        out[f"fg_{name}_requests"] = sketch.count
+        out[f"fg_p50_{name}"] = sketch.percentile(50)
+        out[f"fg_p99_{name}"] = sketch.percentile(99)
     base = out["fg_p99_baseline"]
     out["fg_slowdown_p99"] = out["fg_p99_during"] / base if base else 0.0
     return out
@@ -110,6 +108,62 @@ class QuantileSketch:
             if cumulative > idx:
                 break
         return float(value)
+
+    @property
+    def total(self) -> float:
+        """Sum of the recorded values, computed on read (never in
+        :meth:`add`, which runs once per hop on the hotspot path).
+        Integer values sum exactly below 2**53, so this equals
+        ``float(sum(raw))`` over the raw stream."""
+        total = 0.0
+        for value, n in self.counts.items():
+            total += value * n
+        return total
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    @classmethod
+    def merged(cls, sketches) -> QuantileSketch:
+        """One new sketch of the concatenated streams of *sketches* (exact)."""
+        out = cls()
+        for sketch in sketches:
+            out.merge(sketch)
+        return out
+
+
+class LatencyBook:
+    """Exact latency sketches keyed by an integer cycle key.
+
+    The one latency recorder of the phase and disturbance reports: a
+    key is an issue cycle (phases, whose windows are known only after
+    the run) or a delivery window index (disturbance series, whose
+    width is fixed before it).  Memory grows with the number of keys,
+    not of samples, and any key range regroups exactly at read time
+    through :meth:`merged`.
+    """
+
+    __slots__ = ("sketches",)
+
+    def __init__(self) -> None:
+        self.sketches: dict[int, QuantileSketch] = defaultdict(QuantileSketch)
+
+    def add(self, key: int, value: int) -> None:
+        self.sketches[key].add(value)
+
+    def record(self, issued: int, now: int) -> None:
+        """Add one request issued at *issued* and done at *now*, keyed by
+        its issue cycle (the key of every phase book)."""
+        self.add(issued, now - issued)
+
+    def merged(self, lo: int | None, hi: int | None) -> QuantileSketch:
+        """One sketch over the keys in ``[lo, hi)`` (None: unbounded)."""
+        return QuantileSketch.merged(
+            sketch
+            for key, sketch in self.sketches.items()
+            if (lo is None or key >= lo) and (hi is None or key < hi)
+        )
 
 
 @dataclass

@@ -59,8 +59,9 @@ class MetricSample:
     """One resolved sample: ``(name, kind, labels, value)``.
 
     For histograms ``value`` is the backing
-    :class:`~repro.network.stats.QuantileSketch` plus a running sum,
-    packed as ``(sketch, total)``; counters and gauges carry a number.
+    :class:`~repro.network.stats.QuantileSketch`, whose ``count`` and
+    ``total`` are the summary's ``_count`` and ``_sum``; counters and
+    gauges carry a number.
     """
 
     __slots__ = ("name", "kind", "labels", "value")
@@ -211,13 +212,6 @@ class MetricsRegistry:
             fn(emit)
         return out
 
-    @staticmethod
-    def _sketch_stats(sketch: QuantileSketch) -> tuple[int, float]:
-        total = 0.0
-        for value, n in sketch.counts.items():
-            total += value * n
-        return sketch.count, total
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe snapshot keyed by sample identity.
 
@@ -234,10 +228,9 @@ class MetricsRegistry:
             elif s.kind == "gauge":
                 gauges[s.key] = s.value
             else:
-                count, total = self._sketch_stats(s.value)
                 histograms[s.key] = {
-                    "count": count,
-                    "sum": total,
+                    "count": s.value.count,
+                    "sum": s.value.total,
                     **{f"p{q:g}": s.value.percentile(q) for q in _QUANTILES},
                 }
         return {
@@ -261,7 +254,6 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {prom_type}")
             for s in sorted(samples, key=lambda s: s.labels):
                 if kind == "histogram":
-                    count, total = self._sketch_stats(s.value)
                     for q in _QUANTILES:
                         labels = s.labels + (("quantile", f"{q / 100.0:g}"),)
                         value = s.value.percentile(q)
@@ -269,8 +261,8 @@ class MetricsRegistry:
                             f"{name}{render_labels(labels)} {value:g}"
                         )
                     suffix = render_labels(s.labels)
-                    lines.append(f"{name}_count{suffix} {count}")
-                    lines.append(f"{name}_sum{suffix} {total:g}")
+                    lines.append(f"{name}_count{suffix} {s.value.count}")
+                    lines.append(f"{name}_sum{suffix} {s.value.total:g}")
                 else:
                     lines.append(f"{s.key} {s.value:g}")
         return "\n".join(lines) + "\n"

@@ -56,13 +56,9 @@ class TimeSeriesRecorder:
                 gauges[s.key] = s.value
             else:
                 sketch = s.value
-                count = sketch.count
-                if count:
-                    total = 0.0
-                    for value, n in sketch.counts.items():
-                        total += value * n
-                    gauges[s.key + ":mean"] = total / count
-                gauges[s.key + ":count"] = count
+                if sketch.count:
+                    gauges[s.key + ":mean"] = sketch.mean
+                gauges[s.key + ":count"] = sketch.count
         self.rows.append({"cycle": now, "counters": counters, "gauges": gauges})
         # Strictly-future boundary, aligned to the interval grid.
         self.next_at = now - (now % self.interval) + self.interval

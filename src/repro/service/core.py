@@ -55,6 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from repro.network.stats import QuantileSketch
 from repro.ops import Op
 from repro.ops import apply as apply_op
 
@@ -130,25 +131,7 @@ class TenantStats:
     writes: int = 0
     local_ops: int = 0
     bytes_moved: int = 0
-    sketch: Any = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.sketch is None:
-            from repro.network.stats import QuantileSketch
-
-            self.sketch = QuantileSketch()
-
-    def record_latency(self, latency: int) -> None:
-        """Fold one completed-request latency into the sketch."""
-        self.sketch.add(latency)
-
-    def p50(self) -> float:
-        """Median completed-request latency (cycles)."""
-        return self.sketch.percentile(50)
-
-    def p99(self) -> float:
-        """99th-percentile completed-request latency (cycles)."""
-        return self.sketch.percentile(99)
+    sketch: QuantileSketch = field(default_factory=QuantileSketch, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe snapshot (the ``stats`` verb's per-tenant block)."""
@@ -162,8 +145,8 @@ class TenantStats:
             "writes": self.writes,
             "local_ops": self.local_ops,
             "bytes_moved": self.bytes_moved,
-            "p50": self.p50(),
-            "p99": self.p99(),
+            "p50": self.sketch.percentile(50),
+            "p99": self.sketch.percentile(99),
         }
 
 
@@ -530,7 +513,7 @@ class FabricService:
         stats = self.tenant(request.tenant)
         stats.completed += 1
         request.latency = now - request.t_submit
-        stats.record_latency(request.latency)
+        stats.sketch.add(request.latency)
         # Pop the anatomy's per-request network breakdown on *every*
         # completion (not just slow ones) so the svc index never grows;
         # failed/timed-out requests age out of its FIFO bound instead.
@@ -817,24 +800,22 @@ class FabricService:
         report, the selftest, the offline workload payload, and the
         experiments service table all read these numbers, which come
         straight from the per-tenant ``QuantileSketch`` accumulators
-        (fleet-wide percentiles via :meth:`QuantileSketch.merge`, so
+        (fleet-wide percentiles via :meth:`QuantileSketch.merged`, so
         they are exact over the concatenated completion stream).
         """
-        from repro.network.stats import QuantileSketch
-
-        merged = QuantileSketch()
-        per_tenant: dict[str, dict[str, float]] = {}
-        for name, ts in sorted(self.tenants.items()):
-            merged.merge(ts.sketch)
-            per_tenant[name] = {
+        per_tenant: dict[str, dict[str, float]] = {
+            name: {
                 "completed": ts.completed,
-                "p50": ts.p50(),
-                "p99": ts.p99(),
+                "p50": ts.sketch.percentile(50),
+                "p99": ts.sketch.percentile(99),
             }
+            for name, ts in sorted(self.tenants.items())
+        }
+        fleet = QuantileSketch.merged(ts.sketch for ts in self.tenants.values())
         active = [t for t in per_tenant.values() if t["completed"]]
         summary = {
-            "p50": merged.percentile(50),
-            "p99": merged.percentile(99),
+            "p50": fleet.percentile(50),
+            "p99": fleet.percentile(99),
             "p50_max": max((t["p50"] for t in active), default=0.0),
             "p99_max": max((t["p99"] for t in active), default=0.0),
             "per_tenant": per_tenant,
@@ -848,26 +829,22 @@ class FabricService:
 
         A tenant's class is fixed at construction, so each row folds
         that class's tenants: counts by summation, percentiles through
-        the exact :meth:`QuantileSketch.merge`.
+        the exact :meth:`QuantileSketch.merged`.
         """
         if self._qos is None:
             return {}
-        from repro.network.stats import QuantileSketch
-
-        rows = {cls.id: [0, 0, QuantileSketch()] for cls in self._qos.classes}
-        for name, ts in sorted(self.tenants.items()):
-            row = rows[self.class_of_tenant(name)]
-            row[0] += ts.completed
-            row[1] += ts.shed
-            row[2].merge(ts.sketch)
+        members: dict[int, list[TenantStats]] = {cls.id: [] for cls in self._qos.classes}
+        for name, ts in self.tenants.items():
+            members[self.class_of_tenant(name)].append(ts)
         out: dict[str, dict[str, float]] = {}
         for cls in self._qos.classes:
-            completed, shed, sketch = rows[cls.id]
+            tenants = members[cls.id]
+            sketch = QuantileSketch.merged(ts.sketch for ts in tenants)
             out[cls.name] = {
                 "class_id": cls.id,
                 "priority": cls.priority,
-                "completed": completed,
-                "shed": shed,
+                "completed": sum(ts.completed for ts in tenants),
+                "shed": sum(ts.shed for ts in tenants),
                 "queued": self._queued_by_class.get(cls.id, 0),
                 "p50": sketch.percentile(50),
                 "p99": sketch.percentile(99),
@@ -975,7 +952,7 @@ class FabricService:
             "stalled": self.requests.stalled,
             "timeouts": self.timeouts,
             "tenants": {
-                name: (ts.completed, ts.p50(), ts.p99())
+                name: (ts.completed, ts.sketch.percentile(50), ts.sketch.percentile(99))
                 for name, ts in sorted(self.tenants.items())
             },
         }

@@ -37,8 +37,9 @@ from repro.fabric import Fabric, build_fabric
 from repro.network.elastic import (
     LiveReconfigEvent,
     LiveReconfigurator,
-    WindowedLatencyProbe,
+    delivery_book,
     disturbance_metrics,
+    window_series,
 )
 from repro.network.packet import Packet, PacketKind
 from repro.network.stats import SimStats
@@ -308,7 +309,7 @@ def run_churn(
     """
     fabric = build_fabric(topology, instrument=instrument, granularity_ns=granularity_ns)
     sim, live = fabric.sim, fabric.live
-    probe = WindowedLatencyProbe(sim, window_cycles=window_cycles)
+    book = delivery_book(sim, window_cycles)
     traffic = make_pattern(pattern, topology.active_nodes)
     injector = ChurnInjector(
         sim,
@@ -353,7 +354,7 @@ def run_churn(
             "block_cycles": event.block_cycles,
             "parked_packets": event.parked_packets,
             "rerouted_packets": event.rerouted_packets,
-            **disturbance_metrics(probe, event.t_request, event.t_unblocked),
+            **disturbance_metrics(book, window_cycles, event.t_request, event.t_unblocked),
         }
         for event in live.events
     ]
@@ -361,7 +362,7 @@ def run_churn(
         stats=sim.stats,
         events=live.events,
         disturbances=disturbances,
-        series=probe.series(),
+        series=window_series(book, window_cycles),
         controller_log=controller.decisions if controller else [],
         num_nodes=topology.num_nodes,
         min_active_nodes=min_active,

@@ -49,9 +49,9 @@ from repro.faults.injector import (
 from repro.faults.layer import FaultLayer
 from repro.faults.recovery import RecoveryOrchestrator
 from repro.memory.migration import PageDirectory
-from repro.network.elastic import WindowedLatencyProbe, disturbance_metrics
+from repro.network.elastic import delivery_book, disturbance_metrics
 from repro.network.packet import PacketKind
-from repro.network.stats import SimStats, phase_latency
+from repro.network.stats import LatencyBook, SimStats, phase_latency
 from repro.ops import schedule as schedule_ops
 from repro.traffic.patterns import make_pattern
 from repro.workloads.churn import ChurnInjector
@@ -107,7 +107,6 @@ class FaultRunResult:
     mirrored: bool
     run_end: int
     flushed: int
-    samples: list[tuple[int, int]] = field(default_factory=list)
     phase: dict[str, Any] = field(default_factory=dict)
 
     def payload(self) -> dict[str, Any]:
@@ -290,7 +289,7 @@ def run_faults(
             raise ValueError(f"unknown fault schedule kind {schedule!r}")
     schedule_ops(fabric, plan.ops)
 
-    probe = WindowedLatencyProbe(sim, window_cycles=window_cycles)
+    by_window = delivery_book(sim, window_cycles)
     traffic = make_pattern(pattern, topology.active_nodes)
     foreground = FaultAwareInjector(
         sim,
@@ -304,7 +303,7 @@ def run_faults(
         reconfig=fabric.live,
     )
 
-    samples: list[tuple[int, int]] = []
+    by_issue = LatencyBook()
     stop = warmup + measure
 
     def on_delivery(packet, now) -> None:
@@ -314,9 +313,9 @@ def run_faults(
         if meta is not None:
             first, _attempts = meta
             if warmup <= first < stop:
-                samples.append((first, now - first))
+                by_issue.record(first, now)
         elif packet.measured:
-            samples.append((packet.inject_time, now - packet.inject_time))
+            by_issue.record(packet.inject_time, now)
 
     sim.on_delivery(on_delivery)
     foreground.start()
@@ -347,7 +346,9 @@ def run_faults(
             "kind": record.kind,
             "t_fault": record.t_fault,
             "cleared_at": record.cleared_at(run_end),
-            **disturbance_metrics(probe, record.t_fault, record.cleared_at(run_end)),
+            **disturbance_metrics(
+                by_window, window_cycles, record.t_fault, record.cleared_at(run_end)
+            ),
         }
         for record in injector.records
     ]
@@ -366,7 +367,6 @@ def run_faults(
         mirrored=mirrored,
         run_end=run_end,
         flushed=flushed,
-        samples=samples,
     )
     records = injector.records
     if records:
@@ -376,6 +376,6 @@ def run_faults(
         first_fault = last_clear = run_end
     result.phase = {
         "fault_window": [first_fault, last_clear],
-        **phase_latency(samples, warmup, first_fault, last_clear),
+        **phase_latency(by_issue, warmup, first_fault, last_clear),
     }
     return result

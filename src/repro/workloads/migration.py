@@ -39,7 +39,7 @@ from repro.memory.requests import MemoryRequest, MemoryRequestPath
 from repro.network.config import NetworkConfig
 from repro.network.elastic import LiveReconfigEvent, LiveReconfigurator
 from repro.network.simulator import NetworkSimulator
-from repro.network.stats import SimStats, phase_latency
+from repro.network.stats import LatencyBook, SimStats, phase_latency
 from repro.ops import Op, schedule
 from repro.traffic.injection import BernoulliInjector
 
@@ -55,10 +55,11 @@ class ForegroundMemoryTraffic(BernoulliInjector):
     are served, forwarded after their page, or stalled until it lands.
     The slots come from the injector's geometric clock, on this
     traffic's own ``"mig-fg"`` RNG streams; each issues one read
-    instead of sending a packet.  Completions are recorded as
-    ``(issue, latency)`` pairs for post-hoc phase analysis.  No request
-    is ever dropped; ``issued == completed`` after drain is the
-    scenario's conservation invariant alongside ``sent == delivered``.
+    instead of sending a packet.  Completion latencies go into a
+    :class:`~repro.network.stats.LatencyBook` keyed by issue cycle, for
+    post-hoc phase analysis.  No request is ever dropped; ``issued ==
+    completed`` after drain is the scenario's conservation invariant
+    alongside ``sent == delivered``.
     """
 
     stream = "mig-fg"
@@ -90,8 +91,8 @@ class ForegroundMemoryTraffic(BernoulliInjector):
         self.skipped_sources = 0
         #: Requests whose page was local at issue (served or stalled).
         self.local_ops = 0
-        #: (issue_time, latency) of every completed request.
-        self.samples: list[tuple[int, int]] = []
+        #: Completed-request latency keyed by issue cycle.
+        self.book = LatencyBook()
         self.requests = MemoryRequestPath(
             sim,
             directory,
@@ -119,7 +120,7 @@ class ForegroundMemoryTraffic(BernoulliInjector):
 
     def _complete(self, request: MemoryRequest, now: int) -> None:
         self.completed += 1
-        self.samples.append((request.t_issue, now - request.t_issue))
+        self.book.record(request.t_issue, now)
 
 
 @dataclass
@@ -278,9 +279,8 @@ def run_migration(
         disturb_start=disturb_start,
         disturb_end=disturb_end,
     )
-    phase = phase_latency(foreground.samples, warmup, disturb_start, disturb_end)
-    latencies = [lat for issued, lat in foreground.samples if issued >= warmup]
-    phase["fg_mean_overall"] = sum(latencies) / len(latencies) if latencies else 0.0
+    phase = phase_latency(foreground.book, warmup, disturb_start, disturb_end)
+    phase["fg_mean_overall"] = foreground.book.merged(warmup, None).mean
     base_p50 = phase["fg_p50_baseline"]
     phase["fg_slowdown_p50"] = phase["fg_p50_during"] / base_p50 if base_p50 else 0.0
     result.phase = phase

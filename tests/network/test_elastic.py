@@ -25,8 +25,9 @@ from repro.network.config import NetworkConfig
 from repro.network.elastic import (
     LiveReconfigEvent,
     LiveReconfigurator,
-    WindowedLatencyProbe,
+    delivery_book,
     disturbance_metrics,
+    window_series,
 )
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy
@@ -269,22 +270,23 @@ class TestDisturbanceMetrics:
         def on_delivery(self, cb):
             self.callbacks.append(cb)
 
-    def _probe_with(self, deliveries):
+    def _book_with(self, deliveries):
         sim = self._FakeSim()
-        probe = WindowedLatencyProbe(sim, window_cycles=100)
+        book = delivery_book(sim, window_cycles=100)
+        (record,) = sim.callbacks
         for now, latency in deliveries:
             packet = Packet(src=0, dst=1)
             packet.inject_time = now - latency
             packet.arrive_time = now
-            probe._record(packet, now)
-        return probe
+            record(packet, now)
+        return book
 
     def test_peak_and_recovery(self):
         # Baseline latency 10, spike to 50 during the event, back to 11.
         deliveries = [(t, 10) for t in range(50, 1000, 10)]
         deliveries += [(t, 50) for t in range(1000, 1200, 10)]
         deliveries += [(t, 11) for t in range(1200, 2000, 10)]
-        probe = self._probe_with(deliveries)
+        book = self._book_with(deliveries)
         event = LiveReconfigEvent(
             kind="gate_off",
             nodes=(1,),
@@ -293,7 +295,7 @@ class TestDisturbanceMetrics:
             t_switched=1100,
             t_unblocked=1150,
         )
-        metrics = disturbance_metrics(probe, event.t_request, event.t_unblocked)
+        metrics = disturbance_metrics(book, 100, event.t_request, event.t_unblocked)
         assert metrics["baseline_latency"] == pytest.approx(10.0)
         assert metrics["peak_latency"] == pytest.approx(50.0)
         assert metrics["peak_ratio"] == pytest.approx(5.0)
@@ -302,7 +304,7 @@ class TestDisturbanceMetrics:
 
     def test_event_with_no_traffic_after_counts_recovered(self):
         deliveries = [(t, 10) for t in range(50, 900, 10)]
-        probe = self._probe_with(deliveries)
+        book = self._book_with(deliveries)
         event = LiveReconfigEvent(
             kind="gate_on",
             nodes=(1,),
@@ -311,16 +313,21 @@ class TestDisturbanceMetrics:
             t_switched=1000,
             t_unblocked=1050,
         )
-        metrics = disturbance_metrics(probe, event.t_request, event.t_unblocked)
+        metrics = disturbance_metrics(book, 100, event.t_request, event.t_unblocked)
         assert metrics["recovered"]
         assert metrics["recovery_cycles"] == 0
 
-    def test_window_probe_series(self):
-        probe = self._probe_with([(50, 10), (60, 20), (150, 30)])
-        series = probe.series()
+    def test_window_series(self):
+        book = self._book_with([(50, 10), (60, 20), (150, 30)])
+        series = window_series(book, 100)
         assert series[0] == {"window_start": 0, "count": 2, "mean_latency": 15.0}
         assert series[1]["count"] == 1
-        assert probe.mean_between(0, 100) == pytest.approx(15.0)
+        assert book.merged(0, 1).mean == pytest.approx(15.0)
+
+    @pytest.mark.parametrize("width", [0, -100])
+    def test_delivery_book_refuses_non_positive_windows(self, width):
+        with pytest.raises(ValueError, match="window_cycles must be positive"):
+            delivery_book(self._FakeSim(), window_cycles=width)
 
 
 class TestGuards:

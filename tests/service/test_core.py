@@ -192,8 +192,30 @@ class TestTenantAccounting:
         latencies = [float(r.latency) for r in reqs]
         assert all(r.status == "done" for r in reqs)
         ts = svc.tenants["a"]
-        assert ts.p50() == percentile(latencies, 50)
-        assert ts.p99() == percentile(latencies, 99)
+        assert ts.sketch.percentile(50) == percentile(latencies, 50)
+        assert ts.sketch.percentile(99) == percentile(latencies, 99)
+
+    def test_tenant_without_completions_reads_zero(self):
+        # "idle" submits while the service is draining, so every one of
+        # its requests is shed: it exists, but its sketch stays empty.
+        svc = small_service()
+        busy = svc.submit("busy", "read", 1)
+        svc.admitting = False
+        shed = [svc.submit("idle", "read", page) for page in range(3)]
+        svc.admitting = True
+        svc.advance(5_000)
+        assert busy.status == "done"
+        assert all(r.status == "shed" for r in shed)
+        tenant = svc.snapshot()["tenants"]["idle"]
+        assert (tenant["submitted"], tenant["completed"], tenant["shed"]) == (3, 0, 3)
+        assert (tenant["p50"], tenant["p99"]) == (0.0, 0.0)
+        assert svc.digest()["tenants"]["idle"] == (0, 0.0, 0.0)
+        summary = svc.latency_summary()
+        assert summary["per_tenant"]["idle"] == {"completed": 0, "p50": 0.0, "p99": 0.0}
+        assert summary["p50"] == summary["p50_max"] == svc.tenants["busy"].to_dict()["p50"]
+        text = svc.install_probes(anatomy=False).registry.to_prometheus()
+        assert 'service_latency_cycles_count{tenant="idle"} 0\n' in text
+        assert 'service_latency_cycles_sum{tenant="idle"} 0\n' in text
 
     def test_per_tenant_isolation_of_counts(self):
         svc = small_service()
