@@ -213,17 +213,25 @@ class CoordinateSystem:
         sorted coordinate set is realized by one of the two coordinates
         adjacent to the insertion point (with wraparound).
         """
+        draw = rng.random
         if not sorted_coords:
-            return rng.random()
+            return draw()
         n = len(sorted_coords)
+        bisect_left = bisect.bisect_left
         best_coord = 0.0
         best_gap = -1.0
+        # circular_distance inlined for both neighbours: this runs
+        # N * L * candidates times per topology.
         for _ in range(candidates):
-            c = rng.random()
-            i = bisect.bisect_left(sorted_coords, c)
-            right = sorted_coords[i % n]
-            left = sorted_coords[(i - 1) % n]
-            gap = min(circular_distance(c, left), circular_distance(c, right))
+            c = draw()
+            i = bisect_left(sorted_coords, c)
+            left = abs(c - sorted_coords[(i - 1) % n])
+            if left > 0.5:
+                left = 1.0 - left
+            right = abs(c - sorted_coords[i % n])
+            if right > 0.5:
+                right = 1.0 - right
+            gap = right if right < left else left
             if gap > best_gap:
                 best_gap = gap
                 best_coord = c

@@ -44,8 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.routing import GreediestRouting
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.core.topology_switch import TopologySwitch
@@ -334,6 +332,8 @@ class ReconfigurationManager:
 
     def validate_connectivity(self) -> bool:
         """Whether every pair of active nodes can still reach each other."""
+        import networkx as nx
+
         g = self.topology.graph()
         if g.number_of_nodes() <= 1:
             return True

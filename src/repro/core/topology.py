@@ -25,11 +25,13 @@ cycle and routing uses clockwise distances.
 from __future__ import annotations
 
 from enum import Enum
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.coordinates import CoordinateSystem
 from repro.core.shortcuts import SHORTCUT_OFFSETS, generate_shortcuts
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LinkDirection", "LinkKind", "StringFigureTopology", "S2Topology"]
 
@@ -393,6 +395,8 @@ class StringFigureTopology:
 
     def graph(self, include_inactive: bool = False) -> nx.Graph:
         """NetworkX view of the active network (DiGraph in UNI mode)."""
+        import networkx as nx
+
         g: nx.Graph = nx.DiGraph() if self.direction is LinkDirection.UNI else nx.Graph()
         if include_inactive:
             g.add_nodes_from(range(self.num_nodes))

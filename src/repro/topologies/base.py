@@ -15,10 +15,12 @@ surface to the analysis and simulation layers:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.network.policies import MinimalPolicy, RoutingPolicy
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["BaseTopology"]
 

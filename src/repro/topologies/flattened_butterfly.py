@@ -19,10 +19,12 @@ link, cutting radix roughly from ``a + b - 2`` to
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.topologies.base import BaseTopology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FlattenedButterflyTopology", "AdaptedFlattenedButterflyTopology"]
 
@@ -59,6 +61,8 @@ class FlattenedButterflyTopology(BaseTopology):
         return row * self.cols + col
 
     def build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.num_nodes))
         for r in range(self.rows):
@@ -111,6 +115,8 @@ class AdaptedFlattenedButterflyTopology(FlattenedButterflyTopology):
                 g.add_edge(chunk[-1], nxt[0])
 
     def build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.num_nodes))
         for r in range(self.rows):

@@ -14,9 +14,12 @@ routing-state comparison.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.topologies.base import BaseTopology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["JellyfishTopology"]
 
@@ -43,6 +46,8 @@ class JellyfishTopology(BaseTopology):
         self.seed = seed
 
     def build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         # Retry with shifted seeds until the sampled regular graph is
         # connected (disconnection is rare for r >= 3 but possible).
         for attempt in range(64):
@@ -63,11 +68,13 @@ class JellyfishTopology(BaseTopology):
         the total grows superlinearly.  Returns the mean number of
         table entries per router, estimated over *sample* destinations.
         """
-        g = self.graph()
         import itertools
+
+        import networkx as nx
 
         from repro.utils.rng import derive_rng
 
+        g = self.graph()
         rng = derive_rng(self.seed, "ksp-sample")
         nodes = list(g.nodes())
         dsts = rng.sample(nodes, min(sample, len(nodes)))

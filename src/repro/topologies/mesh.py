@@ -19,11 +19,13 @@ counts are unsupported (the "N" entries of Figure 8).
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.network.policies import MinimalPolicy, RoutingPolicy
 from repro.topologies.base import BaseTopology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["MeshTopology", "OptimizedMeshTopology", "mesh_dimensions"]
 
@@ -67,6 +69,8 @@ class MeshTopology(BaseTopology):
         return row * self.cols + col
 
     def build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.num_nodes))
         for node in range(self.num_nodes):

@@ -93,9 +93,7 @@ class TestMinDistances:
 
     @given(st.lists(unit, min_size=1, max_size=4), st.data())
     def test_min_circular_bounded_by_each_space(self, coords_u, data):
-        coords_v = data.draw(
-            st.lists(unit, min_size=len(coords_u), max_size=len(coords_u))
-        )
+        coords_v = data.draw(st.lists(unit, min_size=len(coords_u), max_size=len(coords_u)))
         md = min_circular_distance(coords_u, coords_v)
         for u, v in zip(coords_u, coords_v):
             assert md <= circular_distance(u, v) + 1e-12
@@ -141,6 +139,65 @@ class TestBalancedCoordinate:
         plain = CoordinateSystem(200, 1, seed=3, candidates=1)
         balanced = CoordinateSystem(200, 1, seed=3, candidates=8)
         assert balanced.balance_score(0) > plain.balance_score(0)
+
+
+#: Multiples of 1/64: exact in binary, so equal gaps compare equal.
+grid = st.integers(min_value=0, max_value=63).map(lambda k: k / 64)
+
+
+class _ScriptedRng:
+    """Stands in for ``random.Random``: ``random()`` replays *draws*."""
+
+    def __init__(self, draws: list[float]) -> None:
+        self._draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self._draws)
+
+
+class TestBalancedDrawDifferential:
+    """``_balanced_draw`` on a sorted copy equals the O(n) reference."""
+
+    @given(
+        existing=st.lists(st.one_of(unit, grid), max_size=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        candidates=st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets_and_seeds(self, existing, seed, candidates):
+        fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+        fast = CoordinateSystem._balanced_draw(sorted(existing), fast_rng, candidates)
+        ref = balanced_coordinate(existing, ref_rng, candidates)
+        assert fast.hex() == ref.hex()
+        assert fast_rng.getstate() == ref_rng.getstate()
+
+    @given(
+        existing=st.lists(grid, min_size=1, max_size=12),
+        draws=st.lists(grid, min_size=16, max_size=16),
+        candidates=st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid_draws_with_ties(self, existing, draws, candidates):
+        """Grid candidates hit existing points, midpoints and equal gaps."""
+        fast = CoordinateSystem._balanced_draw(sorted(existing), _ScriptedRng(draws), candidates)
+        ref = balanced_coordinate(existing, _ScriptedRng(draws), candidates)
+        assert fast.hex() == ref.hex()
+
+    @pytest.mark.parametrize(
+        "existing, draws",
+        [
+            # Candidate above every point: its nearest is 0.05, past the wrap.
+            ([0.05, 0.5, 0.9], [0.99, 0.93]),
+            # Candidate below every point: its nearest is 0.9, past the wrap.
+            ([0.15, 0.5, 0.9], [0.02, 0.45]),
+            # Two candidates with the same gap: the first one wins.
+            ([0.0, 0.5], [0.25, 0.75]),
+        ],
+    )
+    def test_wraparound_and_tied_examples(self, existing, draws):
+        fast = CoordinateSystem._balanced_draw(sorted(existing), _ScriptedRng(draws), len(draws))
+        ref = balanced_coordinate(existing, _ScriptedRng(draws), len(draws))
+        assert fast == ref == draws[0]
 
 
 class TestCoordinateSystem:
