@@ -29,6 +29,11 @@ class DramModel:
         self.num_banks = num_banks
         self.row_bytes = row_bytes
         self._open_rows: dict[int, int] = {}
+        # Config and timing are frozen: convert each latency once.
+        timing = self.config.dram
+        self._hit_cycles = self.config.cycles_from_ns(timing.row_hit_ns())
+        self._empty_cycles = self.config.cycles_from_ns(timing.row_empty_ns())
+        self._miss_cycles = self.config.cycles_from_ns(timing.row_miss_ns())
         self.hits = 0
         self.conflicts = 0
         self.empties = 0
@@ -45,19 +50,16 @@ class DramModel:
     def access_cycles(self, local_addr: int) -> int:
         """Service latency (network cycles) of one access; updates state."""
         bank, row = self._locate(local_addr)
-        timing = self.config.dram
         open_row = self._open_rows.get(bank)
+        self._open_rows[bank] = row
         if open_row == row:
             self.hits += 1
-            ns = timing.row_hit_ns()
-        elif open_row is None:
+            return self._hit_cycles
+        if open_row is None:
             self.empties += 1
-            ns = timing.row_empty_ns()
-        else:
-            self.conflicts += 1
-            ns = timing.row_miss_ns()
-        self._open_rows[bank] = row
-        return self.config.cycles_from_ns(ns)
+            return self._empty_cycles
+        self.conflicts += 1
+        return self._miss_cycles
 
     @property
     def accesses(self) -> int:

@@ -14,6 +14,7 @@ injection and hear about terminal states through callbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.packet import Packet, PacketKind
@@ -90,6 +91,8 @@ class MemoryRequestPath:
         self.measured = measured
         self.reply_to_forwarder = reply_to_forwarder
         self.page_bytes = mapper.interleave_bytes
+        # The config is frozen and payloads take few sizes.
+        self._packet_flits = cache(sim.config.packet_flits)
         #: Arrivals sent on after their page (``forward`` rulings).
         self.forwarded = 0
         #: Requests that waited for an inbound page (``stall`` rulings).
@@ -150,7 +153,7 @@ class MemoryRequestPath:
         response = Packet(
             src=node,
             dst=request.src_node,
-            size_flits=self.sim.config.packet_flits(payload),
+            size_flits=self._packet_flits(payload),
             payload_bytes=payload,
             kind=PacketKind.READ_RESP if read else PacketKind.WRITE_ACK,
             tclass=request.tclass,
@@ -165,7 +168,7 @@ class MemoryRequestPath:
         packet = Packet(
             src=src,
             dst=dst,
-            size_flits=self.sim.config.packet_flits(payload),
+            size_flits=self._packet_flits(payload),
             payload_bytes=payload,
             kind=PacketKind.READ_REQ if read else PacketKind.WRITE_REQ,
             tclass=request.tclass,

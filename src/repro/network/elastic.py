@@ -132,7 +132,8 @@ class LiveReconfigurator:
     ----------
     sim:
         The running :class:`NetworkSimulator`.  The reconfigurator
-        installs itself as the simulator's arrival hook.
+        installs itself as the simulator's arrival hook while a
+        reconfiguration window is open.
     manager:
         The offline :class:`ReconfigurationManager` that owns the
         topology/table mechanics (this class adds the online timing).
@@ -208,7 +209,6 @@ class LiveReconfigurator:
         # released at park time).
         self._parked: list[tuple[int, int, Packet, Any, bool]] = []
         self._window_active = False
-        sim.set_arrival_hook(self._on_arrival)
 
     # -- public API --------------------------------------------------------
 
@@ -356,7 +356,7 @@ class LiveReconfigurator:
         routing.blocked.update(nodes)
         routing.rebuild(sorted(self._probe_routers))
         self._blocked_dsts.update(nodes)
-        self._window_active = True
+        self._set_window(True)
         delay = self.sleep_cycles if kind == "gate_off" else 0
         self.sim.schedule(now + delay, lambda t: self._switch_off(t, kind, nodes, event))
 
@@ -392,7 +392,7 @@ class LiveReconfigurator:
     ) -> None:
         """Power-on path: wake latency already paid; switch + revalidate."""
         event.t_blocked = now
-        self._window_active = True
+        self._set_window(True)
         switch = self.manager.power_on if kind == "gate_on" else self.manager.mount
         event.offline_events.extend(switch(*reversed(nodes)))
         event.t_switched = now
@@ -444,7 +444,7 @@ class LiveReconfigurator:
         self._probe_routers.clear()
         self._hold_routers.clear()
         self._blocked_dsts.clear()
-        self._window_active = False
+        self._set_window(False)
         self._unstable.difference_update(event.nodes)
         event.t_unblocked = now
         event.parked_packets = len(self._parked)
@@ -469,6 +469,15 @@ class LiveReconfigurator:
 
     # -- the arrival hook --------------------------------------------------
 
+    def _set_window(self, active: bool) -> None:
+        """Open or close the parking window.
+
+        The arrival hook is bound only while the window is open, so
+        arrivals outside a reconfiguration cost no call.
+        """
+        self._window_active = active
+        self.sim.set_arrival_hook(self._on_arrival if active else None)
+
     def _on_arrival(
         self,
         node: int,
@@ -476,8 +485,6 @@ class LiveReconfigurator:
         from_link: Any,
         first_hop: bool,
     ) -> bool:
-        if not self._window_active:
-            return False
         if (
             node in self._hold_routers
             or packet.dst in self._blocked_dsts

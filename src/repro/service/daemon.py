@@ -2,17 +2,27 @@
 
 :class:`FabricDaemon` owns a :class:`~repro.service.core.FabricService`
 and a TCP server speaking one JSON object per line (so ``nc`` and shell
-scripts work).  Concurrency is cooperative, not parallel: connection
-handlers only *enqueue* parsed messages into an inbox; a single pump
+scripts work).  Each connection is an :class:`asyncio.Protocol` whose
+``data_received`` splits out the complete lines and dispatches each one
+on the spot: read-only verbs and malformed lines are answered at once,
+data and control verbs only *enqueue* into an inbox.  A single pump
 coroutine alternately (1) applies every queued message at the current
 simulated-cycle boundary and (2) advances the event loop by a fixed
-quantum.  Handlers and the pump interleave on one asyncio loop, so the
-core never sees a submit mid-run — exactly the sequencing invariant
+quantum.  Connections and the pump interleave on one asyncio loop, so
+the core never sees a submit mid-run — exactly the sequencing invariant
 that makes a captured log replay bit-identically.
 
 Simulated time is therefore *ingestion-driven*: it advances only while
 requests are outstanding or queued input exists, and stalls (cheaply,
 on an ``asyncio.Event``) when the fabric is quiescent.
+
+Replies never go to the socket one by one.  Each connection keeps one
+outbox of reply lines, flushed with a single ``transport.write`` at the
+end of each ``data_received``, before each control verb is applied, and
+at the end of each pump step (after the advance, before the pump
+yields).  The outbox is therefore empty whenever the loop runs anything
+else: a connection receives its replies in the order they were made,
+and a pump step costs one ``send`` per connection it answered.
 """
 
 from __future__ import annotations
@@ -24,6 +34,10 @@ from typing import Any
 from repro.service.core import FabricService, ServiceRequest
 
 __all__ = ["FabricDaemon"]
+
+#: The longest line, in bytes before its newline, a client may send.  A
+#: longer one closes that client's connection; others keep serving.
+MAX_LINE_BYTES = 1 << 16
 
 
 def _request_fields(message: dict[str, Any]) -> dict[str, Any]:
@@ -41,6 +55,61 @@ def _request_fields(message: dict[str, Any]) -> dict[str, Any]:
         "size": None if size is None else int(size),
         "id": message.get("id"),
     }
+
+
+class _Connection(asyncio.Protocol):
+    """One client socket: line framing in, one outbox of replies out."""
+
+    def __init__(self, daemon: FabricDaemon, tenant: str) -> None:
+        self.daemon = daemon
+        self.tenant = tenant
+        self.transport: asyncio.Transport | None = None
+        #: Encoded reply lines not yet written, in the order they were made.
+        self.outbox: list[str] = []
+        self._partial = b""
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        """Register with the daemon so the pump flushes this outbox."""
+        self.transport = transport
+        self.daemon._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        """Leave the pump's flush set; late replies are dropped."""
+        self.daemon._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        """Dispatch every complete line, then flush the replies made."""
+        lines = (self._partial + data).split(b"\n")
+        self._partial = lines.pop()
+        daemon = self.daemon
+        too_long = len(self._partial) > MAX_LINE_BYTES
+        for line in lines:
+            if len(line) > MAX_LINE_BYTES:
+                too_long = True
+                break
+            if daemon._stopping:
+                break
+            daemon._dispatch(self, line)
+        self.flush()
+        if too_long:
+            self.transport.close()
+
+    def eof_received(self) -> None:
+        """Serve a last line that lacks its newline; then the socket closes."""
+        if self._partial:
+            self.data_received(b"\n")
+
+    def reply(self, payload: dict[str, Any]) -> None:
+        """Queue one reply line; it leaves at the next flush."""
+        self.outbox.append(json.dumps(payload, sort_keys=True))
+
+    def flush(self) -> None:
+        """Write the whole outbox with one ``transport.write``."""
+        outbox = self.outbox
+        if outbox:
+            if not self.transport.is_closing():
+                self.transport.write(("\n".join(outbox) + "\n").encode())
+            outbox.clear()
 
 
 class FabricDaemon:
@@ -80,26 +149,24 @@ class FabricDaemon:
         self.host = host
         self.port = port
         self.quantum = quantum
-        self._inbox: list[tuple[str, Any, Any]] = []
+        self._inbox: list[tuple[str, Any, _Connection]] = []
         self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
         self._stopping = False
         self._server: asyncio.AbstractServer | None = None
         self._pump_task: asyncio.Task | None = None
         self._next_client = 0
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         """Bind the server and start the pump; returns (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(self._connection, self.host, self.port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        self._pump_task = asyncio.get_running_loop().create_task(self._pump())
+        self._pump_task = loop.create_task(self._pump())
         return self.host, self.port
 
     async def wait_stopped(self) -> None:
@@ -122,76 +189,54 @@ class FabricDaemon:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _connection(self) -> _Connection:
         tenant = f"client-{self._next_client}"
         self._next_client += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
+        return _Connection(self, tenant)
+
+    def _dispatch(self, conn: _Connection, line: bytes) -> None:
+        """Answer or enqueue one line from *conn*."""
+        line = line.strip()
+        if not line:
+            return
         try:
-            while not self._stopping:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ValueError("message must be a JSON object")
-                except ValueError as exc:
-                    self._reply(writer, {
-                        "ok": False, "error": f"bad json: {exc}",
-                    })
-                    continue
-                verb = message.get("op")
-                if verb == "hello":
-                    tenant = str(message.get("tenant", tenant))
-                    self._reply(writer, {"ok": True, "tenant": tenant})
-                elif verb == "stats":
-                    # Read-only; safe between awaits and never logged.
-                    self._reply(
-                        writer,
-                        {**self.service.snapshot(), "id": message.get("id")},
-                    )
-                elif verb == "metrics":
-                    # Read-only like ``stats``: rendered between
-                    # awaits, never logged, never touches the request
-                    # path.  First scrape installs the probes.
-                    self._reply(writer, self._metrics_reply(message))
-                elif verb in ("read", "write"):
-                    # Reject wrong-typed fields here: a conversion
-                    # error inside the pump would kill it for everyone.
-                    try:
-                        fields = _request_fields(message)
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        self._reply(writer, {
-                            "ok": False, "id": message.get("id"),
-                            "error": f"bad request: {exc}",
-                        })
-                        continue
-                    self._enqueue("request", (tenant, fields), writer)
-                elif verb in ("scale", "fault", "drain", "shutdown"):
-                    self._enqueue("control", message, writer)
-                else:
-                    self._reply(writer, {
-                        "ok": False, "id": message.get("id"),
-                        "error": f"unknown op {verb!r}",
-                    })
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._conn_writers.discard(writer)
+            message = json.loads(line)
+            if not isinstance(message, dict):
+                raise ValueError("message must be a JSON object")
+        except ValueError as exc:
+            conn.reply({"ok": False, "error": f"bad json: {exc}"})
+            return
+        verb = message.get("op")
+        if verb == "hello":
+            conn.tenant = str(message.get("tenant", conn.tenant))
+            conn.reply({"ok": True, "tenant": conn.tenant})
+        elif verb == "stats":
+            # Read-only; safe between pump steps and never logged.
+            conn.reply({**self.service.snapshot(), "id": message.get("id")})
+        elif verb == "metrics":
+            # Read-only like ``stats``: rendered between pump steps,
+            # never logged, never touches the request path.  First
+            # scrape installs the probes.
+            conn.reply(self._metrics_reply(message))
+        elif verb in ("read", "write"):
+            # Reject wrong-typed fields here: a conversion error inside
+            # the pump would kill it for everyone.
             try:
-                writer.close()
-            except Exception:
-                pass
+                fields = _request_fields(message)
+            except (TypeError, ValueError, OverflowError) as exc:
+                conn.reply({
+                    "ok": False, "id": message.get("id"),
+                    "error": f"bad request: {exc}",
+                })
+                return
+            self._enqueue("request", (conn.tenant, fields), conn)
+        elif verb in ("scale", "fault", "drain", "shutdown"):
+            self._enqueue("control", message, conn)
+        else:
+            conn.reply({
+                "ok": False, "id": message.get("id"),
+                "error": f"unknown op {verb!r}",
+            })
 
     def _metrics_reply(self, message: dict[str, Any]) -> dict[str, Any]:
         """The ``metrics`` verb body: snapshot + Prometheus exposition.
@@ -215,17 +260,14 @@ class FabricDaemon:
             "prometheus": probes.registry.to_prometheus(),
         }
 
-    def _enqueue(self, kind: str, payload: Any, writer) -> None:
-        self._inbox.append((kind, payload, writer))
+    def _enqueue(self, kind: str, payload: Any, conn: _Connection) -> None:
+        self._inbox.append((kind, payload, conn))
         self._wake.set()
 
-    def _reply(self, writer, payload: dict[str, Any]) -> None:
-        if writer.is_closing():
-            return
-        try:
-            writer.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
-        except (ConnectionResetError, RuntimeError):
-            pass
+    def _flush(self) -> None:
+        """Write every connection's outbox to its socket."""
+        for conn in self._connections:
+            conn.flush()
 
     # -- the pump ------------------------------------------------------------
 
@@ -239,7 +281,7 @@ class FabricDaemon:
         )
 
     async def _pump(self) -> None:
-        """Single writer of simulated time: ingest, advance, yield."""
+        """Single writer of simulated time: ingest, advance, flush, yield."""
         service = self.service
         while not self._stopping:
             if self._idle():
@@ -249,43 +291,40 @@ class FabricDaemon:
                 continue
             batch, self._inbox = self._inbox, []
             stop_after = False
-            for kind, payload, writer in batch:
+            for kind, payload, conn in batch:
                 if kind == "request":
-                    self._apply_request(payload, writer)
+                    self._apply_request(payload, conn)
                 else:
-                    if self._apply_control(payload, writer):
+                    self._flush()
+                    if self._apply_control(payload, conn):
                         stop_after = True
             if stop_after:
                 self._stopping = True
                 break
             service.advance(self.quantum)
-            # Yield so handlers can read more client lines before the
-            # next quantum.
+            self._flush()
+            # Yield so connections can read more client lines before
+            # the next quantum.
             await asyncio.sleep(0)
-        # Reached on shutdown-verb exit or external stop(): tear the
-        # server down, EOF every open connection so its handler exits
-        # on its own (no task cancellation, which Python 3.11 streams
-        # report noisily at loop close), and wait for the handlers.
+        # Reached on shutdown-verb exit or external stop(): send what
+        # is left, stop accepting, and close every open connection
+        # (each transport writes out its buffer before it closes).
+        self._flush()
         if self._server is not None:
             self._server.close()
-        for writer in list(self._conn_writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        for conn in list(self._connections):
+            conn.transport.close()
         self._stopped.set()
 
-    def _apply_request(self, payload: tuple[str, dict], writer) -> None:
+    def _apply_request(self, payload: tuple[str, dict], conn: _Connection) -> None:
         tenant, fields = payload
 
-        def on_done(req: ServiceRequest, w=writer, mid=fields["id"]):
-            """Write the terminal-state response line back to the client."""
+        def on_done(req: ServiceRequest, reply=conn.reply, mid=fields["id"]):
+            """Queue the terminal-state response line for the client."""
             body = req.to_dict()
             body["id"] = mid
             body["ok"] = req.status == "done"
-            self._reply(w, body)
+            reply(body)
 
         self.service.submit(
             tenant,
@@ -297,7 +336,7 @@ class FabricDaemon:
             on_done=on_done,
         )
 
-    def _apply_control(self, message: dict, writer) -> bool:
+    def _apply_control(self, message: dict, conn: _Connection) -> bool:
         """Apply one control verb; returns True when it was ``shutdown``."""
         verb, get = message["op"], message.get
         direction = get("direction", "down")
@@ -317,5 +356,5 @@ class FabricDaemon:
             result = self.service.drain()
             if verb == "shutdown":
                 result = {**result, "verb": "shutdown"}
-        self._reply(writer, {**result, "id": get("id")})
+        conn.reply({**result, "id": get("id")})
         return verb == "shutdown"

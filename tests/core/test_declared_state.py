@@ -64,10 +64,13 @@ def test_restore_inside_open_window_keeps_victims_blocked():
     live.gate_off(victims, at=10)
     sim.run(until=12)
     assert live._window_active and routing.blocked == set(victims)
+    assert sim._arrival_hook is not None
     repair.restore_link(a, b)
     for r in topo.active_nodes:
         assert not set(victims) & {w for w, _hop, _vias in routing.window(r)}, r
     assert_rows_current(routing, (), set(victims))
     sim.run(until=50_000)
     assert live.pending_operations == 0 and routing.blocked == set()
+    # The arrival hook is bound only while a window is open.
+    assert sim._arrival_hook is None
     assert_rows_current(routing)

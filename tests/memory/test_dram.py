@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.memory.dram import DramModel
-from repro.network.config import NetworkConfig
+from repro.network.config import DramTiming, NetworkConfig
 
 
 class TestRowBuffer:
@@ -39,6 +39,14 @@ class TestRowBuffer:
         hit = dram.access_cycles(64)
         miss = dram.access_cycles(2048)
         assert hit < empty < miss
+
+    def test_cycles_follow_the_configured_timing(self):
+        cfg = NetworkConfig(clock_ghz=1.0, dram=DramTiming(t_rcd=13.5, t_cl=7.2, t_rp=15.1))
+        dram = DramModel(cfg, num_banks=1, row_bytes=2048)
+        cycles = cfg.cycles_from_ns
+        assert dram.access_cycles(0) == cycles(cfg.dram.row_empty_ns()) == 21
+        assert dram.access_cycles(64) == cycles(cfg.dram.row_hit_ns()) == 8
+        assert dram.access_cycles(2048) == cycles(cfg.dram.row_miss_ns()) == 36
 
     def test_hit_rate(self):
         dram = DramModel(row_bytes=2048)

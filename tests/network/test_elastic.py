@@ -215,6 +215,7 @@ class TestEventTimeline:
         sim = NetworkSimulator(topo, policy, CONFIG)
         manager = ReconfigurationManager(topo, routing)
         live = LiveReconfigurator(sim, manager, policy)
+        assert sim._arrival_hook is None  # bound only inside a window
 
         from repro.traffic.patterns import make_pattern
         from repro.workloads.churn import ChurnInjector
@@ -238,6 +239,7 @@ class TestEventTimeline:
         assert live.pending_operations == 0
         assert len(live.events) == 2
         assert sim.pending_events == 0
+        assert sim._arrival_hook is None
 
     def test_operations_serialize(self):
         """Two overlapping requests run one after the other."""
