@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "AdaptiveGreediestRouting",
     "RingBrokenError",
     "RouteResult",
-    "RouteState",
 ]
 
 
@@ -62,34 +61,6 @@ class RingBrokenError(RuntimeError):
     the active ring unpatchable there; a simulator with a fault layer
     counts the packet as lost instead of aborting the run.
     """
-
-
-class RouteState:
-    """Per-packet routing state of the scalar :meth:`GreediestRouting.
-    next_hop` (a simulated packet carries the same two header fields as
-    ``Packet.commit``, ``-1`` for ``None``, and ``Packet.fallback_md``).
-
-    ``commit`` is the node id the packet must be forwarded to next (set
-    when a two-hop window target was chosen through a non-progressing
-    via); ``fallback_md`` is the ``MD`` recorded when the space-0 ring
-    fallback was entered, or ``None`` in greedy mode.  Hardware cost:
-    one node id plus one 7-bit distance — a few bytes in the header.
-    """
-
-    __slots__ = ("commit", "fallback_md")
-
-    def __init__(
-        self, commit: int | None = None, fallback_md: float | None = None
-    ) -> None:
-        self.commit = commit
-        self.fallback_md = fallback_md
-
-    @property
-    def in_fallback(self) -> bool:
-        return self.fallback_md is not None
-
-    def __repr__(self) -> str:
-        return f"RouteState(commit={self.commit}, fallback_md={self.fallback_md})"
 
 
 class RouteResult:
@@ -587,9 +558,7 @@ class GreediestRouting:
         """The usable one-hop neighbor ids of *current* (iterable)."""
         return self.nbr_index[current].keys()
 
-    def candidate_set(
-        self, current: int, dst: int, dst_coords: Sequence[float] | None = None
-    ) -> list[tuple[float, int]]:
+    def candidate_set(self, current: int, dst: int) -> list[tuple[float, int]]:
         """Progressing vias with look-ahead scores, best-first.
 
         Returns ``(score, via)`` pairs where *score* is the best window
@@ -601,12 +570,7 @@ class GreediestRouting:
         k = row.k
         if k == 0:
             return []
-        dst_vec = (
-            self._coord_matrix[dst]
-            if dst_coords is None
-            else np.asarray(dst_coords, dtype=np.float64)
-        )
-        md = self._window_md(row, dst_vec)
+        md = self._window_md(row, self._coord_matrix[dst])
         my_md = md[0]
         nbr_md = md[1 : k + 1]
         if self.use_two_hop:
@@ -622,13 +586,12 @@ class GreediestRouting:
         result.sort(key=lambda item: (item[0], item[1]))
         return result
 
-    def _greedy_choice(
-        self, current: int, dst_vec: np.ndarray
-    ) -> tuple[int, int | None] | None:
+    def _greedy_choice(self, current: int, dst_vec: np.ndarray) -> tuple[int, int] | None:
         """Greediest (via, commit) from *current*, or None if stuck.
 
-        The commit is set when the best window target is a two-hop
-        neighbor whose via does not itself make strict progress.
+        The commit (``-1``: none) is set when the best window target is
+        a two-hop neighbor whose via does not itself make strict
+        progress.
         """
         row = self._row(current)
         k = row.k
@@ -641,7 +604,7 @@ class GreediestRouting:
             best = int(nbr_md.argmin())
             if nbr_md[best] >= my_md:
                 return None
-            return int(row.ids[best]), None
+            return int(row.ids[best]), -1
         win_md = md[1:]
         target = int(win_md.argmin())
         if win_md[target] >= my_md:
@@ -650,52 +613,44 @@ class GreediestRouting:
         via = min(row.vias[target], key=nbr_md.__getitem__)
         via_id = int(row.ids[via])
         if target < k:
-            return via_id, None
-        commit = int(row.ids[target]) if nbr_md[via] >= my_md else None
+            return via_id, -1
+        commit = int(row.ids[target]) if nbr_md[via] >= my_md else -1
         return via_id, commit
 
     def next_hop(
-        self,
-        current: int,
-        dst: int,
-        dst_coords: Sequence[float] | None = None,
-        state: RouteState | None = None,
-    ) -> tuple[int, RouteState]:
-        """Forward one packet one hop; returns ``(neighbor, new_state)``.
+        self, current: int, dst: int, commit: int = -1, fallback_md: float | None = None
+    ) -> tuple[int, int, float | None]:
+        """Forward one packet one hop; returns ``(neighbor, commit,
+        fallback_md)``.
 
-        *state* is the packet's :class:`RouteState` (``None`` = fresh
-        packet).  The returned state must travel with the packet.
+        The two state fields are the packet's route header, in
+        ``Packet``'s encoding: ``commit`` is the node the packet must
+        be forwarded to next (``-1``: none), set when a two-hop window
+        target was chosen through a non-progressing via; ``fallback_md``
+        is the ``MD`` recorded when the space-0 ring fallback was
+        entered (``None``: greedy mode).  Hardware cost: one node id
+        plus one 7-bit distance.  A fresh packet passes neither.
         """
-        if state is None:
-            state = RouteState()
         usable = self.nbr_index[current]
-        dst_vec = (
-            self._coord_matrix[dst]
-            if dst_coords is None
-            else np.asarray(dst_coords, dtype=np.float64)
-        )
+        dst_vec = self._coord_matrix[dst]
         # Direct delivery always wins.
         if dst in usable:
-            return dst, RouteState()
+            return dst, -1, None
         # Honor a pending two-hop commit if it is still a usable neighbor.
-        if state.commit is not None:
-            commit = state.commit
-            if commit in usable:
-                return commit, RouteState(fallback_md=state.fallback_md)
-            state = RouteState(fallback_md=state.fallback_md)
+        if commit in usable:
+            return commit, -1, fallback_md
         # Leave fallback mode once MD has improved past the entry value.
-        if state.fallback_md is not None:
+        if fallback_md is not None:
             my_md = float(self._md_array(self._coord_matrix[current], dst_vec))
-            if my_md < state.fallback_md:
-                state = RouteState()
-        if state.fallback_md is None:
+            if my_md < fallback_md:
+                fallback_md = None
+        if fallback_md is None:
             choice = self._greedy_choice(current, dst_vec)
             if choice is not None:
                 via, commit = choice
-                return via, RouteState(commit=commit)
-            entry_md = float(self._md_array(self._coord_matrix[current], dst_vec))
-            state = RouteState(fallback_md=entry_md)
-        return self._fallback_hop(current, dst_vec), state
+                return via, commit, None
+            fallback_md = float(self._md_array(self._coord_matrix[current], dst_vec))
+        return self._fallback_hop(current, dst_vec), -1, fallback_md
 
     def _fallback_hop(self, current: int, dst_vec: np.ndarray) -> int:
         """One clockwise step of the space-0 ring walk.
@@ -731,15 +686,14 @@ class GreediestRouting:
         path = [src]
         fallbacks = 0
         current = src
-        dst_vec = self._coord_matrix[dst]
-        state = RouteState()
+        commit, fallback_md = -1, None
         while current != dst:
             if len(path) - 1 >= max_hops:
                 raise RuntimeError(
                     f"route {src}->{dst} exceeded {max_hops} hops: {path[:16]}..."
                 )
-            nxt, state = self.next_hop(current, dst, dst_vec, state)
-            fallbacks += int(state.in_fallback)
+            nxt, commit, fallback_md = self.next_hop(current, dst, commit, fallback_md)
+            fallbacks += fallback_md is not None
             path.append(nxt)
             current = nxt
         return RouteResult(path, fallbacks)
@@ -768,37 +722,3 @@ class AdaptiveGreediestRouting(GreediestRouting):
             )
         super().__init__(topology, use_two_hop=use_two_hop)
         self.congestion_threshold = congestion_threshold
-
-    def adaptive_next_hop(
-        self,
-        current: int,
-        dst: int,
-        port_load: Callable[[int, int], float],
-        first_hop: bool,
-        dst_coords: Sequence[float] | None = None,
-        state: RouteState | None = None,
-    ) -> tuple[int, RouteState]:
-        """Next hop given a ``port_load(node, neighbor) -> [0, 1]`` probe.
-
-        ``port_load`` reports the output-queue occupancy fraction of the
-        link ``current -> neighbor`` (the hardware uses per-port packet
-        counters, §IV-B).  The fallback/commit state machine matches
-        :meth:`GreediestRouting.next_hop`.
-        """
-        if state is None:
-            state = RouteState()
-        if not first_hop or state.commit is not None or state.in_fallback:
-            return self.next_hop(current, dst, dst_coords, state)
-        if dst in self.nbr_index[current]:
-            return dst, RouteState()
-        candidates = self.candidate_set(current, dst, dst_coords)
-        if not candidates:
-            return self.next_hop(current, dst, dst_coords, state)
-        best_score, best = candidates[0]
-        if len(candidates) == 1 or port_load(current, best) < self.congestion_threshold:
-            return self.next_hop(current, dst, dst_coords, state)
-        _score, diverted = min(
-            candidates,
-            key=lambda item: (port_load(current, item[1]), item[0], item[1]),
-        )
-        return diverted, RouteState()

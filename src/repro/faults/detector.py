@@ -128,6 +128,7 @@ class GraphRepair:
             live = graph.subgraph(biggest).copy()
         policy = self._policy_for(live)
         policy.num_vcs = self.sim.policy.num_vcs
+        policy.attach_simulator(self.sim)
         self.sim.policy = policy
         self.rebuilds += 1
 

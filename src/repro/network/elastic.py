@@ -503,13 +503,15 @@ class LiveReconfigurator:
     def _forward_would_fail(self, node: int, packet: Packet, first_hop: bool) -> bool:
         """Probe whether forwarding is possible with blocked entries.
 
-        The forwarding decision is re-run for real afterwards, so the
-        packet's routing state is snapshotted and restored — the probe
-        is observationally free.
+        The probe is the very ``forward`` call the real hop makes, so it
+        reads the packet class's view of the ports too.  The forwarding
+        decision is re-run for real afterwards, so the packet's routing
+        state is snapshotted and restored — the probe is
+        observationally free.
         """
         saved = (packet.commit, packet.fallback_md, packet.fallback_hops)
         try:
-            self.policy.forward(node, packet, self.sim.port_load, first_hop)
+            self.policy.forward(node, packet, first_hop)
             return False
         except (RuntimeError, KeyError, IndexError):
             return True

@@ -1,10 +1,17 @@
 """Routing-policy interface between topologies and the simulator.
 
 The simulator is topology-agnostic: it asks a :class:`RoutingPolicy`
-for each packet's next hop and reads its VC keys.  Policies receive a
-``port_load(node, neighbor) -> [0, 1]`` probe so adaptive schemes can
-divert around congested output ports (the hardware equivalent is the
-per-port packet counter of paper §IV-B).
+for each packet's next hop with ``forward(current, packet,
+first_hop)`` and reads its VC keys.  A policy has two inputs:
+
+* the packet's route header, its ``commit`` and ``fallback_md``
+  fields, which ``forward`` reads and updates;
+* its own router's per-port packet counters (the hardware's §IV-B
+  counters), read straight from the ports of the simulator the policy
+  is attached to (:meth:`RoutingPolicy.attach_simulator`).  Under an
+  installed class table a packet of class ``c`` counts only the
+  classes at ``c``'s priority or more urgent
+  (:meth:`RoutingPolicy.occupancy`).
 
 * :class:`GreedyPolicy` adapts the String Figure / S2 greediest
   protocol.  The simulator reads its decision ``columns`` itself on
@@ -22,13 +29,11 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 
-from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
+from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.virtual_channels import select_virtual_channel
 from repro.network.packet import Packet
 
 __all__ = ["RoutingPolicy", "GreedyPolicy", "MinimalPolicy"]
-
-PortLoad = Callable[[int, int], float]
 
 
 class RoutingPolicy(ABC):
@@ -40,15 +45,16 @@ class RoutingPolicy(ABC):
     #: dst -> decision column (:meth:`GreediestRouting.column`) the
     #: simulator reads on plain non-first hops; None: it never does.
     columns: dict | None = None
+    #: The simulator whose ports the policy reads (None: unattached).
+    _sim = None
 
     @abstractmethod
-    def forward(
-        self, current: int, packet: Packet, port_load: PortLoad, first_hop: bool
-    ) -> int:
+    def forward(self, current: int, packet: Packet, first_hop: bool) -> int:
         """Return the neighbor to forward *packet* to from *current*.
 
         Implementations may read and update the packet's ``commit`` and
-        ``fallback_md`` routing fields.
+        ``fallback_md`` routing fields, and read the attached
+        simulator's port counters.
         """
 
     @abstractmethod
@@ -57,6 +63,45 @@ class RoutingPolicy(ABC):
 
     def on_reconfigure(self) -> None:
         """Invalidate any caches after a topology reconfiguration."""
+
+    def attach_simulator(self, sim) -> None:
+        """Read port counters from *sim*'s ports from now on.
+
+        The simulator attaches its policy when it is built and again
+        when it installs a class table; whoever swaps a policy into a
+        running simulator attaches it too.  A policy shared by several
+        simulators serves the one it was last attached to.
+        """
+        # Ports are read through ``_sim``, not kept here: a second
+        # reference to the simulator's port dict left the heap in a
+        # state that made the next SF-1296 set-up ~5% slower.
+        self._sim = sim
+        self._n = sim._n
+        #: per class id, the class ids its view counts; () classless.
+        self._groups = sim._qos_groups
+
+    def occupancy(self, current: int, nbr: int, tclass: int) -> float:
+        """Output-queue occupancy fraction of link ``current -> nbr`` as
+        a packet of class *tclass* sees it, in ``[0, 1]``.
+
+        Classless, every queued packet counts; under a class table only
+        the classes in *tclass*'s group do (lower-priority traffic is
+        arbitrated around, so it should not deter a divert).  Capacity
+        scales with the link's channel count, so a multi-channel (ODM)
+        link at the same depth reads proportionally lower.
+        """
+        port = self._sim._ports.get(current * self._n + nbr)
+        if port is None:
+            return 0.0
+        groups = self._groups
+        if groups:
+            cls_count = port.cls_count
+            queued = 0
+            for k in groups[tclass]:
+                queued += cls_count[k]
+        else:
+            queued = port.count
+        return min(1.0, queued / port.cap)
 
 
 class GreedyPolicy(RoutingPolicy):
@@ -87,64 +132,51 @@ class GreedyPolicy(RoutingPolicy):
         #: packed ``current * n + dst`` -> ranked ((score, via), ...)
         #: adaptive candidates (int keys hash cheaper than tuples).
         self._cand_cache: dict[int, tuple] = {}
-        n = self._key_n = routing.topology.num_nodes
-        self.vc_keys = [routing.topology.coords.coordinate(v, 0) for v in range(n)]
+        coords = routing.topology.coords
+        self.vc_keys = [coords.coordinate(v, 0) for v in range(routing.topology.num_nodes)]
         #: Routing generation the candidate memo and load probes were
         #: filled against; a window rebuild anywhere (including
         #: *offline* reconfiguration, which never calls on_reconfigure)
         #: bumps ``routing.version`` and invalidates them on the next
         #: forward.
         self._cache_version = routing.version
-        # Integer load probes for the adaptive quick-reject (filled by
-        # attach_simulator); keyed on the simulator's stable port_load
-        # identity so any other probe falls back to the generic scan.
-        self._sim = None
-        self._probe_cb = None
-        self._class_cbs: tuple = ()
+        #: router -> ((port, loaded_min), ...) for the adaptive quick
+        #: reject, over the attached simulator's ports.
         self._probes: dict[int, list] = {}
 
     def attach_simulator(self, sim) -> None:
-        """Bind the quick-reject scan to *sim*'s port objects.
+        super().attach_simulator(sim)
+        self._probes.clear()
+
+    def _router_probes(self, current: int) -> list:
+        """*current*'s output ports, each with its smallest loaded count.
 
         The adaptive first-hop check — "is any output port of this
         router loaded past the congestion threshold?" — dominates the
         policy's cost once the decision columns are warm, and it only
-        ever compares ``min(1.0, count / cap)`` against a constant.
-        Per router, precompute each port's smallest loaded *count* (the
-        exact integer threshold, found by scanning the same float
-        predicate ``port_load`` evaluates), so the hot path is one int
-        compare per neighbor instead of a float division through a
-        callback.  Keyed on the identity of ``sim.port_load``: a
-        forward driven by any other probe (tests, another simulator
-        sharing this memoized policy) takes the generic path unchanged.
+        ever compares ``min(1.0, queued / cap)`` against a constant.
+        Per port, the smallest queued count that predicate calls loaded
+        is exact integer arithmetic, so the hot path is one int compare
+        per neighbor instead of a float division.  Port caps are
+        class-independent, so the threshold serves a class's view too.
         """
-        self._sim = sim
-        self._probe_cb = sim._port_load_cb
-        #: this sim's per-class load closures (installed QoS only);
-        #: each carries its class-id group as ``qos_ids``.  Matching is
-        #: by identity, so a foreign probe still takes the generic path.
-        self._class_cbs = getattr(sim, "_class_load_cbs", ())
-        self._probes.clear()
-
-    def _router_probes(self, current: int) -> list:
         probes = self._probes.get(current)
         if probes is None:
-            sim = self._sim
             threshold = self.routing.congestion_threshold
             probes = []
             for nbr in self.routing.usable_neighbors(current):
-                port = sim._ports.get(current * sim._n + nbr)
+                port = self._sim._ports.get(current * self._n + nbr)
                 if port is None:
-                    port = sim._port(current, nbr)
+                    port = self._sim._port(current, nbr)
                 cap = port.cap
                 # Smallest queued count the float predicate calls
                 # loaded, verified against the identical expression
-                # port_load computes so the int compare is exact.  The
-                # ceil guess can be off by one either way at float
-                # boundaries; the two adjustment loops settle it.
-                # (count can exceed cap under reserve loans, but the
-                # predicate saturates at 1.0 from cap onward, so c=cap
-                # decides every larger count too.)
+                # :meth:`occupancy` computes so the int compare is
+                # exact.  The ceil guess can be off by one either way
+                # at float boundaries; the two adjustment loops settle
+                # it.  (count can exceed cap under reserve loans, but
+                # the predicate saturates at 1.0 from cap onward, so
+                # c=cap decides every larger count too.)
                 c = min(max(int(math.ceil(threshold * cap)), 0), cap)
                 while c > 0 and min(1.0, (c - 1) / cap) >= threshold:
                     c -= 1
@@ -155,9 +187,7 @@ class GreedyPolicy(RoutingPolicy):
             self._probes[current] = probes
         return probes
 
-    def forward(
-        self, current: int, packet: Packet, port_load: PortLoad, first_hop: bool
-    ) -> int:
+    def forward(self, current: int, packet: Packet, first_hop: bool) -> int:
         routing = self.routing
         dst = packet.dst
         commit = packet.commit
@@ -178,63 +208,54 @@ class GreedyPolicy(RoutingPolicy):
                 # least-loaded progressing via past the congestion
                 # threshold; otherwise fall through to the greedy decision.
                 threshold = routing.congestion_threshold
-                key = current * self._key_n + dst
+                key = current * self._n + dst
                 cand = self._cand_cache.get(key)
                 if cand is None:
                     # Quick reject: a divert needs the primary port loaded
                     # past the threshold, so if no output port of this
                     # router is, the candidate ranking is never consulted —
                     # which skips its cost on the (dominant) unloaded path.
-                    if port_load is self._probe_cb:
-                        loaded = False
-                        for probe_port, loaded_min in self._router_probes(current):
-                            if probe_port.count >= loaded_min:
-                                loaded = True
-                                break
-                    elif port_load in self._class_cbs:
-                        # Class-aware twin of the int quick-reject: the
-                        # probe sums the queued counts of the classes in
-                        # the closure's priority group against the same
-                        # precomputed integer threshold (port caps are
-                        # class-independent, so loaded_min transfers).
-                        ids = port_load.qos_ids
-                        loaded = False
-                        for probe_port, loaded_min in self._router_probes(current):
-                            queued = 0
-                            for k in ids:
-                                queued += probe_port.cls_count[k]
-                            if queued >= loaded_min:
+                    groups = self._groups
+                    loaded = False
+                    if not groups:
+                        for port, loaded_min in self._router_probes(current):
+                            if port.count >= loaded_min:
                                 loaded = True
                                 break
                     else:
-                        loaded = any(
-                            port_load(current, nbr) >= threshold
-                            for nbr in routing.usable_neighbors(current)
-                        )
+                        ids = groups[packet.tclass]
+                        for port, loaded_min in self._router_probes(current):
+                            queued = 0
+                            for k in ids:
+                                queued += port.cls_count[k]
+                            if queued >= loaded_min:
+                                loaded = True
+                                break
                     if loaded:
                         cand = tuple(routing.candidate_set(current, dst))
                         self._cand_cache[key] = cand
-                if cand is not None and len(cand) > 1 and (
-                    port_load(current, cand[0][1]) >= threshold
-                ):
-                    _score, nxt = min(
-                        cand,
-                        key=lambda item: (
-                            port_load(current, item[1]), item[0], item[1]
-                        ),
-                    )
-                    return nxt
+                if cand is not None and len(cand) > 1:
+                    tclass = packet.tclass
+                    load = self.occupancy
+                    if load(current, cand[0][1], tclass) >= threshold:
+                        _score, nxt = min(
+                            cand,
+                            key=lambda item: (
+                                load(current, item[1], tclass), item[0], item[1]
+                            ),
+                        )
+                        return nxt
             if entry >= 0:
                 nxt, commit = divmod(entry, stride)
                 packet.commit = commit - 1
                 return nxt
         # Commit/fallback state, the fallback walk, or a network above
         # the kernel gate: the scalar decision.
-        state = RouteState(None if commit < 0 else commit, packet.fallback_md)
-        nxt, state = routing.next_hop(current, dst, None, state)
-        packet.commit = -1 if state.commit is None else state.commit
-        packet.fallback_md = state.fallback_md
-        if state.in_fallback:
+        nxt, packet.commit, fallback_md = routing.next_hop(
+            current, dst, commit, packet.fallback_md
+        )
+        packet.fallback_md = fallback_md
+        if fallback_md is not None:
             packet.fallback_hops += 1
         return nxt
 
@@ -269,13 +290,13 @@ class MinimalPolicy(RoutingPolicy):
     #: Node order: a ``range`` indexes as the identity, so every node
     #: id (including ones outside a repaired graph) is its own key.
     vc_keys = range(1 << 62)
+    #: Occupancy fraction past which an adaptive hop diverts.
+    congestion_threshold = 0.5
 
     def __init__(
         self,
         graph,
         adaptive: bool = True,
-        congestion_threshold: float = 0.5,
-        num_vcs: int = 2,
         preference: Callable[[int, int, int], float] | None = None,
     ) -> None:
         import networkx as nx
@@ -284,8 +305,6 @@ class MinimalPolicy(RoutingPolicy):
         from scipy.sparse.csgraph import shortest_path
 
         self.adaptive = adaptive
-        self.congestion_threshold = congestion_threshold
-        self.num_vcs = num_vcs
         self.preference = preference
         nodes = sorted(graph.nodes())
         self._ids = nodes
@@ -359,9 +378,7 @@ class MinimalPolicy(RoutingPolicy):
         self._dst_cand[dst] = entry
         return entry
 
-    def forward(
-        self, current: int, packet: Packet, port_load: PortLoad, first_hop: bool
-    ) -> int:
+    def forward(self, current: int, packet: Packet, first_hop: bool) -> int:
         dst = packet.dst
         entry = self._dst_cand.get(dst)
         if entry is None:
@@ -380,9 +397,11 @@ class MinimalPolicy(RoutingPolicy):
         primary = options[0]
         if not self.adaptive or len(options) == 1:
             return primary
-        if port_load(current, primary) < self.congestion_threshold:
+        tclass = packet.tclass
+        load = self.occupancy
+        if load(current, primary, tclass) < self.congestion_threshold:
             return primary
-        return min(options, key=lambda w: (port_load(current, w), w))
+        return min(options, key=lambda w: (load(current, w, tclass), w))
 
     def select_vc(self, src: int, dst: int) -> int:
         return 0 if self.num_vcs < 2 or src <= dst else 1

@@ -176,7 +176,7 @@ class _OutPort:
         # optional emergency escalation).
         self.stall_failures = 0
         self.lat = lat  # SerDes + wire cycles of this link
-        self.cap = cap  # queue capacity for port_load normalization
+        self.cap = cap  # queue capacity the routing occupancy divides by
         # QoS state (armed by NetworkSimulator.install_qos; None on the
         # classless fast path).  When armed, ``queues`` is re-laid-out
         # as a flat ``num_classes x num_vcs`` list (index
@@ -300,10 +300,10 @@ class NetworkSimulator:
         #: bit-identical behind single ``is None`` tests.
         self._qos = None
         self._num_vcs = policy.num_vcs
-        #: per-class port-load closures handed to the routing policy
-        #: (class c sees the queued packets of every class at its own
-        #: priority or higher); empty until install_qos.
-        self._class_load_cbs: tuple = ()
+        #: per class, the class ids whose queued packets its routing
+        #: view counts (its own priority or more urgent); empty until
+        #: install_qos.
+        self._qos_groups: tuple = ()
         self._qos_bands: tuple = ()
         self._qos_band_of: tuple = ()
         #: per class, the classes of every higher-priority band.
@@ -323,9 +323,6 @@ class NetworkSimulator:
         self._link_events_elided = 0
         self.max_events = 200_000_000
         self._router_cycles = self.config.router_cycles
-        #: stable bound method handed to policies every forward —
-        #: policies key their fast load probes on its identity.
-        self._port_load_cb = self.port_load
         # Pre-create every directed port of the topology up front: port
         # construction emits no events and allocates no sequence
         # numbers, so doing it here (instead of lazily at first use) is
@@ -334,9 +331,7 @@ class NetworkSimulator:
         for u in topology.active_nodes:
             for v in topology.neighbors(u):
                 self._port(u, v)
-        attach = getattr(policy, "attach_simulator", None)
-        if attach is not None:
-            attach(self)
+        policy.attach_simulator(self)
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -365,18 +360,6 @@ class NetworkSimulator:
             if self._qos is not None:
                 self._arm_qos_port(port)
         return port
-
-    def port_load(self, u: int, v: int) -> float:
-        """Output-queue occupancy fraction of link ``u -> v``.
-
-        Capacity scales with the link's physical channel count, so a
-        multi-channel (ODM) link at the same queue depth reports a
-        proportionally lower occupancy fraction to adaptive routing.
-        """
-        port = self._ports.get(u * self._n + v)
-        if port is None:
-            return 0.0
-        return min(1.0, port.count / port.cap)
 
     def on_delivery(self, callback: Callable[[Packet, int], None]) -> None:
         """Register ``callback(packet, time)`` to run at each ejection."""
@@ -496,9 +479,9 @@ class NetworkSimulator:
         class, its credits split into per-class reservations plus a
         shared borrow pool, and its selection in the send loop
         (:meth:`_try_send`) switched to strict priority across bands
-        with deficit-weighted round-robin within a band.  Routing
-        policies are re-attached so adaptive scoring sees class-aware
-        port loads.
+        with deficit-weighted round-robin within a band.  The routing
+        policy is re-attached so adaptive scoring reads each class's
+        view of the ports (:meth:`RoutingPolicy.occupancy`).
         Without this call the simulator takes the classless fast path,
         bit-identical to builds without QoS.
         """
@@ -527,37 +510,14 @@ class NetworkSimulator:
         self._qos_quantum = qos.drr_quantum
         for port in self._ports.values():
             self._arm_qos_port(port)
-        # Per-class load closures: class c's view of a port is the
-        # occupancy of every class at its priority or higher — lower
-        # priority traffic will be arbitrated around, so it should not
-        # deter adaptive routing.  Each closure carries its class-id
-        # group as ``qos_ids`` so GreedyPolicy's integer quick-reject
-        # can recognize it (see policies.attach_simulator).
-        ports = self._ports
-        n = self._n
-        cbs = []
-        for cls in qos.classes:
-            ids = tuple(
-                other.id for other in qos.classes
-                if other.priority <= cls.priority
-            )
-
-            def class_load(u: int, v: int, _ids=ids) -> float:
-                port = ports.get(u * n + v)
-                if port is None:
-                    return 0.0
-                cls_count = port.cls_count
-                queued = 0
-                for k in _ids:
-                    queued += cls_count[k]
-                return min(1.0, queued / port.cap)
-
-            class_load.qos_ids = ids
-            cbs.append(class_load)
-        self._class_load_cbs = tuple(cbs)
-        attach = getattr(self.policy, "attach_simulator", None)
-        if attach is not None:
-            attach(self)
+        # Class c's view of a port counts every class at its priority
+        # or more urgent: lower-priority traffic will be arbitrated
+        # around, so it should not deter adaptive routing.
+        self._qos_groups = tuple(
+            tuple(other.id for other in qos.classes if other.priority <= cls.priority)
+            for cls in qos.classes
+        )
+        self.policy.attach_simulator(self)
 
     def _arm_qos_port(self, port: _OutPort) -> None:
         """Re-lay-out one port's queues and credits for the class table.
@@ -906,9 +866,8 @@ class NetworkSimulator:
                     nxt = commit
                     packet.commit = -1
         if nxt < 0:
-            load = self._port_load_cb if qos is None else self._class_load_cbs[packet.tclass]
             try:
-                nxt = policy.forward(node, packet, load, first_hop)
+                nxt = policy.forward(node, packet, first_hop)
             except RingBrokenError:
                 if fault is None:
                     raise

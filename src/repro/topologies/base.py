@@ -14,6 +14,7 @@ surface to the analysis and simulation layers:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
@@ -22,7 +23,24 @@ from repro.network.policies import MinimalPolicy, RoutingPolicy
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["BaseTopology"]
+__all__ = ["BaseTopology", "grid_dimensions"]
+
+
+def grid_dimensions(num_nodes: int, design: str) -> tuple[int, int]:
+    """Most-square ``(rows, cols)`` factorization of *num_nodes*.
+
+    Raises ``ValueError`` naming *design* for node counts with no
+    non-trivial factorization (primes): those network scales are
+    unsupported by the grid designs (mesh, flattened butterfly),
+    mirroring Figure 8.
+    """
+    for rows in range(math.isqrt(num_nodes), 1, -1):
+        if num_nodes % rows == 0:
+            return rows, num_nodes // rows
+    raise ValueError(
+        f"{design} does not support {num_nodes} nodes (prime count; "
+        "see paper Figure 8)"
+    )
 
 
 class BaseTopology(ABC):

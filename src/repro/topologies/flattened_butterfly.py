@@ -21,26 +21,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.topologies.base import BaseTopology
+from repro.topologies.base import BaseTopology, grid_dimensions
 
 if TYPE_CHECKING:
     import networkx as nx
 
 __all__ = ["FlattenedButterflyTopology", "AdaptedFlattenedButterflyTopology"]
-
-
-def _grid_dimensions(num_nodes: int) -> tuple[int, int]:
-    best: tuple[int, int] | None = None
-    for rows in range(int(math.isqrt(num_nodes)), 1, -1):
-        if num_nodes % rows == 0:
-            best = (rows, num_nodes // rows)
-            break
-    if best is None:
-        raise ValueError(
-            f"flattened butterfly does not support {num_nodes} nodes "
-            "(prime count; see paper Figure 8)"
-        )
-    return best
 
 
 class FlattenedButterflyTopology(BaseTopology):
@@ -52,7 +38,7 @@ class FlattenedButterflyTopology(BaseTopology):
 
     def __init__(self, num_nodes: int) -> None:
         super().__init__(num_nodes)
-        self.rows, self.cols = _grid_dimensions(num_nodes)
+        self.rows, self.cols = grid_dimensions(num_nodes, "flattened butterfly")
 
     def coordinates_of(self, node: int) -> tuple[int, int]:
         return divmod(node, self.cols)

@@ -18,36 +18,15 @@ counts are unsupported (the "N" entries of Figure 8).
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from repro.network.policies import MinimalPolicy, RoutingPolicy
-from repro.topologies.base import BaseTopology
+from repro.topologies.base import BaseTopology, grid_dimensions
 
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["MeshTopology", "OptimizedMeshTopology", "mesh_dimensions"]
-
-
-def mesh_dimensions(num_nodes: int) -> tuple[int, int]:
-    """Most-square ``(rows, cols)`` factorization of *num_nodes*.
-
-    Raises ``ValueError`` for node counts with no non-trivial
-    factorization (primes) — those network scales are unsupported by
-    mesh, mirroring Figure 8.
-    """
-    best: tuple[int, int] | None = None
-    for rows in range(int(math.isqrt(num_nodes)), 1, -1):
-        if num_nodes % rows == 0:
-            best = (rows, num_nodes // rows)
-            break
-    if best is None:
-        raise ValueError(
-            f"mesh does not support {num_nodes} nodes (prime count; "
-            "see paper Figure 8)"
-        )
-    return best
+__all__ = ["MeshTopology", "OptimizedMeshTopology"]
 
 
 class MeshTopology(BaseTopology):
@@ -59,7 +38,7 @@ class MeshTopology(BaseTopology):
 
     def __init__(self, num_nodes: int) -> None:
         super().__init__(num_nodes)
-        self.rows, self.cols = mesh_dimensions(num_nodes)
+        self.rows, self.cols = grid_dimensions(num_nodes, "mesh")
 
     def coordinates_of(self, node: int) -> tuple[int, int]:
         """Grid (row, col) of a node id."""

@@ -8,6 +8,9 @@ router's usable window from the active topology, the failed wires and
 the blocked nodes.  :func:`oracle_tables` builds every table from
 scratch and imposes those inputs bit by bit, so the differential tests
 can hold each computed window to the table's ``usable_window``.
+
+:func:`adaptive_next_hop` is the uncached reference of the paper's
+adaptive first hop, which ``GreedyPolicy.forward`` is held to.
 """
 
 from __future__ import annotations
@@ -109,3 +112,26 @@ def oracle_tables(topology, failed_links, blocked) -> dict[int, RoutingTable]:
         for node in blocked:
             table.block(node)
     return tables
+
+
+def adaptive_next_hop(routing, current, dst, port_load, first_hop, commit=-1, fallback_md=None):
+    """One hop of adaptive greediest routing given a ``port_load(node,
+    neighbor) -> [0, 1]`` probe; returns ``(neighbor, commit,
+    fallback_md)`` as ``GreediestRouting.next_hop`` does.
+
+    On a first hop with no route state, a greediest port loaded past
+    ``routing.congestion_threshold`` diverts to the least-loaded
+    progressing via (paper §III-B); every other hop is the greediest
+    one.
+    """
+    if not first_hop or commit >= 0 or fallback_md is not None:
+        return routing.next_hop(current, dst, commit, fallback_md)
+    if routing.is_direct(current, dst):
+        return dst, -1, None
+    candidates = routing.candidate_set(current, dst)
+    if len(candidates) < 2 or port_load(current, candidates[0][1]) < routing.congestion_threshold:
+        return routing.next_hop(current, dst)
+    _score, diverted = min(
+        candidates, key=lambda item: (port_load(current, item[1]), item[0], item[1])
+    )
+    return diverted, -1, None

@@ -156,15 +156,14 @@ def assert_entry_is_scalar(routing, entry, current, dst):
     """A packed column entry equals the scalar ``next_hop`` decision:
     ``-1`` exactly where the scalar path takes the ring walk."""
     try:
-        nxt, state = routing.next_hop(current, dst)
+        nxt, commit, fallback_md = routing.next_hop(current, dst)
     except RuntimeError:
         assert entry < 0, (current, dst)
         return
-    if state.in_fallback:
+    if fallback_md is not None:
         assert entry < 0, (current, dst)
     else:
-        commit = 0 if state.commit is None else state.commit + 1
-        assert entry == nxt * routing.column_stride + commit, (current, dst)
+        assert entry == nxt * routing.column_stride + commit + 1, (current, dst)
 
 
 STEPS = ("gate", "wake", "live_gate_off", "fail_link", "restore_link", "read")

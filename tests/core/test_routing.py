@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
+from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import StringFigureTopology
+from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy
+from tests.core.routing_oracle import adaptive_next_hop
+
+
+def quiet(u, v):
+    return 0.0
+
+
+def loaded(u, v):
+    return 1.0
 
 
 class TestDelivery:
@@ -77,14 +87,14 @@ class TestProgress:
             for b in range(0, n, 3):
                 if a == b:
                     continue
-                current, state = a, None
+                current, commit, fallback_md = a, -1, None
                 decision_mds = [r.md(a, b)]
                 hops = 0
                 while current != b:
-                    current, state = r.next_hop(current, b, state=state)
+                    current, commit, fallback_md = r.next_hop(current, b, commit, fallback_md)
                     hops += 1
                     assert hops < 4 * n
-                    if state.commit is None and current != b:
+                    if commit < 0 and current != b:
                         md = r.md(current, b)
                         assert md < decision_mds[-1]
                         decision_mds.append(md)
@@ -128,40 +138,36 @@ class TestTwoHopWindow:
 
 
 class TestRouteState:
-    """``RouteState`` is the scalar reference's state; a packet carries
-    the same two fields as plain values (``commit == -1``: none)."""
+    """A packet's route state is two header fields, ``commit`` (``-1``:
+    none) and ``fallback_md`` (``None``: greedy mode); the scalar
+    ``next_hop`` takes and returns them in the same encoding."""
 
     def test_packet_fields_mirror_route_state(self, medium_routing):
-        from repro.network.packet import Packet
-
         policy = GreedyPolicy(medium_routing)
         n = medium_routing.topology.num_nodes
         for dst in range(1, n, 7):
             packet = Packet(src=0, dst=dst)
-            assert (packet.commit, packet.fallback_md) == (-1, None)
-            current, state = 0, None
+            current, commit, fallback_md = 0, -1, None
             while current != dst:
-                nxt = policy.forward(current, packet, lambda u, v: 0.0, False)
-                current, state = medium_routing.next_hop(current, dst, state=state)
+                nxt = policy.forward(current, packet, False)
+                current, commit, fallback_md = medium_routing.next_hop(
+                    current, dst, commit, fallback_md
+                )
                 assert nxt == current
-                assert packet.commit == (-1 if state.commit is None else state.commit)
-                assert packet.fallback_md == state.fallback_md
-            packet.commit, packet.fallback_md = 5, 0.25
-            packet.reset_route()
-            assert (packet.commit, packet.fallback_md) == (-1, None)
+                assert (packet.commit, packet.fallback_md) == (commit, fallback_md)
 
     def test_default_state(self):
-        state = RouteState()
-        assert state.commit is None
-        assert not state.in_fallback
-
-    def test_repr(self):
-        assert "commit" in repr(RouteState(commit=3))
+        packet = Packet(src=0, dst=1)
+        assert (packet.commit, packet.fallback_md) == (-1, None)
+        packet.commit, packet.fallback_md = 5, 0.25
+        packet.reset_route()
+        assert (packet.commit, packet.fallback_md) == (-1, None)
 
     def test_next_hop_returns_state(self, medium_routing):
-        nxt, state = medium_routing.next_hop(0, 42)
+        nxt, commit, fallback_md = medium_routing.next_hop(0, 42)
         assert nxt in medium_routing.topology.neighbors(0)
-        assert isinstance(state, RouteState)
+        assert commit == -1 or commit in medium_routing.topology.active_nodes
+        assert fallback_md is None
 
 
 class TestMaxHops:
@@ -179,15 +185,12 @@ class TestAdaptive:
 
     def test_uncongested_matches_greediest(self, adaptive_routing):
         """With empty queues the adaptive choice is the greediest one."""
-        quiet = lambda u, v: 0.0
         for src in range(0, 61, 13):
             for dst in range(61):
                 if src == dst:
                     continue
-                greedy, _ = adaptive_routing.next_hop(src, dst)
-                adaptive, _ = adaptive_routing.adaptive_next_hop(
-                    src, dst, quiet, first_hop=True
-                )
+                greedy, *_ = adaptive_routing.next_hop(src, dst)
+                adaptive, *_ = adaptive_next_hop(adaptive_routing, src, dst, quiet, True)
                 assert adaptive == greedy
 
     def test_congestion_diverts_first_hop(self, adaptive_routing):
@@ -202,8 +205,11 @@ class TestAdaptive:
                 if len(candidates) < 2:
                     continue
                 best = candidates[0][1]
-                load = lambda u, v, best=best: 1.0 if v == best else 0.0
-                choice, _ = r.adaptive_next_hop(src, dst, load, first_hop=True)
+
+                def load(u, v, best=best):
+                    return 1.0 if v == best else 0.0
+
+                choice, *_ = adaptive_next_hop(r, src, dst, load, True)
                 assert choice != best
                 # The diverted choice still satisfies strict progress.
                 assert choice in [w for _s, w in candidates]
@@ -222,24 +228,23 @@ class TestAdaptive:
                 best = r.candidate_set(src, dst)
                 if not best:
                     continue
-                loaded = lambda u, v: 1.0
-                choice, _ = r.adaptive_next_hop(src, dst, loaded, first_hop=False)
-                greedy, _ = r.next_hop(src, dst)
+                choice, *_ = adaptive_next_hop(r, src, dst, loaded, False)
+                greedy, *_ = r.next_hop(src, dst)
                 assert choice == greedy
 
     def test_adaptive_still_delivers(self, adaptive_routing):
         """Adaptive first hops preserve delivery (simulated walk)."""
         r = adaptive_routing
-        loaded = lambda u, v: 1.0  # always divert if possible
         for a in range(0, 61, 7):
             for b in range(0, 61, 5):
                 if a == b:
                     continue
-                current, state, hops = a, None, 0
+                current, commit, fallback_md, hops = a, -1, None, 0
                 first = True
                 while current != b:
-                    current, state = r.adaptive_next_hop(
-                        current, b, loaded, first_hop=first, state=state
+                    # Every port loaded: divert whenever possible.
+                    current, commit, fallback_md = adaptive_next_hop(
+                        r, current, b, loaded, first, commit, fallback_md
                     )
                     first = False
                     hops += 1

@@ -30,13 +30,14 @@ _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
 
 
 def kernel_entry(routing, current, dst):
-    """``(next, commit)`` decoded from *dst*'s column, or ``None`` where
-    the scalar path decides (a ``-1`` entry, or no column at all)."""
+    """``(next, commit)`` decoded from *dst*'s column (``commit == -1``:
+    none), or ``None`` where the scalar path decides (a ``-1`` entry, or
+    no column at all)."""
     column = routing.column(dst)
     if column is None or column[current] < 0:
         return None
     nxt, commit = divmod(column[current], routing.column_stride)
-    return nxt, (commit - 1 if commit else None)
+    return nxt, commit - 1
 
 
 def assert_pair_matches_scalar(routing, current, dst):
@@ -49,17 +50,17 @@ def assert_pair_matches_scalar(routing, current, dst):
         routing.is_direct(current, dst)
     ), (current, dst)
     try:
-        nxt, state = routing.next_hop(current, dst)
+        nxt, commit, fallback_md = routing.next_hop(current, dst)
     except RuntimeError:
         # The fallback walk found no clockwise progress: only a
         # greedy dead end can get there.
         assert entry is None, (current, dst)
         return False
     if entry is None:
-        assert state.in_fallback, (current, dst)
+        assert fallback_md is not None, (current, dst)
         return False
-    assert not state.in_fallback, (current, dst)
-    assert entry == (nxt, state.commit), (current, dst)
+    assert fallback_md is None, (current, dst)
+    assert entry == (nxt, commit), (current, dst)
     return True
 
 
@@ -176,8 +177,8 @@ def test_tables_invalidate_on_reconfiguration():
                 continue
             entry = kernel_entry(routing, current, dst)
             if entry is not None:
-                nxt, state = routing.next_hop(current, dst)
-                assert entry == (nxt, state.commit), (current, dst)
+                nxt, commit, _ = routing.next_hop(current, dst)
+                assert entry == (nxt, commit), (current, dst)
                 assert entry[0] != victim
 
 
@@ -201,8 +202,8 @@ def test_tables_invalidate_on_fault_repair():
         entry = kernel_entry(routing, u, dst)
         if entry is not None:
             assert entry[0] != v
-            nxt, state = routing.next_hop(u, dst)
-            assert entry == (nxt, state.commit)
+            nxt, commit, _ = routing.next_hop(u, dst)
+            assert entry == (nxt, commit)
     # Restore rebuilds the neighborhood; decisions return to the
     # intact-network answers.
     repair.restore_link(u, v)

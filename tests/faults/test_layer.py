@@ -290,10 +290,10 @@ class TestRingBroken:
     def _break_routing(sim, at_node):
         forward = sim.policy.forward
 
-        def broken(node, packet, load, first_hop):
+        def broken(node, packet, first_hop):
             if node == at_node:
                 raise RingBrokenError(f"space-0 ring broken at node {node}")
-            return forward(node, packet, load, first_hop)
+            return forward(node, packet, first_hop)
 
         sim.policy.forward = broken
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
+from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.faults.detector import TableRepair
 from repro.network.elastic import LiveReconfigurator
@@ -147,9 +147,10 @@ def test_column_path_equals_scalar_path(nodes, seed, uni, use_two_hop, adaptive,
 
 @pytest.mark.parametrize("num_vcs", [1, 2])
 def test_mid_run_policy_swap(num_vcs):
-    """Fault repair replaces ``sim.policy`` mid-run with a
-    ``MinimalPolicy`` and then sets its ``num_vcs``: packets sent after
-    the swap take the new policy's VC and minimal next hops."""
+    """Fault repair swaps a ``MinimalPolicy`` into ``sim.policy``
+    mid-run: it sets the new policy's ``num_vcs``, attaches it to the
+    simulator and installs it.  Packets sent after the swap take the
+    new policy's VC and minimal next hops."""
     topo = StringFigureTopology(48, 4, seed=3)
     sim = NetworkSimulator(topo, GreedyPolicy(AdaptiveGreediestRouting(topo)))
     pattern = make_pattern("uniform_random", topo.active_nodes)
@@ -159,6 +160,7 @@ def test_mid_run_policy_swap(num_vcs):
 
     def swap(now):
         minimal.num_vcs = num_vcs
+        minimal.attach_simulator(sim)
         sim.policy = minimal
 
     sim.schedule(swap_at, swap)
@@ -230,8 +232,8 @@ class TestCommittedHop:
         dst = _beyond(routing, topo, other)
         TableRepair(routing).route_around_link(0, other)
         routing.column(dst)
-        want, state = routing.next_hop(0, dst, state=RouteState(commit=other))
+        want, commit, _ = routing.next_hop(0, dst, other)
         packet = Packet(src=0, dst=dst, commit=other)
         assert self._arrive(sim, 0, packet) == want != other
         assert calls == [0]
-        assert packet.commit == (-1 if state.commit is None else state.commit)
+        assert packet.commit == commit

@@ -1,4 +1,8 @@
-"""Routing-policy adapters."""
+"""Routing-policy adapters.
+
+A policy reads occupancy from the ports of the simulator it is
+attached to, so an adaptive test loads a port by setting its counter.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +14,30 @@ from repro.core.topology import StringFigureTopology
 from repro.core.virtual_channels import select_virtual_channel
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy, MinimalPolicy
+from repro.network.simulator import NetworkSimulator
 
-quiet = lambda u, v: 0.0
-loaded = lambda u, v: 1.0
+
+class GraphTopology:
+    """A networkx graph as the simulator's topology."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.active_nodes = sorted(graph)
+        self.num_nodes = len(self.active_nodes)
+
+    def neighbors(self, v):
+        return sorted(self.graph.neighbors(v))
+
+
+def attached(graph, policy):
+    """A simulator over *graph* that *policy* reads its ports from."""
+    return NetworkSimulator(GraphTopology(graph), policy)
+
+
+def fill(sim, u, v):
+    """Queue a full buffer's worth of packets on the port ``u -> v``."""
+    port = sim._ports[u * sim._n + v]
+    port.count = port.cap
 
 
 class TestGreedyPolicy:
@@ -25,7 +50,7 @@ class TestGreedyPolicy:
         packet = Packet(src=0, dst=13)
         current, first, hops = 0, True, 0
         while current != 13:
-            current = policy.forward(current, packet, quiet, first)
+            current = policy.forward(current, packet, first)
             first = False
             hops += 1
             assert hops < 100
@@ -36,7 +61,7 @@ class TestGreedyPolicy:
         packet = Packet(src=0, dst=13)
         current, first = 0, True
         while current != 13:
-            current = policy.forward(current, packet, quiet, first)
+            current = policy.forward(current, packet, first)
             first = False
         assert packet.fallback_hops == 0
 
@@ -86,19 +111,30 @@ class TestMinimalPolicy:
     def test_adaptive_diverts_under_load(self):
         g = nx.complete_graph(6)
         policy = MinimalPolicy(g, adaptive=True)
+        sim = attached(g, policy)
+        for v in range(1, 6):
+            fill(sim, 0, v)
         packet = Packet(src=0, dst=5)
         # Direct neighbor is the only minimal candidate in K6 — no divert.
-        assert policy.forward(0, packet, loaded, True) == 5
+        assert policy.forward(0, packet, True) == 5
 
     def test_adaptive_on_cycle(self):
         # On an even cycle, opposite node has two minimal first hops.
         g = nx.cycle_graph(8)
         policy = MinimalPolicy(g, adaptive=True)
+        sim = attached(g, policy)
         packet = Packet(src=0, dst=4)
-        primary = policy.forward(0, packet, quiet, True)
-        congested = lambda u, v: 1.0 if v == primary else 0.0
-        diverted = policy.forward(0, packet, congested, True)
+        primary = policy.forward(0, packet, True)
+        fill(sim, 0, primary)
+        diverted = policy.forward(0, packet, True)
         assert diverted != primary
+        assert policy.distance(diverted, 4) == policy.distance(0, 4) - 1
+
+    def test_defaults_are_class_attributes(self):
+        policy = MinimalPolicy(nx.cycle_graph(4))
+        assert (policy.congestion_threshold, policy.num_vcs) == (0.5, 2)
+        assert "congestion_threshold" not in vars(policy)
+        assert "num_vcs" not in vars(policy)
 
     def test_route_length_equals_distance(self, graph):
         policy = MinimalPolicy(graph, adaptive=False)

@@ -4,9 +4,11 @@ its only memo.
 A plain hop reads the destination's decision column
 (``GreediestRouting.column``); every other hop takes the scalar
 ``next_hop``.  The policy must walk every pair exactly as the
-uncached reference built from ``adaptive_next_hop`` / ``next_hop``
-does — same path, same fallback count, same final routing state —
-under load, after reconfiguration and above the kernel's size gate.
+uncached reference built from the oracle ``adaptive_next_hop`` /
+``next_hop`` does — same path, same fallback count, same final routing
+state — under load, after reconfiguration and above the kernel's size
+gate.  Load is set on the ports of the simulator the policy is
+attached to, and the reference reads the same ports.
 ``HYPOTHESIS_PROFILE=ci`` runs more, derandomized examples.
 """
 
@@ -20,14 +22,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting, RouteState
+from repro.core.routing import AdaptiveGreediestRouting, GreediestRouting
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.network.packet import Packet
 from repro.network.policies import GreedyPolicy
+from repro.network.simulator import NetworkSimulator
+from tests.core.routing_oracle import adaptive_next_hop
 
 _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
 
-quiet = lambda u, v: 0.0
+
+def _port(sim, u, v):
+    port = sim._ports.get(u * sim._n + v)
+    return sim._port(u, v) if port is None else port
+
+
+def _port_load(sim):
+    """The reference's probe: the occupancy fraction of ``u -> v`` on
+    *sim*'s ports, as a classless packet sees it."""
+
+    def load(u, v):
+        port = sim._ports.get(u * sim._n + v)
+        return 0.0 if port is None else min(1.0, port.count / port.cap)
+
+    return load
 
 
 def _walk(policy, src, dst):
@@ -35,15 +53,11 @@ def _walk(policy, src, dst):
     path = [src]
     current, first = src, True
     while current != dst:
-        current = policy.forward(current, packet, quiet, first)
+        current = policy.forward(current, packet, first)
         first = False
         path.append(current)
         assert len(path) < 300
     return path
-
-
-def _plain(state):
-    return state is None or (state.commit is None and state.fallback_md is None)
 
 
 def _packet_plain(packet):
@@ -65,7 +79,7 @@ def _outcome(step, src, dst, limit):
     return path, None
 
 
-def _policy_walk(policy, src, dst, load, stateful_first, limit):
+def _policy_walk(policy, src, dst, stateful_first, limit):
     """One policy walk.  With *stateful_first*, a hop whose packet
     carries commit/fallback state is presented as a first hop, as if
     the packet had re-entered the network without its state being
@@ -75,7 +89,7 @@ def _policy_walk(policy, src, dst, load, stateful_first, limit):
 
     def step(current, first):
         first = first or (stateful_first and not _packet_plain(packet))
-        return policy.forward(current, packet, load, first)
+        return policy.forward(current, packet, first)
 
     path, error = _outcome(step, src, dst, limit)
     commit = None if packet.commit < 0 else packet.commit
@@ -83,22 +97,23 @@ def _policy_walk(policy, src, dst, load, stateful_first, limit):
 
 
 def _reference_walk(routing, src, dst, load, stateful_first, limit):
-    state = None
+    commit, fallback_md = -1, None
     fallback_hops = 0
 
     def step(current, first):
-        nonlocal state, fallback_hops
-        first = first or (stateful_first and not _plain(state))
+        nonlocal commit, fallback_md, fallback_hops
+        first = first or (stateful_first and (commit >= 0 or fallback_md is not None))
         if isinstance(routing, AdaptiveGreediestRouting):
-            nxt, state = routing.adaptive_next_hop(current, dst, load, first, None, state)
+            nxt, commit, fallback_md = adaptive_next_hop(
+                routing, current, dst, load, first, commit, fallback_md
+            )
         else:
-            nxt, state = routing.next_hop(current, dst, None, state)
-        fallback_hops += state.in_fallback
+            nxt, commit, fallback_md = routing.next_hop(current, dst, commit, fallback_md)
+        fallback_hops += fallback_md is not None
         return nxt
 
     path, error = _outcome(step, src, dst, limit)
-    state = state or RouteState()
-    return path, error, fallback_hops, (state.commit, state.fallback_md)
+    return path, error, fallback_hops, (None if commit < 0 else commit, fallback_md)
 
 
 @pytest.fixture
@@ -125,26 +140,29 @@ class TestCacheCorrectness:
         kind = AdaptiveGreediestRouting if adaptive else GreediestRouting
         routing = kind(topo, use_two_hop=use_two_hop)
         policy = GreedyPolicy(routing)
+        sim = NetworkSimulator(topo, policy)
+        load = _port_load(sim)
         limit = 4 * nodes
 
-        def load(u, v):
+        def check():
             # Every router's lowest usable port is past the 0.5
             # congestion threshold, the rest below it: the quick reject
             # never skips, and a divert happens whenever that port is
             # the greedy one.
-            if v == min(routing.usable_neighbors(u)):
-                return 0.9
-            return ((u * 31 + v * 17) % 5) / 10
-
-        def check():
             active = topo.active_nodes
+            for u in active:
+                usable = routing.usable_neighbors(u)
+                for v in usable:
+                    port = _port(sim, u, v)
+                    share = 0.9 if v == min(usable) else ((u * 31 + v * 17) % 5) / 10
+                    port.count = round(share * port.cap)
             for src in probe.sample(active, 3):
                 for dst in active:
                     if src == dst:
                         continue
                     for stateful_first in (False, True):
-                        args = (src, dst, load, stateful_first, limit)
-                        assert _policy_walk(policy, *args) == _reference_walk(routing, *args)
+                        want = _reference_walk(routing, src, dst, load, stateful_first, limit)
+                        assert _policy_walk(policy, src, dst, stateful_first, limit) == want
 
         # Under load: the adaptive divert and its candidate memo run.
         check()
@@ -219,7 +237,7 @@ class TestNoStateAliasing:
                 if node == dst:
                     continue
                 probe = Packet(src=node, dst=dst)
-                policy.forward(node, probe, quiet, False)
+                policy.forward(node, probe, False)
                 if probe.commit >= 0:
                     return node, dst
         pytest.fail("no two-hop committed decision found on this topology")
@@ -228,8 +246,8 @@ class TestNoStateAliasing:
         policy = GreedyPolicy(GreediestRouting(topo))
         node, dst = self._committed_decision(policy, topo)
         p1, p2 = Packet(src=node, dst=dst), Packet(src=node, dst=dst)
-        n1 = policy.forward(node, p1, quiet, False)  # column hit
-        n2 = policy.forward(node, p2, quiet, False)  # same entry
+        n1 = policy.forward(node, p1, False)  # column hit
+        n2 = policy.forward(node, p2, False)  # same entry
         assert n1 == n2
         assert p1.commit == p2.commit >= 0
         assert p1.fallback_md is None and p2.fallback_md is None
@@ -238,8 +256,8 @@ class TestNoStateAliasing:
         policy = GreedyPolicy(GreediestRouting(topo))
         node, dst = self._committed_decision(policy, topo)
         p1, p2 = Packet(src=node, dst=dst), Packet(src=node, dst=dst)
-        policy.forward(node, p1, quiet, False)
-        policy.forward(node, p2, quiet, False)
+        policy.forward(node, p1, False)
+        policy.forward(node, p2, False)
         # p1 hits a degraded region in flight and drops into ring
         # fallback; p2's pending commit and greedy mode are untouched.
         commit = p2.commit
@@ -262,7 +280,7 @@ class TestNoStateAliasing:
         live = LiveReconfigurator(NetworkSimulator(topo, policy), manager, policy)
         node, dst = self._committed_decision(policy, topo)
         packet = Packet(src=node, dst=dst)
-        at = policy.forward(node, packet, quiet, False)  # the via
+        at = policy.forward(node, packet, False)  # the via
         packet.fallback_hops = 3
         if fails:
             # Forwarding from a gated router raises inside forward.
@@ -289,18 +307,20 @@ class TestCacheInvalidation:
     def test_reconfigure_clears_cache(self, topo):
         routing = AdaptiveGreediestRouting(topo)
         policy = GreedyPolicy(routing)
+        NetworkSimulator(topo, policy)
         for dst in (27, 13, 5):
             _walk(policy, 0, dst)
         assert len(routing.columns) > 1
         policy.on_reconfigure()
         # The refresh bumps the routing generation: the next forward
         # drops every column filled against the old tables.
-        policy.forward(0, Packet(src=0, dst=27), quiet, False)
+        policy.forward(0, Packet(src=0, dst=27), False)
         assert set(routing.columns) <= {27}
 
     def test_routes_correct_after_reconfig(self, topo):
         routing = AdaptiveGreediestRouting(topo)
         policy = GreedyPolicy(routing)
+        NetworkSimulator(topo, policy)
         manager = ReconfigurationManager(topo, routing)
         # warm the columns on the full network
         for dst in range(1, 40, 5):
@@ -320,6 +340,7 @@ class TestCacheInvalidation:
         otherwise stale entries route packets into the gated region."""
         routing = AdaptiveGreediestRouting(topo)
         policy = GreedyPolicy(routing)
+        NetworkSimulator(topo, policy)
         manager = ReconfigurationManager(topo, routing)
         for dst in range(1, 40, 3):
             _walk(policy, 0, dst)
@@ -334,13 +355,18 @@ class TestCacheInvalidation:
     def test_adaptive_candidate_cache_cleared_on_reconfigure(self, topo):
         routing = AdaptiveGreediestRouting(topo)
         policy = GreedyPolicy(routing)
+        sim = NetworkSimulator(topo, policy)
+        ports = [p for p in sim._node_ports[0] if p.u == 0]
         # A loaded primary port forces the candidate set to be built.
-        busy = lambda u, v: 1.0
+        for port in ports:
+            port.count = port.cap
         packet = Packet(src=0, dst=27)
-        policy.forward(0, packet, busy, True)
+        policy.forward(0, packet, True)
         assert policy._cand_cache
         policy.on_reconfigure()
         # Under no load the next forward never ranks candidates, so the
         # cache it leaves behind holds nothing from before the refresh.
-        policy.forward(0, Packet(src=0, dst=27), quiet, True)
+        for port in ports:
+            port.count = 0
+        policy.forward(0, Packet(src=0, dst=27), True)
         assert not policy._cand_cache

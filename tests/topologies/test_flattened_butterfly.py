@@ -34,7 +34,7 @@ class TestFB:
             assert nx.is_connected(FlattenedButterflyTopology(n).graph())
 
     def test_prime_unsupported(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^flattened butterfly does not support 61 nodes"):
             FlattenedButterflyTopology(61)
 
     def test_minimal_routing_two_hops_max(self):

@@ -5,22 +5,23 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.topologies.mesh import MeshTopology, OptimizedMeshTopology, mesh_dimensions
+from repro.topologies.base import grid_dimensions
+from repro.topologies.mesh import MeshTopology, OptimizedMeshTopology
 
 
 class TestDimensions:
     def test_square(self):
-        assert mesh_dimensions(64) == (8, 8)
-        assert mesh_dimensions(1296) == (36, 36)
+        assert grid_dimensions(64, "mesh") == (8, 8)
+        assert grid_dimensions(1296, "mesh") == (36, 36)
 
     def test_rectangular(self):
-        assert mesh_dimensions(128) == (8, 16)
+        assert grid_dimensions(128, "mesh") == (8, 16)
 
     def test_prime_unsupported(self):
         """Figure 8 marks 17, 61, 113 as unsupported ("N") for mesh."""
         for n in (17, 61, 113):
-            with pytest.raises(ValueError):
-                mesh_dimensions(n)
+            with pytest.raises(ValueError, match=f"^mesh does not support {n} nodes"):
+                MeshTopology(n)
 
 
 class TestStructure:
